@@ -51,11 +51,14 @@ class ClusterType(enum.Enum):
 
 @dataclass(frozen=True)
 class PNormalized:
-    """A p-normalized sextic model, with v = v_p of its leading coefficient."""
+    """A p-normalized sextic model, with v = v_p of its leading coefficient
+    and vdisc = v_p(disc) of the unit-leading part ftilde(); vdisc + 1 is
+    the default iteration cap of the cluster descents."""
 
     f: tuple
     p: int
     v: int
+    vdisc: int
 
     def ftilde(self):
         """The unit-leading part p^(-v) f."""
@@ -70,10 +73,10 @@ def p_normalize(f, p: int) -> PNormalized:
     recentering loop divides out the common p-adic root approximation until
     the outer depth reaches zero.
     """
-    check_odd_prime_modulus(p)
     f = trim(f)
     if deg(f) not in (5, 6):
         raise DegreeError(f"need a quintic or sextic, got degree {deg(f)}")
+    check_odd_prime_modulus(p)
     if deg(f) == 5:
         for a in range(7):
             if poly_eval(f, a) != 0:
@@ -134,12 +137,8 @@ def p_normalize(f, p: int) -> PNormalized:
                 "outer recentering is inexact; the splitting field ramifies"
             ) from exc
     g = tuple(c * p**v for c in h)
-    return PNormalized(g, p, v)
-
-
-def _fp_linear_root(u, p):
-    """Root of a monic linear polynomial over F_p."""
-    return (p - u[0]) % p
+    # each recentering step divides the sextic discriminant by p^30
+    return PNormalized(g, p, v, vdisc_h - 30 * iters)
 
 
 def which_type(nf: PNormalized) -> ClusterType:
@@ -162,7 +161,7 @@ def which_type(nf: PNormalized) -> ClusterType:
             raise GoodReduction(f"f is squarefree mod {p}")
         raise NotAlmostGood("repeated factors of multiplicity 2 only")
     if d == 1:
-        r = _fp_linear_root(g, p)
+        r = (p - g[0]) % p
         cube = fp_mul(fp_mul(g, g, p), g, p)
         u, rem = fp_divmod(fbar, cube, p)
         if rem:

@@ -10,20 +10,13 @@ import random
 from dataclasses import dataclass
 
 from .clusterclassify import ClusterType, PNormalized, p_normalize, which_type
-from .errors import (
-    BadWitness,
-    DegreeError,
-    HasseViolation,
-    InexactDivision,
-    NotAlmostGood,
-    NotSquarefree,
-)
-from .genus1 import DEFAULT_NAIVE_LIMIT, Genus1Model, lpoly1
+from .errors import BadWitness, HasseViolation, InexactDivision, NotAlmostGood
+from .genus1 import Genus1Model, lpoly1
 from .modarith import Fp, QuadOrder, find_nonsquare, legendre, sqrt_mod_p
+from .polyring import disc  # noqa: F401  only a hook target for perfbench/tracing.py
 from .polyring import (
     complete_square,
     deg,
-    disc,
     fp_disc,
     fp_divmod,
     fp_gcd_k,
@@ -37,7 +30,6 @@ from .polyring import (
     reduce_mod,
     shift_scale,
     trim,
-    vp,
 )
 
 
@@ -48,6 +40,11 @@ class LPoly2:
     a1: int
     a2: int
     p: int
+
+    @classmethod
+    def from_traces(cls, t1: int, t2: int, p: int) -> "LPoly2":
+        """(1 - t1*T + p*T^2)(1 - t2*T + p*T^2)."""
+        return cls(-(t1 + t2), t1 * t2 + 2 * p, p)
 
     def coefficients(self):
         return (1, self.a1, self.a2, self.p * self.a1, self.p * self.p)
@@ -90,53 +87,54 @@ def validate_lpoly2(lp: LPoly2) -> bool:
     return True
 
 
-def _lp2_from_traces(t1: int, t2: int, p: int) -> LPoly2:
-    return LPoly2(-(t1 + t2), t1 * t2 + 2 * p, p)
+def _cap(nf: PNormalized, max_iters):
+    """The recentering bound: v_p(disc) + 1 unless the caller set one."""
+    return nf.vdisc + 1 if max_iters is None else max_iters
 
 
-def _lp2_over_fp2(t: int, p: int) -> LPoly2:
-    # L(E/F_{p^2}, T^2) = 1 - t T^2 + p^2 T^4
-    return LPoly2(0, -t, p)
+def _root(u, p: int) -> int:
+    """The root of a monic linear polynomial over F_p."""
+    return (p - u[0]) % p
 
 
-def _count_opts(kw):
-    return {
-        "rng": kw.get("rng"),
-        "naive_limit": kw.get("naive_limit", DEFAULT_NAIVE_LIMIT),
-        "force_bsgs": kw.get("force_bsgs", False),
-    }
+def _descend_step(f, r: int, k: int, p: int):
+    """One level down: f(p*x + r) / p^k and its reduction mod p, which must
+    keep the degree k of the cluster being followed."""
+    try:
+        f = shift_scale(f, 1, r, k, p)
+    except InexactDivision as exc:
+        raise NotAlmostGood("cluster descent hit an inexact division") from exc
+    fbar = reduce_mod(f, p)
+    if deg(fbar) != k:
+        raise NotAlmostGood(f"descent lost the degree {k} of its cluster")
+    return f, fbar
 
 
-def _default_max_iters(ftilde, p):
-    d = disc(ftilde)
-    if d == 0:
-        raise NotSquarefree("discriminant vanishes")
-    return vp(d, p) + 1
-
-
-def _descend_to_cubic(ftilde, r0: int, p: int, max_iters: int):
+def _descend_to_cubic(ftilde, r: int, p: int, max_iters: int):
     """The recentering loop: substitute x -> p*x + r, divide by p^3, and stop
     when the reduced cubic is separable.  Returns (cubic mod p, iterations)."""
     f = ftilde
-    r = r0
     for i in range(1, max_iters + 1):
-        try:
-            f = shift_scale(f, 1, r, 3, p)
-        except InexactDivision as exc:
-            raise NotAlmostGood("cluster descent hit an inexact division") from exc
-        gbar = reduce_mod(f, p)
-        if deg(gbar) != 3:
-            raise NotAlmostGood("descent cubic lost its degree")
+        f, gbar = _descend_step(f, r, 3, p)
         if fp_disc(gbar, p) != 0:
             return gbar, i
         g3 = fp_gcd_k(gbar, 3, p)
         if deg(g3) != 1:
             raise NotAlmostGood("inseparable cubic without a triple root")
-        r = (p - g3[0]) % p
+        r = _root(g3, p)
     raise NotAlmostGood(f"descent exceeded {max_iters} iterations")
 
 
-def euler_type1(nf: PNormalized, max_iters: int | None = None, **kw):
+def _lp2_over_fp(p: int, rng, g1, g2) -> LPoly2:
+    """Count the genus 1 curves y^2 = g1 and y^2 = g2 over F_p and multiply
+    their factors."""
+    F = Fp(p)
+    t1 = lpoly1(Genus1Model(F, g1), rng).a
+    t2 = lpoly1(Genus1Model(F, g2), rng).a
+    return LPoly2.from_traces(t1, t2, p)
+
+
+def euler_type1(nf: PNormalized, rng, max_iters: int | None = None):
     """Type 1: one loose triple cluster.
 
     The separable quartic part of f mod p gives the first curve; the descent
@@ -145,66 +143,37 @@ def euler_type1(nf: PNormalized, max_iters: int | None = None, **kw):
     p = nf.p
     ftilde = nf.ftilde()
     fbar = reduce_mod(ftilde, p)
-    g = fp_gcd_k(fbar, 3, p)
-    if deg(g) != 1:
-        raise NotAlmostGood("type 1 needs a unique triple root")
-    rbar = (p - g[0]) % p
-    shifted = fp_taylor_shift(fbar, rbar, p)
-    if len(shifted) != 7 or shifted[0] != 0 or shifted[1] != 0:
-        raise NotAlmostGood("triple root fails to recenter")
-    quartic = shifted[2:]
-    if max_iters is None:
-        max_iters = _default_max_iters(ftilde, p)
-    opts = _count_opts(kw)
-    try:
-        e1 = Genus1Model(Fp(p), quartic)
-    except (NotSquarefree, DegreeError) as exc:
-        raise NotAlmostGood("type 1 quartic is singular") from exc
-    l1 = lpoly1(e1, **opts)
-    g2bar, iters = _descend_to_cubic(ftilde, rbar, p, max_iters)
-    l2 = lpoly1(Genus1Model(Fp(p), g2bar), **opts)
-    return _lp2_from_traces(l1.a, l2.a, p), RunStats(ClusterType.T1, (iters,), nf.v)
+    r = _root(fp_gcd_k(fbar, 3, p), p)
+    g2bar, iters = _descend_to_cubic(ftilde, r, p, _cap(nf, max_iters))
+    quartic = fp_taylor_shift(fbar, r, p)[2:]  # x * (cofactor of the triple root)
+    lp = _lp2_over_fp(p, rng, quartic, g2bar)
+    return lp, RunStats(ClusterType.T1, (iters,), nf.v)
 
 
-def euler_type2a(nf: PNormalized, s: int, max_iters: int | None = None, **kw):
+def euler_type2a(nf: PNormalized, s: int, rng, max_iters: int | None = None):
     """Type 2a: two rational triple clusters, centers from the quadratic
     formula (s supplies the square root)."""
     p = nf.p
     if legendre(s, p) != -1:
         raise BadWitness(f"{s} is not a nonsquare mod {p}")
     ftilde = nf.ftilde()
-    fbar = reduce_mod(ftilde, p)
-    u = fp_gcd_k(fbar, 3, p)
-    if deg(u) != 2:
-        raise NotAlmostGood("type 2a needs a quadratic kernel")
-    delta = fp_disc(u, p)
-    if legendre(delta, p) != 1:
-        raise NotAlmostGood("type 2a kernel must split over F_p")
-    root = sqrt_mod_p(delta, p, s)
+    u = fp_gcd_k(reduce_mod(ftilde, p), 3, p)  # monic, split over F_p
+    root = sqrt_mod_p(fp_disc(u, p), p, s)
     inv2 = (p + 1) // 2
-    u1 = u[1] * pow(u[2], p - 2, p) % p  # monic normalization
-    r1 = (-u1 + root) * inv2 % p
-    r2 = (-u1 - root) * inv2 % p
-    if r1 > r2:
-        r1, r2 = r2, r1  # smaller center first; the product is symmetric
-    if max_iters is None:
-        max_iters = _default_max_iters(ftilde, p)
-    opts = _count_opts(kw)
+    # smaller center first; the product is symmetric
+    r1, r2 = sorted(((-u[1] + root) * inv2 % p, (-u[1] - root) * inv2 % p))
+    max_iters = _cap(nf, max_iters)
     g1bar, it1 = _descend_to_cubic(ftilde, r1, p, max_iters)
     g2bar, it2 = _descend_to_cubic(ftilde, r2, p, max_iters)
-    l1 = lpoly1(Genus1Model(Fp(p), g1bar), **opts)
-    l2 = lpoly1(Genus1Model(Fp(p), g2bar), **opts)
-    return (
-        _lp2_from_traces(l1.a, l2.a, p),
-        RunStats(ClusterType.T2A, (it1, it2), nf.v),
-    )
+    lp = _lp2_over_fp(p, rng, g1bar, g2bar)
+    return lp, RunStats(ClusterType.T2A, (it1, it2), nf.v)
 
 
 def euler_type2b(
     nf: PNormalized,
+    rng,
     max_iters: int | None = None,
     use_conjugate: bool = False,
-    **kw,
 ):
     """Type 2b: Frobenius-conjugate triple clusters.
 
@@ -215,14 +184,10 @@ def euler_type2b(
     """
     p = nf.p
     ftilde = nf.ftilde()
-    fbar = reduce_mod(ftilde, p)
-    u = fp_gcd_k(fbar, 3, p)
-    if deg(u) != 2 or legendre(fp_disc(u, p), p) != -1:
-        raise NotAlmostGood("type 2b needs an irreducible quadratic kernel")
+    u = fp_gcd_k(reduce_mod(ftilde, p), 3, p)
     order = QuadOrder(u[0], u[1], p)
     kappa = order.kappa
-    if max_iters is None:
-        max_iters = _default_max_iters(ftilde, p)
+    max_iters = _cap(nf, max_iters)
     fhat = order_embed(ftilde, order)
     r = order.lift(kappa.frobenius(kappa.gen)) if use_conjugate else order.gen
     for i in range(1, max_iters + 1):
@@ -232,10 +197,11 @@ def euler_type2b(
             raise NotAlmostGood("cluster descent hit an inexact division") from exc
         gbar = order_reduce(fhat, order)
         if len(gbar) - 1 != 3:
-            raise NotAlmostGood("descent cubic lost its degree")
+            raise NotAlmostGood("descent lost the degree 3 of its cluster")
         if not kappa.is_zero(fp2_disc(gbar, kappa)):
-            l1 = lpoly1(Genus1Model(kappa, gbar), **_count_opts(kw))
-            return _lp2_over_fp2(l1.a, p), RunStats(ClusterType.T2B, (i,), nf.v)
+            t = lpoly1(Genus1Model(kappa, gbar), rng).a
+            # L(E/F_{p^2}, T^2) = 1 - t T^2 + p^2 T^4
+            return LPoly2(0, -t, p), RunStats(ClusterType.T2B, (i,), nf.v)
         g3 = fp2_gcd_k(gbar, 3, kappa)
         if len(g3) - 1 != 1:
             raise NotAlmostGood("inseparable cubic without a triple root")
@@ -243,7 +209,7 @@ def euler_type2b(
     raise NotAlmostGood(f"descent exceeded {max_iters} iterations")
 
 
-def euler_type4(nf: PNormalized, max_iters: int | None = None, **kw):
+def euler_type4(nf: PNormalized, rng, max_iters: int | None = None):
     """Type 4: nested clusters under a quintuple root.
 
     The outer loop divides by p^5 while the five inner roots stay together;
@@ -253,90 +219,54 @@ def euler_type4(nf: PNormalized, max_iters: int | None = None, **kw):
     p = nf.p
     ftilde = nf.ftilde()
     fbar = reduce_mod(ftilde, p)
-    g5 = fp_gcd_k(fbar, 5, p)
-    if deg(g5) != 1:
-        raise NotAlmostGood("type 4 needs a quintuple root")
-    r = (p - g5[0]) % p
-    if max_iters is None:
-        max_iters = _default_max_iters(ftilde, p)
-    opts = _count_opts(kw)
-    sbar = None
+    max_iters = _cap(nf, max_iters)
     outer = 0
-    for _ in range(max_iters):
-        try:
-            ftilde = shift_scale(ftilde, 1, r, 5, p)
-        except InexactDivision as exc:
-            raise NotAlmostGood("cluster descent hit an inexact division") from exc
+    # gcd_3 has degree 3 exactly while the reduction has a quintuple root
+    while deg(g3 := fp_gcd_k(fbar, 3, p)) == 3:
+        if outer == max_iters:
+            raise NotAlmostGood(f"descent exceeded {max_iters} iterations")
         outer += 1
-        fbar = reduce_mod(ftilde, p)
-        if deg(fbar) != 5:
-            raise NotAlmostGood("descent quintic lost its degree")
-        g3 = fp_gcd_k(fbar, 3, p)
-        if deg(g3) == 1:
-            sbar = (p - g3[0]) % p
-            break
-        if deg(g3) != 3:
-            raise NotAlmostGood(f"type 4 kernel of degree {deg(g3)}")
-        g5 = fp_gcd_k(fbar, 5, p)
-        if deg(g5) != 1:
-            raise NotAlmostGood("quintuple root dissolved mid-descent")
-        r = (p - g5[0]) % p
-    if sbar is None:
-        raise NotAlmostGood(f"descent exceeded {max_iters} iterations")
-    square = fp_mul((p - sbar, 1), (p - sbar, 1), p)
-    cubic, rem = fp_divmod(fbar, square, p)
-    if rem or deg(cubic) != 3:
-        raise NotAlmostGood("residual triple cluster has the wrong shape")
-    try:
-        e1 = Genus1Model(Fp(p), cubic)
-    except NotSquarefree as exc:
-        raise NotAlmostGood("type 4 cubic is singular") from exc
-    l1 = lpoly1(e1, **opts)
-    g2bar, inner = _descend_to_cubic(ftilde, sbar, p, max_iters)
-    l2 = lpoly1(Genus1Model(Fp(p), g2bar), **opts)
-    return (
-        _lp2_from_traces(l1.a, l2.a, p),
-        RunStats(ClusterType.T4, (outer, inner), nf.v),
-    )
+        ftilde, fbar = _descend_step(ftilde, _root(fp_gcd_k(fbar, 5, p), p), 5, p)
+    if deg(g3) != 1:
+        raise NotAlmostGood(f"type 4 kernel of degree {deg(g3)}")
+    cubic = fp_divmod(fbar, fp_mul(g3, g3, p), p)[0]
+    if fp_disc(cubic, p) == 0:
+        raise NotAlmostGood("type 4 cubic is singular")
+    g2bar, inner = _descend_to_cubic(ftilde, _root(g3, p), p, max_iters)
+    lp = _lp2_over_fp(p, rng, cubic, g2bar)
+    return lp, RunStats(ClusterType.T4, (outer, inner), nf.v)
 
 
-def euler_factor_with_stats(inp: EulerInput, rng=None, **kw):
+def euler_factor_with_stats(inp: EulerInput, rng=None):
     """euler_factor plus loop-iteration diagnostics."""
     if rng is None:
         rng = random.Random()
     p = inp.p
     f = trim(inp.f)
-    if inp.h is not None and trim(inp.h):
-        model = complete_square(f, trim(inp.h))
-    else:
-        model = f
-        if deg(model) not in (5, 6):
-            raise DegreeError(f"curve model must have degree 5 or 6, got {deg(model)}")
-    nf = p_normalize(model, p)
+    h = trim(inp.h or ())
+    nf = p_normalize(complete_square(f, h) if h else f, p)
     typ = which_type(nf)
-    kw.setdefault("rng", rng)
-    max_iters = inp.max_iters
     if typ is ClusterType.T1:
-        lp, stats = euler_type1(nf, max_iters, **kw)
+        lp, stats = euler_type1(nf, rng, inp.max_iters)
     elif typ is ClusterType.T2A:
         s = inp.nonsquare
         if s is None:
             s = find_nonsquare(p, rng)
-        lp, stats = euler_type2a(nf, s, max_iters, **kw)
+        lp, stats = euler_type2a(nf, s, rng, inp.max_iters)
     elif typ is ClusterType.T2B:
-        lp, stats = euler_type2b(nf, max_iters, **kw)
+        lp, stats = euler_type2b(nf, rng, inp.max_iters)
     else:
-        lp, stats = euler_type4(nf, max_iters, **kw)
+        lp, stats = euler_type4(nf, rng, inp.max_iters)
     if not validate_lpoly2(lp):
         raise HasseViolation(f"Weil bounds fail for {lp}")
     return lp, stats
 
 
-def euler_factor(inp: EulerInput, rng=None, **kw) -> LPoly2:
+def euler_factor(inp: EulerInput, rng=None) -> LPoly2:
     """The main entry point: normalize, classify, and dispatch.
 
     The nonsquare witness is only needed for type 2a; when absent it is
     drawn from rng (Las Vegas, output-identical to the deterministic path).
     GoodReduction propagates so batch callers can reroute those primes.
     """
-    return euler_factor_with_stats(inp, rng, **kw)[0]
+    return euler_factor_with_stats(inp, rng)[0]

@@ -120,9 +120,6 @@ class Fp:
     def mul(self, a, b):
         return a * b % self.p
 
-    def sqr(self, a):
-        return a * a % self.p
-
     def smul(self, n, a):
         return n * a % self.p
 
@@ -227,9 +224,6 @@ class Fp2:
             (a[0] * b[0] - self.u0 * t) % p,
             (a[0] * b[1] + a[1] * b[0] - self.u1 * t) % p,
         )
-
-    def sqr(self, a):
-        return self.mul(a, a)
 
     def smul(self, n, a):
         p = self.p

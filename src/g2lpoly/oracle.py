@@ -62,10 +62,6 @@ def _trace(gbar, field) -> int:
     return field.q + 1 - n
 
 
-def _lp2_from_traces(t1, t2, p):
-    return LPoly2(-(t1 + t2), t1 * t2 + 2 * p, p)
-
-
 def _random_sqfree_cubic(p, rng):
     """Monic integer cubic with squarefree reduction mod p."""
     for _ in range(_MAX_RETRIES):
@@ -109,7 +105,7 @@ def gen_type1(p, n, rng, compute_expected=True, seed=None) -> OracleInstance:
             t1 = _trace(quartic, field)
             c = fp_eval(h0bar, s1, p)
             t2 = _trace(fp_scale(reduce_mod(h1, p), c, p), field)
-            expected = _lp2_from_traces(t1, t2, p)
+            expected = LPoly2.from_traces(t1, t2, p)
         return OracleInstance(f, p, expected, ClusterType.T1, (n,), seed)
     raise OracleError("type 1 generation failed")
 
@@ -126,7 +122,7 @@ def build_type2a(p, n, m, s1, s2, h1, h2, v=0, compute_expected=True, seed=None)
         d21 = pow((s2 - s1) % p, 3, p)
         t1 = _trace(fp_scale(reduce_mod(h1, p), d12, p), field)
         t2 = _trace(fp_scale(reduce_mod(h2, p), d21, p), field)
-        expected = _lp2_from_traces(t1, t2, p)
+        expected = LPoly2.from_traces(t1, t2, p)
     return OracleInstance(f, p, expected, ClusterType.T2A, (n, m), seed)
 
 
@@ -237,7 +233,7 @@ def gen_type4(p, n, m, rng, compute_expected=True, seed=None):
             t1 = _trace(g1, field)
             c = d * a1 % p * a2 % p
             t2 = _trace(fp_scale(reduce_mod(h2, p), c, p), field)
-            expected = _lp2_from_traces(t1, t2, p)
+            expected = LPoly2.from_traces(t1, t2, p)
         return OracleInstance(f, p, expected, ClusterType.T4, (n, m), seed)
     raise OracleError("type 4 generation failed")
 

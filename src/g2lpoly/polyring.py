@@ -123,11 +123,6 @@ def reduce_mod(f, p: int):
     return trim(c % p for c in f)
 
 
-def lift(fbar):
-    """Lift F_p[x] -> Z[x] using the representatives already stored."""
-    return tuple(fbar)
-
-
 def reverse6(f):
     """x^6 * f(1/x) for f of degree 5: trades the root at infinity for 0."""
     if deg(f) != 5:
@@ -353,7 +348,7 @@ def _fp_multiplicity(f, g, p):
     while True:
         q, r = fp_divmod(f, g, p)
         if r:
-            return v, f
+            return v
         v += 1
         f = q
 
@@ -364,7 +359,7 @@ def _fp_gcd_k_exhaustive(f, k, p):
     d = deg(f)
     for gdeg in range(1, d // k + 1):
         for g in _fp_irreducibles(gdeg, p):
-            v, _ = _fp_multiplicity(f, g, p)
+            v = _fp_multiplicity(f, g, p)
             if v >= k:
                 for _ in range(v - k + 1):
                     out = fp_mul(out, g, p)
@@ -398,31 +393,6 @@ def fp_gcd_k(f, k: int, p: int):
     return g
 
 
-def fp_squarefree_part(f, p: int):
-    """Distinct irreducible factors times the leading coefficient."""
-    f = fp_trim(f, p)
-    if not f:
-        raise ValueError("squarefree part of the zero polynomial")
-    d = deg(f)
-    if d <= 0:
-        return f
-    if p > d:
-        g = fp_gcd(f, fp_derivative(f, p), p)
-        q, r = fp_divmod(f, g, p)
-        assert not r
-        return q
-    # small characteristic: strip repeated factors directly (they have
-    # degree <= d // 2, so the root test suffices)
-    out = f
-    for gdeg in range(1, d // 2 + 1):
-        for g in _fp_irreducibles(gdeg, p):
-            v, _ = _fp_multiplicity(out, g, p)
-            for _ in range(v - 1):
-                out, r = fp_divmod(out, g, p)
-                assert not r
-    return out
-
-
 def fp_is_squarefree(f, p: int) -> bool:
     return deg(fp_gcd(f, fp_derivative(f, p), p)) == 0
 
@@ -437,13 +407,6 @@ def fp2_trim(f, F: Fp2):
     while f and F.is_zero(f[-1]):
         f.pop()
     return tuple(f)
-
-
-def fp2_add(f, g, F: Fp2):
-    n = max(len(f), len(g))
-    f = list(f) + [F.zero] * (n - len(f))
-    g = list(g) + [F.zero] * (n - len(g))
-    return fp2_trim([F.add(a, b) for a, b in zip(f, g)], F)
 
 
 def fp2_mul(f, g, F: Fp2):
@@ -505,11 +468,6 @@ def fp2_gcd(f, g, F: Fp2):
     while g:
         f, g = g, fp2_divmod(f, g, F)[1]
     return fp2_monic(f, F)
-
-
-def fp2_from_fp(fbar, F: Fp2):
-    """Embed an F_p[x] polynomial into F_{p^2}[x]."""
-    return tuple(F.from_int(c) for c in fbar)
 
 
 def _fp2_elements(F: Fp2):

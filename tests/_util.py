@@ -4,6 +4,19 @@ Everything here is deliberately naive (Euler-criterion characters, direct
 enumeration) and shares no code with the package's counting kernels.
 """
 
+from g2lpoly.polyring import (
+    _fp_irreducibles,
+    _fp_multiplicity,
+    deg,
+    fp_derivative,
+    fp_divmod,
+    fp_gcd,
+    fp_trim,
+    poly_add,
+    poly_mul,
+    poly_scale,
+)
+
 
 def chi_p(a, p):
     a %= p
@@ -66,3 +79,36 @@ def brute_count_fp2(g, p, u0, u1):
 
 SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                 59, 61, 67, 71, 73, 79, 83, 89, 97)
+
+
+def fp_squarefree_part(f, p: int):
+    """Distinct irreducible factors of f over F_p times the leading coefficient."""
+    f = fp_trim(f, p)
+    if not f:
+        raise ValueError("squarefree part of the zero polynomial")
+    d = deg(f)
+    if d <= 0:
+        return f
+    if p > d:
+        q, r = fp_divmod(f, fp_gcd(f, fp_derivative(f, p), p), p)
+        assert not r
+        return q
+    # small characteristic: strip repeated factors directly (they have
+    # degree <= d // 2, so the root test suffices)
+    out = f
+    for gdeg in range(1, d // 2 + 1):
+        for g in _fp_irreducibles(gdeg, p):
+            for _ in range(_fp_multiplicity(out, g, p) - 1):
+                out, r = fp_divmod(out, g, p)
+                assert not r
+    return out
+
+
+def outer_cluster_model(f, p, k, a):
+    """p^(6k) f((x - a)/p^k): the same curve with all six roots packed into
+    one outer cluster of depth k around a, so p_normalize must recenter k times."""
+    out, xs = (), (1,)
+    for i, c in enumerate(tuple(f) + (0,) * (7 - len(f))):
+        out = poly_add(out, poly_scale(xs, c * p ** (k * (6 - i))))
+        xs = poly_mul(xs, (-a, 1))
+    return out

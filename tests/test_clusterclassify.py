@@ -4,16 +4,18 @@ import pytest
 
 from g2lpoly.clusterclassify import ClusterType, p_normalize, which_type
 from g2lpoly.errors import GoodReduction, NotAlmostGood, NotSquarefree
-from g2lpoly.oracle import random_instance
+from g2lpoly.oracle import perturb, random_instance
 from g2lpoly.polyring import (
+    disc,
     poly_mul,
     poly_scale,
     reduce_mod,
     taylor_shift,
     trim,
+    vp,
 )
 
-from _util import SMALL_PRIMES
+from _util import SMALL_PRIMES, outer_cluster_model
 
 
 def _product(factors):
@@ -206,3 +208,25 @@ def test_normalize_disc_changes_by_squares_and_p_powers():
         a, b = ratio_num // g, ratio_den // g
         # a/b must be the square of a rational: both reduced parts are squares
         assert math.isqrt(a) ** 2 == a and math.isqrt(b) ** 2 == b
+
+
+def test_normalize_tracks_vdisc_of_ftilde():
+    # vdisc is carried through the rescalings and the outer recentering
+    # steps, never recomputed; it must equal the valuation of a fresh
+    # discriminant of the unit-leading model
+    rng = random.Random(24)
+    for _ in range(60):
+        p = rng.choice((3, 5, 7, 13, 31))
+        inst = random_instance(p, rng.choice(list(ClusterType)), rng, max_depth=6,
+                               compute_expected=False)
+        models = [
+            inst.f,
+            taylor_shift(inst.f, rng.randrange(-40, 41)),
+            poly_scale(inst.f, p),
+            poly_scale(inst.f, p * p),
+            perturb(inst, rng, 64).f,
+            outer_cluster_model(inst.f, p, rng.choice((1, 2)), rng.randrange(-20, 21)),
+        ]
+        for f in models:
+            nf = p_normalize(f, p)
+            assert nf.vdisc == vp(disc(nf.ftilde()), p), (p, f)

@@ -1,0 +1,46 @@
+"""Every module-level function and class of the package has a user.
+
+No linter ships with the project, so this parses src/g2lpoly with ast and
+fails on a definition whose name is referenced nowhere in src/, tests/ or
+perfbench/ apart from the definition itself.  A reference is a name that is
+read, an attribute, an imported name, or a string constant equal to the
+name (the __all__ entries and the benchmark's tracing hooks).
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "g2lpoly"
+
+
+def _references(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_no_dead_module_level_definitions():
+    trees = {
+        path: ast.parse(path.read_text(), str(path))
+        for top in ("src", "tests", "perfbench")
+        for path in (ROOT / top).rglob("*.py")
+    }
+    refs = Counter()
+    for tree in trees.values():
+        refs.update(_references(tree))
+    dead = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in trees[path].body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                own = Counter(_references(node))  # recursion is not a use
+                if refs[node.name] == own[node.name]:
+                    dead.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not dead, "unreferenced definitions: " + ", ".join(dead)

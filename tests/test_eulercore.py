@@ -3,7 +3,7 @@ import random
 import pytest
 
 from g2lpoly.clusterclassify import ClusterType
-from g2lpoly.errors import BadWitness, GoodReduction, NotSquarefree
+from g2lpoly.errors import BadWitness, GoodReduction, NotAlmostGood, NotSquarefree
 from g2lpoly.eulercore import (
     EulerInput,
     LPoly2,
@@ -21,9 +21,10 @@ from g2lpoly.oracle import (
     gen_type4,
     random_instance,
 )
+from g2lpoly.oracle import _planted_cubic, _random_sqfree_cubic
 from g2lpoly.polyring import complete_square, poly_mul, poly_scale, taylor_shift
 
-from _util import SMALL_PRIMES, brute_count_fp
+from _util import SMALL_PRIMES, brute_count_fp, outer_cluster_model
 
 
 def _product(factors):
@@ -253,9 +254,42 @@ def test_quintic_model_with_nonzero_shift():
 def test_max_iters_safety_bound():
     rng = random.Random(63)
     inst = gen_type1(7, 6, rng, compute_expected=False)
-    from g2lpoly.errors import NotAlmostGood
-
     with pytest.raises(NotAlmostGood):
         euler_factor(EulerInput(inst.f, 7, max_iters=2), rng)
     lp = euler_factor(EulerInput(inst.f, 7, max_iters=6), rng)  # exactly enough
     assert validate_lpoly2(lp)
+
+
+def test_outer_cluster_round_trip():
+    # p^(6k) f((x - a)/p^k) is the same curve with every root inside one
+    # outer cluster: p_normalize recenters k times before classification
+    rng = random.Random(64)
+    for p in (3, 5, 7, 13, 31):
+        for typ in ClusterType:
+            inst = random_instance(p, typ, rng, max_depth=4)
+            for k in (1, 2):
+                f = outer_cluster_model(inst.f, p, k, rng.randrange(-20, 21))
+                lp = euler_factor(EulerInput(f, p), rng)
+                assert lp == inst.expected, (typ, p, k, inst.depths)
+
+
+def test_type4_colliding_pair_rejected():
+    # the type 4 construction with a2 = a1 + p: the two roots at depth n
+    # meet again one level down, so the residual cubic x (x - a1)^2 is singular
+    rng = random.Random(65)
+    for _ in range(20):
+        p = rng.choice((3, 5, 7, 11, 13, 31))
+        n = rng.randrange(1, 4)
+        m = n + rng.choice((2, 4))
+        s0, s1 = rng.sample(range(p), 2)
+        a1 = rng.randrange(1, p)
+        a2 = a1 + p
+        f = poly_mul(
+            poly_mul((-s0, 1), (-(s1 + p**n * a1), 1)),
+            poly_mul((-(s1 + p**n * a2), 1),
+                     _planted_cubic(_random_sqfree_cubic(p, rng), s1, m, p)),
+        )
+        if n % 2:
+            f = poly_scale(f, p)
+        with pytest.raises(NotAlmostGood, match="type 4 cubic is singular"):
+            euler_factor(EulerInput(f, p), rng)

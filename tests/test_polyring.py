@@ -13,10 +13,8 @@ from g2lpoly.polyring import (
     fp_disc,
     fp_gcd_k,
     fp_mul,
-    fp_squarefree_part,
     fp2_disc,
     fp2_gcd_k,
-    lift,
     poly_derivative,
     poly_mul,
     reduce_mod,
@@ -25,7 +23,7 @@ from g2lpoly.polyring import (
     trim,
 )
 
-from _util import SMALL_PRIMES
+from _util import SMALL_PRIMES, fp_squarefree_part
 
 
 def _random_fp_poly(rng, p, d):
@@ -228,24 +226,11 @@ def test_shift_scale_exactness_witness():
         assert tuple(c * p**k for c in scaled) == g
 
 
-# ------------------------------------------------------------ reduce / lift
+# -------------------------------------------------------------------- reduce
 
 
 def test_reduce_degree_drop():
     assert reduce_mod((3, 7), 7) == (3,)
-
-
-def test_lift_reduce_section():
-    rng = random.Random(19)
-    for _ in range(40):
-        p = rng.choice(SMALL_PRIMES)
-        f = tuple(rng.randrange(-999, 1000) for _ in range(7))
-        fbar = reduce_mod(f, p)
-        assert reduce_mod(lift(fbar), p) == fbar
-        # f = lift(reduce(f)) mod p, coefficient by coefficient
-        padded = list(f) + [0] * (7 - len(f))
-        lifted = list(lift(fbar)) + [0] * (7 - len(fbar))
-        assert all((a - b) % p == 0 for a, b in zip(padded, lifted))
 
 
 def test_order_reduce_example():
