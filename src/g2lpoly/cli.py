@@ -20,20 +20,24 @@ import random
 import statistics
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
 
 from . import kernels
 from .clusterclassify import ClusterType
 from .errors import (
+    AmbiguousOrder,
     BadWitness,
     DegreeError,
     G2Error,
     GoodReduction,
+    HasseViolation,
     NotAlmostGood,
     NotOddPrime,
     NotSquarefree,
 )
 from .eulercore import EulerInput, euler_factor
+from .modarith import is_prime
 from .oracle import MAX_ORACLE_PRIME, random_instance
 
 _ERROR_TOKENS = (
@@ -43,6 +47,8 @@ _ERROR_TOKENS = (
     (NotOddPrime, "not-odd-prime"),
     (BadWitness, "bad-witness"),
     (DegreeError, "degree"),
+    (HasseViolation, "hasse-violation"),
+    (AmbiguousOrder, "ambiguous-order"),
 )
 
 
@@ -83,47 +89,32 @@ def parse_job_line(line):
     return p, f, h
 
 
-def _is_probable_prime(n):
-    """Deterministic Miller-Rabin for n < 3.3e24."""
-    if n < 2:
-        return False
-    for sp in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % sp == 0:
-            return n == sp
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+def process_line(line, nonsquare=None, seed=None):
+    """One job line -> one output line; never raises.
 
-
-def process_line(line, nonsquare=None, check_prime=False, seed=None):
-    """One job line -> one output line; never raises."""
+    Every odd p >= 3 is checked for primality first; even p and p < 3 are
+    left to euler_factor, which names them not-odd-prime.  A failure without
+    a token of its own prints ERR:error, and one that is not a G2Error also
+    writes its traceback to stderr.
+    """
     if not line.strip():
         return None
     try:
         p, f, h = parse_job_line(line)
     except ParseError:
         return "ERR:parse"
-    if check_prime and not _is_probable_prime(p):
+    if p >= 3 and p % 2 and not is_prime(p):
         return "ERR:not-prime"
     rng = random.Random(f"{seed}|{line.strip()}")
     try:
         lp = euler_factor(EulerInput(f, p, h, nonsquare), rng)
-    except G2Error as exc:
+    except Exception as exc:
         for cls, token in _ERROR_TOKENS:
             if isinstance(exc, cls):
                 return f"ERR:{token}"
+        if not isinstance(exc, G2Error):
+            print(f"g2lpoly: {line.strip()}", file=sys.stderr)
+            traceback.print_exc(file=sys.stderr)
         return "ERR:error"
     c = lp.coefficients()
     return f"{p}:[{c[0]},{c[1]},{c[2]},{c[3]},{c[4]}]"
@@ -133,12 +124,12 @@ def _worker(args):
     return process_line(*args)
 
 
-def run_batch(lines, out, nonsquare=None, check_prime=False, jobs=1, stable=True, seed=None):
+def run_batch(lines, out, nonsquare=None, jobs=1, stable=True, seed=None):
     """Process a job stream; returns the exit code (0 unless nothing parsed)."""
     lines = [ln for ln in lines if ln.strip()]
     if not lines:
         return 0
-    tasks = [(ln, nonsquare, check_prime, seed) for ln in lines]
+    tasks = [(ln, nonsquare, seed) for ln in lines]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             if stable:
@@ -231,7 +222,8 @@ def main(argv=None):
     parser.add_argument("--nonsquare", type=int, default=None,
                         help="quadratic nonresidue witness passed to every line")
     parser.add_argument("--check-prime", action="store_true",
-                        help="Miller-Rabin check each p before computing")
+                        help="Miller-Rabin check each p before computing "
+                        "(always done; the flag is accepted for old scripts)")
     parser.add_argument("--stable", action="store_true",
                         help="preserve input order under --jobs")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
@@ -255,7 +247,6 @@ def main(argv=None):
         lines,
         sys.stdout,
         nonsquare=args.nonsquare,
-        check_prime=args.check_prime,
         jobs=max(args.jobs, 1),
         stable=args.stable or args.jobs <= 1,
         seed=args.seed,

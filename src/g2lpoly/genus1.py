@@ -19,10 +19,15 @@ from .errors import (
     NotSquarefree,
     Unsupported,
 )
-from .modarith import Fp2
+from .modarith import Fp2, batch_inverse
 from .polyring import fp2_disc, fp2_trim, fp_disc, fp_trim
 
 DEFAULT_NAIVE_LIMIT = 1 << 16
+# Baby and giant steps advance in LANES independent lanes, and each round of
+# lane additions shares one field inversion.  More lanes spread it thinner
+# but overshoot the interval by up to a round.  A power of two, because the
+# lanes are built by doubling (_Curve.progression).
+LANES = 32
 
 
 @dataclass(frozen=True)
@@ -143,11 +148,6 @@ class _Curve:
         self.A = A
         self.B = B
 
-    def neg(self, P):
-        if P is None:
-            return None
-        return (P[0], self.F.neg(P[1]))
-
     def add(self, P, Q):
         F = self.F
         if P is None:
@@ -175,6 +175,38 @@ class _Curve:
             P = self.add(P, P)
             k >>= 1
         return R
+
+    def advance(self, lanes, step):
+        """[Q + step for Q in lanes] for one F.inv: the chord slopes share a
+        batch inversion.  Lanes whose chord is undefined (Q = +-step, or Q the
+        identity) go through add instead."""
+        if step is None:
+            return list(lanes)
+        F = self.F
+        sub, mul = F.sub, F.mul
+        xs, ys = step
+        plain = [Q is not None and Q[0] != xs for Q in lanes]
+        dens = [sub(Q[0], xs) for Q, ok in zip(lanes, plain) if ok]
+        invs = iter(batch_inverse(F, dens) if dens else ())
+        out = []
+        for Q, ok in zip(lanes, plain):
+            if not ok:
+                out.append(self.add(Q, step))
+                continue
+            x1, y1 = Q
+            lam = mul(sub(y1, ys), next(invs))
+            x3 = sub(sub(mul(lam, lam), x1), xs)
+            out.append((x3, sub(mul(lam, sub(x1, x3)), y1)))
+        return out
+
+    def progression(self, start, step):
+        """[start + k*step for k < LANES] and LANES*step, growing the lanes
+        by doubling so that each doubling costs one batched round."""
+        lanes = [start]
+        while len(lanes) < LANES:
+            lanes += self.advance(lanes, step)
+            step = self.add(step, step)
+        return lanes, step
 
     def random_point(self, rng):
         F = self.F
@@ -209,40 +241,63 @@ def _multiples_in_interval(curve: _Curve, P, lo: int, hi: int):
     """The two smallest m in [lo, hi] with m*P = identity (the second may be
     None), by baby-step/giant-step over the interval.
 
-    All such m are the multiples of ord(P) in the interval, so the smallest
-    two are ord(P) apart; keeping only those bounds the memory even when the
-    point order is tiny.
+    All such m are the multiples of n = ord(P) in the interval, so the
+    smallest two are n apart.  The baby table maps x(jP) to j for
+    j = 1..s; since x(jP) = x(-jP), one lookup tests both c - j and c + j
+    for a giant centre c, and a y comparison picks the one with m*P = O.
+    Baby and giant steps each run in LANES lanes, one batched inversion
+    per round (_Curve.advance).
     """
-    width = hi - lo + 1
-    s = math.isqrt(width) + 1
-    baby = {}
-    Q = None
-    for j in range(s):
-        baby[Q] = j
-        Q = curve.add(Q, P)
-        if Q is None:
-            # first return to the identity: ord(P) = j + 1, no search needed
-            d = j + 1
-            first = lo + (-lo) % d
-            if first > hi:
-                return None, None
-            return first, first + d if first + d <= hi else None
-    giant = Q  # s * P; ord(P) > s, so the baby points are distinct
-    T = curve.mul(lo, P)
-    first = second = None
-    for i in range(width // s + 2):
-        for m in (
-            lo + i * s - baby[T] if T in baby else None,
-            lo + i * s + baby[curve.neg(T)] if T is not None and curve.neg(T) in baby else None,
-        ):
-            if m is None or not lo <= m <= hi or m == first or m == second:
+    F = curve.F
+    rounds = math.isqrt((hi - lo + 1) // 2) // LANES + 1
+    s = rounds * LANES - 1
+    # baby steps: lane k of round r holds (r*LANES + k)*P, so round 0 starts
+    # at the identity.  Scanning j upwards, the first j with y(jP) = 0 or
+    # with x(jP) already in the table is j = ceil(n/2), and it reveals n:
+    # 2jP = O, or jP = -iP with i + j = n.  No event up to s means n > 2s.
+    lanes, step = curve.progression(None, P)
+    baby, baby_y = {}, [None]
+    order = 0
+    for r in range(rounds):
+        if r:
+            lanes = curve.advance(lanes, step)
+        for j, Q in enumerate(lanes, r * LANES):
+            if j == 0:
                 continue
-            if first is None or m < first:
-                first, second = m, first
-            elif second is None or m < second:
-                second = m
-        T = curve.add(T, giant)
-    return first, second
+            x, y = Q
+            if F.is_zero(y):
+                order = 2 * j
+            elif x in baby:
+                order = baby[x] + j
+            if order:
+                first = lo + (-lo) % order
+                if first > hi:
+                    return None, None
+                return first, first + order if first + order <= hi else None
+            baby[x] = j
+            baby_y.append(y)
+    # giant centres c = lo + s + i*(2s + 1): each window [c - s, c + s] holds
+    # at most one multiple of n > 2s, and the windows run upwards from lo
+    stride = 2 * s + 1
+    G = curve.add(curve.add(lanes[-1], lanes[-1]), P)
+    c = lo + s
+    lanes, step = curve.progression(curve.mul(c, P), G)
+    found = []
+    while True:
+        for Q in lanes:
+            if c - s > hi:
+                return (*found, None, None)[:2]
+            if Q is None:
+                m = c
+            else:
+                j = baby.get(Q[0])
+                m = None if j is None else c - j if Q[1] == baby_y[j] else c + j
+            if m is not None and m <= hi:
+                found.append(m)
+                if len(found) == 2:
+                    return found[0], found[1]
+            c += stride
+        lanes = curve.advance(lanes, step)
 
 
 def _crt_candidates(de, dt, target, lo, hi):

@@ -24,7 +24,7 @@ else:
         import numba
 
         HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
+    except ImportError:  # numba is the optional "jit" extra
         numba = None
         HAVE_NUMBA = False
 

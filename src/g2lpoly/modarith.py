@@ -14,6 +14,66 @@ def check_odd_prime_modulus(p):
         raise NotOddPrime(f"modulus {p} is not an odd prime")
 
 
+# (bound, bases): Miller-Rabin to these bases decides primality below bound
+_MR_BASES = (
+    (2_047, (2,)),
+    (1_373_653, (2, 3)),
+    (4_759_123_141, (2, 7, 61)),
+    (3_474_749_660_383, (2, 3, 5, 7, 11, 13)),
+    (341_550_071_728_321, (2, 3, 5, 7, 11, 13, 17)),
+    (3_825_123_056_546_413_051, (2, 3, 5, 7, 11, 13, 17, 19, 23)),
+    (3_317_044_064_679_887_385_961_981, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)),
+)
+
+
+def is_prime(n: int) -> bool:
+    """Miller-Rabin with the smallest known deterministic base set for n.
+
+    Exact below 3.3e24; above that, n passing all thirteen prime bases up to
+    41 is a strong probable prime.
+    """
+    if n < 2:
+        return False
+    # trial division by every base, so that no base is a multiple of n
+    for sp in _MR_BASES[-1][1]:
+        if n % sp == 0:
+            return n == sp
+    if n < 43 * 43:
+        return True
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    bases = next((b for bound, b in _MR_BASES if n < bound), _MR_BASES[-1][1])
+    for a in bases:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def batch_inverse(F, values):
+    """Inverses of a nonempty list of nonzero elements of the field F for one
+    F.inv and 3(n - 1) multiplications (Montgomery's simultaneous inversion).
+    """
+    prefix = [values[0]]
+    for v in values[1:]:
+        prefix.append(F.mul(prefix[-1], v))
+    inv = F.inv(prefix[-1])
+    out = [None] * len(values)
+    for i in range(len(values) - 1, 0, -1):
+        out[i] = F.mul(inv, prefix[i - 1])
+        inv = F.mul(inv, values[i])
+    out[0] = inv
+    return out
+
+
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) in {-1, 0, 1} for an odd prime p."""
     check_odd_prime_modulus(p)
@@ -126,7 +186,7 @@ class Fp:
     def inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError(f"inverse of 0 mod {self.p}")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def pow(self, a, e):
         return pow(a, e, self.p)
@@ -242,7 +302,7 @@ class Fp2:
         n = self.norm(a)
         if n == 0:
             raise ZeroDivisionError(f"inverse of 0 in {self!r}")
-        ninv = pow(n, self.p - 2, self.p)
+        ninv = pow(n, -1, self.p)
         c = self.frobenius(a)
         return (c[0] * ninv % self.p, c[1] * ninv % self.p)
 

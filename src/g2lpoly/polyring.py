@@ -296,7 +296,7 @@ def fp_derivative(f, p):
 def fp_monic(f, p):
     if not f:
         return ()
-    inv = pow(f[-1], p - 2, p)
+    inv = pow(f[-1], -1, p)
     return tuple(c * inv % p for c in f)
 
 
@@ -305,7 +305,7 @@ def fp_divmod(f, g, p):
         raise ZeroDivisionError("polynomial division by zero")
     f = list(f)
     dg = deg(g)
-    inv_lead = pow(g[-1], p - 2, p)
+    inv_lead = pow(g[-1], -1, p)
     q = [0] * max(len(f) - dg, 0)
     while len(f) - 1 >= dg and f:
         c = f[-1] * inv_lead % p

@@ -3,7 +3,11 @@ import random
 import subprocess
 import sys
 
-from g2lpoly.cli import parse_job_line, process_line, run_batch
+import pytest
+
+from g2lpoly import cli
+from g2lpoly.cli import main, parse_job_line, process_line, run_batch
+from g2lpoly.errors import AmbiguousOrder, DepthOverflow, G2Error, HasseViolation
 from g2lpoly.oracle import job_line, random_instance
 from g2lpoly.clusterclassify import ClusterType
 from g2lpoly.polyring import poly_mul
@@ -57,8 +61,39 @@ def test_even_modulus_token():
     assert process_line("8:[1,0,0,0,0,0,1]") == "ERR:not-odd-prime"
 
 
-def test_check_prime_flag():
-    assert process_line("9:[1,0,0,0,0,0,1]", check_prime=True) == "ERR:not-prime"
+def test_check_prime_flag(monkeypatch, capsys):
+    # the check is the default; the flag is still accepted
+    assert process_line("9:[1,0,0,0,0,0,1]") == "ERR:not-prime"
+    monkeypatch.setattr(sys, "stdin", io.StringIO("9:[1,0,0,0,0,0,1]\n"))
+    assert main(["--check-prime"]) == 0
+    assert capsys.readouterr().out == "ERR:not-prime\n"
+
+
+def test_composite_modulus_is_named_not_run():
+    # a composite p used to spin forever in fp_divmod
+    assert process_line("25:[-6875,-468750,11875,-8750,-225,234375,500]") == "ERR:not-prime"
+    for line in ("1:[1,0,0,0,0,0,1]", "2:[1,0,0,0,0,0,1]", "-7:[1,0,0,0,0,0,1]"):
+        assert process_line(line) == "ERR:not-odd-prime"
+
+
+@pytest.mark.parametrize(
+    "exc, token",
+    [
+        (HasseViolation("x"), "ERR:hasse-violation"),
+        (AmbiguousOrder("x"), "ERR:ambiguous-order"),
+        (DepthOverflow("x"), "ERR:error"),
+        (ValueError("x"), "ERR:error"),
+        (ZeroDivisionError("x"), "ERR:error"),
+    ],
+)
+def test_every_exception_ends_in_a_token(monkeypatch, capsys, exc, token):
+    def fail(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "euler_factor", fail)
+    assert process_line(_worked_example_line()) == token
+    traceback_printed = type(exc).__name__ in capsys.readouterr().err
+    assert traceback_printed == (not isinstance(exc, G2Error))
 
 
 def test_trailing_zero_omission():

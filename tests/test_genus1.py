@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -10,14 +11,18 @@ from g2lpoly.errors import (
     Unsupported,
 )
 from g2lpoly.genus1 import (
+    LANES,
     Genus1Model,
+    LPoly1,
+    _Curve,
+    _multiples_in_interval,
     count_points_naive,
     group_order_bsgs,
     lpoly1,
     quartic_jacobian,
     quartic_to_cubic,
 )
-from g2lpoly.modarith import Fp, Fp2, find_nonsquare
+from g2lpoly.modarith import Fp, Fp2, find_nonsquare, is_prime
 
 from _util import brute_count_fp, brute_count_fp2
 
@@ -318,7 +323,7 @@ def test_lpoly1_hasse_bound():
 def test_interval_multiples_contract():
     # the search must return the two smallest interval multiples of ord(P),
     # even for points of very small order
-    from g2lpoly.genus1 import _Curve, _multiples_in_interval, _to_short_weierstrass
+    from g2lpoly.genus1 import _to_short_weierstrass
 
     rng = random.Random(45)
     p = 1009
@@ -367,3 +372,105 @@ def test_lpoly1_forced_bsgs_tiny_fields():
                 except NotSquarefree:
                     continue
             assert lpoly1(m, rng, force_bsgs=True) == lpoly1(m, rng)
+
+
+def _order(curve, P):
+    Q, n = P, 1
+    while Q is not None:
+        Q = curve.add(Q, P)
+        n += 1
+    return n
+
+
+def _random_curve(F, rng):
+    while True:
+        A, B = F.random(rng), F.random(rng)
+        disc = F.add(F.smul(4, F.mul(A, F.mul(A, A))), F.smul(27, F.mul(B, B)))
+        if not F.is_zero(disc):
+            return _Curve(F, A, B)
+
+
+def test_interval_multiples_match_brute_force_orders():
+    # At q = 23 and 25 every order is at most 2s = 62, so the baby table
+    # decides alone: by a point with y = 0 (even order) or an x-collision
+    # (odd order).  Near q = 2000 most orders exceed 2s and the giant
+    # windows decide.  Hasse intervals and arbitrary ones, F_p and F_{p^2}.
+    rng = random.Random(48)
+    fields = (Fp(23), Fp(47), Fp(1009), Fp(1999), Fp2(5, 2, 0), Fp2(7, 1, 0), Fp2(43, 1, 0))
+    seen = set()
+    for F in fields:
+        t0 = math.isqrt(4 * F.q)
+        for _ in range(6):
+            curve = _random_curve(F, rng)
+            for _ in range(4):
+                P = curve.random_point(rng)
+                n = _order(curve, P)
+                seen.add("giant" if n > 62 else "even" if n % 2 == 0 else "odd")
+                lo = rng.randrange(1, 2 * F.q)
+                for a, b in ((F.q + 1 - t0, F.q + 1 + t0), (lo, lo + rng.randrange(4 * F.q))):
+                    want = [m for m in range(a, b + 1) if m % n == 0][:2]
+                    want += [None] * (2 - len(want))
+                    assert _multiples_in_interval(curve, P, a, b) == tuple(want)
+    assert seen == {"giant", "even", "odd"}
+
+
+def test_interval_multiples_two_torsion():
+    # P = (x0, 0) has order 2: the first baby step already has y = 0
+    rng = random.Random(49)
+    for F in (Fp(1009), Fp2(43, 1, 0)):
+        for _ in range(5):
+            x0, A = F.random(rng), F.random(rng)
+            B = F.neg(F.add(F.mul(x0, F.mul(x0, x0)), F.mul(A, x0)))
+            curve = _Curve(F, A, B)
+            P = (x0, F.zero)
+            assert curve.add(P, P) is None
+            t0 = math.isqrt(4 * F.q)
+            lo = F.q + 1 - t0
+            first = lo + lo % 2
+            assert _multiples_in_interval(curve, P, lo, F.q + 1 + t0) == (first, first + 2)
+
+
+def test_lane_advance_matches_plain_addition():
+    # a lane that is the identity or +-step has no chord: it goes through
+    # add while the other lanes share one inversion
+    rng = random.Random(50)
+    for F in (Fp(1009), Fp2(43, 1, 0)):
+        curve = _random_curve(F, rng)
+        step = curve.random_point(rng)
+        lanes = [curve.random_point(rng) for _ in range(5)]
+        lanes += [None, step, (step[0], F.neg(step[1]))]
+        rng.shuffle(lanes)
+        assert curve.advance(lanes, step) == [curve.add(Q, step) for Q in lanes]
+        assert curve.advance(lanes, None) == lanes
+        for start in (None, lanes[0]):
+            got, final = curve.progression(start, step)
+            assert got == [curve.add(start, curve.mul(k, step)) for k in range(LANES)]
+            assert final == curve.mul(LANES, step)
+
+
+def _prime_below(n):
+    """Largest prime p < n with p = 11 (mod 12)."""
+    p = n - 1 - (n - 12) % 12
+    while not is_prime(p):
+        p -= 12
+    return p
+
+
+@pytest.mark.parametrize("bits", (30, 40, 61))
+def test_lpoly1_exact_supersingular_fp(bits):
+    # y^2 = x^3 + x (p = 3 mod 4) and y^2 = x^3 + 1 (p = 2 mod 3) are
+    # supersingular: #E(F_p) = p + 1, the trace is 0
+    rng = random.Random(bits)
+    p = _prime_below(1 << bits)
+    for g in ((0, 1, 0, 1), (1, 0, 0, 1)):
+        assert lpoly1(Genus1Model(Fp(p), g), rng) == LPoly1(0, p)
+
+
+def test_lpoly1_exact_supersingular_fp2():
+    # over F_{p^2} the trace is t_p^2 - 2p = -2p: #E = p^2 + 1 + 2p
+    rng = random.Random(51)
+    p = _prime_below(1 << 16)
+    F = Fp2(p, 1, 0)
+    for g in ((0, 1, 0, 1), (1, 0, 0, 1)):
+        model = Genus1Model(F, tuple(F.from_int(c) for c in g))
+        assert lpoly1(model, rng) == LPoly1(-2 * p, p * p)

@@ -3,7 +3,16 @@ import random
 import pytest
 
 from g2lpoly.errors import BadWitness, InexactDivision, NonResidue
-from g2lpoly.modarith import Fp, Fp2, QuadOrder, find_nonsquare, legendre, sqrt_mod_p
+from g2lpoly.modarith import (
+    Fp,
+    Fp2,
+    QuadOrder,
+    batch_inverse,
+    find_nonsquare,
+    is_prime,
+    legendre,
+    sqrt_mod_p,
+)
 
 from _util import SMALL_PRIMES, fp2_elements
 
@@ -177,3 +186,52 @@ def test_fp_field_interface():
         assert F.mul(x, F.inv(x)) == 1
     assert F.sqrt(4, rng) in (2, 11)
     assert F.q == 13
+
+
+def test_is_prime_matches_sieve():
+    n_max = 20000
+    sieve = [True] * n_max
+    sieve[0] = sieve[1] = False
+    for i in range(2, n_max):
+        if sieve[i]:
+            sieve[i * i :: i] = [False] * len(sieve[i * i :: i])
+    assert [n for n in range(-5, n_max) if is_prime(n)] == [
+        n for n in range(n_max) if sieve[n]
+    ]
+
+
+def test_is_prime_strong_pseudoprimes_and_large_primes():
+    # Carmichael numbers and strong pseudoprimes to the first few prime
+    # bases, several sitting exactly on a bound of the base table
+    composites = (
+        25, 561, 2047, 41041, 1373653, 25326001, 3215031751, 4759123141,
+        2152302898747, 3474749660383, 341550071728321,
+        3825123056546413051, (2**61 - 1) * (2**31 - 1),
+    )
+    for n in composites:
+        assert not is_prime(n), n
+    primes = (2**31 - 1, 2**61 - 1, 2**64 - 59, 2**89 - 1, 2**127 - 1)
+    for n in primes:
+        assert is_prime(n), n
+
+
+def test_batch_inverse_fp_and_fp2():
+    rng = random.Random(9)
+    for F in (Fp(2**61 - 1), Fp(13), Fp2(1009, 11, 0)):
+        for n in (1, 2, 7, 32):
+            values = [F.random(rng) for _ in range(n)]
+            values = [v if not F.is_zero(v) else F.one for v in values]
+            invs = batch_inverse(F, values)
+            assert invs == [F.inv(v) for v in values]
+            assert all(F.mul(v, w) == F.one for v, w in zip(values, invs))
+    F = Fp(13)
+    with pytest.raises(ZeroDivisionError):
+        batch_inverse(F, [3, 0, 5])
+
+
+def test_fp_inverse_matches_fermat():
+    rng = random.Random(10)
+    F = Fp(2**61 - 1)
+    for _ in range(20):
+        a = rng.randrange(1, F.p)
+        assert F.inv(a) == pow(a, F.p - 2, F.p)
