@@ -23,7 +23,6 @@ import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
 
-from . import kernels
 from .clusterclassify import ClusterType
 from .errors import (
     AmbiguousOrder,
@@ -154,7 +153,7 @@ def _bench_type(typ, count, iters, rng, out):
     for _ in range(count):
         p = rng.choice(_BENCH_PRIMES)
         instances.append(random_instance(p, typ, rng, compute_expected=False))
-    # warm-up pass compiles the kernels and primes caches
+    # warm-up pass keeps first-call costs out of the timings
     euler_factor(EulerInput(instances[0].f, instances[0].p), rng)
     times = []
     for inst in instances:
@@ -172,34 +171,10 @@ def _bench_type(typ, count, iters, rng, out):
     return times
 
 
-def _bench_kernels(out, rng):
-    """Same counting workload through the jitted and numpy paths."""
-    import numpy as np
-
-    p = 8191
-    coeffs = np.asarray([rng.randrange(p) for _ in range(4)], dtype=np.int64)
-    reps = 50
-    rows = []
-    if kernels.HAVE_NUMBA:
-        kernels._count_affine_fp_njit(coeffs, p)  # compile outside the timer
-        t0 = time.perf_counter()
-        for _ in range(reps):
-            kernels._count_affine_fp_njit(coeffs, p)
-        rows.append(("njit", (time.perf_counter() - t0) / reps * 1e6))
-    t0 = time.perf_counter()
-    for _ in range(reps):
-        kernels.count_affine_fp_numpy(coeffs, p)
-    rows.append(("numpy", (time.perf_counter() - t0) / reps * 1e6))
-    print(f"\ncubic point count over F_{p} (microseconds per call):", file=out)
-    for name, us in rows:
-        print(f"  {name:>5}  {us:9.1f}", file=out)
-
-
 def bench(count=200, iters=1, seed=1, out=None):
     """Per-type timing table for euler_factor over oracle instances."""
     out = out or sys.stdout
     rng = random.Random(seed)
-    print(f"kernel mode: {kernels.kernel_mode()}", file=out)
     print(
         f"euler_factor over {count} oracle instances per type, "
         f"p <= {min(max(_BENCH_PRIMES), MAX_ORACLE_PRIME)}, {iters} iteration(s) each "
@@ -209,7 +184,6 @@ def bench(count=200, iters=1, seed=1, out=None):
     print(f"  {'type':>4}  {'count':>6}  {'mean':>9}  {'median':>9}  {'max':>9}", file=out)
     for typ in (ClusterType.T1, ClusterType.T2A, ClusterType.T2B, ClusterType.T4):
         _bench_type(typ, count, iters, rng, out)
-    _bench_kernels(out, rng)
     return 0
 
 

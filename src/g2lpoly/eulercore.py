@@ -189,7 +189,7 @@ def euler_type2b(
     kappa = order.kappa
     max_iters = _cap(nf, max_iters)
     fhat = order_embed(ftilde, order)
-    r = order.lift(kappa.frobenius(kappa.gen)) if use_conjugate else order.gen
+    r = kappa.frobenius(kappa.gen) if use_conjugate else order.gen
     for i in range(1, max_iters + 1):
         try:
             fhat = order_shift_scale(fhat, r, 3, order)
@@ -205,7 +205,7 @@ def euler_type2b(
         g3 = fp2_gcd_k(gbar, 3, kappa)
         if len(g3) - 1 != 1:
             raise NotAlmostGood("inseparable cubic without a triple root")
-        r = order.lift(kappa.neg(g3[0]))
+        r = kappa.neg(g3[0])
     raise NotAlmostGood(f"descent exceeded {max_iters} iterations")
 
 

@@ -427,7 +427,3 @@ class QuadOrder:
     def reduce(self, a):
         """The reduction map onto kappa = O/pO."""
         return (a[0] % self.p, a[1] % self.p)
-
-    def lift(self, abar):
-        """Section of the reduction map using representatives in [0, p)."""
-        return (abar[0] % self.p, abar[1] % self.p)

@@ -1,10 +1,12 @@
-"""Every module-level function and class of the package has a user.
+"""Structural checks on the package source, by parsing it with ast.
 
-No linter ships with the project, so this parses src/g2lpoly with ast and
-fails on a definition whose name is referenced nowhere in src/, tests/ or
-perfbench/ apart from the definition itself.  A reference is a name that is
-read, an attribute, an imported name, or a string constant equal to the
-name (the __all__ entries and the benchmark's tracing hooks).
+No linter ships with the project.  Every module-level function and class
+must have a user: a definition whose name is referenced nowhere in src/,
+tests/ or perfbench/ apart from the definition itself fails.  A reference
+is a name that is read, an attribute, an imported name, or a string
+constant equal to the name (the __all__ entries and the benchmark's tracing
+hooks).  And no module reads the environment, so that behaviour is set by
+arguments alone.
 """
 
 import ast
@@ -44,3 +46,14 @@ def test_no_dead_module_level_definitions():
                 if refs[node.name] == own[node.name]:
                     dead.append(f"{path.name}:{node.lineno} {node.name}")
     assert not dead, "unreferenced definitions: " + ", ".join(dead)
+
+
+def test_no_environment_reads():
+    reads = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+                reads.append(f"{path.name}:{node.lineno} {node.attr}")
+            elif isinstance(node, ast.alias) and node.name in ("environ", "getenv"):
+                reads.append(f"{path.name}:{node.lineno} import {node.name}")
+    assert not reads, "environment reads: " + ", ".join(reads)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from g2lpoly import kernels
+from g2lpoly import genus1, kernels
 from g2lpoly.errors import (
     DegreeError,
     FieldTooLarge,
@@ -94,26 +94,13 @@ def test_count_field_too_large():
         count_points_naive(Genus1Model(Fp(65537 * 2 - 1), (0, -1, 0, 1)), limit=1 << 16)
 
 
-def test_kernels_njit_vs_numpy_agree():
-    if not kernels.HAVE_NUMBA:
-        pytest.skip("numba disabled in this run")
+def test_count_affine_fp2_partial_block():
+    # 2^14 // 257 = 63 values of b per block: the fifth block holds five
     rng = random.Random(32)
-    import numpy as np
-
-    for _ in range(10):
-        p = rng.choice((101, 257, 1031))
-        coeffs = [rng.randrange(p) for _ in range(rng.choice((4, 5)))]
-        arr = np.asarray(coeffs, dtype=np.int64)
-        assert kernels._count_affine_fp_njit(arr, p) == kernels.count_affine_fp_numpy(
-            arr, p
-        )
-    for _ in range(6):
-        p = 31
-        c0 = np.asarray([rng.randrange(p) for _ in range(4)], dtype=np.int64)
-        c1 = np.asarray([rng.randrange(p) for _ in range(4)], dtype=np.int64)
-        assert kernels._count_affine_fp2_njit(
-            c0, c1, 1, 0, p
-        ) == kernels.count_affine_fp2_numpy(c0, c1, 1, 0, p)
+    p = 257
+    u0 = -find_nonsquare(p, rng) % p
+    g = tuple((rng.randrange(p), rng.randrange(p)) for _ in range(4))
+    assert kernels.count_affine_fp2(g, u0, 0, p) == brute_count_fp2(g, p, u0, 0) - 1
 
 
 # ---------------------------------------------------------- quartic handling
@@ -274,18 +261,59 @@ def test_lpoly1_examples():
     assert lpoly1(Genus1Model(F9, _fp2_poly((0, -1, 0, 1))), rng).a == -6
 
 
-def test_lpoly1_forced_bsgs_equals_naive():
+def _counting_route(monkeypatch):
+    calls = []
+    for name, route in (("count_points_naive", "exhaustive"), ("group_order_bsgs", "bsgs")):
+        real = getattr(genus1, name)
+
+        def wrapped(*args, real=real, route=route):
+            calls.append(route)
+            return real(*args)
+
+        monkeypatch.setattr(genus1, name, wrapped)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "p, over_fp2, route",
+    [(8191, False, "exhaustive"), (8209, False, "bsgs"),
+     (13, True, "exhaustive"), (17, True, "bsgs")],
+)
+def test_lpoly1_route_boundaries(monkeypatch, p, over_fp2, route):
+    # F_p counts exhaustively below 2^13, F_{p^2} only up to q = 229
+    rng = random.Random(p)
+    F = Fp2(p, -find_nonsquare(p, rng) % p, 0) if over_fp2 else Fp(p)
+    m = Genus1Model(F, tuple(F.from_int(c) for c in (1, 1, 0, 1)))
+    calls = _counting_route(monkeypatch)
+    lpoly1(m, rng)
+    assert calls == [route]
+
+
+def _random_nonsingular(rng, F, coeffs):
+    """A nonsingular model with the given coefficients, None drawn at random."""
+    while True:
+        g = tuple(F.random(rng) if c is None else F.from_int(c) for c in coeffs)
+        try:
+            return Genus1Model(F, g)
+        except NotSquarefree:
+            continue
+
+
+def test_lpoly1_bsgs_equals_naive():
     rng = random.Random(42)
-    for _ in range(15):
-        p = rng.choice((1031, 2053))
-        while True:
-            g = tuple(rng.randrange(p) for _ in range(3)) + (1,)
-            try:
-                m = Genus1Model(Fp(p), g)
-                break
-            except NotSquarefree:
-                continue
-        assert lpoly1(m, rng, force_bsgs=True) == lpoly1(m, rng)
+    for p in (8209, 65521):
+        F = Fp(p)
+        # a cubic, a quartic through reversal, a quartic through invariants
+        for coeffs in ((None, None, None, 1), (0, None, None, None, 1),
+                       (None, None, None, None, 1)):
+            for _ in range(3):
+                m = _random_nonsingular(rng, F, coeffs)
+                assert lpoly1(m, rng) == LPoly1(p + 1 - count_points_naive(m, 1 << 26), p)
+    for p in (17, 19, 251):
+        F = Fp2(p, -find_nonsquare(p, rng) % p, 0)
+        for _ in range(3):
+            m = _random_nonsingular(rng, F, (None, None, None, 1))
+            assert lpoly1(m, rng) == LPoly1(F.q + 1 - count_points_naive(m, 1 << 26), F.q)
 
 
 def test_lpoly1_quadratic_twist_negates_trace():
@@ -356,22 +384,6 @@ def test_bsgs_small_order_points_handled():
     m2 = Genus1Model(Fp(19), (4, 4, 2, 6))
     for _ in range(10):
         assert group_order_bsgs(m2, rng) == count_points_naive(m2) == 26
-
-
-def test_lpoly1_forced_bsgs_tiny_fields():
-    # below the uniqueness threshold the order search may come back
-    # ambiguous; lpoly1 then falls back to exhaustive counting
-    rng = random.Random(47)
-    for p in (5, 7, 11, 13):
-        for _ in range(10):
-            while True:
-                g = tuple(rng.randrange(p) for _ in range(3)) + (rng.randrange(1, p),)
-                try:
-                    m = Genus1Model(Fp(p), g)
-                    break
-                except NotSquarefree:
-                    continue
-            assert lpoly1(m, rng, force_bsgs=True) == lpoly1(m, rng)
 
 
 def _order(curve, P):
