@@ -181,8 +181,6 @@ def which_type(nf: PNormalized) -> ClusterType:
             raise NotAlmostGood("reduction is not the cube of its gcd_3")
         return ClusterType.T2A if ls == 1 else ClusterType.T2B
     if d == 3:
-        g5 = fp_gcd_k(fbar, 5, p)
-        if deg(g5) != 1:
-            raise NotAlmostGood("degree 3 kernel without a quintuple root")
+        # on a sextic, deg gcd_3 = 3 forces the pattern (x - r)^5 (x - s)
         return ClusterType.T4
     raise NotAlmostGood(f"gcd_3 has impossible degree {d}")

@@ -8,6 +8,7 @@ separable; the genus 1 factors found there multiply out to the answer.
 
 import random
 from dataclasses import dataclass
+from functools import partial
 
 from .clusterclassify import ClusterType, PNormalized, p_normalize, which_type
 from .errors import BadWitness, HasseViolation, InexactDivision, NotAlmostGood
@@ -17,18 +18,18 @@ from .polyring import disc  # noqa: F401  only a hook target for perfbench/traci
 from .polyring import (
     complete_square,
     deg,
+    field_disc,
     fp_disc,
     fp_divmod,
     fp_gcd_k,
     fp_mul,
     fp_taylor_shift,
-    fp2_disc,
-    fp2_gcd_k,
     order_embed,
     order_reduce,
     order_shift_scale,
     reduce_mod,
     shift_scale,
+    triple_root,
     trim,
 )
 
@@ -110,28 +111,30 @@ def _descend_step(f, r: int, k: int, p: int):
     return f, fbar
 
 
-def _descend_to_cubic(ftilde, r: int, p: int, max_iters: int):
-    """The recentering loop: substitute x -> p*x + r, divide by p^3, and stop
-    when the reduced cubic is separable.  Returns (cubic mod p, iterations)."""
-    f = ftilde
+def _descend(f, r, F, step, max_iters: int):
+    """The recentering loop into a triple cluster with residue field F.
+
+    step(f, r) goes one level down: x -> p*x + r, division by p^3, and the
+    reduction to a cubic over F.  The loop stops when that cubic is
+    separable; otherwise it must be lc (x - r')^3, and r' is the next
+    center.  Returns (cubic over F, iterations).
+    """
     for i in range(1, max_iters + 1):
-        f, gbar = _descend_step(f, r, 3, p)
-        if fp_disc(gbar, p) != 0:
+        f, gbar = step(f, r)
+        if not F.is_zero(field_disc(gbar, F)):
             return gbar, i
-        g3 = fp_gcd_k(gbar, 3, p)
-        if deg(g3) != 1:
+        r = triple_root(gbar, F)
+        if r is None:
             raise NotAlmostGood("inseparable cubic without a triple root")
-        r = _root(g3, p)
     raise NotAlmostGood(f"descent exceeded {max_iters} iterations")
 
 
-def _lp2_over_fp(p: int, rng, g1, g2) -> LPoly2:
+def _lp2_over_fp(F: Fp, rng, g1, g2) -> LPoly2:
     """Count the genus 1 curves y^2 = g1 and y^2 = g2 over F_p and multiply
     their factors."""
-    F = Fp(p)
     t1 = lpoly1(Genus1Model(F, g1), rng).a
     t2 = lpoly1(Genus1Model(F, g2), rng).a
-    return LPoly2.from_traces(t1, t2, p)
+    return LPoly2.from_traces(t1, t2, F.p)
 
 
 def euler_type1(nf: PNormalized, rng, max_iters: int | None = None):
@@ -140,20 +143,21 @@ def euler_type1(nf: PNormalized, rng, max_iters: int | None = None):
     The separable quartic part of f mod p gives the first curve; the descent
     into the depth-n cluster gives the second.
     """
-    p = nf.p
+    p, F = nf.p, Fp(nf.p)
     ftilde = nf.ftilde()
     fbar = reduce_mod(ftilde, p)
     r = _root(fp_gcd_k(fbar, 3, p), p)
-    g2bar, iters = _descend_to_cubic(ftilde, r, p, _cap(nf, max_iters))
+    step = partial(_descend_step, k=3, p=p)
+    g2bar, iters = _descend(ftilde, r, F, step, _cap(nf, max_iters))
     quartic = fp_taylor_shift(fbar, r, p)[2:]  # x * (cofactor of the triple root)
-    lp = _lp2_over_fp(p, rng, quartic, g2bar)
+    lp = _lp2_over_fp(F, rng, quartic, g2bar)
     return lp, RunStats(ClusterType.T1, (iters,), nf.v)
 
 
 def euler_type2a(nf: PNormalized, s: int, rng, max_iters: int | None = None):
     """Type 2a: two rational triple clusters, centers from the quadratic
     formula (s supplies the square root)."""
-    p = nf.p
+    p, F = nf.p, Fp(nf.p)
     if legendre(s, p) != -1:
         raise BadWitness(f"{s} is not a nonsquare mod {p}")
     ftilde = nf.ftilde()
@@ -163,9 +167,10 @@ def euler_type2a(nf: PNormalized, s: int, rng, max_iters: int | None = None):
     # smaller center first; the product is symmetric
     r1, r2 = sorted(((-u[1] + root) * inv2 % p, (-u[1] - root) * inv2 % p))
     max_iters = _cap(nf, max_iters)
-    g1bar, it1 = _descend_to_cubic(ftilde, r1, p, max_iters)
-    g2bar, it2 = _descend_to_cubic(ftilde, r2, p, max_iters)
-    lp = _lp2_over_fp(p, rng, g1bar, g2bar)
+    step = partial(_descend_step, k=3, p=p)
+    g1bar, it1 = _descend(ftilde, r1, F, step, max_iters)
+    g2bar, it2 = _descend(ftilde, r2, F, step, max_iters)
+    lp = _lp2_over_fp(F, rng, g1bar, g2bar)
     return lp, RunStats(ClusterType.T2A, (it1, it2), nf.v)
 
 
@@ -187,10 +192,8 @@ def euler_type2b(
     u = fp_gcd_k(reduce_mod(ftilde, p), 3, p)
     order = QuadOrder(u[0], u[1], p)
     kappa = order.kappa
-    max_iters = _cap(nf, max_iters)
-    fhat = order_embed(ftilde, order)
-    r = kappa.frobenius(kappa.gen) if use_conjugate else order.gen
-    for i in range(1, max_iters + 1):
+
+    def step(fhat, r):
         try:
             fhat = order_shift_scale(fhat, r, 3, order)
         except InexactDivision as exc:
@@ -198,15 +201,13 @@ def euler_type2b(
         gbar = order_reduce(fhat, order)
         if len(gbar) - 1 != 3:
             raise NotAlmostGood("descent lost the degree 3 of its cluster")
-        if not kappa.is_zero(fp2_disc(gbar, kappa)):
-            t = lpoly1(Genus1Model(kappa, gbar), rng).a
-            # L(E/F_{p^2}, T^2) = 1 - t T^2 + p^2 T^4
-            return LPoly2(0, -t, p), RunStats(ClusterType.T2B, (i,), nf.v)
-        g3 = fp2_gcd_k(gbar, 3, kappa)
-        if len(g3) - 1 != 1:
-            raise NotAlmostGood("inseparable cubic without a triple root")
-        r = kappa.neg(g3[0])
-    raise NotAlmostGood(f"descent exceeded {max_iters} iterations")
+        return fhat, gbar
+
+    r = kappa.frobenius(kappa.gen) if use_conjugate else order.gen
+    gbar, iters = _descend(order_embed(ftilde, order), r, kappa, step, _cap(nf, max_iters))
+    t = lpoly1(Genus1Model(kappa, gbar), rng).a
+    # L(E/F_{p^2}, T^2) = 1 - t T^2 + p^2 T^4
+    return LPoly2(0, -t, p), RunStats(ClusterType.T2B, (iters,), nf.v)
 
 
 def euler_type4(nf: PNormalized, rng, max_iters: int | None = None):
@@ -216,24 +217,26 @@ def euler_type4(nf: PNormalized, rng, max_iters: int | None = None):
     once only a triple cluster remains, its separable cofactor is the first
     curve and an ordinary depth-3 descent finds the second.
     """
-    p = nf.p
+    p, F = nf.p, Fp(nf.p)
     ftilde = nf.ftilde()
     fbar = reduce_mod(ftilde, p)
     max_iters = _cap(nf, max_iters)
     outer = 0
-    # gcd_3 has degree 3 exactly while the reduction has a quintuple root
+    # gcd_3 has degree 3 exactly while the reduction has a quintuple root r,
+    # and then it is (x - r)^3
     while deg(g3 := fp_gcd_k(fbar, 3, p)) == 3:
         if outer == max_iters:
             raise NotAlmostGood(f"descent exceeded {max_iters} iterations")
         outer += 1
-        ftilde, fbar = _descend_step(ftilde, _root(fp_gcd_k(fbar, 5, p), p), 5, p)
+        ftilde, fbar = _descend_step(ftilde, triple_root(g3, F), 5, p)
     if deg(g3) != 1:
         raise NotAlmostGood(f"type 4 kernel of degree {deg(g3)}")
     cubic = fp_divmod(fbar, fp_mul(g3, g3, p), p)[0]
     if fp_disc(cubic, p) == 0:
         raise NotAlmostGood("type 4 cubic is singular")
-    g2bar, inner = _descend_to_cubic(ftilde, _root(g3, p), p, max_iters)
-    lp = _lp2_over_fp(p, rng, cubic, g2bar)
+    step = partial(_descend_step, k=3, p=p)
+    g2bar, inner = _descend(ftilde, _root(g3, p), F, step, max_iters)
+    lp = _lp2_over_fp(F, rng, cubic, g2bar)
     return lp, RunStats(ClusterType.T4, (outer, inner), nf.v)
 
 

@@ -2,8 +2,8 @@
 
 The field alone picks the counting method (lpoly1): exhaustive character
 sums through the kernels module for F_p with p < FP_EXHAUSTIVE_BELOW and for
-F_{p^2} with q <= MESTRE_BOUND, baby-step/giant-step order-finding on the
-curve and its quadratic twist everywhere else.  BSGS runs on a cubic model;
+F_{p^2} with q < FP2_EXHAUSTIVE_BELOW, baby-step/giant-step order-finding on
+the curve and its quadratic twist everywhere else.  BSGS runs on a cubic model;
 quartics reach one by reversal (when g(0) = 0) or through the classical
 quartic invariants.
 """
@@ -22,20 +22,23 @@ from .errors import (
     Unsupported,
 )
 from .modarith import Fp2, batch_inverse
-from .polyring import fp2_disc, fp2_trim, fp_disc, fp_trim
+from .polyring import field_disc, fp2_trim, fp_trim
 
 DEFAULT_NAIVE_LIMIT = 1 << 16
-# Above q = 229, E or its quadratic twist has a point whose order has only
-# one multiple in the Hasse interval (Mestre for prime q; Cremona and
-# Sutherland, "On a theorem of Mestre and Schoof", JTNB 2010, for every q),
-# so group_order_bsgs can pin the order there.  Fields up to the bound,
-# characteristic 3 among them, are counted exhaustively.  Over F_{p^2} that
-# is the whole exhaustive band, kept to where BSGS cannot go: an exhaustive
-# count costs p^2 evaluations and loses to BSGS from about p = 67 on.
-MESTRE_BOUND = 229
 # Over F_p one numpy pass over [0, p) beats BSGS up to about p = 2^13
 # (0.30 ms against 0.32 ms at p = 8191, 0.78 ms against 0.34 ms at 16381).
 FP_EXHAUSTIVE_BELOW = 1 << 13
+# Over F_{p^2} an exhaustive count costs p^2 evaluations: it beats BSGS
+# clearly up to p = 31 (0.24 ms against 0.60 ms), is within noise of it at
+# p = 61 and 67, and loses from about p = 79 on, so the band ends at p = 61.
+FP2_EXHAUSTIVE_BELOW = 1 << 12
+# Above q = 229, E or its quadratic twist has a point whose order has only
+# one multiple in the Hasse interval (Mestre for prime q; Cremona and
+# Sutherland, "On a theorem of Mestre and Schoof", JTNB 2010, for every q),
+# so group_order_bsgs can pin the order there.  Both exhaustive bands exceed
+# the bound, so BSGS stays exact, and characteristic 3, which BSGS cannot
+# take, is always counted exhaustively.
+MESTRE_BOUND = 229
 # Baby and giant steps advance in LANES independent lanes, and each round of
 # lane additions shares one field inversion.  More lanes spread it thinner
 # but overshoot the interval by up to a round.  A power of two, because the
@@ -52,20 +55,12 @@ class Genus1Model:
 
     def __post_init__(self):
         F = self.field
-        if isinstance(F, Fp2):
-            g = fp2_trim(self.g, F)
-            d = len(g) - 1
-            if d not in (3, 4):
-                raise DegreeError(f"genus 1 model needs degree 3 or 4, got {d}")
-            if F.is_zero(fp2_disc(g, F)):
-                raise NotSquarefree("singular genus 1 model")
-        else:
-            g = fp_trim(self.g, F.p)
-            d = len(g) - 1
-            if d not in (3, 4):
-                raise DegreeError(f"genus 1 model needs degree 3 or 4, got {d}")
-            if fp_disc(g, F.p) == 0:
-                raise NotSquarefree("singular genus 1 model")
+        g = fp2_trim(self.g, F) if isinstance(F, Fp2) else fp_trim(self.g, F.p)
+        d = len(g) - 1
+        if d not in (3, 4):
+            raise DegreeError(f"genus 1 model needs degree 3 or 4, got {d}")
+        if F.is_zero(field_disc(g, F)):
+            raise NotSquarefree("singular genus 1 model")
         object.__setattr__(self, "g", g)
 
     @property
@@ -380,13 +375,13 @@ def lpoly1(model: Genus1Model, rng=None) -> LPoly1:
     calls for.
 
     Exhaustive counting for F_p with p < FP_EXHAUSTIVE_BELOW and for
-    F_{p^2} with q <= MESTRE_BOUND; otherwise BSGS on a cubic model, which
-    quartics reach by reversal when g(0) = 0 and through the quartic
+    F_{p^2} with q < FP2_EXHAUSTIVE_BELOW; otherwise BSGS on a cubic model,
+    which quartics reach by reversal when g(0) = 0 and through the quartic
     invariants otherwise.
     """
     F = model.field
     q = F.q
-    if q <= MESTRE_BOUND or (not isinstance(F, Fp2) and q < FP_EXHAUSTIVE_BELOW):
+    if q < (FP2_EXHAUSTIVE_BELOW if isinstance(F, Fp2) else FP_EXHAUSTIVE_BELOW):
         return LPoly1(q + 1 - count_points_naive(model), q)
     cubic = model
     if model.degree == 4:

@@ -16,11 +16,11 @@ from .genus1 import Genus1Model, count_points_naive
 from .modarith import Fp, QuadOrder, legendre
 from .polyring import (
     disc,
+    field_disc,
     fp_eval,
     fp_is_squarefree,
     fp_mul,
     fp_scale,
-    fp2_is_squarefree,
     fp2_scale,
     fp2_trim,
     order_poly_conj,
@@ -148,6 +148,28 @@ def gen_type2a(p, n, m, rng, v=None, compute_expected=True, seed=None):
     raise OracleError("type 2a generation failed")
 
 
+def _planted_conjugate_pair(hh, n: int, order: QuadOrder):
+    """g * conj(g) in Z[x] for g(x) = p^(3n) hh((x - z)/p^n), hh a monic cubic
+    over the order: conjugate cubic clusters of depth n at z and conj(z)."""
+    p = order.p
+    g = [(0, 0)] * 4
+    xs = [(1, 0)]
+    minus_z = order.neg(order.gen)
+    for i, c in enumerate(hh):
+        scale = p ** (n * (3 - i))
+        for j, a in enumerate(xs):
+            g[j] = order.add(g[j], order.smul(scale, order.mul(c, a)))
+        nxt = [(0, 0)] * (len(xs) + 1)
+        for j, a in enumerate(xs):
+            nxt[j] = order.add(nxt[j], order.mul(a, minus_z))
+            nxt[j + 1] = order.add(nxt[j + 1], a)
+        xs = nxt
+    fo = order_poly_mul(tuple(g), order_poly_conj(tuple(g), order), order)
+    if any(c[1] for c in fo):
+        raise OracleError("conjugation-stable product left the rationals")
+    return trim(tuple(c[0] for c in fo))
+
+
 def gen_type2b(p, n, rng, compute_expected=True, seed=None):
     """Type 2b instance: conjugate clusters of depth n centered at the two
     roots of a lifted irreducible quadratic; f = g * conj(g) lands in Z[x]."""
@@ -162,25 +184,9 @@ def gen_type2b(p, n, rng, compute_expected=True, seed=None):
         order = QuadOrder(u0, u1, p)
         kappa = order.kappa
         hh = tuple((rng.randrange(p), rng.randrange(p)) for _ in range(3)) + ((1, 0),)
-        if not fp2_is_squarefree(hh, kappa):
+        if kappa.is_zero(field_disc(hh, kappa)):  # hh not squarefree
             continue
-        # g(x) = p^(3n) H((x - z)/p^n) over the order, Horner-free expansion
-        g = [(0, 0)] * 4
-        xs = [(1, 0)]
-        for i, c in enumerate(hh):
-            scale = p ** (n * (3 - i))
-            for j, a in enumerate(xs):
-                g[j] = order.add(g[j], order.smul(scale, order.mul(c, a)))
-            nxt = [(0, 0)] * (len(xs) + 1)
-            minus_z = order.neg(order.gen)
-            for j, a in enumerate(xs):
-                nxt[j] = order.add(nxt[j], order.mul(a, minus_z))
-                nxt[j + 1] = order.add(nxt[j + 1], a)
-            xs = nxt
-        fo = order_poly_mul(tuple(g), order_poly_conj(tuple(g), order), order)
-        if any(c[1] for c in fo):
-            raise OracleError("conjugation-stable product left the rationals")
-        f = trim(tuple(c[0] for c in fo))
+        f = _planted_conjugate_pair(hh, n, order)
         if v:
             f = poly_scale(f, p)
         if disc(f) == 0:

@@ -398,7 +398,8 @@ def fp_is_squarefree(f, p: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# F_{p^2} polynomials (coefficients are (c0, c1) pairs; field object passed in)
+# polynomials over a field object F, Fp or Fp2 (coefficients in F's own
+# representation: ints in [0, p) or (c0, c1) pairs)
 # ---------------------------------------------------------------------------
 
 
@@ -409,127 +410,17 @@ def fp2_trim(f, F: Fp2):
     return tuple(f)
 
 
-def fp2_mul(f, g, F: Fp2):
-    if not f or not g:
-        return ()
-    out = [F.zero] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if F.is_zero(a):
-            continue
-        for j, b in enumerate(g):
-            out[i + j] = F.add(out[i + j], F.mul(a, b))
-    return fp2_trim(out, F)
-
-
 def fp2_scale(f, c, F: Fp2):
     if F.is_zero(c):
         return ()
     return tuple(F.mul(a, c) for a in f)
 
 
-def fp2_eval(f, x, F: Fp2):
-    acc = F.zero
-    for c in reversed(f):
-        acc = F.add(F.mul(acc, x), c)
-    return acc
-
-
-def fp2_derivative(f, F: Fp2):
-    return fp2_trim([F.smul(i, c) for i, c in enumerate(f) if i >= 1], F)
-
-
-def fp2_monic(f, F: Fp2):
-    if not f:
-        return ()
-    inv = F.inv(f[-1])
-    return tuple(F.mul(c, inv) for c in f)
-
-
-def fp2_divmod(f, g, F: Fp2):
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    f = list(f)
-    dg = len(g) - 1
-    inv_lead = F.inv(g[-1])
-    q = [F.zero] * max(len(f) - dg, 0)
-    while len(f) - 1 >= dg and f:
-        c = F.mul(f[-1], inv_lead)
-        k = len(f) - 1 - dg
-        q[k] = c
-        for i, b in enumerate(g):
-            f[k + i] = F.sub(f[k + i], F.mul(c, b))
-        while f and F.is_zero(f[-1]):
-            f.pop()
-    return fp2_trim(q, F), tuple(f)
-
-
-def fp2_gcd(f, g, F: Fp2):
-    f, g = fp2_trim(f, F), fp2_trim(g, F)
-    while g:
-        f, g = g, fp2_divmod(f, g, F)[1]
-    return fp2_monic(f, F)
-
-
-def _fp2_elements(F: Fp2):
-    for c1 in range(F.p):
-        for c0 in range(F.p):
-            yield (c0, c1)
-
-
-def _fp2_irreducibles(d, F: Fp2):
-    assert d <= 3
-    for tail in _cartesian(list(_fp2_elements(F)), repeat=d):
-        g = tail + (F.one,)
-        if d == 1 or all(
-            not F.is_zero(fp2_eval(g, x, F)) for x in _fp2_elements(F)
-        ):
-            yield g
-
-
-def _fp2_multiplicity(f, g, F):
-    v = 0
-    while True:
-        q, r = fp2_divmod(f, g, F)
-        if r:
-            return v
-        v += 1
-        f = q
-
-
-def fp2_gcd_k(f, k: int, F: Fp2):
-    """gcd_k over F_{p^2}; same contract and branch structure as fp_gcd_k."""
-    if k <= 0:
-        raise ValueError("k must be positive")
-    f = fp2_trim(f, F)
-    if not f:
-        raise ValueError("gcd_k of the zero polynomial")
-    d = len(f) - 1
-    if k == 1:
-        return fp2_monic(f, F)
-    if k > d:
-        return (F.one,)
-    if F.p <= d:
-        out = (F.one,)
-        for gdeg in range(1, d // k + 1):
-            for g in _fp2_irreducibles(gdeg, F):
-                v = _fp2_multiplicity(f, g, F)
-                if v >= k:
-                    for _ in range(v - k + 1):
-                        out = fp2_mul(out, g, F)
-        return out
-    g = f
-    h = f
-    for _ in range(k - 1):
-        h = fp2_derivative(h, F)
-        g = fp2_gcd(g, h, F)
-    return g
-
-
-def fp2_disc(g, F: Fp2):
-    """Discriminant over F_{p^2}, degrees 2-4 (all the pipeline needs)."""
-    d = len(fp2_trim(g, F)) - 1
+def field_disc(g, F):
+    """Discriminant of a trimmed g over F, degrees 2-4 (all the pipeline needs)."""
+    d = len(g) - 1
     if d not in (2, 3, 4):
-        raise DegreeError(f"F_p^2 discriminant supports degree 2..4, got {d}")
+        raise DegreeError(f"field discriminant supports degree 2..4, got {d}")
     mul, sub, smul = F.mul, F.sub, F.smul
     if d == 2:
         c, b, a = g
@@ -568,8 +459,23 @@ def fp2_disc(g, F: Fp2):
     return acc
 
 
-def fp2_is_squarefree(g, F: Fp2) -> bool:
-    return len(fp2_gcd(g, fp2_derivative(g, F), F)) - 1 == 0
+def triple_root(g, F):
+    """The r with g = lc(g) (x - r)^3 when the cubic g has that shape, else None.
+
+    Expanding lc (x - r)^3 gives b = -3 lc r, so away from characteristic 3
+    the only candidate is r = -b / (3 lc).  In characteristic 3 the cube is
+    lc (x^3 - r^3) and r is the cube root (-d / lc)^(q/3), Frobenius being a
+    bijection of F.  Either way the candidate is checked by expanding.
+    """
+    d0, c, b, a = g
+    if F.p == 3:
+        r = F.pow(F.neg(F.mul(d0, F.inv(a))), F.q // 3)
+    else:
+        r = F.neg(F.mul(b, F.inv(F.smul(3, a))))
+    ar = F.mul(a, r)
+    arr = F.mul(ar, r)
+    cube = (F.neg(F.mul(arr, r)), F.smul(3, arr), F.smul(-3, ar), a)
+    return r if tuple(g) == cube else None
 
 
 # ---------------------------------------------------------------------------

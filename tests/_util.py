@@ -38,7 +38,7 @@ def brute_count_fp(g, p):
     return n + (2 if chi_p(g[-1], p) == 1 else 0)
 
 
-def fp2_mul(a, b, p, u0, u1):
+def mul_fp2(a, b, p, u0, u1):
     t = a[1] * b[1]
     return ((a[0] * b[0] - u0 * t) % p, (a[0] * b[1] + a[1] * b[0] - u1 * t) % p)
 
@@ -57,8 +57,8 @@ def chi_q(a, p, u0, u1):
     r, b = (1, 0), a
     while e:
         if e & 1:
-            r = fp2_mul(r, b, p, u0, u1)
-        b = fp2_mul(b, b, p, u0, u1)
+            r = mul_fp2(r, b, p, u0, u1)
+        b = mul_fp2(b, b, p, u0, u1)
         e >>= 1
     return 1 if r == (1, 0) else -1
 
@@ -69,7 +69,7 @@ def brute_count_fp2(g, p, u0, u1):
     for x in fp2_elements(p):
         v = (0, 0)
         for c in reversed(g):
-            v = fp2_mul(v, x, p, u0, u1)
+            v = mul_fp2(v, x, p, u0, u1)
             v = ((v[0] + c[0]) % p, (v[1] + c[1]) % p)
         n += 1 + chi_q(v, p, u0, u1)
     if len(g) - 1 == 3:

@@ -13,7 +13,7 @@ from g2lpoly.eulercore import (
     validate_lpoly2,
 )
 from g2lpoly.clusterclassify import p_normalize
-from g2lpoly.modarith import find_nonsquare, legendre
+from g2lpoly.modarith import QuadOrder, find_nonsquare, legendre
 from g2lpoly.oracle import (
     gen_type1,
     gen_type2a,
@@ -21,7 +21,7 @@ from g2lpoly.oracle import (
     gen_type4,
     random_instance,
 )
-from g2lpoly.oracle import _planted_cubic, _random_sqfree_cubic
+from g2lpoly.oracle import _planted_conjugate_pair, _planted_cubic, _random_sqfree_cubic
 from g2lpoly.polyring import complete_square, poly_mul, poly_scale, taylor_shift
 
 from _util import SMALL_PRIMES, brute_count_fp, outer_cluster_model
@@ -67,6 +67,14 @@ def test_per_type_roundtrips():
             inst = random_instance(p, typ, rng)
             lp = euler_factor(EulerInput(inst.f, p), rng)
             assert lp == inst.expected, (typ, p, inst.depths, inst.f)
+    # characteristic 3, shifted so that the inner centers have nonzero digits:
+    # every inner level takes a cube root, over F_9 for type 2b (Frobenius
+    # inverse) and over F_3 for type 1
+    a = int("2121212", 3)
+    for inst in (gen_type2b(3, 2, rng), gen_type2b(3, 3, rng), gen_type2b(3, 5, rng),
+                 gen_type1(3, 4, rng), gen_type1(3, 6, rng)):
+        lp, st = euler_factor_with_stats(EulerInput(taylor_shift(inst.f, a), 3), rng)
+        assert (lp, st.loop_iters) == (inst.expected, inst.depths), (inst.type, inst.f)
 
 
 def test_loop_iterations_equal_depths():
@@ -271,6 +279,20 @@ def test_outer_cluster_round_trip():
                 f = outer_cluster_model(inst.f, p, k, rng.randrange(-20, 21))
                 lp = euler_factor(EulerInput(f, p), rng)
                 assert lp == inst.expected, (typ, p, k, inst.depths)
+
+
+def test_inseparable_cubic_without_triple_root_rejected():
+    # the planted cubic x^3 - x^2 + p reduces to x^2 (x - 1): at the bottom of
+    # a depth-2 cluster the descent meets an inseparable cubic that is no
+    # cube, over F_p (type 1) and over F_{p^2} (type 2b)
+    for p in (3, 7):
+        planted = (p, 0, -1, 1)
+        f = poly_mul((1, -1, 0, 1), _planted_cubic(planted, 0, 2, p))
+        order = QuadOrder(1, 0, p)
+        g = _planted_conjugate_pair(tuple((c, 0) for c in planted), 2, order)
+        for f in (f, g):
+            with pytest.raises(NotAlmostGood, match="inseparable cubic without a triple root"):
+                euler_factor(EulerInput(f, p), random.Random(p))
 
 
 def test_type4_colliding_pair_rejected():

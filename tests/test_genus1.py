@@ -277,16 +277,22 @@ def _counting_route(monkeypatch):
 @pytest.mark.parametrize(
     "p, over_fp2, route",
     [(8191, False, "exhaustive"), (8209, False, "bsgs"),
-     (13, True, "exhaustive"), (17, True, "bsgs")],
+     (61, True, "exhaustive"), (67, True, "bsgs")],
 )
 def test_lpoly1_route_boundaries(monkeypatch, p, over_fp2, route):
-    # F_p counts exhaustively below 2^13, F_{p^2} only up to q = 229
+    # F_p counts exhaustively below 2^13, F_{p^2} below q = 2^12
     rng = random.Random(p)
     F = Fp2(p, -find_nonsquare(p, rng) % p, 0) if over_fp2 else Fp(p)
     m = Genus1Model(F, tuple(F.from_int(c) for c in (1, 1, 0, 1)))
     calls = _counting_route(monkeypatch)
     lpoly1(m, rng)
     assert calls == [route]
+
+
+def test_exhaustive_bands_cover_every_field_bsgs_cannot_pin():
+    # BSGS is exact only above MESTRE_BOUND, so both bands must reach past it
+    assert genus1.FP_EXHAUSTIVE_BELOW > genus1.MESTRE_BOUND
+    assert genus1.FP2_EXHAUSTIVE_BELOW > genus1.MESTRE_BOUND
 
 
 def _random_nonsingular(rng, F, coeffs):
@@ -309,7 +315,7 @@ def test_lpoly1_bsgs_equals_naive():
             for _ in range(3):
                 m = _random_nonsingular(rng, F, coeffs)
                 assert lpoly1(m, rng) == LPoly1(p + 1 - count_points_naive(m, 1 << 26), p)
-    for p in (17, 19, 251):
+    for p in (67, 71, 251):
         F = Fp2(p, -find_nonsquare(p, rng) % p, 0)
         for _ in range(3):
             m = _random_nonsingular(rng, F, (None, None, None, 1))

@@ -1,29 +1,30 @@
 import random
+from itertools import product
 
 import pytest
 
 from g2lpoly.errors import DegreeError, InexactDivision, NotSquarefree
-from g2lpoly.modarith import Fp2
+from g2lpoly.modarith import Fp, Fp2
 from g2lpoly.polyring import (
     _fp_gcd_k_exhaustive,
     _sylvester_resultant,
     complete_square,
     deg,
     disc,
+    field_disc,
     fp_disc,
     fp_gcd_k,
     fp_mul,
-    fp2_disc,
-    fp2_gcd_k,
     poly_derivative,
     poly_mul,
     reduce_mod,
     shift_scale,
     taylor_shift,
+    triple_root,
     trim,
 )
 
-from _util import SMALL_PRIMES, fp_squarefree_part
+from _util import SMALL_PRIMES, fp2_elements, fp_squarefree_part
 
 
 def _random_fp_poly(rng, p, d):
@@ -108,17 +109,54 @@ def test_gcd_k_rejects_bad_k():
         fp_gcd_k((1, 1), 0, 7)
 
 
-def test_fp2_gcd_k_matches_construction():
-    F = Fp2(3, 1, 0)
-    lin = ((1, 2), (1, 0))  # x + (1 + 2z)
-    from g2lpoly.polyring import fp2_mul
+# ---------------------------------------------------------------- triple_root
 
-    cube = fp2_mul(fp2_mul(lin, lin, F), lin, F)
-    assert fp2_gcd_k(cube, 3, F) == lin
-    F7 = Fp2(7, 1, 0)
-    lin7 = ((3, 4), (1, 0))
-    cube7 = fp2_mul(fp2_mul(lin7, lin7, F7), lin7, F7)
-    assert fp2_gcd_k(cube7, 3, F7) == lin7
+
+def _elements(F):
+    return list(fp2_elements(F.p)) if isinstance(F, Fp2) else list(range(F.p))
+
+
+def _eval(g, x, F):
+    acc = F.zero
+    for c in reversed(g):
+        acc = F.add(F.mul(acc, x), c)
+    return acc
+
+
+def _times_linear(poly, r, F):
+    """poly * (x - r) over F, schoolbook."""
+    out = [F.zero] * (len(poly) + 1)
+    for i, c in enumerate(poly):
+        out[i + 1] = F.add(out[i + 1], c)
+        out[i] = F.sub(out[i], F.mul(c, r))
+    return tuple(out)
+
+
+def _cube(r, F, lc=None):
+    """lc (x - r)^3 over F."""
+    poly = (F.one if lc is None else lc,)
+    for _ in range(3):
+        poly = _times_linear(poly, r, F)
+    return poly
+
+
+def test_triple_root_matches_brute_force():
+    # every monic cubic and a scaled copy: g = lc (x - r)^3 for some r in F?
+    rng = random.Random(18)
+    for F in (Fp(3), Fp(5), Fp(7), Fp2(3, 1, 0), Fp2(5, 2, 0)):  # F_9, F_25
+        elements = _elements(F)
+        cubes = {_cube(r, F): r for r in elements}
+        units = [c for c in elements if not F.is_zero(c)]
+        for tail in product(elements, repeat=3):
+            g = tail + (F.one,)
+            want = cubes.get(g)
+            assert triple_root(g, F) == want, (F, g)
+            c = rng.choice(units)
+            assert triple_root(tuple(F.mul(c, a) for a in g), F) == want, (F, c, g)
+    # the cubes of x + (1 + 2z) over F_9 and of x + (3 + 4z) over F_49
+    for F, r in ((Fp2(3, 1, 0), (2, 1)), (Fp2(7, 1, 0), (4, 3))):
+        assert triple_root(_cube(r, F), F) == r
+        assert triple_root(_cube(r, F, lc=(2, 1)), F) == r
 
 
 # ----------------------------------------------------------------------- disc
@@ -186,10 +224,23 @@ def test_fp2_disc_cubic_matches_lifted_integer_formula():
     F = Fp2(5, 2, 0)
     for _ in range(30):
         g = tuple((rng.randrange(5), rng.randrange(5)) for _ in range(3)) + ((1, 0),)
-        d = fp2_disc(g, F)
+        # a cubic has a repeated root only inside F, so a scan decides it
+        dg = tuple(F.smul(i, c) for i, c in enumerate(g))[1:]
+        repeated = any(F.is_zero(_eval(g, x, F)) and F.is_zero(_eval(dg, x, F))
+                       for x in _elements(F))
+        assert F.is_zero(field_disc(g, F)) == repeated
         # rational cubics must agree with the F_p discriminant
-        if all(c[1] == 0 for c in g):
-            assert d == (fp_disc(tuple(c[0] for c in g), 5), 0)
+        rational = tuple((c[0], 0) for c in g)
+        assert field_disc(rational, F) == (fp_disc(tuple(c[0] for c in g), 5), 0)
+
+
+def test_field_disc_over_fp_matches_integer_formula():
+    rng = random.Random(19)
+    for _ in range(200):
+        p = rng.choice(SMALL_PRIMES)
+        d = rng.randrange(2, 5)
+        g = tuple(rng.randrange(p) for _ in range(d)) + (rng.randrange(1, p),)
+        assert field_disc(g, Fp(p)) == fp_disc(g, p)
 
 
 # ---------------------------------------------------------------- shift_scale
