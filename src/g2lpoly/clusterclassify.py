@@ -12,13 +12,12 @@ from dataclasses import dataclass
 
 from .errors import (
     DegreeError,
-    DepthOverflow,
     GoodReduction,
     InexactDivision,
     NotAlmostGood,
     NotSquarefree,
 )
-from .modarith import check_odd_prime_modulus, legendre
+from .modarith import Fp, check_odd_prime_modulus, legendre
 from .polyring import (
     deg,
     disc,
@@ -33,6 +32,7 @@ from .polyring import (
     min_vp,
     poly_divide_exact_pk,
     poly_eval,
+    power_root,
     reduce_mod,
     reverse6,
     shift_scale,
@@ -117,19 +117,10 @@ def p_normalize(f, p: int) -> PNormalized:
     h = poly_divide_exact_pk(f, p, v)
     # v_p(disc) tracks the rescalings exactly: disc(p^a f(x/p^e)) = p^(10a+30e) disc(f)
     vdisc_h = vdisc + 30 * e - 10 * w - 10 * v
-    bound = vdisc_h + 1
+    F = Fp(p)
     iters = 0
-    while True:
-        hbar = reduce_mod(h, p)
-        u = fp_gcd_k(hbar, 6, p)
-        if deg(u) == 0:
-            break
-        if deg(u) != 1:
-            raise NotAlmostGood("outer cluster pattern is not a sextuple root")
+    while (a := power_root(reduce_mod(h, p), 6, F)) is not None:
         iters += 1
-        if iters > bound:
-            raise DepthOverflow(f"more than {bound} recentering steps at p={p}")
-        a = (p - u[0]) % p
         try:
             h = shift_scale(h, 1, a, 6, p)
         except InexactDivision as exc:
@@ -137,7 +128,8 @@ def p_normalize(f, p: int) -> PNormalized:
                 "outer recentering is inexact; the splitting field ramifies"
             ) from exc
     g = tuple(c * p**v for c in h)
-    # each recentering step divides the sextic discriminant by p^30
+    # each recentering step divides the nonzero discriminant by p^30, so the
+    # loop ends after at most vdisc_h // 30 steps
     return PNormalized(g, p, v, vdisc_h - 30 * iters)
 
 

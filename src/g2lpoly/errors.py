@@ -40,10 +40,6 @@ class FieldTooLarge(G2Error):
     """Exhaustive point counting refused above the configured field size."""
 
 
-class DepthOverflow(G2Error):
-    """Recentering iterations exceeded the discriminant-valuation bound."""
-
-
 class HasseViolation(G2Error):
     """A computed trace fell outside the Weil bound (internal consistency trap)."""
 

@@ -27,9 +27,9 @@ from .polyring import (
     order_embed,
     order_reduce,
     order_shift_scale,
+    power_root,
     reduce_mod,
     shift_scale,
-    triple_root,
     trim,
 )
 
@@ -123,7 +123,7 @@ def _descend(f, r, F, step, max_iters: int):
         f, gbar = step(f, r)
         if not F.is_zero(field_disc(gbar, F)):
             return gbar, i
-        r = triple_root(gbar, F)
+        r = power_root(gbar, 3, F)
         if r is None:
             raise NotAlmostGood("inseparable cubic without a triple root")
     raise NotAlmostGood(f"descent exceeded {max_iters} iterations")
@@ -228,7 +228,7 @@ def euler_type4(nf: PNormalized, rng, max_iters: int | None = None):
         if outer == max_iters:
             raise NotAlmostGood(f"descent exceeded {max_iters} iterations")
         outer += 1
-        ftilde, fbar = _descend_step(ftilde, triple_root(g3, F), 5, p)
+        ftilde, fbar = _descend_step(ftilde, power_root(g3, 3, F), 5, p)
     if deg(g3) != 1:
         raise NotAlmostGood(f"type 4 kernel of degree {deg(g3)}")
     cubic = fp_divmod(fbar, fp_mul(g3, g3, p), p)[0]

@@ -6,6 +6,7 @@ F_{p^2} and over an order the coefficients are (c0, c1) pairs.
 """
 
 from itertools import product as _cartesian
+from math import comb
 
 from .errors import DegreeError, InexactDivision, NotSquarefree
 from .modarith import Fp2, QuadOrder
@@ -71,12 +72,13 @@ def poly_derivative(f):
 
 
 def taylor_shift(f, r):
-    """f(x + r), by Horner in the shifted variable."""
-    acc = ()
-    for c in reversed(f):
-        shifted = (0,) + acc  # x * acc
-        acc = poly_add(shifted, poly_add(poly_scale(acc, r), (c,)))
-    return acc
+    """f(x + r), by repeated synthetic division by x - r on one list."""
+    c = list(trim(f))
+    n = len(c)
+    for i in range(n - 1):
+        for j in range(n - 2, i - 1, -1):
+            c[j] += r * c[j + 1]
+    return tuple(c)
 
 
 def vp(n: int, p: int) -> int:
@@ -187,54 +189,53 @@ def _disc_closed(f):
     )
 
 
-def _bareiss_det(m):
-    """Exact determinant of an integer matrix by fraction-free elimination."""
-    n = len(m)
-    m = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+def _prem(a, b):
+    """Pseudo-remainder of a by b over Z: the remainder of lc(b)^(deg a - deg b + 1) a."""
+    a = list(a)
+    n, lb = len(b) - 1, b[-1]
+    for k in range(len(a) - 1 - n, -1, -1):
+        c = a.pop()
+        a = [lb * x for x in a]
+        for i in range(n):
+            a[k + i] -= c * b[i]
+    while a and a[-1] == 0:
+        a.pop()
+    return a
 
 
-def _sylvester_resultant(f, g):
-    """Res(f, g) over Z via the Sylvester determinant."""
-    m, n = deg(f), deg(g)
-    size = m + n
-    fb = list(reversed(f))
-    gb = list(reversed(g))
-    rows = []
-    for i in range(n):
-        rows.append([0] * i + fb + [0] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([0] * i + gb + [0] * (size - n - 1 - i))
-    return _bareiss_det(rows)
+def _resultant(a, b):
+    """Res(a, b) over Z for deg a > deg b >= 1, by the subresultant PRS
+    (Cohen, GTM 138, Alg. 3.3.7, without the content split)."""
+    g = h = s = 1
+    while True:
+        da, db = len(a) - 1, len(b) - 1
+        delta = da - db
+        if da & db & 1:
+            s = -s
+        r = _prem(a, b)
+        if not r:
+            return 0
+        m = g * h**delta
+        a, b = b, [c // m for c in r]
+        g = a[-1]
+        h = g if delta == 1 else g**delta // h ** (delta - 1)
+        if len(b) == 1:
+            return s * b[0] ** db // h ** (db - 1)
 
 
 def disc(f):
     """Discriminant of an integer polynomial of degree 2..6.
 
-    Closed forms for degrees 2-4, Sylvester resultant for 5-6; both carry
-    the conventional sign (-1)^(d(d-1)/2) Res(f, f')/lc(f).
+    Closed forms for degrees 2-4; for 5-6 the subresultant PRS of f and f',
+    whose exact divisions keep the coefficients near the size of Res(f, f').
+    Both carry the conventional sign (-1)^(d(d-1)/2) Res(f, f')/lc(f).
     """
     d = deg(f)
     if d not in (2, 3, 4, 5, 6):
         raise DegreeError(f"discriminant needs degree 2..6, got {d}")
     if d <= 4:
         return _disc_closed(f)
-    res = _sylvester_resultant(f, poly_derivative(f))
+    res = _resultant(f, poly_derivative(f))
     q, r = divmod(_SIGN[d] * res, f[-1])
     assert r == 0, "Res(f, f') is always divisible by lc(f)"
     return q
@@ -255,13 +256,6 @@ def fp_trim(f, p):
     while f and f[-1] == 0:
         f.pop()
     return tuple(f)
-
-
-def fp_add(f, g, p):
-    n = max(len(f), len(g))
-    f = list(f) + [0] * (n - len(f))
-    g = list(g) + [0] * (n - len(g))
-    return fp_trim([a + b for a, b in zip(f, g)], p)
 
 
 def fp_mul(f, g, p):
@@ -327,11 +321,13 @@ def fp_gcd(f, g, p):
 
 
 def fp_taylor_shift(f, r, p):
-    acc = ()
-    for c in reversed(f):
-        shifted = (0,) + acc
-        acc = fp_add(shifted, fp_add(fp_scale(acc, r, p), (c % p,), p), p)
-    return acc
+    """f(x + r) over F_p, as taylor_shift."""
+    c = list(fp_trim(f, p))
+    n = len(c)
+    for i in range(n - 1):
+        for j in range(n - 2, i - 1, -1):
+            c[j] = (c[j] + r * c[j + 1]) % p
+    return tuple(c)
 
 
 def _fp_irreducibles(d, p):
@@ -459,23 +455,26 @@ def field_disc(g, F):
     return acc
 
 
-def triple_root(g, F):
-    """The r with g = lc(g) (x - r)^3 when the cubic g has that shape, else None.
+def power_root(g, k: int, F):
+    """The r with g = lc(g) (x - r)^k when g of degree k has that shape, else None.
 
-    Expanding lc (x - r)^3 gives b = -3 lc r, so away from characteristic 3
-    the only candidate is r = -b / (3 lc).  In characteristic 3 the cube is
-    lc (x^3 - r^3) and r is the cube root (-d / lc)^(q/3), Frobenius being a
-    bijection of F.  Either way the candidate is checked by expanding.
+    Write k = p^e m with p not dividing m.  Then (x - r)^k = (x^(p^e) - s)^m
+    with s = r^(p^e), so the x^(p^e (m-1)) coefficient of g is -m lc s.
+    Frobenius is a bijection of F, so r = s^(q / p^e) (this needs p^e <= q,
+    true for k <= 6 at odd p).  The candidate is checked by expanding.
     """
-    d0, c, b, a = g
-    if F.p == 3:
-        r = F.pow(F.neg(F.mul(d0, F.inv(a))), F.q // 3)
-    else:
-        r = F.neg(F.mul(b, F.inv(F.smul(3, a))))
-    ar = F.mul(a, r)
-    arr = F.mul(ar, r)
-    cube = (F.neg(F.mul(arr, r)), F.smul(3, arr), F.smul(-3, ar), a)
-    return r if tuple(g) == cube else None
+    pe, m = 1, k
+    while m % F.p == 0:
+        pe, m = pe * F.p, m // F.p
+    lc = g[-1]
+    s = F.neg(F.mul(g[pe * (m - 1)], F.inv(F.smul(m, lc))))
+    r = F.pow(s, F.q // pe) if pe > 1 else s
+    nr, t = F.neg(r), lc
+    expanded = [lc]
+    for j in range(k - 1, -1, -1):  # the x^j coefficient lc C(k, j) (-r)^(k - j)
+        t = F.mul(t, nr)
+        expanded.append(F.smul(comb(k, j), t))
+    return r if tuple(g) == tuple(reversed(expanded)) else None
 
 
 # ---------------------------------------------------------------------------

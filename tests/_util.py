@@ -112,3 +112,39 @@ def outer_cluster_model(f, p, k, a):
         out = poly_add(out, poly_scale(xs, c * p ** (k * (6 - i))))
         xs = poly_mul(xs, (-a, 1))
     return out
+
+
+def bareiss_det(m):
+    """Exact determinant of an integer matrix by fraction-free elimination."""
+    n = len(m)
+    m = [list(row) for row in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def sylvester_resultant(f, g):
+    """Res(f, g) over Z as the determinant of the Sylvester matrix."""
+    m, n = deg(f), deg(g)
+    size = m + n
+    fb = list(reversed(f))
+    gb = list(reversed(g))
+    rows = []
+    for i in range(n):
+        rows.append([0] * i + fb + [0] * (size - m - 1 - i))
+    for i in range(m):
+        rows.append([0] * i + gb + [0] * (size - n - 1 - i))
+    return bareiss_det(rows)

@@ -7,7 +7,7 @@ import pytest
 
 from g2lpoly import cli
 from g2lpoly.cli import main, parse_job_line, process_line, run_batch
-from g2lpoly.errors import AmbiguousOrder, DepthOverflow, G2Error, HasseViolation
+from g2lpoly.errors import AmbiguousOrder, G2Error, HasseViolation, Unsupported
 from g2lpoly.oracle import job_line, random_instance
 from g2lpoly.clusterclassify import ClusterType
 from g2lpoly.polyring import poly_mul
@@ -81,7 +81,7 @@ def test_composite_modulus_is_named_not_run():
     [
         (HasseViolation("x"), "ERR:hasse-violation"),
         (AmbiguousOrder("x"), "ERR:ambiguous-order"),
-        (DepthOverflow("x"), "ERR:error"),
+        (Unsupported("x"), "ERR:error"),
         (ValueError("x"), "ERR:error"),
         (ZeroDivisionError("x"), "ERR:error"),
     ],

@@ -7,7 +7,6 @@ from g2lpoly.errors import DegreeError, InexactDivision, NotSquarefree
 from g2lpoly.modarith import Fp, Fp2
 from g2lpoly.polyring import (
     _fp_gcd_k_exhaustive,
-    _sylvester_resultant,
     complete_square,
     deg,
     disc,
@@ -15,16 +14,20 @@ from g2lpoly.polyring import (
     fp_disc,
     fp_gcd_k,
     fp_mul,
+    fp_taylor_shift,
+    fp_trim,
+    poly_add,
     poly_derivative,
     poly_mul,
+    poly_scale,
+    power_root,
     reduce_mod,
     shift_scale,
     taylor_shift,
-    triple_root,
     trim,
 )
 
-from _util import SMALL_PRIMES, fp2_elements, fp_squarefree_part
+from _util import SMALL_PRIMES, fp2_elements, fp_squarefree_part, sylvester_resultant
 
 
 def _random_fp_poly(rng, p, d):
@@ -109,7 +112,7 @@ def test_gcd_k_rejects_bad_k():
         fp_gcd_k((1, 1), 0, 7)
 
 
-# ---------------------------------------------------------------- triple_root
+# ----------------------------------------------------------------- power_root
 
 
 def _elements(F):
@@ -132,31 +135,41 @@ def _times_linear(poly, r, F):
     return tuple(out)
 
 
-def _cube(r, F, lc=None):
-    """lc (x - r)^3 over F."""
+def _power(r, k, F, lc=None):
+    """lc (x - r)^k over F."""
     poly = (F.one if lc is None else lc,)
-    for _ in range(3):
+    for _ in range(k):
         poly = _times_linear(poly, r, F)
     return poly
 
 
-def test_triple_root_matches_brute_force():
-    # every monic cubic and a scaled copy: g = lc (x - r)^3 for some r in F?
+def test_power_root_matches_brute_force():
+    # is g = lc (x - r)^k for some r in F?  Every monic g where that is small
+    # enough (all cubics; sextics over F_3 and F_5), with a scaled copy of each
     rng = random.Random(18)
     for F in (Fp(3), Fp(5), Fp(7), Fp2(3, 1, 0), Fp2(5, 2, 0)):  # F_9, F_25
         elements = _elements(F)
-        cubes = {_cube(r, F): r for r in elements}
         units = [c for c in elements if not F.is_zero(c)]
-        for tail in product(elements, repeat=3):
-            g = tail + (F.one,)
-            want = cubes.get(g)
-            assert triple_root(g, F) == want, (F, g)
-            c = rng.choice(units)
-            assert triple_root(tuple(F.mul(c, a) for a in g), F) == want, (F, c, g)
+        for k in (3, 6):
+            powers = {_power(r, k, F): r for r in elements}
+            if len(elements) ** k <= 15625:
+                monics = [tail + (F.one,) for tail in product(elements, repeat=k)]
+            else:  # the powers, each with one coefficient moved, and random g
+                monics = list(powers)
+                for g in powers:
+                    i = rng.randrange(k)
+                    monics.append(g[:i] + (F.add(g[i], rng.choice(units)),) + g[i + 1:])
+                monics += [tuple(rng.choice(elements) for _ in range(k)) + (F.one,)
+                           for _ in range(2000)]
+            for g in monics:
+                want = powers.get(g)
+                assert power_root(g, k, F) == want, (F, k, g)
+                c = rng.choice(units)
+                assert power_root(tuple(F.mul(c, a) for a in g), k, F) == want, (F, k, c, g)
     # the cubes of x + (1 + 2z) over F_9 and of x + (3 + 4z) over F_49
     for F, r in ((Fp2(3, 1, 0), (2, 1)), (Fp2(7, 1, 0), (4, 3))):
-        assert triple_root(_cube(r, F), F) == r
-        assert triple_root(_cube(r, F, lc=(2, 1)), F) == r
+        assert power_root(_power(r, 3, F), 3, F) == r
+        assert power_root(_power(r, 3, F, lc=(2, 1)), 3, F) == r
 
 
 # ----------------------------------------------------------------------- disc
@@ -196,8 +209,46 @@ def test_disc_closed_forms_match_resultant():
     for _ in range(60):
         d = rng.randrange(2, 5)
         f = tuple(rng.randrange(-20, 21) for _ in range(d)) + (rng.randrange(1, 9),)
-        res = _sylvester_resultant(f, poly_derivative(f))
+        res = sylvester_resultant(f, poly_derivative(f))
         assert disc(f) * f[-1] == sign[d] * res
+
+
+def _disc_reference(f):
+    d = deg(f)
+    q, r = divmod((-1) ** (d * (d - 1) // 2) * sylvester_resultant(f, poly_derivative(f)), f[-1])
+    assert r == 0
+    return q
+
+
+def test_disc_matches_sylvester_reference():
+    # the subresultant PRS against the Sylvester determinant, on quintics and
+    # sextics from 2 to 256 bits: dense and sparse, x^d + c (whose PRS skips
+    # degrees), a forced repeated factor (disc 0), both signs of lc
+    rng = random.Random(20)
+    zeros = 0
+    for i in range(3200):
+        d = (5, 6)[i % 2]
+        bits = (2, 3, 8, 16, 32, 64, 128, 256)[i // 2 % 8]
+        lc = rng.randrange(1, 1 << bits) * rng.choice((1, -1))
+        kind = i // 16 % 4
+        if kind == 3:
+            c = rng.randrange(-(1 << bits), 1 << bits)
+            f = (c,) + (0,) * (d - 1) + (lc,)
+        elif kind == 2:
+            lin = (rng.randrange(-(1 << bits // 3), 1 << bits // 3), rng.choice((1, -1, 2, 3)))
+            rest = tuple(rng.randrange(-(1 << bits), 1 << bits) for _ in range(d - 2))
+            f = poly_mul(poly_mul(lin, lin), rest + (lc,))
+        else:
+            sparse = 0.4 if kind == 1 else 0.0
+            f = tuple(0 if rng.random() < sparse else rng.randrange(-(1 << bits), 1 << bits)
+                      for _ in range(d)) + (lc,)
+        want = _disc_reference(f)
+        zeros += want == 0
+        assert disc(f) == want, f
+    assert zeros >= 600
+    for f in ((1, 0, 0, 0, 0, 0, 1), (1, 0, 0, 0, 0, 1), (1, 0, 3, 0, 3, 0, 1),
+              (0, 0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 0, 1), (7, 0, 0, 0, 0, 0, -3)):
+        assert disc(f) == _disc_reference(f), f
 
 
 def test_disc_degree_guard():
@@ -275,6 +326,28 @@ def test_shift_scale_exactness_witness():
             k = min(min_vp(g, p), 3)
         scaled = shift_scale(f, e, r, k, p)
         assert tuple(c * p**k for c in scaled) == g
+
+
+def _taylor_shift_by_rebuilds(f, r):
+    """f(x + r) by Horner in the shifted variable, rebuilding the polynomial
+    at each step: the formula the in-place shifts replaced."""
+    acc = ()
+    for c in reversed(f):
+        acc = poly_add((0,) + acc, poly_add(poly_scale(acc, r), (c,)))
+    return acc
+
+
+def test_taylor_shifts_match_rebuild_formula():
+    rng = random.Random(21)
+    for i in range(600):
+        bits = (3, 64, 256)[i % 3]
+        f = tuple(0 if rng.random() < 0.3 else rng.randrange(-(1 << bits), 1 << bits)
+                  for _ in range(rng.randrange(0, 8)))
+        r = 0 if i % 10 == 0 else rng.randrange(-(1 << bits), 1 << bits)
+        want = _taylor_shift_by_rebuilds(f, r)
+        assert taylor_shift(f, r) == want
+        for p in (3, 7, 8191):
+            assert fp_taylor_shift(f, r, p) == fp_trim(want, p)
 
 
 # -------------------------------------------------------------------- reduce
