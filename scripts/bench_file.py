@@ -7,8 +7,9 @@ Runs the checkout's own `perfbench/run.py --workload all` twice, untraced and
 with --trace 1, at seed 1 and 24 s per workload (perfbench's defaults), and
 keeps: the untraced run's last-line JSON (correct, attempted, failed and
 every end-to-end metric), the traced run's per-layer shares
-(`<workload>/share.*`) with its failed count, the src/g2lpoly line count,
-the commit and the machine.  The file lands at this repository's root.
+(`<workload>/share.*`) with its failed count, the traced large_p BSGS
+ladder (median ms per call by field and log2 q), the src/g2lpoly line
+count, the commit and the machine.  The file lands at this repository's root.
 """
 
 import argparse
@@ -27,6 +28,14 @@ def bench(checkout, trace):
            "--seconds", "24", "--trace", str(trace)]
     res = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
     return cmd[1:], json.loads(res.stdout.strip().splitlines()[-1])
+
+
+def ladder(metrics):
+    """large_p's traced median ms per group_order_bsgs call, by field and
+    log2 q bucket (genus1.bsgs.call_ms.<field>.q<bits>), for buckets with calls."""
+    prefix = "large_p/genus1.bsgs.call_ms."
+    return {k[len(prefix):]: v["value"] for k, v in metrics.items()
+            if k.startswith(prefix) and metrics[k.replace("call_ms", "calls")]["value"]}
 
 
 def git(checkout, *args):
@@ -50,6 +59,7 @@ def main(argv=None):
         "run": run,
         "traced_failed": traced["failed"],
         "shares": {k: v["value"] for k, v in traced["metrics"].items() if "/share." in k},
+        "bsgs_ladder_ms": ladder(traced["metrics"]),
         "src_lines": sum(len(p.read_text().splitlines())
                          for p in (checkout / "src" / "g2lpoly").glob("*.py")),
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),

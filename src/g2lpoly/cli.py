@@ -1,5 +1,5 @@
 """Batch front end: read curve/prime jobs from stdin, write L-polynomial
-coefficients to stdout, or run the timing benchmark.
+coefficients to stdout.
 
 Line grammar (ASCII decimal, whitespace-insensitive):
 
@@ -17,27 +17,27 @@ written).  Failed lines print ERR:<token> and processing continues.
 
 import argparse
 import random
-import statistics
 import sys
-import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
 
-from .clusterclassify import ClusterType
 from .errors import (
     AmbiguousOrder,
     BadWitness,
     DegreeError,
+    FieldTooLarge,
     G2Error,
     GoodReduction,
     HasseViolation,
+    InexactDivision,
+    NonResidue,
     NotAlmostGood,
     NotOddPrime,
     NotSquarefree,
+    Unsupported,
 )
 from .eulercore import EulerInput, euler_factor
 from .modarith import is_prime
-from .oracle import MAX_ORACLE_PRIME, random_instance
 
 _ERROR_TOKENS = (
     (GoodReduction, "good-reduction"),
@@ -48,6 +48,10 @@ _ERROR_TOKENS = (
     (DegreeError, "degree"),
     (HasseViolation, "hasse-violation"),
     (AmbiguousOrder, "ambiguous-order"),
+    (Unsupported, "unsupported"),
+    (NonResidue, "non-residue"),
+    (InexactDivision, "inexact-division"),
+    (FieldTooLarge, "field-too-large"),
 )
 
 
@@ -145,48 +149,6 @@ def run_batch(lines, out, nonsquare=None, jobs=1, stable=True, seed=None):
     return 0 if parsed else 1
 
 
-_BENCH_PRIMES = (3, 5, 7, 13, 31, 61, 127, 251, 509, 1021, 2039, 4093, 8191)
-
-
-def _bench_type(typ, count, iters, rng, out):
-    instances = []
-    for _ in range(count):
-        p = rng.choice(_BENCH_PRIMES)
-        instances.append(random_instance(p, typ, rng, compute_expected=False))
-    # warm-up pass keeps first-call costs out of the timings
-    euler_factor(EulerInput(instances[0].f, instances[0].p), rng)
-    times = []
-    for inst in instances:
-        inp = EulerInput(inst.f, inst.p)
-        t0 = time.perf_counter()
-        for _ in range(iters):
-            euler_factor(inp, rng)
-        times.append((time.perf_counter() - t0) / iters * 1e3)
-    print(
-        f"  {typ.value:>3}  {len(times):>6}  "
-        f"{statistics.fmean(times):9.3f}  {statistics.median(times):9.3f}  "
-        f"{max(times):9.3f}",
-        file=out,
-    )
-    return times
-
-
-def bench(count=200, iters=1, seed=1, out=None):
-    """Per-type timing table for euler_factor over oracle instances."""
-    out = out or sys.stdout
-    rng = random.Random(seed)
-    print(
-        f"euler_factor over {count} oracle instances per type, "
-        f"p <= {min(max(_BENCH_PRIMES), MAX_ORACLE_PRIME)}, {iters} iteration(s) each "
-        f"(milliseconds):",
-        file=out,
-    )
-    print(f"  {'type':>4}  {'count':>6}  {'mean':>9}  {'median':>9}  {'max':>9}", file=out)
-    for typ in (ClusterType.T1, ClusterType.T2A, ClusterType.T2B, ClusterType.T4):
-        _bench_type(typ, count, iters, rng, out)
-    return 0
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="g2lpoly",
@@ -195,24 +157,13 @@ def main(argv=None):
     )
     parser.add_argument("--nonsquare", type=int, default=None,
                         help="quadratic nonresidue witness passed to every line")
-    parser.add_argument("--check-prime", action="store_true",
-                        help="Miller-Rabin check each p before computing "
-                        "(always done; the flag is accepted for old scripts)")
     parser.add_argument("--stable", action="store_true",
                         help="preserve input order under --jobs")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="worker processes for line-level parallelism")
-    parser.add_argument("--bench", action="store_true",
-                        help="run the per-type timing benchmark and exit")
-    parser.add_argument("--iters", type=int, default=1, metavar="N",
-                        help="benchmark: repeat each computation N times")
-    parser.add_argument("--count", type=int, default=200, metavar="N",
-                        help="benchmark: instances per type")
     parser.add_argument("--seed", type=int, default=None,
-                        help="seed for benchmark generation / Las Vegas draws")
+                        help="seed for the Las Vegas draws")
     args = parser.parse_args(argv)
-    if args.bench:
-        return bench(args.count, args.iters, args.seed if args.seed is not None else 1)
     try:
         lines = sys.stdin.read().splitlines()
     except OSError:

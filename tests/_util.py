@@ -4,6 +4,8 @@ Everything here is deliberately naive (Euler-criterion characters, direct
 enumeration) and shares no code with the package's counting kernels.
 """
 
+import math
+
 from g2lpoly.polyring import (
     _fp_irreducibles,
     _fp_multiplicity,
@@ -148,3 +150,102 @@ def sylvester_resultant(f, g):
     for i in range(m):
         rows.append([0] * i + gb + [0] * (size - n - 1 - i))
     return bareiss_det(rows)
+
+
+# ---------------------------------------------------------------------------
+# CM traces at large p: p = a^2 + b^2 (j = 1728) or x^2 + 3y^2 (j = 0), with
+# short Weierstrass arithmetic over F_p that shares nothing with the package
+# ---------------------------------------------------------------------------
+
+
+def least_nonsquare(p):
+    z = 2
+    while chi_p(z, p) != -1:
+        z += 1
+    return z
+
+
+def sqrt_fp(a, p):
+    """A square root of a square a mod an odd prime p (Tonelli-Shanks)."""
+    a %= p
+    if a == 0:
+        return 0
+    q, e = p - 1, 0
+    while q % 2 == 0:
+        q, e = q // 2, e + 1
+    z = least_nonsquare(p)
+    m, c, t, r = e, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
+def cornacchia(d, p):
+    """(x, y) with x^2 + d*y^2 = p, for a prime p where -d is a square."""
+    r = sqrt_fp(-d, p)
+    a, b = p, max(r, p - r)
+    while b * b >= p:
+        a, b = b, a % b
+    y2, rem = divmod(p - b * b, d)
+    y = math.isqrt(y2)
+    assert rem == 0 and y * y == y2, (d, p)
+    return b, y
+
+
+def ec_mul(k, P, A, p):
+    """k*P on y^2 = x^3 + Ax + B over F_p, affine, None the identity."""
+    def add(P, Q):
+        if P is None:
+            return Q
+        if Q is None:
+            return P
+        (x1, y1), (x2, y2) = P, Q
+        if x1 == x2 and (y1 + y2) % p == 0:
+            return None
+        if x1 == x2:
+            lam = (3 * x1 * x1 + A) * pow(2 * y1, -1, p) % p
+        else:
+            lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+        x3 = (lam * lam - x1 - x2) % p
+        return x3, (lam * (x1 - x3) - y1) % p
+
+    R = None
+    while k:
+        if k & 1:
+            R = add(R, P)
+        P = add(P, P)
+        k >>= 1
+    return R
+
+
+def cm_trace(A, B, p, rng):
+    """The trace of y^2 = x^3 + Ax + B over F_p, p > 229, for B = 0 and
+    p = 1 (mod 4) or A = 0 and p = 1 (mod 3).  The Frobenius is a unit times
+    pi with p = pi * conj(pi): for p = a^2 + b^2 the candidates are +-2a and
+    +-2b; for p = x^2 + 3y^2, +-2x and +-(x +- 3y).  Random points on the
+    curve (killed by p + 1 - t) and on its quadratic twist (killed by
+    p + 1 + t) eliminate all but one (Mestre)."""
+    if B == 0:
+        a, b = cornacchia(1, p)
+        cands = {2 * a, -2 * a, 2 * b, -2 * b}
+    else:
+        x, y = cornacchia(3, p)
+        cands = {s * t for s in (1, -1) for t in (2 * x, x + 3 * y, x - 3 * y)}
+    d = least_nonsquare(p)
+    sides = ((A, B, 1), (A * d * d % p, B * d * d * d % p, -1))
+    for i in range(200):
+        if len(cands) == 1:
+            return cands.pop()
+        a_, b_, sign = sides[i % 2]
+        while True:
+            X = rng.randrange(p)
+            rhs = (X * X * X + a_ * X + b_) % p
+            if chi_p(rhs, p) == 1:
+                break
+        P = (X, sqrt_fp(rhs, p))
+        cands = {t for t in cands if ec_mul(p + 1 - sign * t, P, a_, p) is None}
+    raise AssertionError(f"trace candidates {cands} not separated at p = {p}")

@@ -6,8 +6,16 @@ import sys
 import pytest
 
 from g2lpoly import cli
-from g2lpoly.cli import main, parse_job_line, process_line, run_batch
-from g2lpoly.errors import AmbiguousOrder, G2Error, HasseViolation, Unsupported
+from g2lpoly.cli import parse_job_line, process_line, run_batch
+from g2lpoly.errors import (
+    AmbiguousOrder,
+    FieldTooLarge,
+    G2Error,
+    HasseViolation,
+    InexactDivision,
+    NonResidue,
+    Unsupported,
+)
 from g2lpoly.oracle import job_line, random_instance
 from g2lpoly.clusterclassify import ClusterType
 from g2lpoly.polyring import poly_mul
@@ -61,12 +69,9 @@ def test_even_modulus_token():
     assert process_line("8:[1,0,0,0,0,0,1]") == "ERR:not-odd-prime"
 
 
-def test_check_prime_flag(monkeypatch, capsys):
-    # the check is the default; the flag is still accepted
+def test_check_prime_flag():
+    # every odd p is checked for primality, without a flag
     assert process_line("9:[1,0,0,0,0,0,1]") == "ERR:not-prime"
-    monkeypatch.setattr(sys, "stdin", io.StringIO("9:[1,0,0,0,0,0,1]\n"))
-    assert main(["--check-prime"]) == 0
-    assert capsys.readouterr().out == "ERR:not-prime\n"
 
 
 def test_composite_modulus_is_named_not_run():
@@ -81,9 +86,13 @@ def test_composite_modulus_is_named_not_run():
     [
         (HasseViolation("x"), "ERR:hasse-violation"),
         (AmbiguousOrder("x"), "ERR:ambiguous-order"),
-        (Unsupported("x"), "ERR:error"),
+        (Unsupported("x"), "ERR:unsupported"),
         (ValueError("x"), "ERR:error"),
         (ZeroDivisionError("x"), "ERR:error"),
+        (NonResidue("x"), "ERR:non-residue"),
+        (InexactDivision("x"), "ERR:inexact-division"),
+        (FieldTooLarge("x"), "ERR:field-too-large"),
+        (G2Error("x"), "ERR:error"),
     ],
 )
 def test_every_exception_ends_in_a_token(monkeypatch, capsys, exc, token):
@@ -137,19 +146,6 @@ def test_nonsquare_flag_applies():
     line = _worked_example_line()
     assert process_line(line, nonsquare=2) == "5:[1,0,6,0,25]"
     assert process_line(line, nonsquare=4) == "ERR:bad-witness"
-
-
-def test_bench_smoke(capsys):
-    from g2lpoly.cli import bench
-
-    assert bench(count=3, iters=1, seed=5) == 0
-    out = capsys.readouterr().out
-    rows = [line.split() for line in out.splitlines()[2:]]
-    assert [row[0] for row in rows] == ["1", "2a", "2b", "4"]
-    for row in rows:
-        assert row[1] == "3"
-        mean, median, worst = map(float, row[2:])
-        assert 0 < median <= worst and mean <= worst
 
 
 def test_console_entry_point():

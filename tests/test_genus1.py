@@ -16,6 +16,7 @@ from g2lpoly.genus1 import (
     LPoly1,
     _Curve,
     _multiples_in_interval,
+    _order_class,
     count_points_naive,
     group_order_bsgs,
     lpoly1,
@@ -24,6 +25,7 @@ from g2lpoly.genus1 import (
 )
 from g2lpoly.modarith import Fp, Fp2, find_nonsquare, is_prime
 
+import _util
 from _util import brute_count_fp, brute_count_fp2
 
 F5 = Fp(5)
@@ -492,3 +494,109 @@ def test_lpoly1_exact_supersingular_fp2():
     for g in ((0, 1, 0, 1), (1, 0, 0, 1)):
         model = Genus1Model(F, tuple(F.from_int(c) for c in g))
         assert lpoly1(model, rng) == LPoly1(-2 * p, p * p)
+
+
+# ------------------------------------------------- BSGS over one residue class
+
+
+def _fp_primes(lo, hi):
+    return [p for p in range(lo, hi) if is_prime(p)]
+
+
+def test_order_class_matches_exhaustive_counts():
+    # #E mod 2 or 4 from the roots of x^3 + Ax + B, against brute-force
+    # counts: no root, one root e with g'(e) a square or not, three roots
+    rng = random.Random(52)
+    fields = [Fp(p) for p in _fp_primes(5, 300)]
+    fields += [Fp2(p, -find_nonsquare(p, rng) % p, 0) for p in _fp_primes(5, 30)]
+    seen = set()
+    for F in fields:
+        for _ in range(12 if F.q == F.p else 5):
+            curve = _random_curve(F, rng)
+            A, B = curve.A, curve.B
+            g = (B, A, F.zero, F.one)
+            if F.q == F.p:
+                n = brute_count_fp(g, F.p)
+                roots = [x for x in range(F.p) if (x * x * x + A * x + B) % F.p == 0]
+            else:
+                n = brute_count_fp2(g, F.p, F.u0, F.u1)
+                roots = [x for x in _util.fp2_elements(F.p)
+                         if F.is_zero(F.add(F.mul(x, F.add(F.mul(x, x), A)), B))]
+            res, mod = _order_class(F, A, B)
+            assert n % mod == res, (F, A, B)
+            if len(roots) == 1:
+                slope = F.add(F.smul(3, F.mul(roots[0], roots[0])), A)
+                seen.add("one, square" if F.is_square(slope) else "one, nonsquare")
+            else:
+                seen.add(f"{len(roots)} roots")
+            assert mod == (2 if not roots else 4)
+    assert seen == {"0 roots", "one, square", "one, nonsquare", "3 roots"}
+
+
+def test_class_interval_multiples_match_brute_force_orders():
+    # m = res (mod 2 or 4) with m*P = O: Q = mod*P may be the identity (P of
+    # order 1, 2 or 4), its order may show in the baby walk (small fields),
+    # or the giant windows decide (q near 2000)
+    rng = random.Random(53)
+    fields = (Fp(23), Fp(47), Fp(1009), Fp(1999), Fp2(5, 2, 0), Fp2(43, 1, 0))
+    seen = set()
+    for F in fields:
+        t0 = math.isqrt(4 * F.q)
+        for _ in range(4):
+            curve = _random_curve(F, rng)
+            points = [curve.random_point(rng) for _ in range(3)]
+            # up to two extra points of order 2 or 4, where mod*P = O
+            draws = (curve.random_point(rng) for _ in range(8))
+            points += [P for P in draws if _order(curve, P) in (2, 4)][:2]
+            for P in points:
+                n = _order(curve, P)
+                for mod in (2, 4):
+                    n_q = n // math.gcd(n, mod)
+                    seen.add("Q = O" if n_q == 1 else "giant" if n_q > 62 else "baby")
+                    res = rng.randrange(mod)
+                    lo = rng.randrange(1, 2 * F.q)
+                    for a, b in ((F.q + 1 - t0, F.q + 1 + t0), (lo, lo + rng.randrange(4 * F.q))):
+                        want = [m for m in range(a, b + 1) if m % n == 0 and m % mod == res][:2]
+                        want += [None] * (2 - len(want))
+                        got = _multiples_in_interval(curve, P, a, b, res, mod)
+                        assert got == tuple(want), (F, P, n, a, b, res, mod)
+    assert seen == {"Q = O", "baby", "giant"}
+
+
+def _prime_near(n, mod):
+    """Smallest prime p >= n with p = 1 (mod mod)."""
+    p = n + (1 - n) % mod
+    while not is_prime(p):
+        p += mod
+    return p
+
+
+@pytest.mark.parametrize("bits", (30, 40, 61))
+def test_lpoly1_exact_cm_curves_fp(bits):
+    # y^2 = x^3 + Ax (j = 1728, p = 1 mod 4: one or three roots) and
+    # y^2 = x^3 + B (j = 0, p = 1 mod 3: none or three), with the trace read
+    # off p = a^2 + b^2 or x^2 + 3y^2 by arithmetic independent of the package
+    rng = random.Random(bits)
+    cases = []
+    p = _prime_near(1 << bits, 4)
+    c = rng.randrange(2, p)
+    # A = -c^2 splits x(x - c)(x + c); A a nonsquare leaves the root 0 alone
+    cases += [(p, (0, -c * c % p, 0, 1)), (p, (0, find_nonsquare(p, rng), 0, 1))]
+    p = _prime_near(1 << bits, 3)
+    c = rng.randrange(2, p)
+    w = next(w for w in range(2, p) if pow(w, (p - 1) // 3, p) != 1)
+    # x^3 = c^3 has three roots in F_p; x^3 = w, w a noncube, has none
+    cases += [(p, (-pow(c, 3, p) % p, 0, 0, 1)), (p, (p - w, 0, 0, 1))]
+    for p, g in cases:
+        t = _util.cm_trace(g[1], g[0], p, rng)
+        assert lpoly1(Genus1Model(Fp(p), g), rng) == LPoly1(t, p), (p, g)
+
+
+def test_cm_trace_reference_matches_brute_force():
+    rng = random.Random(54)
+    for p in (233, 241, 277, 313, 337):
+        for c in (1, 2, 3, 5):
+            if p % 4 == 1:
+                assert p + 1 - _util.cm_trace(c, 0, p, rng) == brute_count_fp((0, c, 0, 1), p)
+            if p % 3 == 1:
+                assert p + 1 - _util.cm_trace(0, c, p, rng) == brute_count_fp((c, 0, 0, 1), p)
