@@ -21,14 +21,11 @@ from .modarith import Fp, check_odd_prime_modulus, legendre
 from .polyring import (
     deg,
     disc,
-    fp_derivative,
     fp_disc,
-    fp_eval,
     fp_divmod,
-    fp_gcd,
     fp_gcd_k,
+    fp_is_squarefree,
     fp_mul,
-    fp_scale,
     min_vp,
     poly_divide_exact_pk,
     poly_eval,
@@ -133,46 +130,57 @@ def p_normalize(f, p: int) -> PNormalized:
     return PNormalized(g, p, v, vdisc_h - 30 * iters)
 
 
-def which_type(nf: PNormalized) -> ClusterType:
+@dataclass(frozen=True)
+class Classification:
+    """One reading of a p-normalized model mod p: its type, the unit-leading
+    part ftilde, the reduction fbar of ftilde, and kernel = gcd_3(fbar),
+    monic.  The handlers start their descents from these."""
+
+    nf: PNormalized
+    type: ClusterType
+    ftilde: tuple
+    fbar: tuple
+    kernel: tuple
+
+
+def classify(nf: PNormalized) -> Classification:
     """Classify a p-normalized model by the repeated factors of f~ mod p.
 
     gcd_3 of degree 1 is type 1, degree 3 is type 4; degree 2 splits into 2a
     or 2b according to whether its discriminant is a square.  Patterns that
     match none of these reject the input: a squarefree reduction means good
     reduction (route to ordinary point counting), anything else means the
-    almost-good hypothesis fails.
+    almost-good hypothesis fails.  fbar is a sextic, since p_normalize leaves
+    a unit leading coefficient, and it has no sextuple root, so the kernel
+    has degree at most 3.
     """
     p = nf.p
-    fbar = reduce_mod(nf.ftilde(), p)
-    if deg(fbar) != 6:
-        raise NotAlmostGood("normalized model lost degree mod p")
+    ftilde = nf.ftilde()
+    fbar = reduce_mod(ftilde, p)
     g = fp_gcd_k(fbar, 3, p)
     d = deg(g)
     if d == 0:
-        if deg(fp_gcd(fbar, fp_derivative(fbar, p), p)) == 0:
+        if fp_is_squarefree(fbar, p):
             raise GoodReduction(f"f is squarefree mod {p}")
         raise NotAlmostGood("repeated factors of multiplicity 2 only")
     if d == 1:
-        r = (p - g[0]) % p
-        cube = fp_mul(fp_mul(g, g, p), g, p)
-        u, rem = fp_divmod(fbar, cube, p)
-        if rem:
-            raise NotAlmostGood("triple factor does not divide cleanly")
-        if deg(u) != 3 or deg(fp_gcd(u, fp_derivative(u, p), p)) != 0:
+        # a linear kernel means fbar = g^3 u with u a cubic prime to g
+        u = fp_divmod(fbar, fp_mul(fp_mul(g, g, p), g, p), p)[0]
+        if not fp_is_squarefree(u, p):
             raise NotAlmostGood("cofactor of the triple root is not squarefree")
-        if fp_eval(u, r, p) == 0:
-            raise NotAlmostGood("triple root collides with the cofactor")
-        return ClusterType.T1
-    if d == 2:
-        delta = fp_disc(g, p)
-        ls = legendre(delta, p)
+        typ = ClusterType.T1
+    elif d == 2:
+        # a squarefree quadratic kernel is the cube root of fbar / lc
+        ls = legendre(fp_disc(g, p), p)
         if ls == 0:
             raise NotAlmostGood("degenerate quadratic factor")
-        cube = fp_mul(fp_mul(g, g, p), g, p)
-        if fp_scale(cube, fbar[-1], p) != fbar:
-            raise NotAlmostGood("reduction is not the cube of its gcd_3")
-        return ClusterType.T2A if ls == 1 else ClusterType.T2B
-    if d == 3:
+        typ = ClusterType.T2A if ls == 1 else ClusterType.T2B
+    else:
         # on a sextic, deg gcd_3 = 3 forces the pattern (x - r)^5 (x - s)
-        return ClusterType.T4
-    raise NotAlmostGood(f"gcd_3 has impossible degree {d}")
+        typ = ClusterType.T4
+    return Classification(nf, typ, ftilde, fbar, g)
+
+
+def which_type(nf: PNormalized) -> ClusterType:
+    """The reduction type alone."""
+    return classify(nf).type

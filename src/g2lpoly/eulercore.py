@@ -10,10 +10,11 @@ import random
 from dataclasses import dataclass
 from functools import partial
 
-from .clusterclassify import ClusterType, PNormalized, p_normalize, which_type
-from .errors import BadWitness, HasseViolation, InexactDivision, NotAlmostGood
+from .clusterclassify import Classification, ClusterType, classify, p_normalize
+from .clusterclassify import which_type  # noqa: F401  only a hook target for perfbench/tracing.py
+from .errors import HasseViolation, InexactDivision, NotAlmostGood
 from .genus1 import Genus1Model, lpoly1
-from .modarith import Fp, QuadOrder, find_nonsquare, legendre, sqrt_mod_p
+from .modarith import Fp, QuadOrder, find_nonsquare, sqrt_mod_p
 from .polyring import disc  # noqa: F401  only a hook target for perfbench/tracing.py
 from .polyring import (
     complete_square,
@@ -88,11 +89,6 @@ def validate_lpoly2(lp: LPoly2) -> bool:
     return True
 
 
-def _cap(nf: PNormalized, max_iters):
-    """The recentering bound: v_p(disc) + 1 unless the caller set one."""
-    return nf.vdisc + 1 if max_iters is None else max_iters
-
-
 def _root(u, p: int) -> int:
     """The root of a monic linear polynomial over F_p."""
     return (p - u[0]) % p
@@ -137,49 +133,38 @@ def _lp2_over_fp(F: Fp, rng, g1, g2) -> LPoly2:
     return LPoly2.from_traces(t1, t2, F.p)
 
 
-def euler_type1(nf: PNormalized, rng, max_iters: int | None = None):
+def euler_type1(c: Classification, rng, max_iters: int):
     """Type 1: one loose triple cluster.
 
     The separable quartic part of f mod p gives the first curve; the descent
     into the depth-n cluster gives the second.
     """
-    p, F = nf.p, Fp(nf.p)
-    ftilde = nf.ftilde()
-    fbar = reduce_mod(ftilde, p)
-    r = _root(fp_gcd_k(fbar, 3, p), p)
+    p, F = c.nf.p, Fp(c.nf.p)
+    r = _root(c.kernel, p)
     step = partial(_descend_step, k=3, p=p)
-    g2bar, iters = _descend(ftilde, r, F, step, _cap(nf, max_iters))
-    quartic = fp_taylor_shift(fbar, r, p)[2:]  # x * (cofactor of the triple root)
+    g2bar, iters = _descend(c.ftilde, r, F, step, max_iters)
+    quartic = fp_taylor_shift(c.fbar, r, p)[2:]  # x * (cofactor of the triple root)
     lp = _lp2_over_fp(F, rng, quartic, g2bar)
-    return lp, RunStats(ClusterType.T1, (iters,), nf.v)
+    return lp, RunStats(ClusterType.T1, (iters,), c.nf.v)
 
 
-def euler_type2a(nf: PNormalized, s: int, rng, max_iters: int | None = None):
+def euler_type2a(c: Classification, s: int, rng, max_iters: int):
     """Type 2a: two rational triple clusters, centers from the quadratic
     formula (s supplies the square root)."""
-    p, F = nf.p, Fp(nf.p)
-    if legendre(s, p) != -1:
-        raise BadWitness(f"{s} is not a nonsquare mod {p}")
-    ftilde = nf.ftilde()
-    u = fp_gcd_k(reduce_mod(ftilde, p), 3, p)  # monic, split over F_p
+    p, F = c.nf.p, Fp(c.nf.p)
+    u = c.kernel  # monic, split over F_p
     root = sqrt_mod_p(fp_disc(u, p), p, s)
     inv2 = (p + 1) // 2
     # smaller center first; the product is symmetric
     r1, r2 = sorted(((-u[1] + root) * inv2 % p, (-u[1] - root) * inv2 % p))
-    max_iters = _cap(nf, max_iters)
     step = partial(_descend_step, k=3, p=p)
-    g1bar, it1 = _descend(ftilde, r1, F, step, max_iters)
-    g2bar, it2 = _descend(ftilde, r2, F, step, max_iters)
+    g1bar, it1 = _descend(c.ftilde, r1, F, step, max_iters)
+    g2bar, it2 = _descend(c.ftilde, r2, F, step, max_iters)
     lp = _lp2_over_fp(F, rng, g1bar, g2bar)
-    return lp, RunStats(ClusterType.T2A, (it1, it2), nf.v)
+    return lp, RunStats(ClusterType.T2A, (it1, it2), c.nf.v)
 
 
-def euler_type2b(
-    nf: PNormalized,
-    rng,
-    max_iters: int | None = None,
-    use_conjugate: bool = False,
-):
+def euler_type2b(c: Classification, rng, max_iters: int, use_conjugate: bool = False):
     """Type 2b: Frobenius-conjugate triple clusters.
 
     The descent runs over the order Z[z]/(u) with u the canonical lift of the
@@ -187,9 +172,7 @@ def euler_type2b(
     conjugate; both give the same answer).  The single curve lives over
     F_{p^2} and contributes 1 - a T^2 + p^2 T^4.
     """
-    p = nf.p
-    ftilde = nf.ftilde()
-    u = fp_gcd_k(reduce_mod(ftilde, p), 3, p)
+    p, u = c.nf.p, c.kernel
     order = QuadOrder(u[0], u[1], p)
     kappa = order.kappa
 
@@ -204,31 +187,31 @@ def euler_type2b(
         return fhat, gbar
 
     r = kappa.frobenius(kappa.gen) if use_conjugate else order.gen
-    gbar, iters = _descend(order_embed(ftilde, order), r, kappa, step, _cap(nf, max_iters))
+    gbar, iters = _descend(order_embed(c.ftilde, order), r, kappa, step, max_iters)
     t = lpoly1(Genus1Model(kappa, gbar), rng).a
     # L(E/F_{p^2}, T^2) = 1 - t T^2 + p^2 T^4
-    return LPoly2(0, -t, p), RunStats(ClusterType.T2B, (iters,), nf.v)
+    return LPoly2(0, -t, p), RunStats(ClusterType.T2B, (iters,), c.nf.v)
 
 
-def euler_type4(nf: PNormalized, rng, max_iters: int | None = None):
+def euler_type4(c: Classification, rng, max_iters: int):
     """Type 4: nested clusters under a quintuple root.
 
-    The outer loop divides by p^5 while the five inner roots stay together;
-    once only a triple cluster remains, its separable cofactor is the first
-    curve and an ordinary depth-3 descent finds the second.
+    The outer loop divides by p^5 while the reduction keeps the five inner
+    roots together as lc (x - r)^5; once only a triple cluster remains, its
+    separable cofactor is the first curve and an ordinary depth-3 descent
+    finds the second.
     """
-    p, F = nf.p, Fp(nf.p)
-    ftilde = nf.ftilde()
-    fbar = reduce_mod(ftilde, p)
-    max_iters = _cap(nf, max_iters)
+    p, F = c.nf.p, Fp(c.nf.p)
+    ftilde, fbar = c.ftilde, c.fbar
+    r = power_root(c.kernel, 3, F)  # the kernel of (x - r)^5 (x - s) is (x - r)^3
     outer = 0
-    # gcd_3 has degree 3 exactly while the reduction has a quintuple root r,
-    # and then it is (x - r)^3
-    while deg(g3 := fp_gcd_k(fbar, 3, p)) == 3:
+    while r is not None:
         if outer == max_iters:
             raise NotAlmostGood(f"descent exceeded {max_iters} iterations")
         outer += 1
-        ftilde, fbar = _descend_step(ftilde, power_root(g3, 3, F), 5, p)
+        ftilde, fbar = _descend_step(ftilde, r, 5, p)
+        r = power_root(fbar, 5, F)
+    g3 = fp_gcd_k(fbar, 3, p)
     if deg(g3) != 1:
         raise NotAlmostGood(f"type 4 kernel of degree {deg(g3)}")
     cubic = fp_divmod(fbar, fp_mul(g3, g3, p), p)[0]
@@ -237,7 +220,7 @@ def euler_type4(nf: PNormalized, rng, max_iters: int | None = None):
     step = partial(_descend_step, k=3, p=p)
     g2bar, inner = _descend(ftilde, _root(g3, p), F, step, max_iters)
     lp = _lp2_over_fp(F, rng, cubic, g2bar)
-    return lp, RunStats(ClusterType.T4, (outer, inner), nf.v)
+    return lp, RunStats(ClusterType.T4, (outer, inner), c.nf.v)
 
 
 def euler_factor_with_stats(inp: EulerInput, rng=None):
@@ -248,18 +231,20 @@ def euler_factor_with_stats(inp: EulerInput, rng=None):
     f = trim(inp.f)
     h = trim(inp.h or ())
     nf = p_normalize(complete_square(f, h) if h else f, p)
-    typ = which_type(nf)
-    if typ is ClusterType.T1:
-        lp, stats = euler_type1(nf, rng, inp.max_iters)
-    elif typ is ClusterType.T2A:
+    c = classify(nf)
+    # the recentering bound: v_p(disc) + 1 unless the caller set one
+    max_iters = nf.vdisc + 1 if inp.max_iters is None else inp.max_iters
+    if c.type is ClusterType.T1:
+        lp, stats = euler_type1(c, rng, max_iters)
+    elif c.type is ClusterType.T2A:
         s = inp.nonsquare
         if s is None:
             s = find_nonsquare(p, rng)
-        lp, stats = euler_type2a(nf, s, rng, inp.max_iters)
-    elif typ is ClusterType.T2B:
-        lp, stats = euler_type2b(nf, rng, inp.max_iters)
+        lp, stats = euler_type2a(c, s, rng, max_iters)
+    elif c.type is ClusterType.T2B:
+        lp, stats = euler_type2b(c, rng, max_iters)
     else:
-        lp, stats = euler_type4(nf, rng, inp.max_iters)
+        lp, stats = euler_type4(c, rng, max_iters)
     if not validate_lpoly2(lp):
         raise HasseViolation(f"Weil bounds fail for {lp}")
     return lp, stats

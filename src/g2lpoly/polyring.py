@@ -502,15 +502,19 @@ def order_poly_conj(f, order: QuadOrder):
 
 
 def order_shift_scale(f, r, k: int, order: QuadOrder):
-    """f(p x + r) / p^k over O, divisions checked coordinate-wise."""
+    """f(p x + r) / p^k over O: the shift by r in place as in taylor_shift,
+    then coefficient i times p^(i - k), with the divisions below k checked
+    coordinate-wise."""
+    c = list(f)
+    n = len(c)
+    for i in range(n - 1):
+        for j in range(n - 2, i - 1, -1):
+            c[j] = order.add(c[j], order.mul(r, c[j + 1]))
     p = order.p
-    acc = []
-    for c in reversed(f):
-        shifted = [(0, 0)] + [order.smul(p, a) for a in acc]
-        racc = [order.mul(a, r) for a in acc] + [(0, 0)]
-        acc = [order.add(x, y) for x, y in zip(shifted, racc)]
-        acc[0] = order.add(acc[0], c)
-    return tuple(order.exact_div_pk(c, k) for c in acc)
+    return tuple(
+        order.smul(p ** (i - k), a) if i >= k else order.exact_div_pk(order.smul(p**i, a), k)
+        for i, a in enumerate(c)
+    )
 
 
 def order_reduce(f, order: QuadOrder):

@@ -249,3 +249,17 @@ def cm_trace(A, B, p, rng):
         P = (X, sqrt_fp(rhs, p))
         cands = {t for t in cands if ec_mul(p + 1 - sign * t, P, a_, p) is None}
     raise AssertionError(f"trace candidates {cands} not separated at p = {p}")
+
+
+def order_shift_scale_by_rebuilds(f, r, k, order):
+    """f(p x + r) / p^k over the quadratic order by Horner in the scaled
+    variable, rebuilding the polynomial at each step: the formula the
+    in-place order_shift_scale replaced."""
+    p = order.p
+    acc = []
+    for c in reversed(f):
+        shifted = [(0, 0)] + [order.smul(p, a) for a in acc]
+        racc = [order.mul(a, r) for a in acc] + [(0, 0)]
+        acc = [order.add(x, y) for x, y in zip(shifted, racc)]
+        acc[0] = order.add(acc[0], c)
+    return tuple(order.exact_div_pk(c, k) for c in acc)

@@ -2,11 +2,14 @@ import random
 
 import pytest
 
-from g2lpoly.clusterclassify import ClusterType, p_normalize, which_type
+from g2lpoly import clusterclassify, eulercore
+from g2lpoly.clusterclassify import ClusterType, classify, p_normalize, which_type
 from g2lpoly.errors import GoodReduction, NotAlmostGood, NotSquarefree
+from g2lpoly.eulercore import EulerInput, euler_factor_with_stats
 from g2lpoly.oracle import perturb, random_instance
 from g2lpoly.polyring import (
     disc,
+    fp_gcd_k,
     poly_mul,
     poly_scale,
     reduce_mod,
@@ -174,6 +177,44 @@ def test_which_type_matches_oracle_type():
         typ = rng.choice(list(ClusterType))
         inst = random_instance(p, typ, rng, compute_expected=False)
         assert which_type(_nf(inst.f, p)) is inst.type
+
+
+def test_classify_record_matches_which_type_and_its_parts():
+    rng = random.Random(25)
+    for p in (3, 5, 7, 13, 31):
+        for typ in ClusterType:
+            for _ in range(4):
+                inst = random_instance(p, typ, rng, max_depth=6, compute_expected=False)
+                nf = _nf(inst.f, p)
+                c = classify(nf)
+                assert c.nf is nf
+                assert c.type is which_type(nf) is inst.type
+                assert c.ftilde == nf.ftilde()
+                assert c.fbar == reduce_mod(c.ftilde, p)
+                assert c.kernel == fp_gcd_k(c.fbar, 3, p)
+
+
+def test_one_gcd_k_pass_per_factor(monkeypatch):
+    # the handlers reuse the record's kernel; only type 4 needs a second
+    # gcd_3, on the quintic where its outer loop stops
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return fp_gcd_k(*args)
+
+    monkeypatch.setattr(clusterclassify, "fp_gcd_k", counted)
+    monkeypatch.setattr(eulercore, "fp_gcd_k", counted)
+    rng = random.Random(26)
+    want = {ClusterType.T1: 1, ClusterType.T2A: 1, ClusterType.T2B: 1, ClusterType.T4: 2}
+    for p in (3, 5, 7, 13, 31):
+        for typ, n in want.items():
+            for _ in range(3):
+                inst = random_instance(p, typ, rng, max_depth=6, compute_expected=False)
+                calls.clear()
+                _, stats = euler_factor_with_stats(EulerInput(inst.f, p), rng)
+                assert stats.cluster_type is typ
+                assert len(calls) == n, (p, typ, calls)
 
 
 def test_type_invariant_under_shift_and_scaling():

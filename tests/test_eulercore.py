@@ -12,7 +12,7 @@ from g2lpoly.eulercore import (
     euler_type2b,
     validate_lpoly2,
 )
-from g2lpoly.clusterclassify import p_normalize
+from g2lpoly.clusterclassify import classify, p_normalize
 from g2lpoly.modarith import QuadOrder, find_nonsquare, legendre
 from g2lpoly.oracle import (
     gen_type1,
@@ -93,6 +93,20 @@ def test_loop_iterations_equal_depths():
     assert st.loop_iters == (2, 4)  # outer n, inner m - n
 
 
+def test_type4_outer_loop_at_small_primes():
+    # at p = 5 each next centre comes from power_root's Frobenius branch
+    # (k = 5 = p), at p = 3 from its ordinary one; n outer steps, m - n inner
+    rng = random.Random(57)
+    for p in (3, 5):
+        for n in range(1, 5):
+            for m in (n + 2, n + 4):
+                inst = gen_type4(p, n, m, rng)
+                lp, st = euler_factor_with_stats(EulerInput(inst.f, p), rng)
+                assert lp == inst.expected
+                assert st.cluster_type is ClusterType.T4
+                assert st.loop_iters == (n, m - n)
+
+
 def test_type1_exit_parity_allows_alternate_disc_checks():
     # the separability test can only fire at even iterations for type 1, so
     # running it every second iteration would change nothing
@@ -129,8 +143,9 @@ def test_type2b_conjugate_start_same_output():
         p = rng.choice(SMALL_PRIMES)
         inst = gen_type2b(p, rng.randrange(1, 5), rng, compute_expected=False)
         nf = p_normalize(inst.f, p)
-        lp_a, _ = euler_type2b(nf, rng=rng)
-        lp_b, _ = euler_type2b(nf, use_conjugate=True, rng=rng)
+        c = classify(nf)
+        lp_a, _ = euler_type2b(c, rng, nf.vdisc + 1)
+        lp_b, _ = euler_type2b(c, rng, nf.vdisc + 1, use_conjugate=True)
         assert lp_a == lp_b
 
 

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from g2lpoly.errors import DegreeError, InexactDivision, NotSquarefree
-from g2lpoly.modarith import Fp, Fp2
+from g2lpoly.modarith import Fp, Fp2, QuadOrder
 from g2lpoly.polyring import (
     _fp_gcd_k_exhaustive,
     complete_square,
@@ -16,6 +16,7 @@ from g2lpoly.polyring import (
     fp_mul,
     fp_taylor_shift,
     fp_trim,
+    order_shift_scale,
     poly_add,
     poly_derivative,
     poly_mul,
@@ -27,7 +28,14 @@ from g2lpoly.polyring import (
     trim,
 )
 
-from _util import SMALL_PRIMES, fp2_elements, fp_squarefree_part, sylvester_resultant
+from _util import (
+    SMALL_PRIMES,
+    fp2_elements,
+    fp_squarefree_part,
+    least_nonsquare,
+    order_shift_scale_by_rebuilds,
+    sylvester_resultant,
+)
 
 
 def _random_fp_poly(rng, p, d):
@@ -348,6 +356,21 @@ def test_taylor_shifts_match_rebuild_formula():
         assert taylor_shift(f, r) == want
         for p in (3, 7, 8191):
             assert fp_taylor_shift(f, r, p) == fp_trim(want, p)
+        # over O = Z[z]/(u): f(p x + r) / p^k, or InexactDivision, as the rebuild gives
+        p = (3, 7, 8191)[i // 3 % 3]
+        order = QuadOrder(p * rng.randrange(-(1 << bits), 1 << bits) - least_nonsquare(p),
+                          p * rng.randrange(-(1 << bits), 1 << bits), p)
+        k = rng.randrange(4)
+        scale = p**k if i % 4 < 2 else 1  # exact at every k, else exact only at k = 0
+        fo = [(scale * c, scale * rng.randrange(-(1 << bits), 1 << bits)) for c in f]
+        ro = (r, rng.randrange(-(1 << bits), 1 << bits))
+        outcomes = []
+        for shift in (order_shift_scale, order_shift_scale_by_rebuilds):
+            try:
+                outcomes.append(shift(fo, ro, k, order))
+            except InexactDivision:
+                outcomes.append(InexactDivision)
+        assert outcomes[0] == outcomes[1]
 
 
 # -------------------------------------------------------------------- reduce
