@@ -92,7 +92,7 @@ def parse_job_line(line):
     return p, f, h
 
 
-def process_line(line, nonsquare=None, seed=None):
+def process_line(line, seed=None):
     """One job line -> one output line; never raises.
 
     Every odd p >= 3 is checked for primality first; even p and p < 3 are
@@ -110,7 +110,7 @@ def process_line(line, nonsquare=None, seed=None):
         return "ERR:not-prime"
     rng = random.Random(f"{seed}|{line.strip()}")
     try:
-        lp = euler_factor(EulerInput(f, p, h, nonsquare), rng)
+        lp = euler_factor(EulerInput(f, p, h), rng)
     except Exception as exc:
         for cls, token in _ERROR_TOKENS:
             if isinstance(exc, cls):
@@ -127,12 +127,12 @@ def _worker(args):
     return process_line(*args)
 
 
-def run_batch(lines, out, nonsquare=None, jobs=1, stable=True, seed=None):
+def run_batch(lines, out, jobs=1, stable=True, seed=None):
     """Process a job stream; returns the exit code (0 unless nothing parsed)."""
     lines = [ln for ln in lines if ln.strip()]
     if not lines:
         return 0
-    tasks = [(ln, nonsquare, seed) for ln in lines]
+    tasks = [(ln, seed) for ln in lines]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             if stable:
@@ -155,8 +155,6 @@ def main(argv=None):
         description="Euler factors of genus 2 curves at odd primes of almost "
         "good reduction; reads p:[f0,...,f6](:[h0,...,h3]) lines from stdin.",
     )
-    parser.add_argument("--nonsquare", type=int, default=None,
-                        help="quadratic nonresidue witness passed to every line")
     parser.add_argument("--stable", action="store_true",
                         help="preserve input order under --jobs")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
@@ -171,7 +169,6 @@ def main(argv=None):
     return run_batch(
         lines,
         sys.stdout,
-        nonsquare=args.nonsquare,
         jobs=max(args.jobs, 1),
         stable=args.stable or args.jobs <= 1,
         seed=args.seed,

@@ -21,7 +21,7 @@ from .modarith import Fp, check_odd_prime_modulus, legendre
 from .polyring import (
     deg,
     disc,
-    fp_disc,
+    field_disc,
     fp_divmod,
     fp_gcd_k,
     fp_is_squarefree,
@@ -171,7 +171,7 @@ def classify(nf: PNormalized) -> Classification:
         typ = ClusterType.T1
     elif d == 2:
         # a squarefree quadratic kernel is the cube root of fbar / lc
-        ls = legendre(fp_disc(g, p), p)
+        ls = legendre(field_disc(g, Fp(p)), p)
         if ls == 0:
             raise NotAlmostGood("degenerate quadratic factor")
         typ = ClusterType.T2A if ls == 1 else ClusterType.T2B

@@ -18,7 +18,8 @@ class NonResidue(G2Error):
 
 
 class BadWitness(G2Error):
-    """The supplied nonsquare witness is missing or is actually a square."""
+    """A nonsquare witness is missing (no witness and no rng to draw one)
+    or is actually a square."""
 
 
 class InexactDivision(G2Error):

@@ -14,13 +14,12 @@ from .clusterclassify import Classification, ClusterType, classify, p_normalize
 from .clusterclassify import which_type  # noqa: F401  only a hook target for perfbench/tracing.py
 from .errors import HasseViolation, InexactDivision, NotAlmostGood
 from .genus1 import Genus1Model, lpoly1
-from .modarith import Fp, QuadOrder, find_nonsquare, sqrt_mod_p
+from .modarith import Fp, QuadOrder
 from .polyring import disc  # noqa: F401  only a hook target for perfbench/tracing.py
 from .polyring import (
     complete_square,
     deg,
     field_disc,
-    fp_disc,
     fp_divmod,
     fp_gcd_k,
     fp_mul,
@@ -59,7 +58,6 @@ class EulerInput:
     f: tuple
     p: int
     h: tuple | None = None
-    nonsquare: int | None = None
     max_iters: int | None = None
 
 
@@ -148,12 +146,12 @@ def euler_type1(c: Classification, rng, max_iters: int):
     return lp, RunStats(ClusterType.T1, (iters,), c.nf.v)
 
 
-def euler_type2a(c: Classification, s: int, rng, max_iters: int):
+def euler_type2a(c: Classification, rng, max_iters: int):
     """Type 2a: two rational triple clusters, centers from the quadratic
-    formula (s supplies the square root)."""
+    formula."""
     p, F = c.nf.p, Fp(c.nf.p)
     u = c.kernel  # monic, split over F_p
-    root = sqrt_mod_p(fp_disc(u, p), p, s)
+    root = F.sqrt(field_disc(u, F), rng)
     inv2 = (p + 1) // 2
     # smaller center first; the product is symmetric
     r1, r2 = sorted(((-u[1] + root) * inv2 % p, (-u[1] - root) * inv2 % p))
@@ -215,7 +213,7 @@ def euler_type4(c: Classification, rng, max_iters: int):
     if deg(g3) != 1:
         raise NotAlmostGood(f"type 4 kernel of degree {deg(g3)}")
     cubic = fp_divmod(fbar, fp_mul(g3, g3, p), p)[0]
-    if fp_disc(cubic, p) == 0:
+    if field_disc(cubic, F) == 0:
         raise NotAlmostGood("type 4 cubic is singular")
     step = partial(_descend_step, k=3, p=p)
     g2bar, inner = _descend(ftilde, _root(g3, p), F, step, max_iters)
@@ -227,24 +225,19 @@ def euler_factor_with_stats(inp: EulerInput, rng=None):
     """euler_factor plus loop-iteration diagnostics."""
     if rng is None:
         rng = random.Random()
-    p = inp.p
     f = trim(inp.f)
     h = trim(inp.h or ())
-    nf = p_normalize(complete_square(f, h) if h else f, p)
+    nf = p_normalize(complete_square(f, h) if h else f, inp.p)
     c = classify(nf)
     # the recentering bound: v_p(disc) + 1 unless the caller set one
     max_iters = nf.vdisc + 1 if inp.max_iters is None else inp.max_iters
-    if c.type is ClusterType.T1:
-        lp, stats = euler_type1(c, rng, max_iters)
-    elif c.type is ClusterType.T2A:
-        s = inp.nonsquare
-        if s is None:
-            s = find_nonsquare(p, rng)
-        lp, stats = euler_type2a(c, s, rng, max_iters)
-    elif c.type is ClusterType.T2B:
-        lp, stats = euler_type2b(c, rng, max_iters)
-    else:
-        lp, stats = euler_type4(c, rng, max_iters)
+    handler = {
+        ClusterType.T1: euler_type1,
+        ClusterType.T2A: euler_type2a,
+        ClusterType.T2B: euler_type2b,
+        ClusterType.T4: euler_type4,
+    }[c.type]
+    lp, stats = handler(c, rng, max_iters)
     if not validate_lpoly2(lp):
         raise HasseViolation(f"Weil bounds fail for {lp}")
     return lp, stats
@@ -253,8 +246,8 @@ def euler_factor_with_stats(inp: EulerInput, rng=None):
 def euler_factor(inp: EulerInput, rng=None) -> LPoly2:
     """The main entry point: normalize, classify, and dispatch.
 
-    The nonsquare witness is only needed for type 2a; when absent it is
-    drawn from rng (Las Vegas, output-identical to the deterministic path).
+    rng feeds the Las Vegas draws (nonsquares and random points); they
+    change how long a call takes, never its answer.
     GoodReduction propagates so batch callers can reroute those primes.
     """
     return euler_factor_with_stats(inp, rng)[0]

@@ -46,6 +46,9 @@ MESTRE_BOUND = 229
 # but overshoot the interval by up to a round.  A power of two, because the
 # lanes are built by doubling (_Curve.progression).
 LANES = 32
+# Random points group_order_bsgs tries, alternating curve and twist, before
+# it gives up with AmbiguousOrder.
+MAX_POINTS = 48
 # Reading #E mod 2 or 4 (_order_class) costs about log2(p) products mod the
 # cubic: 0.08 ms over F_p and 0.13 ms over F_{p^2} at q = 2^20.  Against
 # the walk over the whole Hasse interval (median per call, 60 random cubics
@@ -430,7 +433,7 @@ def _multiples_in_interval(curve: _Curve, P, lo: int, hi: int, res: int = 0, mod
         lanes = curve.advance(lanes, step)
 
 
-def group_order_bsgs(model: Genus1Model, rng=None, max_points: int = 48) -> int:
+def group_order_bsgs(model: Genus1Model, rng=None) -> int:
     """#E(F_q) by interleaved order-finding on the curve and its twist.
 
     N = #E(F_q) mod 2, and in most cases mod 4, is read off the roots of the
@@ -450,7 +453,7 @@ def group_order_bsgs(model: Genus1Model, rng=None, max_points: int = 48) -> int:
     if model.degree != 3:
         raise DegreeError("group order search expects a cubic model")
     A, B = _to_short_weierstrass(model)
-    d = F.random_nonsquare(rng)
+    d = F.nonsquare(rng)
     d2 = F.mul(d, d)
     curves = (
         _Curve(F, A, B),
@@ -462,7 +465,7 @@ def group_order_bsgs(model: Genus1Model, rng=None, max_points: int = 48) -> int:
     # q is odd, so 4 | 2q + 2 and the twist's count shares N's class
     wide = _baby_rounds(hi - lo + 1) >= CLASS_FROM_ROUNDS
     known = cls = _order_class(F, A, B) if wide else (0, 1)
-    for trial in range(max_points):
+    for trial in range(MAX_POINTS):
         side = trial % 2
         curve = curves[side]
         P = curve.random_point(rng)
@@ -477,7 +480,7 @@ def group_order_bsgs(model: Genus1Model, rng=None, max_points: int = 48) -> int:
             raise AmbiguousOrder("inconsistent order residues")
         if second is None:
             return first
-    raise AmbiguousOrder(f"order not pinned after {max_points} points")
+    raise AmbiguousOrder(f"order not pinned after {MAX_POINTS} points")
 
 
 def lpoly1(model: Genus1Model, rng=None) -> LPoly1:

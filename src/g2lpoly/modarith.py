@@ -3,6 +3,10 @@
 Elements of F_p are plain ints reduced to [0, p), with the modulus carried
 alongside.  Elements of the quadratic extension and of the order are (c0, c1)
 pairs of ints giving coordinates with respect to the basis {1, z}.
+
+Fp and Fp2 share one square test (chi_p of the norm), one Tonelli-Shanks
+square root, and a nonsquare drawn once per field object and kept.
+legendre, sqrt_mod_p and find_nonsquare are the same tools on plain ints.
 """
 
 from .errors import BadWitness, InexactDivision, NonResidue, NotOddPrime
@@ -84,60 +88,90 @@ def legendre(a: int, p: int) -> int:
 
 
 def sqrt_mod_p(a: int, p: int, s: int | None = None) -> int:
-    """Square root of a mod p, by Tonelli-Shanks for p = 1 mod 4.
+    """Square root of a mod p, by Fp.sqrt.
 
     Returns the smaller of the two roots, i.e. the representative in
     [0, (p-1)/2].  The witness s must be a quadratic nonresidue; it is only
     consumed when p = 1 mod 4 but is validated whenever supplied.
     """
-    check_odd_prime_modulus(p)
-    a %= p
+    F = Fp(p)
     if s is not None:
         if legendre(s, p) != -1:
             raise BadWitness(f"{s} is not a nonsquare mod {p}")
-    if a == 0:
-        return 0
-    if legendre(a, p) == -1:
-        raise NonResidue(f"{a} is not a square mod {p}")
-    if p % 4 == 3:
-        x = pow(a, (p + 1) // 4, p)
-    else:
-        if s is None:
-            raise BadWitness("a nonsquare witness is required when p = 1 mod 4")
-        q, e = p - 1, 0
-        while q % 2 == 0:
-            q //= 2
-            e += 1
-        z = pow(s, q, p)  # generator of the 2-Sylow subgroup
-        x = pow(a, (q + 1) // 2, p)
-        b = pow(a, q, p)
-        r = e
-        while b != 1:
-            m, t = 0, b
-            while t != 1:
-                t = t * t % p
-                m += 1
-            c = pow(z, 1 << (r - m - 1), p)
-            x = x * c % p
-            z = c * c % p
-            b = b * z % p
-            r = m
+        F._nonsquare = s % p
+    x = F.sqrt(a % p)
     return min(x, p - x)
 
 
 def find_nonsquare(p: int, rng) -> int:
     """Random quadratic nonresidue mod p; Las Vegas, expected two draws."""
-    check_odd_prime_modulus(p)
-    while True:
-        s = rng.randrange(1, p)
-        if legendre(s, p) == -1:
-            return s
+    return Fp(p).nonsquare(rng)
 
 
-class Fp:
+def _tonelli_shanks(F, a, z):
+    """A square root of the nonzero square a in the field F (Cohen, GTM 138,
+    Alg. 1.5.1).  z is a nonsquare of F; it is only read when 4 | q - 1."""
+    m, e = F.q - 1, 0
+    while m % 2 == 0:
+        m //= 2
+        e += 1
+    one = F.one
+    x = F.pow(a, (m + 1) // 2)
+    b = F.pow(a, m)
+    if b == one:
+        return x
+    y = F.pow(z, m)  # generator of the 2-Sylow subgroup
+    while b != one:
+        k, t = 0, b
+        while t != one:
+            t = F.mul(t, t)
+            k += 1
+        c = y
+        for _ in range(e - k - 1):
+            c = F.mul(c, c)
+        x = F.mul(x, c)
+        y = F.mul(c, c)
+        b = F.mul(b, y)
+        e = k
+    return x
+
+
+class _SquareRoots:
+    """Squares, square roots and a nonsquare, for any field class with p,
+    q, one, zero, is_zero, mul, pow, norm and random."""
+
+    __slots__ = ("_nonsquare",)
+
+    def is_square(self, a):
+        # chi_q(a) = chi_p(Norm(a)); 0 counts as a square here
+        return legendre(self.norm(a), self.p) >= 0
+
+    def sqrt(self, a, rng=None):
+        """A square root of a; rng draws the nonsquare when 4 | q - 1."""
+        if self.is_zero(a):
+            return self.zero
+        if not self.is_square(a):
+            raise NonResidue(f"{a} is not a square in {self!r}")
+        z = self.nonsquare(rng) if self.q % 4 == 1 else None
+        return _tonelli_shanks(self, a, z)
+
+    def nonsquare(self, rng=None):
+        """A nonsquare of the field, drawn from rng on the first call and
+        kept: Las Vegas, expected two draws."""
+        if self._nonsquare is None:
+            if rng is None:
+                raise BadWitness(f"rng needed to find a nonsquare of {self!r}")
+            a = self.random(rng)
+            while self.is_square(a):
+                a = self.random(rng)
+            self._nonsquare = a
+        return self._nonsquare
+
+
+class Fp(_SquareRoots):
     """Prime field context.  Elements are plain ints in [0, p)."""
 
-    __slots__ = ("p", "q", "_nonsquare")
+    __slots__ = ("p", "q")
 
     def __init__(self, p: int):
         check_odd_prime_modulus(p)
@@ -183,6 +217,10 @@ class Fp:
     def smul(self, n, a):
         return n * a % self.p
 
+    def norm(self, a):
+        """Norm to F_p: the identity."""
+        return a
+
     def inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError(f"inverse of 0 mod {self.p}")
@@ -194,34 +232,18 @@ class Fp:
     def frobenius(self, a):
         return a
 
-    def is_square(self, a):
-        return legendre(a, self.p) >= 0
-
-    def sqrt(self, a, rng=None):
-        s = None
-        if self.p % 4 == 1:
-            if self._nonsquare is None:
-                if rng is None:
-                    raise BadWitness("rng needed to find a nonsquare witness")
-                self._nonsquare = find_nonsquare(self.p, rng)
-            s = self._nonsquare
-        return sqrt_mod_p(a, self.p, s)
-
     def random(self, rng):
         return rng.randrange(self.p)
 
-    def random_nonsquare(self, rng):
-        return find_nonsquare(self.p, rng)
 
-
-class Fp2:
+class Fp2(_SquareRoots):
     """F_p[z]/(z^2 + u1*z + u0) with the modulus irreducible mod p.
 
     Elements are (c0, c1) tuples of ints in [0, p).  The Frobenius map swaps
     the two roots of the modulus: z -> -u1 - z.
     """
 
-    __slots__ = ("p", "u0", "u1", "q", "_nonsquare")
+    __slots__ = ("p", "u0", "u1", "q")
 
     def __init__(self, p: int, u0: int, u1: int):
         check_odd_prime_modulus(p)
@@ -316,50 +338,8 @@ class Fp2:
             e >>= 1
         return result
 
-    def is_square(self, a):
-        # chi_q(a) = chi_p(Norm(a)); 0 counts as a square here
-        return legendre(self.norm(a), self.p) >= 0
-
-    def sqrt(self, a, rng=None):
-        """Square root in F_{p^2} via Tonelli-Shanks on the full group."""
-        if a == (0, 0):
-            return (0, 0)
-        if legendre(self.norm(a), self.p) == -1:
-            raise NonResidue(f"{a} is not a square in {self!r}")
-        if self._nonsquare is None:
-            if rng is None:
-                raise BadWitness("rng needed to find a nonsquare witness")
-            self._nonsquare = self.random_nonsquare(rng)
-        q, e = self.q - 1, 0
-        while q % 2 == 0:
-            q //= 2
-            e += 1
-        z = self.pow(self._nonsquare, q)
-        x = self.pow(a, (q + 1) // 2)
-        b = self.pow(a, q)
-        r = e
-        while b != (1, 0):
-            m, t = 0, b
-            while t != (1, 0):
-                t = self.mul(t, t)
-                m += 1
-            c = z
-            for _ in range(r - m - 1):
-                c = self.mul(c, c)
-            x = self.mul(x, c)
-            z = self.mul(c, c)
-            b = self.mul(b, z)
-            r = m
-        return x
-
     def random(self, rng):
         return (rng.randrange(self.p), rng.randrange(self.p))
-
-    def random_nonsquare(self, rng):
-        while True:
-            a = self.random(rng)
-            if legendre(self.norm(a), self.p) == -1:
-                return a
 
 
 class QuadOrder:

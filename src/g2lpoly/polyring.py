@@ -153,42 +153,6 @@ def complete_square(f, h):
 _SIGN = {2: -1, 3: -1, 4: 1, 5: 1, 6: -1}  # (-1)^(d(d-1)/2)
 
 
-def _disc_closed(f):
-    d = deg(f)
-    if d == 2:
-        c, b, a = f
-        return b * b - 4 * a * c
-    if d == 3:
-        d0, c, b, a = f
-        return (
-            18 * a * b * c * d0
-            - 4 * b**3 * d0
-            + b * b * c * c
-            - 4 * a * c**3
-            - 27 * a * a * d0 * d0
-        )
-    # d == 4
-    e, d0, c, b, a = f
-    return (
-        256 * a**3 * e**3
-        - 192 * a * a * b * d0 * e * e
-        - 128 * a * a * c * c * e * e
-        + 144 * a * a * c * d0 * d0 * e
-        - 27 * a * a * d0**4
-        + 144 * a * b * b * c * e * e
-        - 6 * a * b * b * d0 * d0 * e
-        - 80 * a * b * c * c * d0 * e
-        + 18 * a * b * c * d0**3
-        + 16 * a * c**4 * e
-        - 4 * a * c**3 * d0 * d0
-        - 27 * b**4 * e * e
-        + 18 * b**3 * c * d0 * e
-        - 4 * b**3 * d0**3
-        - 4 * b * b * c**3 * e
-        + b * b * c * c * d0 * d0
-    )
-
-
 def _prem(a, b):
     """Pseudo-remainder of a by b over Z: the remainder of lc(b)^(deg a - deg b + 1) a."""
     a = list(a)
@@ -226,15 +190,14 @@ def _resultant(a, b):
 def disc(f):
     """Discriminant of an integer polynomial of degree 2..6.
 
-    Closed forms for degrees 2-4; for 5-6 the subresultant PRS of f and f',
-    whose exact divisions keep the coefficients near the size of Res(f, f').
-    Both carry the conventional sign (-1)^(d(d-1)/2) Res(f, f')/lc(f).
+    (-1)^(d(d-1)/2) Res(f, f')/lc(f), with the resultant from the
+    subresultant PRS of f and f', whose exact divisions keep the
+    coefficients near the size of Res(f, f').  The closed forms for degrees
+    2-4 live in field_disc.
     """
     d = deg(f)
     if d not in (2, 3, 4, 5, 6):
         raise DegreeError(f"discriminant needs degree 2..6, got {d}")
-    if d <= 4:
-        return _disc_closed(f)
     res = _resultant(f, poly_derivative(f))
     q, r = divmod(_SIGN[d] * res, f[-1])
     assert r == 0, "Res(f, f') is always divisible by lc(f)"

@@ -9,6 +9,7 @@ from g2lpoly import cli
 from g2lpoly.cli import parse_job_line, process_line, run_batch
 from g2lpoly.errors import (
     AmbiguousOrder,
+    BadWitness,
     FieldTooLarge,
     G2Error,
     HasseViolation,
@@ -93,6 +94,7 @@ def test_composite_modulus_is_named_not_run():
         (InexactDivision("x"), "ERR:inexact-division"),
         (FieldTooLarge("x"), "ERR:field-too-large"),
         (G2Error("x"), "ERR:error"),
+        (BadWitness("x"), "ERR:bad-witness"),
     ],
 )
 def test_every_exception_ends_in_a_token(monkeypatch, capsys, exc, token):
@@ -142,10 +144,15 @@ def test_parallel_matches_sequential():
     assert seq.getvalue() == par.getvalue()
 
 
-def test_nonsquare_flag_applies():
-    line = _worked_example_line()
-    assert process_line(line, nonsquare=2) == "5:[1,0,6,0,25]"
-    assert process_line(line, nonsquare=4) == "ERR:bad-witness"
+def test_seed_does_not_change_output(monkeypatch, capsys):
+    # the worked example is type 2a at p = 5 = 1 mod 4, so the square root
+    # that finds its two centres draws a nonsquare from the seeded stream
+    printed = []
+    for seed in ("1", "2"):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(_worked_example_line() + "\n"))
+        assert cli.main(["--seed", seed]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed == ["5:[1,0,6,0,25]\n"] * 2
 
 
 def test_console_entry_point():

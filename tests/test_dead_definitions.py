@@ -5,8 +5,10 @@ must have a user: a definition whose name is referenced nowhere in src/,
 tests/ or perfbench/ apart from the definition itself fails.  A reference
 is a name that is read, an attribute, an imported name, or a string
 constant equal to the name (the __all__ entries and the benchmark's tracing
-hooks).  And no module reads the environment, so that behaviour is set by
-arguments alone.
+hooks).  Every import in src/ must be used by its own module: read as a
+name or listed in __all__, unless its line says "# noqa: F401" (the names
+kept only for the benchmark's tracing hooks).  And no module reads the
+environment, so that behaviour is set by arguments alone.
 """
 
 import ast
@@ -46,6 +48,32 @@ def test_no_dead_module_level_definitions():
                 if refs[node.name] == own[node.name]:
                     dead.append(f"{path.name}:{node.lineno} {node.name}")
     assert not dead, "unreferenced definitions: " + ", ".join(dead)
+
+
+def _exported(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            yield from (elt.value for elt in node.value.elts)
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        lines = path.read_text().splitlines()
+        tree = ast.parse("\n".join(lines), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used.update(_exported(tree))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                waived = any("# noqa: F401" in lines[i - 1] for i in (node.lineno, alias.lineno))
+                if bound not in used and not waived:
+                    unused.append(f"{path.name}:{alias.lineno} {bound}")
+    assert not unused, "unused imports: " + ", ".join(unused)
 
 
 def test_no_environment_reads():

@@ -141,6 +141,50 @@ def test_fp2_sqrt_random():
             assert F.mul(r, r) == sq
 
 
+# (p, u0): Fp(p) when u0 is None, else Fp2(p, u0, 0) = F_p[z]/(z^2 + u0).
+# 2^e || q - 1 with e = 1 (10007), 9 (7681), 16 (65537) and 17 (65537^2,
+# where 3 is a primitive root, so z^2 - 3 is irreducible).
+@pytest.mark.parametrize(
+    "p, u0, e", [(10007, None, 1), (7681, None, 9), (65537, None, 16), (65537, -3, 17)]
+)
+def test_field_sqrt_and_nonsquare(p, u0, e):
+    def field():
+        return Fp(p) if u0 is None else Fp2(p, u0, 0)
+
+    F, rng = field(), random.Random(p + e)
+    assert (F.q - 1) % (1 << e) == 0 and (F.q - 1) >> e & 1
+    s = F.nonsquare(rng)
+    assert not F.is_square(s)
+    assert F.nonsquare() == s and F.nonsquare(random.Random(0)) == s
+    # squares of random elements, and of the powers of a generator of the
+    # 2-Sylow subgroup, which drive Tonelli-Shanks through every depth
+    g = F.pow(s, (F.q - 1) >> e)
+    xs = [F.random(rng) for _ in range(100)] + [F.pow(g, k) for k in range(1, 2 * e)]
+    for x in xs:
+        sq = F.mul(x, x)
+        r = F.sqrt(sq, rng)
+        assert F.mul(r, r) == sq
+        if not F.is_zero(x):
+            with pytest.raises(NonResidue):
+                F.sqrt(F.mul(s, sq), rng)
+    # a field with no nonsquare yet needs rng exactly when 4 | q - 1
+    sq = F.mul(xs[-1], xs[-1])
+    if F.q % 4 == 1:
+        with pytest.raises(BadWitness):
+            field().sqrt(sq)
+    else:
+        assert field().sqrt(sq) in (xs[-1], F.neg(xs[-1]))
+    if u0 is None:
+        # the integer API keeps the smaller root and demands its witness
+        for x in xs:
+            a = x * x % p
+            root = sqrt_mod_p(a, p, s)
+            assert root * root % p == a and root <= p - root
+        if p % 4 == 1:
+            with pytest.raises(BadWitness):
+                sqrt_mod_p(4, p)
+
+
 def test_order_reduce_fixes_residues():
     # elements of kappa already are representatives in O
     o = QuadOrder(2, 0, 5)

@@ -212,6 +212,8 @@ def test_disc_shift_invariance():
 
 
 def test_disc_closed_forms_match_resultant():
+    # degrees 2-4: the PRS in disc over Z and the closed forms in field_disc
+    # over F_p, both against the Sylvester determinant
     rng = random.Random(15)
     sign = {2: -1, 3: -1, 4: 1}
     for _ in range(60):
@@ -219,6 +221,9 @@ def test_disc_closed_forms_match_resultant():
         f = tuple(rng.randrange(-20, 21) for _ in range(d)) + (rng.randrange(1, 9),)
         res = sylvester_resultant(f, poly_derivative(f))
         assert disc(f) * f[-1] == sign[d] * res
+        p = rng.choice(SMALL_PRIMES)
+        if f[-1] % p:
+            assert field_disc(reduce_mod(f, p), Fp(p)) * f[-1] % p == sign[d] * res % p
 
 
 def _disc_reference(f):
