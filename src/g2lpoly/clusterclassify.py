@@ -9,6 +9,7 @@ decides which of the four types applies.
 
 import enum
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import (
     DegreeError,
@@ -66,9 +67,9 @@ def p_normalize(f, p: int) -> PNormalized:
     """Replace y^2 = f(x) by a Q-isomorphic p-normalized model.
 
     Quintics are first shifted off a root of f and reversed into sextics.
-    Valuation rebalancing then forces v_p(f6) = min_i v_p(f_i) <= 1, and a
-    recentering loop divides out the common p-adic root approximation until
-    the outer depth reaches zero.
+    Valuation rebalancing then forces v_p(f6) = min_i v_p(f_i) <= 1, and
+    recentre with k = 6 divides out the common p-adic root approximation
+    until the outer depth reaches zero.
     """
     f = trim(f)
     if deg(f) not in (5, 6):
@@ -116,18 +117,35 @@ def p_normalize(f, p: int) -> PNormalized:
     vdisc_h = vdisc + 30 * e - 10 * w - 10 * v
     F = Fp(p)
     iters = 0
-    while (a := power_root(reduce_mod(h, p), 6, F)) is not None:
-        iters += 1
-        try:
-            h = shift_scale(h, 1, a, 6, p)
-        except InexactDivision as exc:
-            raise NotAlmostGood(
-                "outer recentering is inexact; the splitting field ramifies"
-            ) from exc
+    if (a := power_root(reduce_mod(h, p), 6, F)) is not None:
+        # each step divides the nonzero discriminant by p^30, so an exact
+        # recentring ends after at most vdisc_h // 30 steps
+        h, _, iters = recentre(h, a, 6, F, partial(shift_scale, p=p),
+                               partial(reduce_mod, p=p), vdisc_h // 30)
     g = tuple(c * p**v for c in h)
-    # each recentering step divides the nonzero discriminant by p^30, so the
-    # loop ends after at most vdisc_h // 30 steps
     return PNormalized(g, p, v, vdisc_h - 30 * iters)
+
+
+def recentre(f, r, k: int, F, shift, reduce, max_iters: int):
+    """The recentring loop into a cluster of k roots with residue field F.
+
+    shift(f, r, k) is f(p*x + r) / p^k and reduce(f) its reduction to F[x],
+    which must keep the degree k of the cluster.  While the reduction is
+    lc (x - r')^k the loop goes on from the centre r'.  Returns
+    (f, reduction, steps) at the first reduction of another shape.
+    """
+    for steps in range(1, max_iters + 1):
+        try:
+            f = shift(f, r, k)
+        except InexactDivision as exc:
+            raise NotAlmostGood("recentring hit an inexact division") from exc
+        fbar = reduce(f)
+        if deg(fbar) != k:
+            raise NotAlmostGood(f"recentring lost the degree {k} of its cluster")
+        r = power_root(fbar, k, F)
+        if r is None:
+            return f, fbar, steps
+    raise NotAlmostGood(f"descent exceeded {max_iters} iterations")
 
 
 @dataclass(frozen=True)

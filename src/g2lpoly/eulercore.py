@@ -10,9 +10,9 @@ import random
 from dataclasses import dataclass
 from functools import partial
 
-from .clusterclassify import Classification, ClusterType, classify, p_normalize
+from .clusterclassify import Classification, ClusterType, classify, p_normalize, recentre
 from .clusterclassify import which_type  # noqa: F401  only a hook target for perfbench/tracing.py
-from .errors import HasseViolation, InexactDivision, NotAlmostGood
+from .errors import HasseViolation, NotAlmostGood
 from .genus1 import Genus1Model, lpoly1
 from .modarith import Fp, QuadOrder
 from .polyring import disc  # noqa: F401  only a hook target for perfbench/tracing.py
@@ -23,13 +23,13 @@ from .polyring import (
     fp_divmod,
     fp_gcd_k,
     fp_mul,
-    fp_taylor_shift,
     order_embed,
     order_reduce,
     order_shift_scale,
     power_root,
     reduce_mod,
     shift_scale,
+    taylor_shift,
     trim,
 )
 
@@ -92,35 +92,19 @@ def _root(u, p: int) -> int:
     return (p - u[0]) % p
 
 
-def _descend_step(f, r: int, k: int, p: int):
-    """One level down: f(p*x + r) / p^k and its reduction mod p, which must
-    keep the degree k of the cluster being followed."""
-    try:
-        f = shift_scale(f, 1, r, k, p)
-    except InexactDivision as exc:
-        raise NotAlmostGood("cluster descent hit an inexact division") from exc
-    fbar = reduce_mod(f, p)
-    if deg(fbar) != k:
-        raise NotAlmostGood(f"descent lost the degree {k} of its cluster")
-    return f, fbar
+def _over_z(p: int):
+    """The shift and the reduction of a recentring over Z at p."""
+    return partial(shift_scale, p=p), partial(reduce_mod, p=p)
 
 
-def _descend(f, r, F, step, max_iters: int):
-    """The recentering loop into a triple cluster with residue field F.
-
-    step(f, r) goes one level down: x -> p*x + r, division by p^3, and the
-    reduction to a cubic over F.  The loop stops when that cubic is
-    separable; otherwise it must be lc (x - r')^3, and r' is the next
-    center.  Returns (cubic over F, iterations).
+def _descend(f, r, F, shift, reduce, max_iters: int):
+    """Recentre into a triple cluster until the reduced cubic over F is not
+    a cube; that cubic must then be separable.  Returns (cubic, iterations).
     """
-    for i in range(1, max_iters + 1):
-        f, gbar = step(f, r)
-        if not F.is_zero(field_disc(gbar, F)):
-            return gbar, i
-        r = power_root(gbar, 3, F)
-        if r is None:
-            raise NotAlmostGood("inseparable cubic without a triple root")
-    raise NotAlmostGood(f"descent exceeded {max_iters} iterations")
+    _, gbar, iters = recentre(f, r, 3, F, shift, reduce, max_iters)
+    if F.is_zero(field_disc(gbar, F)):
+        raise NotAlmostGood("inseparable cubic without a triple root")
+    return gbar, iters
 
 
 def _lp2_over_fp(F: Fp, rng, g1, g2) -> LPoly2:
@@ -139,9 +123,8 @@ def euler_type1(c: Classification, rng, max_iters: int):
     """
     p, F = c.nf.p, Fp(c.nf.p)
     r = _root(c.kernel, p)
-    step = partial(_descend_step, k=3, p=p)
-    g2bar, iters = _descend(c.ftilde, r, F, step, max_iters)
-    quartic = fp_taylor_shift(c.fbar, r, p)[2:]  # x * (cofactor of the triple root)
+    g2bar, iters = _descend(c.ftilde, r, F, *_over_z(p), max_iters)
+    quartic = reduce_mod(taylor_shift(c.fbar, r), p)[2:]  # x * (cofactor of the triple root)
     lp = _lp2_over_fp(F, rng, quartic, g2bar)
     return lp, RunStats(ClusterType.T1, (iters,), c.nf.v)
 
@@ -155,38 +138,26 @@ def euler_type2a(c: Classification, rng, max_iters: int):
     inv2 = (p + 1) // 2
     # smaller center first; the product is symmetric
     r1, r2 = sorted(((-u[1] + root) * inv2 % p, (-u[1] - root) * inv2 % p))
-    step = partial(_descend_step, k=3, p=p)
-    g1bar, it1 = _descend(c.ftilde, r1, F, step, max_iters)
-    g2bar, it2 = _descend(c.ftilde, r2, F, step, max_iters)
+    z = _over_z(p)
+    g1bar, it1 = _descend(c.ftilde, r1, F, *z, max_iters)
+    g2bar, it2 = _descend(c.ftilde, r2, F, *z, max_iters)
     lp = _lp2_over_fp(F, rng, g1bar, g2bar)
     return lp, RunStats(ClusterType.T2A, (it1, it2), c.nf.v)
 
 
-def euler_type2b(c: Classification, rng, max_iters: int, use_conjugate: bool = False):
+def euler_type2b(c: Classification, rng, max_iters: int):
     """Type 2b: Frobenius-conjugate triple clusters.
 
     The descent runs over the order Z[z]/(u) with u the canonical lift of the
-    irreducible quadratic kernel, starting from the center z (or its
-    conjugate; both give the same answer).  The single curve lives over
-    F_{p^2} and contributes 1 - a T^2 + p^2 T^4.
+    irreducible quadratic kernel, starting from the center z.  The single
+    curve lives over F_{p^2} and contributes 1 - a T^2 + p^2 T^4.
     """
     p, u = c.nf.p, c.kernel
     order = QuadOrder(u[0], u[1], p)
-    kappa = order.kappa
-
-    def step(fhat, r):
-        try:
-            fhat = order_shift_scale(fhat, r, 3, order)
-        except InexactDivision as exc:
-            raise NotAlmostGood("cluster descent hit an inexact division") from exc
-        gbar = order_reduce(fhat, order)
-        if len(gbar) - 1 != 3:
-            raise NotAlmostGood("descent lost the degree 3 of its cluster")
-        return fhat, gbar
-
-    r = kappa.frobenius(kappa.gen) if use_conjugate else order.gen
-    gbar, iters = _descend(order_embed(c.ftilde, order), r, kappa, step, max_iters)
-    t = lpoly1(Genus1Model(kappa, gbar), rng).a
+    gbar, iters = _descend(order_embed(c.ftilde, order), order.gen, order.kappa,
+                           partial(order_shift_scale, order=order),
+                           partial(order_reduce, order=order), max_iters)
+    t = lpoly1(Genus1Model(order.kappa, gbar), rng).a
     # L(E/F_{p^2}, T^2) = 1 - t T^2 + p^2 T^4
     return LPoly2(0, -t, p), RunStats(ClusterType.T2B, (iters,), c.nf.v)
 
@@ -194,29 +165,22 @@ def euler_type2b(c: Classification, rng, max_iters: int, use_conjugate: bool = F
 def euler_type4(c: Classification, rng, max_iters: int):
     """Type 4: nested clusters under a quintuple root.
 
-    The outer loop divides by p^5 while the reduction keeps the five inner
-    roots together as lc (x - r)^5; once only a triple cluster remains, its
-    separable cofactor is the first curve and an ordinary depth-3 descent
-    finds the second.
+    The outer recentring divides by p^5 while the reduction keeps the five
+    inner roots together as lc (x - r)^5; once only a triple cluster
+    remains, its separable cofactor is the first curve and an ordinary
+    depth-3 descent finds the second.
     """
     p, F = c.nf.p, Fp(c.nf.p)
-    ftilde, fbar = c.ftilde, c.fbar
+    z = _over_z(p)
     r = power_root(c.kernel, 3, F)  # the kernel of (x - r)^5 (x - s) is (x - r)^3
-    outer = 0
-    while r is not None:
-        if outer == max_iters:
-            raise NotAlmostGood(f"descent exceeded {max_iters} iterations")
-        outer += 1
-        ftilde, fbar = _descend_step(ftilde, r, 5, p)
-        r = power_root(fbar, 5, F)
+    ftilde, fbar, outer = recentre(c.ftilde, r, 5, F, *z, max_iters)
     g3 = fp_gcd_k(fbar, 3, p)
     if deg(g3) != 1:
         raise NotAlmostGood(f"type 4 kernel of degree {deg(g3)}")
     cubic = fp_divmod(fbar, fp_mul(g3, g3, p), p)[0]
     if field_disc(cubic, F) == 0:
         raise NotAlmostGood("type 4 cubic is singular")
-    step = partial(_descend_step, k=3, p=p)
-    g2bar, inner = _descend(ftilde, _root(g3, p), F, step, max_iters)
+    g2bar, inner = _descend(ftilde, _root(g3, p), F, *z, max_iters)
     lp = _lp2_over_fp(F, rng, cubic, g2bar)
     return lp, RunStats(ClusterType.T4, (outer, inner), c.nf.v)
 

@@ -8,7 +8,7 @@ F_{p^2} and over an order the coefficients are (c0, c1) pairs.
 from itertools import product as _cartesian
 from math import comb
 
-from .errors import DegreeError, InexactDivision, NotSquarefree
+from .errors import DegreeError, InexactDivision
 from .modarith import Fp2, QuadOrder
 
 # ---------------------------------------------------------------------------
@@ -111,13 +111,10 @@ def poly_divide_exact_pk(f, p: int, k: int):
     return trim(out)
 
 
-def shift_scale(f, e: int, r: int, k: int, p: int):
-    """f(p^e x + r) / p^k, with the division verified coefficient-wise."""
+def shift_scale(f, r: int, k: int, p: int):
+    """f(p x + r) / p^k, with the division verified coefficient-wise."""
     g = taylor_shift(f, r) if r else tuple(f)
-    if e:
-        pe = p**e
-        g = tuple(c * pe**i for i, c in enumerate(g))
-    return poly_divide_exact_pk(g, p, k)
+    return poly_divide_exact_pk(tuple(c * p**i for i, c in enumerate(g)), p, k)
 
 
 def reduce_mod(f, p: int):
@@ -136,14 +133,10 @@ def complete_square(f, h):
     """4f + h^2: the curve y^2 + h(x)y = f(x) rewritten as Y^2 = 4f + h^2.
 
     Away from 2 the two models are isomorphic, so every odd-p Euler factor
-    is preserved.  The result must be a squarefree sextic or quintic.
+    is preserved.  p_normalize rejects a result that is not a squarefree
+    sextic or quintic.
     """
-    F = poly_add(poly_scale(f, 4), poly_mul(h, h))
-    if deg(F) not in (5, 6):
-        raise DegreeError(f"4f + h^2 has degree {deg(F)}, need 5 or 6")
-    if disc(F) == 0:
-        raise NotSquarefree("4f + h^2 has a repeated root")
-    return F
+    return poly_add(poly_scale(f, 4), poly_mul(h, h))
 
 
 # ---------------------------------------------------------------------------
@@ -281,16 +274,6 @@ def fp_gcd(f, g, p):
     while g:
         f, g = g, fp_divmod(f, g, p)[1]
     return fp_monic(f, p)
-
-
-def fp_taylor_shift(f, r, p):
-    """f(x + r) over F_p, as taylor_shift."""
-    c = list(fp_trim(f, p))
-    n = len(c)
-    for i in range(n - 1):
-        for j in range(n - 2, i - 1, -1):
-            c[j] = (c[j] + r * c[j + 1]) % p
-    return tuple(c)
 
 
 def _fp_irreducibles(d, p):

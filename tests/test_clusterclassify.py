@@ -1,18 +1,23 @@
 import random
+from functools import partial
 
 import pytest
 
 from g2lpoly import clusterclassify, eulercore
-from g2lpoly.clusterclassify import ClusterType, classify, p_normalize, which_type
+from g2lpoly.clusterclassify import ClusterType, classify, p_normalize, recentre, which_type
 from g2lpoly.errors import GoodReduction, NotAlmostGood, NotSquarefree
 from g2lpoly.eulercore import EulerInput, euler_factor_with_stats
+from g2lpoly.modarith import Fp
 from g2lpoly.oracle import perturb, random_instance
 from g2lpoly.polyring import (
+    deg,
     disc,
     fp_gcd_k,
     poly_mul,
     poly_scale,
+    power_root,
     reduce_mod,
+    shift_scale,
     taylor_shift,
     trim,
     vp,
@@ -95,6 +100,50 @@ def test_normalize_ramified_input_rejected():
     # x^6 + p is squarefree but its roots generate a ramified extension
     with pytest.raises(NotAlmostGood):
         p_normalize((7, 0, 0, 0, 0, 0, 1), 7)
+
+
+# ------------------------------------------------------------------- recentre
+
+
+def _planted_cluster(k, p, n, c, tail, rng):
+    """k roots c + p^n a_i, with the a_i not all equal mod p, times the given
+    outer roots (none congruent to c mod p): a cluster of depth n around c."""
+    a = [0, 1] + [rng.randrange(p) for _ in range(k - 2)]
+    return _product([(-(c + p**n * ai), 1) for ai in a] + [(-s, 1) for s in tail]), a
+
+
+def test_recentre_follows_planted_clusters_to_their_depth():
+    rng = random.Random(27)
+    for p in (3, 5, 7):  # p = 3 with k in {3, 6} and p = 5 with k = 5 take the Frobenius root
+        F = Fp(p)
+        shift, reduce = partial(shift_scale, p=p), partial(reduce_mod, p=p)
+        for k in (3, 5, 6):
+            for n in (1, 2, 3):
+                c = rng.randrange(-p**4, p**4)
+                tail = [c + rng.randrange(1, p) + p * rng.randrange(-9, 10) for _ in range(6 - k)]
+                f, a = _planted_cluster(k, p, n, c, tail, rng)
+                g, gbar, steps = recentre(f, c % p, k, F, shift, reduce, n)
+                assert steps == n
+                # n steps substitute x -> p^n x + R with R = c mod p^n
+                R = c % p**n
+                cn = (c - R) // p**n
+                assert g == _product([(-(cn + ai), 1) for ai in a]
+                                     + [(R - s, p**n) for s in tail])
+                assert gbar == reduce_mod(g, p) and deg(gbar) == k
+                assert power_root(gbar, k, F) is None
+                with pytest.raises(NotAlmostGood, match="descent exceeded"):
+                    recentre(f, c % p, k, F, shift, reduce, n - 1)
+
+
+def test_recentre_inexact_step_rejected():
+    # (x - c)^k - p: an Eisenstein cluster whose roots ramify
+    for p in (3, 5, 7):
+        for k in (3, 5, 6):
+            c = 2 * p + 1
+            f = taylor_shift((-p,) + (0,) * (k - 1) + (1,), -c)
+            with pytest.raises(NotAlmostGood, match="inexact"):
+                recentre(f, c % p, k, Fp(p), partial(shift_scale, p=p),
+                         partial(reduce_mod, p=p), 5)
 
 
 # ----------------------------------------------------------------- which_type

@@ -9,10 +9,8 @@ from g2lpoly.eulercore import (
     LPoly2,
     euler_factor,
     euler_factor_with_stats,
-    euler_type2b,
     validate_lpoly2,
 )
-from g2lpoly.clusterclassify import classify, p_normalize
 from g2lpoly.modarith import QuadOrder
 from g2lpoly.oracle import (
     gen_type1,
@@ -137,18 +135,6 @@ def test_type2b_output_shape():
         assert lp == inst.expected
 
 
-def test_type2b_conjugate_start_same_output():
-    rng = random.Random(55)
-    for _ in range(10):
-        p = rng.choice(SMALL_PRIMES)
-        inst = gen_type2b(p, rng.randrange(1, 5), rng, compute_expected=False)
-        nf = p_normalize(inst.f, p)
-        c = classify(nf)
-        lp_a, _ = euler_type2b(c, rng, nf.vdisc + 1)
-        lp_b, _ = euler_type2b(c, rng, nf.vdisc + 1, use_conjugate=True)
-        assert lp_a == lp_b
-
-
 def test_good_reduction_passthrough():
     f = _product([(-i, 1) for i in range(6)])
     with pytest.raises(GoodReduction):
@@ -197,6 +183,20 @@ def test_model_change_h_to_completed_square():
         assert complete_square(f, h) == poly_scale(inst.f, 4)
         via_h = euler_factor(EulerInput(f, p, h=h), rng)
         assert via_h == inst.expected
+
+
+def test_h_line_computes_one_discriminant(monkeypatch):
+    # the worked example as y^2 + 2y = f - 1: completing the square gives 4f,
+    # and only p_normalize takes the integer discriminant
+    from g2lpoly import clusterclassify, polyring
+
+    calls = []
+    for module in (polyring, clusterclassify):
+        monkeypatch.setattr(module, "disc", lambda f, d=module.disc: calls.append(f) or d(f))
+    f = _worked_example_curve()
+    lp = euler_factor(EulerInput((f[0] - 1,) + f[1:], 5, h=(2,)), random.Random(0))
+    assert lp.coefficients() == (1, 0, 6, 0, 25)
+    assert len(calls) == 1
 
 
 def test_square_scaling_of_model():
