@@ -1,0 +1,88 @@
+"""Compare euler_factor outcomes between this tree and another checkout.
+
+    python3 scripts/differential.py --checkout ../parent-clone
+
+Draws tests/test_golden.golden_inputs(seed, 600) for seeds 1-6 (3,600
+inputs) and runs euler_factor_with_stats on each, in both trees: each tree
+runs in its own interpreter with its own src/ and tests/ on the path.  Per
+input it compares the input itself, then the coefficients, cluster type,
+loop_iters and normalize_v, or the class of the exception raised.  Prints
+the first mismatch and the number of mismatches; exits 1 if there are any.
+"""
+
+import argparse
+import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SEEDS = range(1, 7)
+COUNT = 600
+
+
+def outcomes():
+    """(input, outcome) for every input, from the g2lpoly on sys.path."""
+    from g2lpoly.eulercore import EulerInput, euler_factor_with_stats
+    from test_golden import golden_inputs
+
+    out = []
+    for seed in SEEDS:
+        for i, case in enumerate(golden_inputs(seed, COUNT)):
+            inp = EulerInput(tuple(case["f"]), case["p"],
+                             h=None if case["h"] is None else tuple(case["h"]),
+                             max_iters=case["max_iters"])
+            try:
+                lp, stats = euler_factor_with_stats(inp, random.Random(i))
+            except Exception as exc:  # the exception class is part of the outcome
+                got = {"exc": type(exc).__name__}
+            else:
+                got = {"lp": list(lp.coefficients()), "type": stats.cluster_type.value,
+                       "loop_iters": list(stats.loop_iters),
+                       "normalize_v": stats.normalize_v}
+            out.append((dict(case, seed=seed), got))
+    return out
+
+
+def run_tree(tree: Path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tree / "src"), str(tree / "tests")]))
+    res = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--child", str(tree)],
+                         cwd=tree, env=env, capture_output=True, text=True)
+    if res.returncode:
+        sys.exit(f"differential: the run in {tree} failed:\n{res.stderr}")
+    return json.loads(res.stdout)
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--checkout", type=Path,
+                    help="the other tree, e.g. a clone of the parent commit")
+    ap.add_argument("--child", type=Path, help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.child:
+        import g2lpoly
+
+        if Path(g2lpoly.__file__).resolve().parent != args.child.resolve() / "src" / "g2lpoly":
+            sys.exit(f"differential: imported g2lpoly from {g2lpoly.__file__}")
+        json.dump(outcomes(), sys.stdout)
+        return 0
+    if args.checkout is None:
+        ap.error("--checkout is required")
+    here, there = run_tree(ROOT), run_tree(args.checkout.resolve())
+    if len(here) != len(there):
+        print(f"differential: {len(here)} inputs here, {len(there)} in {args.checkout}")
+        return 1
+    mismatches = [(a, b) for a, b in zip(here, there) if a != b]
+    if mismatches:
+        (case, got), (case_there, want) = mismatches[0]
+        print(f"first mismatch: {json.dumps(case)}\n  here:  {json.dumps(got)}\n"
+              f"  there: {json.dumps(want)}"
+              + ("" if case == case_there else f"\n  input there: {json.dumps(case_there)}"))
+    print(f"{len(mismatches)} mismatches in {len(here)} inputs")
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

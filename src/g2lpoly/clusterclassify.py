@@ -9,7 +9,6 @@ decides which of the four types applies.
 
 import enum
 from dataclasses import dataclass
-from functools import partial
 
 from .errors import (
     DegreeError,
@@ -18,7 +17,7 @@ from .errors import (
     NotAlmostGood,
     NotSquarefree,
 )
-from .modarith import Fp, check_odd_prime_modulus, legendre
+from .modarith import Fp, Integers, check_odd_prime_modulus, legendre
 from .polyring import (
     deg,
     disc,
@@ -28,10 +27,10 @@ from .polyring import (
     fp_is_squarefree,
     fp_mul,
     min_vp,
-    poly_divide_exact_pk,
     poly_eval,
     power_root,
     reduce_mod,
+    reduce_poly,
     reverse6,
     shift_scale,
     taylor_shift,
@@ -49,18 +48,19 @@ class ClusterType(enum.Enum):
 
 @dataclass(frozen=True)
 class PNormalized:
-    """A p-normalized sextic model, with v = v_p of its leading coefficient
-    and vdisc = v_p(disc) of the unit-leading part ftilde(); vdisc + 1 is
-    the default iteration cap of the cluster descents."""
+    """A p-normalized sextic model f = p^v ftilde, kept as its unit-leading
+    part ftilde, with vdisc = v_p(disc(ftilde)); vdisc + 1 is the default
+    iteration cap of the cluster descents."""
 
-    f: tuple
+    ftilde: tuple
     p: int
     v: int
     vdisc: int
 
-    def ftilde(self):
-        """The unit-leading part p^(-v) f."""
-        return poly_divide_exact_pk(self.f, self.p, self.v)
+    @property
+    def f(self):
+        """The model p^v ftilde."""
+        return tuple(c * self.p**self.v for c in self.ftilde)
 
 
 def p_normalize(f, p: int) -> PNormalized:
@@ -89,6 +89,7 @@ def p_normalize(f, p: int) -> PNormalized:
         raise NotSquarefree("discriminant vanishes")
     vdisc = vp(d_f, p)
 
+    Z = Integers(p)
     v = vp(f[6], p)
     e = 0
     w = 0
@@ -100,49 +101,39 @@ def p_normalize(f, p: int) -> PNormalized:
         scaled = []
         for i, c in enumerate(f):
             k = 6 * e - w - i * e
-            if c == 0:
-                scaled.append(0)
-            elif k >= 0:
-                scaled.append(c * p**k)
-            else:
-                q, r = divmod(c, p ** (-k))
-                if r:
-                    raise InexactDivision("rebalancing produced a non-integer")
-                scaled.append(q)
+            scaled.append(c * p**k if k >= 0 else Z.exact_div_pk(c, -k))
         f = trim(scaled)
         v = vp(f[6], p)
 
-    h = poly_divide_exact_pk(f, p, v)
+    h = tuple(Z.exact_div_pk(c, v) for c in f)
     # v_p(disc) tracks the rescalings exactly: disc(p^a f(x/p^e)) = p^(10a+30e) disc(f)
     vdisc_h = vdisc + 30 * e - 10 * w - 10 * v
-    F = Fp(p)
     iters = 0
-    if (a := power_root(reduce_mod(h, p), 6, F)) is not None:
+    if (a := power_root(reduce_mod(h, p), 6, Z.kappa)) is not None:
         # each step divides the nonzero discriminant by p^30, so an exact
         # recentring ends after at most vdisc_h // 30 steps
-        h, _, iters = recentre(h, a, 6, F, partial(shift_scale, p=p),
-                               partial(reduce_mod, p=p), vdisc_h // 30)
-    g = tuple(c * p**v for c in h)
-    return PNormalized(g, p, v, vdisc_h - 30 * iters)
+        h, _, iters = recentre(h, a, 6, Z, vdisc_h // 30)
+    return PNormalized(h, p, v, vdisc_h - 30 * iters)
 
 
-def recentre(f, r, k: int, F, shift, reduce, max_iters: int):
-    """The recentring loop into a cluster of k roots with residue field F.
+def recentre(f, r, k: int, R, max_iters: int):
+    """The recentring loop into a cluster of k roots, over the residue ring R
+    (Integers(p) or a QuadOrder) with residue field R.kappa.
 
-    shift(f, r, k) is f(p*x + r) / p^k and reduce(f) its reduction to F[x],
-    which must keep the degree k of the cluster.  While the reduction is
-    lc (x - r')^k the loop goes on from the centre r'.  Returns
-    (f, reduction, steps) at the first reduction of another shape.
+    Each step is f -> f(p*x + r) / p^k, whose reduction to kappa[x] must
+    keep the degree k of the cluster.  While the reduction is lc (x - r')^k
+    the loop goes on from the centre r'.  Returns (f, reduction, steps) at
+    the first reduction of another shape.
     """
     for steps in range(1, max_iters + 1):
         try:
-            f = shift(f, r, k)
+            f = shift_scale(f, r, k, R)
         except InexactDivision as exc:
             raise NotAlmostGood("recentring hit an inexact division") from exc
-        fbar = reduce(f)
+        fbar = reduce_poly(f, R)
         if deg(fbar) != k:
             raise NotAlmostGood(f"recentring lost the degree {k} of its cluster")
-        r = power_root(fbar, k, F)
+        r = power_root(fbar, k, R.kappa)
         if r is None:
             return f, fbar, steps
     raise NotAlmostGood(f"descent exceeded {max_iters} iterations")
@@ -150,13 +141,12 @@ def recentre(f, r, k: int, F, shift, reduce, max_iters: int):
 
 @dataclass(frozen=True)
 class Classification:
-    """One reading of a p-normalized model mod p: its type, the unit-leading
-    part ftilde, the reduction fbar of ftilde, and kernel = gcd_3(fbar),
-    monic.  The handlers start their descents from these."""
+    """One reading of a p-normalized model mod p: its type, the reduction
+    fbar of nf.ftilde, and kernel = gcd_3(fbar), monic.  The handlers start
+    their descents from these."""
 
     nf: PNormalized
     type: ClusterType
-    ftilde: tuple
     fbar: tuple
     kernel: tuple
 
@@ -173,8 +163,7 @@ def classify(nf: PNormalized) -> Classification:
     has degree at most 3.
     """
     p = nf.p
-    ftilde = nf.ftilde()
-    fbar = reduce_mod(ftilde, p)
+    fbar = reduce_mod(nf.ftilde, p)
     g = fp_gcd_k(fbar, 3, p)
     d = deg(g)
     if d == 0:
@@ -196,7 +185,7 @@ def classify(nf: PNormalized) -> Classification:
     else:
         # on a sextic, deg gcd_3 = 3 forces the pattern (x - r)^5 (x - s)
         typ = ClusterType.T4
-    return Classification(nf, typ, ftilde, fbar, g)
+    return Classification(nf, typ, fbar, g)
 
 
 def which_type(nf: PNormalized) -> ClusterType:

@@ -8,14 +8,13 @@ separable; the genus 1 factors found there multiply out to the answer.
 
 import random
 from dataclasses import dataclass
-from functools import partial
 
 from .clusterclassify import Classification, ClusterType, classify, p_normalize, recentre
 from .clusterclassify import which_type  # noqa: F401  only a hook target for perfbench/tracing.py
 from .errors import HasseViolation, NotAlmostGood
 from .genus1 import Genus1Model, lpoly1
-from .modarith import Fp, QuadOrder
-from .polyring import disc  # noqa: F401  only a hook target for perfbench/tracing.py
+from .modarith import Integers, QuadOrder
+from .polyring import disc, shift_scale  # noqa: F401  only hook targets for perfbench/tracing.py
 from .polyring import (
     complete_square,
     deg,
@@ -23,12 +22,8 @@ from .polyring import (
     fp_divmod,
     fp_gcd_k,
     fp_mul,
-    order_embed,
-    order_reduce,
-    order_shift_scale,
     power_root,
     reduce_mod,
-    shift_scale,
     taylor_shift,
     trim,
 )
@@ -92,22 +87,19 @@ def _root(u, p: int) -> int:
     return (p - u[0]) % p
 
 
-def _over_z(p: int):
-    """The shift and the reduction of a recentring over Z at p."""
-    return partial(shift_scale, p=p), partial(reduce_mod, p=p)
-
-
-def _descend(f, r, F, shift, reduce, max_iters: int):
-    """Recentre into a triple cluster until the reduced cubic over F is not
-    a cube; that cubic must then be separable.  Returns (cubic, iterations).
+def _descend(f, r, R, max_iters: int):
+    """Recentre over the residue ring R into a triple cluster until the
+    reduced cubic over R.kappa is not a cube; that cubic must then be
+    separable.  Returns (cubic, iterations).
     """
-    _, gbar, iters = recentre(f, r, 3, F, shift, reduce, max_iters)
+    _, gbar, iters = recentre(f, r, 3, R, max_iters)
+    F = R.kappa
     if F.is_zero(field_disc(gbar, F)):
         raise NotAlmostGood("inseparable cubic without a triple root")
     return gbar, iters
 
 
-def _lp2_over_fp(F: Fp, rng, g1, g2) -> LPoly2:
+def _lp2_over_fp(F, rng, g1, g2) -> LPoly2:
     """Count the genus 1 curves y^2 = g1 and y^2 = g2 over F_p and multiply
     their factors."""
     t1 = lpoly1(Genus1Model(F, g1), rng).a
@@ -118,29 +110,31 @@ def _lp2_over_fp(F: Fp, rng, g1, g2) -> LPoly2:
 def euler_type1(c: Classification, rng, max_iters: int):
     """Type 1: one loose triple cluster.
 
-    The separable quartic part of f mod p gives the first curve; the descent
+    With f mod p = (x - r)^3 u(x), the first curve is y^2 = (x - r) u(x),
+    taken as the cubic x^3 u(1/x + r) that sends r to infinity; the descent
     into the depth-n cluster gives the second.
     """
-    p, F = c.nf.p, Fp(c.nf.p)
+    p, Z = c.nf.p, Integers(c.nf.p)
     r = _root(c.kernel, p)
-    g2bar, iters = _descend(c.ftilde, r, F, *_over_z(p), max_iters)
-    quartic = reduce_mod(taylor_shift(c.fbar, r), p)[2:]  # x * (cofactor of the triple root)
-    lp = _lp2_over_fp(F, rng, quartic, g2bar)
+    g2bar, iters = _descend(c.nf.ftilde, r, Z, max_iters)
+    # fbar(x + r) = x^3 u(x + r); the cubic is the reversal of u(x + r)
+    cubic = tuple(reversed(reduce_mod(taylor_shift(c.fbar, r), p)[3:]))
+    lp = _lp2_over_fp(Z.kappa, rng, cubic, g2bar)
     return lp, RunStats(ClusterType.T1, (iters,), c.nf.v)
 
 
 def euler_type2a(c: Classification, rng, max_iters: int):
     """Type 2a: two rational triple clusters, centers from the quadratic
     formula."""
-    p, F = c.nf.p, Fp(c.nf.p)
+    p, Z = c.nf.p, Integers(c.nf.p)
+    F = Z.kappa
     u = c.kernel  # monic, split over F_p
     root = F.sqrt(field_disc(u, F), rng)
     inv2 = (p + 1) // 2
     # smaller center first; the product is symmetric
     r1, r2 = sorted(((-u[1] + root) * inv2 % p, (-u[1] - root) * inv2 % p))
-    z = _over_z(p)
-    g1bar, it1 = _descend(c.ftilde, r1, F, *z, max_iters)
-    g2bar, it2 = _descend(c.ftilde, r2, F, *z, max_iters)
+    g1bar, it1 = _descend(c.nf.ftilde, r1, Z, max_iters)
+    g2bar, it2 = _descend(c.nf.ftilde, r2, Z, max_iters)
     lp = _lp2_over_fp(F, rng, g1bar, g2bar)
     return lp, RunStats(ClusterType.T2A, (it1, it2), c.nf.v)
 
@@ -154,9 +148,8 @@ def euler_type2b(c: Classification, rng, max_iters: int):
     """
     p, u = c.nf.p, c.kernel
     order = QuadOrder(u[0], u[1], p)
-    gbar, iters = _descend(order_embed(c.ftilde, order), order.gen, order.kappa,
-                           partial(order_shift_scale, order=order),
-                           partial(order_reduce, order=order), max_iters)
+    fo = tuple(order.from_int(a) for a in c.nf.ftilde)
+    gbar, iters = _descend(fo, order.gen, order, max_iters)
     t = lpoly1(Genus1Model(order.kappa, gbar), rng).a
     # L(E/F_{p^2}, T^2) = 1 - t T^2 + p^2 T^4
     return LPoly2(0, -t, p), RunStats(ClusterType.T2B, (iters,), c.nf.v)
@@ -170,17 +163,17 @@ def euler_type4(c: Classification, rng, max_iters: int):
     remains, its separable cofactor is the first curve and an ordinary
     depth-3 descent finds the second.
     """
-    p, F = c.nf.p, Fp(c.nf.p)
-    z = _over_z(p)
+    p, Z = c.nf.p, Integers(c.nf.p)
+    F = Z.kappa
     r = power_root(c.kernel, 3, F)  # the kernel of (x - r)^5 (x - s) is (x - r)^3
-    ftilde, fbar, outer = recentre(c.ftilde, r, 5, F, *z, max_iters)
+    ftilde, fbar, outer = recentre(c.nf.ftilde, r, 5, Z, max_iters)
     g3 = fp_gcd_k(fbar, 3, p)
     if deg(g3) != 1:
         raise NotAlmostGood(f"type 4 kernel of degree {deg(g3)}")
     cubic = fp_divmod(fbar, fp_mul(g3, g3, p), p)[0]
     if field_disc(cubic, F) == 0:
         raise NotAlmostGood("type 4 cubic is singular")
-    g2bar, inner = _descend(ftilde, _root(g3, p), F, *z, max_iters)
+    g2bar, inner = _descend(ftilde, _root(g3, p), Z, max_iters)
     lp = _lp2_over_fp(F, rng, cubic, g2bar)
     return lp, RunStats(ClusterType.T4, (outer, inner), c.nf.v)
 

@@ -4,10 +4,17 @@ Elements of F_p are plain ints reduced to [0, p), with the modulus carried
 alongside.  Elements of the quadratic extension and of the order are (c0, c1)
 pairs of ints giving coordinates with respect to the basis {1, z}.
 
+Integers(p) and QuadOrder are the residue rings R of the descents, with
+residue field R.kappa = R/pR.  Their one interface (p, kappa, zero, add,
+mul, smul, exact_div_pk, reduce) lets one shift-and-scale and one
+recentring loop serve both.
+
 Fp and Fp2 share one square test (chi_p of the norm), one Tonelli-Shanks
 square root, and a nonsquare drawn once per field object and kept.
 legendre, sqrt_mod_p and find_nonsquare are the same tools on plain ints.
 """
+
+import operator
 
 from .errors import BadWitness, InexactDivision, NonResidue, NotOddPrime
 
@@ -342,6 +349,35 @@ class Fp2(_SquareRoots):
         return (rng.randrange(self.p), rng.randrange(self.p))
 
 
+class Integers:
+    """The ring Z with the prime p singled out, residue field kappa = F_p.
+
+    Elements are plain ints; the interface is QuadOrder's.
+    """
+
+    __slots__ = ("p", "kappa")
+    zero = 0
+    # the builtin operators, as shift_scale's inner loop calls them
+    add = staticmethod(operator.add)
+    mul = staticmethod(operator.mul)
+    smul = staticmethod(operator.mul)
+
+    def __init__(self, p: int):
+        self.kappa = Fp(p)  # validates the modulus
+        self.p = p
+
+    def exact_div_pk(self, a, k: int):
+        """Divide by p^k, insisting the division is exact."""
+        q, r = divmod(a, self.p**k)
+        if r:
+            raise InexactDivision(f"{a} is not divisible by {self.p}^{k}")
+        return q
+
+    def reduce(self, a):
+        """The reduction map onto kappa = Z/pZ."""
+        return a % self.p
+
+
 class QuadOrder:
     """The ring O = Z[z]/(z^2 + u1*z + u0), with residue field F_{p^2}.
 
@@ -366,10 +402,6 @@ class QuadOrder:
         return (0, 0)
 
     @property
-    def one(self):
-        return (1, 0)
-
-    @property
     def gen(self):
         return (0, 1)
 
@@ -378,9 +410,6 @@ class QuadOrder:
 
     def add(self, a, b):
         return (a[0] + b[0], a[1] + b[1])
-
-    def sub(self, a, b):
-        return (a[0] - b[0], a[1] - b[1])
 
     def neg(self, a):
         return (-a[0], -a[1])

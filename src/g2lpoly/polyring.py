@@ -3,12 +3,16 @@
 Polynomials are little-endian coefficient tuples with no trailing zeros:
 index i holds the coefficient of x^i, and the zero polynomial is ().  Over
 F_{p^2} and over an order the coefficients are (c0, c1) pairs.
+
+The descent step f(p x + r) / p^k (shift_scale) and the reduction to the
+residue field (reduce_poly) are written once, over a residue ring R from
+modarith: Integers(p) for Z, a QuadOrder for the unramified quadratic order.
 """
 
 from itertools import product as _cartesian
 from math import comb
 
-from .errors import DegreeError, InexactDivision
+from .errors import DegreeError
 from .modarith import Fp2, QuadOrder
 
 # ---------------------------------------------------------------------------
@@ -95,26 +99,6 @@ def vp(n: int, p: int) -> int:
 def min_vp(f, p: int) -> int:
     """Minimum p-adic valuation over the nonzero coefficients."""
     return min(vp(c, p) for c in f if c != 0)
-
-
-def poly_divide_exact_pk(f, p: int, k: int):
-    """f / p^k with every coefficient division checked."""
-    if k == 0:
-        return tuple(f)
-    d = p**k
-    out = []
-    for c in f:
-        q, r = divmod(c, d)
-        if r:
-            raise InexactDivision(f"coefficient {c} not divisible by {p}^{k}")
-        out.append(q)
-    return trim(out)
-
-
-def shift_scale(f, r: int, k: int, p: int):
-    """f(p x + r) / p^k, with the division verified coefficient-wise."""
-    g = taylor_shift(f, r) if r else tuple(f)
-    return poly_divide_exact_pk(tuple(c * p**i for i, c in enumerate(g)), p, k)
 
 
 def reduce_mod(f, p: int):
@@ -424,13 +408,33 @@ def power_root(g, k: int, F):
 
 
 # ---------------------------------------------------------------------------
-# polynomials over a quadratic order (coefficients are big-int pairs)
+# polynomials over a residue ring R, Integers(p) or a QuadOrder (coefficients
+# in R's own representation: ints or big-int pairs)
 # ---------------------------------------------------------------------------
 
 
-def order_embed(f, order: QuadOrder):
-    """Embed Z[x] into O[x]."""
-    return tuple((c, 0) for c in f)
+def shift_scale(f, r, k: int, R):
+    """f(p x + r) / p^k over R: the shift by r in place as in taylor_shift,
+    then coefficient i times p^(i - k), where for i < k R.exact_div_pk
+    checks that p^(k - i) divides it."""
+    add, mul = R.add, R.mul
+    c = list(f)
+    n = len(c)
+    # a centre at 0 needs no shift, and most centres after the first step are 0
+    if r != R.zero:
+        for i in range(n - 1):
+            for j in range(n - 2, i - 1, -1):
+                c[j] = add(c[j], mul(r, c[j + 1]))
+    p = R.p
+    return tuple(
+        R.smul(p ** (i - k), a) if i >= k else R.exact_div_pk(a, k - i)
+        for i, a in enumerate(c)
+    )
+
+
+def reduce_poly(f, R):
+    """Reduce R[x] -> kappa[x]; the degree may drop."""
+    return fp2_trim(map(R.reduce, f), R.kappa)
 
 
 def order_poly_mul(f, g, order: QuadOrder):
@@ -445,24 +449,3 @@ def order_poly_mul(f, g, order: QuadOrder):
 
 def order_poly_conj(f, order: QuadOrder):
     return tuple(order.conj(c) for c in f)
-
-
-def order_shift_scale(f, r, k: int, order: QuadOrder):
-    """f(p x + r) / p^k over O: the shift by r in place as in taylor_shift,
-    then coefficient i times p^(i - k), with the divisions below k checked
-    coordinate-wise."""
-    c = list(f)
-    n = len(c)
-    for i in range(n - 1):
-        for j in range(n - 2, i - 1, -1):
-            c[j] = order.add(c[j], order.mul(r, c[j + 1]))
-    p = order.p
-    return tuple(
-        order.smul(p ** (i - k), a) if i >= k else order.exact_div_pk(order.smul(p**i, a), k)
-        for i, a in enumerate(c)
-    )
-
-
-def order_reduce(f, order: QuadOrder):
-    """Reduce O[x] -> kappa[x]; the degree may drop."""
-    return fp2_trim([order.reduce(c) for c in f], order.kappa)

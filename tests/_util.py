@@ -251,15 +251,18 @@ def cm_trace(A, B, p, rng):
     raise AssertionError(f"trace candidates {cands} not separated at p = {p}")
 
 
-def order_shift_scale_by_rebuilds(f, r, k, order):
-    """f(p x + r) / p^k over the quadratic order by Horner in the scaled
-    variable, rebuilding the polynomial at each step: the formula the
-    in-place order_shift_scale replaced."""
-    p = order.p
+def shift_scale_by_rebuilds(f, r, k, R):
+    """f(p x + r) / p^k over the residue ring R (Integers or QuadOrder) by
+    Horner in the scaled variable, acc -> acc * (p x + r) + c, rebuilding
+    the polynomial at each step: the formula the in-place shift_scale
+    replaced."""
+    p = R.p
     acc = []
     for c in reversed(f):
-        shifted = [(0, 0)] + [order.smul(p, a) for a in acc]
-        racc = [order.mul(a, r) for a in acc] + [(0, 0)]
-        acc = [order.add(x, y) for x, y in zip(shifted, racc)]
-        acc[0] = order.add(acc[0], c)
-    return tuple(order.exact_div_pk(c, k) for c in acc)
+        if not acc:
+            acc = [c]
+            continue
+        acc = ([R.add(R.mul(r, acc[0]), c)]
+               + [R.add(R.smul(p, a), R.mul(r, b)) for a, b in zip(acc, acc[1:])]
+               + [R.smul(p, acc[-1])])
+    return tuple(R.exact_div_pk(c, k) for c in acc)

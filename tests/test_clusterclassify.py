@@ -1,5 +1,4 @@
 import random
-from functools import partial
 
 import pytest
 
@@ -7,7 +6,7 @@ from g2lpoly import clusterclassify, eulercore
 from g2lpoly.clusterclassify import ClusterType, classify, p_normalize, recentre, which_type
 from g2lpoly.errors import GoodReduction, NotAlmostGood, NotSquarefree
 from g2lpoly.eulercore import EulerInput, euler_factor_with_stats
-from g2lpoly.modarith import Fp
+from g2lpoly.modarith import Integers, QuadOrder
 from g2lpoly.oracle import perturb, random_instance
 from g2lpoly.polyring import (
     deg,
@@ -17,13 +16,12 @@ from g2lpoly.polyring import (
     poly_scale,
     power_root,
     reduce_mod,
-    shift_scale,
     taylor_shift,
     trim,
     vp,
 )
 
-from _util import SMALL_PRIMES, outer_cluster_model
+from _util import SMALL_PRIMES, least_nonsquare, outer_cluster_model
 
 
 def _product(factors):
@@ -113,16 +111,18 @@ def _planted_cluster(k, p, n, c, tail, rng):
 
 
 def test_recentre_follows_planted_clusters_to_their_depth():
+    # the loop does not depend on the ring: each integer cluster also runs
+    # embedded in an unramified quadratic order, in the same steps
     rng = random.Random(27)
     for p in (3, 5, 7):  # p = 3 with k in {3, 6} and p = 5 with k = 5 take the Frobenius root
-        F = Fp(p)
-        shift, reduce = partial(shift_scale, p=p), partial(reduce_mod, p=p)
+        Z = Integers(p)
+        order = QuadOrder(-least_nonsquare(p), 0, p)
         for k in (3, 5, 6):
             for n in (1, 2, 3):
                 c = rng.randrange(-p**4, p**4)
                 tail = [c + rng.randrange(1, p) + p * rng.randrange(-9, 10) for _ in range(6 - k)]
                 f, a = _planted_cluster(k, p, n, c, tail, rng)
-                g, gbar, steps = recentre(f, c % p, k, F, shift, reduce, n)
+                g, gbar, steps = recentre(f, c % p, k, Z, n)
                 assert steps == n
                 # n steps substitute x -> p^n x + R with R = c mod p^n
                 R = c % p**n
@@ -130,9 +130,15 @@ def test_recentre_follows_planted_clusters_to_their_depth():
                 assert g == _product([(-(cn + ai), 1) for ai in a]
                                      + [(R - s, p**n) for s in tail])
                 assert gbar == reduce_mod(g, p) and deg(gbar) == k
-                assert power_root(gbar, k, F) is None
-                with pytest.raises(NotAlmostGood, match="descent exceeded"):
-                    recentre(f, c % p, k, F, shift, reduce, n - 1)
+                assert power_root(gbar, k, Z.kappa) is None
+                fo, co = tuple(order.from_int(x) for x in f), order.from_int(c % p)
+                go, gobar, ostep = recentre(fo, co, k, order, n)
+                assert ostep == steps
+                assert go == tuple(order.from_int(x) for x in g)
+                assert gobar == tuple(order.from_int(x) for x in gbar)
+                for ring, start, centre in ((Z, f, c % p), (order, fo, co)):
+                    with pytest.raises(NotAlmostGood, match="descent exceeded"):
+                        recentre(start, centre, k, ring, n - 1)
 
 
 def test_recentre_inexact_step_rejected():
@@ -142,8 +148,7 @@ def test_recentre_inexact_step_rejected():
             c = 2 * p + 1
             f = taylor_shift((-p,) + (0,) * (k - 1) + (1,), -c)
             with pytest.raises(NotAlmostGood, match="inexact"):
-                recentre(f, c % p, k, Fp(p), partial(shift_scale, p=p),
-                         partial(reduce_mod, p=p), 5)
+                recentre(f, c % p, k, Integers(p), 5)
 
 
 # ----------------------------------------------------------------- which_type
@@ -238,8 +243,7 @@ def test_classify_record_matches_which_type_and_its_parts():
                 c = classify(nf)
                 assert c.nf is nf
                 assert c.type is which_type(nf) is inst.type
-                assert c.ftilde == nf.ftilde()
-                assert c.fbar == reduce_mod(c.ftilde, p)
+                assert c.fbar == reduce_mod(nf.ftilde, p)
                 assert c.kernel == fp_gcd_k(c.fbar, 3, p)
 
 
@@ -319,4 +323,4 @@ def test_normalize_tracks_vdisc_of_ftilde():
         ]
         for f in models:
             nf = p_normalize(f, p)
-            assert nf.vdisc == vp(disc(nf.ftilde()), p), (p, f)
+            assert nf.vdisc == vp(disc(nf.ftilde), p), (p, f)

@@ -6,6 +6,7 @@ from g2lpoly.errors import BadWitness, InexactDivision, NonResidue
 from g2lpoly.modarith import (
     Fp,
     Fp2,
+    Integers,
     QuadOrder,
     batch_inverse,
     find_nonsquare,
@@ -202,17 +203,28 @@ def test_order_exact_division():
     assert o.exact_div_pk((25, 50), 2) == (1, 2)
     with pytest.raises(InexactDivision):
         o.exact_div_pk((25, 51), 2)
+    Z = Integers(5)
+    assert Z.exact_div_pk(-50, 2) == -2
+    with pytest.raises(InexactDivision):
+        Z.exact_div_pk(51, 2)
 
 
 def test_order_reduction_is_ring_morphism():
     rng = random.Random(7)
     o = QuadOrder(3, 2, 7)  # z^2 + 2z + 3, irreducible mod 7
-    for _ in range(100):
-        x = (rng.randrange(-(10**9), 10**9), rng.randrange(-(10**9), 10**9))
-        y = (rng.randrange(-(10**9), 10**9), rng.randrange(-(10**9), 10**9))
-        K = o.kappa
-        assert o.reduce(o.mul(x, y)) == K.mul(o.reduce(x), o.reduce(y))
-        assert o.reduce(o.add(x, y)) == K.add(o.reduce(x), o.reduce(y))
+    Z = Integers(7)
+
+    def draw(R):
+        x = tuple(rng.randrange(-(10**9), 10**9) for _ in range(2))
+        return x if R is o else x[0]
+
+    for R in (o, Z):
+        K = R.kappa
+        for _ in range(100):
+            x, y, n = draw(R), draw(R), rng.randrange(-99, 100)
+            assert R.reduce(R.mul(x, y)) == K.mul(R.reduce(x), R.reduce(y))
+            assert R.reduce(R.add(x, y)) == K.add(R.reduce(x), R.reduce(y))
+            assert R.reduce(R.smul(n, x)) == K.smul(n, R.reduce(x))
 
 
 def test_order_conjugation_fixes_integers():

@@ -5,7 +5,7 @@ import pytest
 
 from g2lpoly.clusterclassify import p_normalize
 from g2lpoly.errors import DegreeError, InexactDivision, NotSquarefree
-from g2lpoly.modarith import Fp, Fp2, QuadOrder
+from g2lpoly.modarith import Fp, Fp2, Integers, QuadOrder
 from g2lpoly.polyring import (
     _fp_gcd_k_exhaustive,
     complete_square,
@@ -15,13 +15,13 @@ from g2lpoly.polyring import (
     fp_disc,
     fp_gcd_k,
     fp_mul,
-    order_shift_scale,
     poly_add,
     poly_derivative,
     poly_mul,
     poly_scale,
     power_root,
     reduce_mod,
+    reduce_poly,
     shift_scale,
     taylor_shift,
     trim,
@@ -32,7 +32,7 @@ from _util import (
     fp2_elements,
     fp_squarefree_part,
     least_nonsquare,
-    order_shift_scale_by_rebuilds,
+    shift_scale_by_rebuilds,
     sylvester_resultant,
 )
 
@@ -310,14 +310,15 @@ def test_field_disc_over_fp_matches_integer_formula():
 
 
 def test_shift_scale_examples():
-    assert shift_scale((0, 0, 1), 0, 2, 5) == (0, 0, 1)
-    assert shift_scale(poly_mul(poly_mul((-1, 1), (-1, 1)), (-1, 1)), 1, 3, 3) == (0, 0, 0, 1)
-    assert shift_scale((5, 0, 1), 0, 1, 5) == (1, 0, 5)
+    Z3, Z5 = Integers(3), Integers(5)
+    assert shift_scale((0, 0, 1), 0, 2, Z5) == (0, 0, 1)
+    assert shift_scale(poly_mul(poly_mul((-1, 1), (-1, 1)), (-1, 1)), 1, 3, Z3) == (0, 0, 0, 1)
+    assert shift_scale((5, 0, 1), 0, 1, Z5) == (1, 0, 5)
 
 
 def test_shift_scale_inexact():
     with pytest.raises(InexactDivision):
-        shift_scale((1, 0, 1), 0, 1, 5)  # x^2 + 1 at 5x: constant 1 not divisible
+        shift_scale((1, 0, 1), 0, 1, Integers(5))  # x^2 + 1 at 5x: constant 1 not divisible
 
 
 def test_shift_scale_exactness_witness():
@@ -328,14 +329,15 @@ def test_shift_scale_exactness_witness():
         f = tuple(rng.randrange(-99, 100) for _ in range(7))
         if not trim(f):
             continue
-        g = shift_scale(f, r, 0, p)
+        Z = Integers(p)
+        g = shift_scale(f, r, 0, Z)
         # p^k * shift_scale(..., k) has the expanded coefficients of f(p x + r)
         k = 0
         if trim(g):
             from g2lpoly.polyring import min_vp
 
             k = min(min_vp(g, p), 3)
-        scaled = shift_scale(f, r, k, p)
+        scaled = shift_scale(f, r, k, Z)
         assert tuple(c * p**k for c in scaled) == g
 
 
@@ -357,7 +359,8 @@ def test_taylor_shifts_match_rebuild_formula():
         r = 0 if i % 10 == 0 else rng.randrange(-(1 << bits), 1 << bits)
         want = _taylor_shift_by_rebuilds(f, r)
         assert taylor_shift(f, r) == want
-        # over O = Z[z]/(u): f(p x + r) / p^k, or InexactDivision, as the rebuild gives
+        # over Z and over O = Z[z]/(u): f(p x + r) / p^k, or InexactDivision,
+        # as the rebuild gives
         p = (3, 7, 8191)[i // 3 % 3]
         order = QuadOrder(p * rng.randrange(-(1 << bits), 1 << bits) - least_nonsquare(p),
                           p * rng.randrange(-(1 << bits), 1 << bits), p)
@@ -365,13 +368,14 @@ def test_taylor_shifts_match_rebuild_formula():
         scale = p**k if i % 4 < 2 else 1  # exact at every k, else exact only at k = 0
         fo = [(scale * c, scale * rng.randrange(-(1 << bits), 1 << bits)) for c in f]
         ro = (r, rng.randrange(-(1 << bits), 1 << bits))
-        outcomes = []
-        for shift in (order_shift_scale, order_shift_scale_by_rebuilds):
-            try:
-                outcomes.append(shift(fo, ro, k, order))
-            except InexactDivision:
-                outcomes.append(InexactDivision)
-        assert outcomes[0] == outcomes[1]
+        for R, g, s in ((Integers(p), [scale * c for c in f], r), (order, fo, ro)):
+            outcomes = []
+            for shift in (shift_scale, shift_scale_by_rebuilds):
+                try:
+                    outcomes.append(shift(g, s, k, R))
+                except InexactDivision:
+                    outcomes.append(InexactDivision)
+            assert outcomes[0] == outcomes[1]
 
 
 # -------------------------------------------------------------------- reduce
@@ -382,12 +386,9 @@ def test_reduce_degree_drop():
 
 
 def test_order_reduce_example():
-    from g2lpoly.modarith import QuadOrder
-    from g2lpoly.polyring import order_reduce
-
     o = QuadOrder(2, 0, 5)
     fhat = ((0, -1), (1, 0))  # x - z
-    assert order_reduce(fhat, o) == ((0, 4), (1, 0))
+    assert reduce_poly(fhat, o) == ((0, 4), (1, 0))
 
 
 # -------------------------------------------------------------- square model
