@@ -6,8 +6,14 @@ Draws tests/test_golden.golden_inputs(seed, 600) for seeds 1-6 (3,600
 inputs) and runs euler_factor_with_stats on each, in both trees: each tree
 runs in its own interpreter with its own src/ and tests/ on the path.  Per
 input it compares the input itself, then the coefficients, cluster type,
-loop_iters and normalize_v, or the class of the exception raised.  Prints
-the first mismatch and the number of mismatches; exits 1 if there are any.
+loop_iters and normalize_v, or the class of the exception raised.
+
+Those inputs have p <= 61, where every genus 1 count is exhaustive, so a
+seeded BSGS section follows: group_order_bsgs on 216 random cubics, 24 per
+field size, over F_p with p of about 14, 20, 30, 40 and 61 bits and over
+F_{p^2} with p of about 7, 10, 13 and 16 bits, compared by the order found
+or the exception class.  Prints the first mismatch and the number of
+mismatches; exits 1 if there are any.
 """
 
 import argparse
@@ -21,6 +27,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = range(1, 7)
 COUNT = 600
+# (field, bits): p is the first prime from a draw in [2^(bits - 1), 2^bits)
+BSGS_FIELDS = [("fp", b) for b in (14, 20, 30, 40, 61)] + [("fp2", b) for b in (7, 10, 13, 16)]
+BSGS_CUBICS = 24
 
 
 def outcomes():
@@ -43,6 +52,47 @@ def outcomes():
                        "loop_iters": list(stats.loop_iters),
                        "normalize_v": stats.normalize_v}
             out.append((dict(case, seed=seed), got))
+    return out + bsgs_outcomes()
+
+
+def _random_field(kind, p, rng):
+    from g2lpoly.modarith import Fp, Fp2
+
+    if kind == "fp":
+        return Fp(p)
+    while True:
+        try:
+            return Fp2(p, rng.randrange(p), rng.randrange(p))
+        except ValueError:  # z^2 + u1 z + u0 reducible mod p
+            pass
+
+
+def bsgs_outcomes():
+    """(cubic, outcome) for group_order_bsgs on the seeded random cubics."""
+    from g2lpoly.errors import NotSquarefree
+    from g2lpoly.genus1 import Genus1Model, group_order_bsgs
+    from g2lpoly.modarith import is_prime
+
+    rng = random.Random(2024)
+    out = []
+    for kind, bits in BSGS_FIELDS:
+        for i in range(BSGS_CUBICS):
+            p = rng.randrange(1 << (bits - 1), 1 << bits) | 1
+            while not is_prime(p):
+                p += 2
+            F = _random_field(kind, p, rng)
+            while True:
+                g = (F.random(rng), F.random(rng), F.random(rng), F.one)
+                try:
+                    model = Genus1Model(F, g)
+                    break
+                except NotSquarefree:
+                    continue
+            try:
+                got = {"order": group_order_bsgs(model, random.Random(i))}
+            except Exception as exc:  # the exception class is part of the outcome
+                got = {"exc": type(exc).__name__}
+            out.append(({"field": repr(F), "g": g}, got))
     return out
 
 

@@ -23,7 +23,7 @@ from .errors import (
     NotSquarefree,
     Unsupported,
 )
-from .modarith import Fp2, batch_inverse
+from .modarith import Fp2
 from .polyring import field_disc, fp2_trim, fp_trim
 
 DEFAULT_NAIVE_LIMIT = 1 << 16
@@ -41,10 +41,11 @@ FP2_EXHAUSTIVE_BELOW = 1 << 12
 # the bound, so BSGS stays exact, and characteristic 3, which BSGS cannot
 # take, is always counted exhaustively.
 MESTRE_BOUND = 229
-# Baby and giant steps advance in LANES independent lanes, and each round of
-# lane additions shares one field inversion.  More lanes spread it thinner
-# but overshoot the interval by up to a round.  A power of two, because the
-# lanes are built by doubling (_Curve.progression).
+# Baby and giant steps advance in up to LANES independent lanes.  A round of
+# lane additions is one F.chord_round on raw ints with one inversion (over
+# F_{p^2}, of the F_p norms); more lanes spread it thinner.  A power of two,
+# because the lanes are built by doubling (_Curve.progression); shorter walks
+# take fewer (_width), and a walk's last round stops at its last point.
 LANES = 32
 # Random points group_order_bsgs tries, alternating curve and twist, before
 # it gives up with AmbiguousOrder.
@@ -197,33 +198,23 @@ class _Curve:
         return R
 
     def advance(self, lanes, step):
-        """[Q + step for Q in lanes] for one F.inv: the chord slopes share a
-        batch inversion.  Lanes whose chord is undefined (Q = +-step, or Q the
-        identity) go through add instead."""
+        """[Q + step for Q in lanes] for one field inversion: the chord lanes
+        go through one F.chord_round.  Lanes with no chord (Q = +-step, or Q
+        the identity) go through add instead."""
         if step is None:
             return list(lanes)
-        F = self.F
-        sub, mul = F.sub, F.mul
         xs, ys = step
         plain = [Q is not None and Q[0] != xs for Q in lanes]
-        dens = [sub(Q[0], xs) for Q, ok in zip(lanes, plain) if ok]
-        invs = iter(batch_inverse(F, dens) if dens else ())
-        out = []
-        for Q, ok in zip(lanes, plain):
-            if not ok:
-                out.append(self.add(Q, step))
-                continue
-            x1, y1 = Q
-            lam = mul(sub(y1, ys), next(invs))
-            x3 = sub(sub(mul(lam, lam), x1), xs)
-            out.append((x3, sub(mul(lam, sub(x1, x3)), y1)))
-        return out
+        if all(plain):
+            return self.F.chord_round(lanes, xs, ys)
+        chords = iter(self.F.chord_round([Q for Q, ok in zip(lanes, plain) if ok], xs, ys))
+        return [next(chords) if ok else self.add(Q, step) for Q, ok in zip(lanes, plain)]
 
-    def progression(self, start, step):
-        """[start + k*step for k < LANES] and LANES*step, growing the lanes
-        by doubling so that each doubling costs one batched round."""
+    def progression(self, start, step, width):
+        """[start + k*step for k < width] and width*step for a power of two
+        width, by doubling the lanes: one batched round per doubling."""
         lanes = [start]
-        while len(lanes) < LANES:
+        while len(lanes) < width:
             lanes += self.advance(lanes, step)
             step = self.add(step, step)
         return lanes, step
@@ -333,29 +324,34 @@ def _crt(a, b):
     return (r1 + m1 * k) % m, m
 
 
+def _width(terms):
+    """Lanes for a walk of terms points: the least power of two >= terms, capped at LANES."""
+    return min(LANES, 1 << (terms - 1).bit_length())
+
+
 def _baby_rounds(n):
-    """Lane rounds of baby steps for a walk over n consecutive multiples:
-    s = rounds*LANES - 1 >= isqrt(n/2), so at most about sqrt(n/2) giant
-    windows of 2s + 1."""
+    """Rounds of LANES baby steps that a walk over n consecutive multiples
+    needs to reach isqrt(n/2), and so at most about sqrt(n/2) giant windows."""
     return math.isqrt(n // 2) // LANES + 1
 
 
-def _baby_steps(curve: _Curve, Q, rounds: int):
-    """(n, baby, baby_y, sQ) from the walk jQ, j = 0..s, s = rounds*LANES - 1.
+def _baby_steps(curve: _Curve, Q, s: int, width: int):
+    """(n, baby, baby_y, sQ) from the walk jQ, j = 0..s, in rounds of width.
 
-    Lane k of round r holds (r*LANES + k)*Q, so round 0 starts at the
-    identity.  Scanning j upwards, the first j with y(jQ) = 0 or with x(jQ)
-    already in the table is j = ceil(n/2) for n = ord(Q), and it reveals n:
-    2jQ = O, or jQ = -iQ with i + j = n.  No event up to s means n > 2s,
-    and then n is 0, baby maps x(jQ) to j, baby_y[j] is y(jQ) and sQ = s*Q.
+    Lane k of the round from j0 holds (j0 + k)*Q, so the first round starts
+    at the identity, and the last one stops at s.  Scanning j upwards, the
+    first j with y(jQ) = 0 or with x(jQ) already in the table is j = ceil(n/2)
+    for n = ord(Q), and it reveals n: 2jQ = O, or jQ = -iQ with i + j = n.
+    No event up to s means n > 2s, and then n is 0, baby maps x(jQ) to j,
+    baby_y[j] is y(jQ) and sQ = s*Q.
     """
     F = curve.F
-    lanes, step = curve.progression(None, Q)
+    lanes, step = curve.progression(None, Q, width)
     baby, baby_y = {}, [None]
-    for r in range(rounds):
-        if r:
-            lanes = curve.advance(lanes, step)
-        for j, R in enumerate(lanes, r * LANES):
+    for j0 in range(0, s + 1, width):
+        if j0:
+            lanes = curve.advance(lanes[:s + 1 - j0], step)
+        for j, R in enumerate(lanes, j0):
             if j == 0:
                 continue
             x, y = R
@@ -389,20 +385,22 @@ def _multiples_in_interval(curve: _Curve, P, lo: int, hi: int, res: int = 0, mod
     (m0 + mod*k)*P = O for k in [0, K], stepping Q = mod*P.  The baby table
     maps x(jQ) to j for j = 1..s; since x(jQ) = x(-jQ), one lookup tests
     both c - j and c + j for a giant centre c, and a y comparison picks the
-    one that solves.  Baby and giant steps each run in LANES lanes, one
-    batched inversion per round (_Curve.advance).
+    one that solves.  Baby and giant steps each run in _width lanes, one
+    batched inversion per round (_Curve.advance), the last round cut short.
     """
     m0 = _two_smallest((res, mod), lo, hi)[0]
     if m0 is None:
         return None, None
     K = (hi - m0) // mod
     Q = curve.mul(mod, P) if mod > 1 else P
-    rounds = _baby_rounds(K + 1)
-    s = rounds * LANES - 1
+    # s >= isqrt((K + 1)/2), and every point of a first round is a baby step
+    terms = math.isqrt((K + 1) // 2) + 1
+    width = _width(terms)
+    s = max(terms, width) - 1
     if Q is None:
         order = 1
     else:
-        order, baby, baby_y, sQ = _baby_steps(curve, Q, rounds)
+        order, baby, baby_y, sQ = _baby_steps(curve, Q, s, width)
     if order:
         # ord(P) = ord(Q) * gcd(ord(P), mod): the least d | mod that kills P
         d = next(d for d in range(1, mod + 1) if mod % d == 0
@@ -412,14 +410,17 @@ def _multiples_in_interval(curve: _Curve, P, lo: int, hi: int, res: int = 0, mod
     # most one solution k (they are ord(Q) > 2s apart), and the windows run
     # upwards from k = 0
     stride = 2 * s + 1
-    c = s
+    windows = K // stride + 1
     G = curve.add(curve.add(sQ, sQ), Q)
-    lanes, step = curve.progression(curve.mul(m0 + mod * s, P), G)
+    width = _width(windows)
+    lanes, step = curve.progression(curve.mul(m0 + mod * s, P), G, width)
     found = []
-    while True:
-        for R in lanes:
-            if c - s > K:
-                return (*found, None, None)[:2]
+    for i0 in range(0, windows, width):
+        if i0:
+            lanes = curve.advance(lanes[:windows - i0], step)
+        # lanes of a first round wider than the walk only find k > K
+        for i, R in enumerate(lanes, i0):
+            c = s + i * stride
             if R is None:
                 k = c
             else:
@@ -429,8 +430,7 @@ def _multiples_in_interval(curve: _Curve, P, lo: int, hi: int, res: int = 0, mod
                 found.append(m0 + mod * k)
                 if len(found) == 2:
                     return found[0], found[1]
-            c += stride
-        lanes = curve.advance(lanes, step)
+    return (*found, None, None)[:2]
 
 
 def group_order_bsgs(model: Genus1Model, rng=None) -> int:

@@ -8,6 +8,8 @@ All kernels assume p < 2^30 so that short sums of products of reduced values
 fit in int64.
 """
 
+import functools
+
 import numpy as np
 
 _P_LIMIT = 1 << 30
@@ -23,11 +25,13 @@ def kernel_mode() -> str:
     return "numpy"
 
 
+@functools.lru_cache(maxsize=4)  # the two genus 1 counts of a factor share p
 def _chi_table(p):
     chi = np.full(p, -1, dtype=np.int8)
     idx = (np.arange(p, dtype=np.int64) ** 2) % p
     chi[idx] = 1
     chi[0] = 0
+    chi.setflags(write=False)  # shared by every caller
     return chi
 
 

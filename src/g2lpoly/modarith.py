@@ -12,6 +12,8 @@ recentring loop serve both.
 Fp and Fp2 share one square test (chi_p of the norm), one Tonelli-Shanks
 square root, and a nonsquare drawn once per field object and kept.
 legendre, sqrt_mod_p and find_nonsquare are the same tools on plain ints.
+Each field's chord_round adds one point to many on raw ints, for one
+inversion: the lane round of the genus 1 BSGS walks.
 """
 
 import operator
@@ -67,22 +69,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def batch_inverse(F, values):
-    """Inverses of a nonempty list of nonzero elements of the field F for one
-    F.inv and 3(n - 1) multiplications (Montgomery's simultaneous inversion).
-    """
-    prefix = [values[0]]
-    for v in values[1:]:
-        prefix.append(F.mul(prefix[-1], v))
-    inv = F.inv(prefix[-1])
-    out = [None] * len(values)
-    for i in range(len(values) - 1, 0, -1):
-        out[i] = F.mul(inv, prefix[i - 1])
-        inv = F.mul(inv, values[i])
-    out[0] = inv
-    return out
 
 
 def legendre(a: int, p: int) -> int:
@@ -242,6 +228,24 @@ class Fp(_SquareRoots):
     def random(self, rng):
         return rng.randrange(self.p)
 
+    def chord_round(self, pts, xs, ys):
+        """[P + (xs, ys) for P in pts] on any curve y^2 = x^3 + Ax + B, for
+        points P with x(P) != xs: the chord denominators share one inversion
+        through Montgomery's prefix products."""
+        p = self.p
+        prefix = [1]
+        for x, _ in pts:
+            prefix.append(prefix[-1] * (x - xs) % p)
+        inv = pow(prefix[-1], -1, p)
+        out = [None] * len(pts)
+        for i in range(len(pts) - 1, -1, -1):
+            x1, y1 = pts[i]
+            lam = (y1 - ys) * inv * prefix[i] % p
+            inv = inv * (x1 - xs) % p
+            x3 = (lam * lam - x1 - xs) % p
+            out[i] = (x3, (lam * (x1 - x3) - y1) % p)
+        return out
+
 
 class Fp2(_SquareRoots):
     """F_p[z]/(z^2 + u1*z + u0) with the modulus irreducible mod p.
@@ -347,6 +351,39 @@ class Fp2(_SquareRoots):
 
     def random(self, rng):
         return (rng.randrange(self.p), rng.randrange(self.p))
+
+    def chord_round(self, pts, xs, ys):
+        """Fp.chord_round over F_{p^2} on coordinate ints: the F_p norms of
+        the denominators d share one inversion, and 1/d = frob(d)/N(d)."""
+        p, u0, u1 = self.p, self.u0, self.u1
+        s0, s1 = xs
+        t0, t1 = ys
+        norms, prefix = [], [1]
+        for (a0, a1), _ in pts:
+            d0, d1 = a0 - s0, a1 - s1
+            n = (d0 * d0 - u1 * d0 * d1 + u0 * d1 * d1) % p
+            norms.append(n)
+            prefix.append(prefix[-1] * n % p)
+        inv = pow(prefix[-1], -1, p)
+        out = [None] * len(pts)
+        for i in range(len(pts) - 1, -1, -1):
+            (a0, a1), (b0, b1) = pts[i]
+            ninv = inv * prefix[i] % p
+            inv = inv * norms[i] % p
+            # lam = (y - ys) * frob(d) / N(d), with frob(d) = (c0, -d1)
+            d1, e0, e1 = a1 - s1, b0 - t0, b1 - t1
+            c0 = a0 - s0 - u1 * d1
+            t = -e1 * d1
+            l0 = (e0 * c0 - u0 * t) * ninv % p
+            l1 = (e1 * c0 - e0 * d1 - u1 * t) * ninv % p
+            t = l1 * l1
+            x0 = (l0 * l0 - u0 * t - a0 - s0) % p
+            x1 = (2 * l0 * l1 - u1 * t - a1 - s1) % p
+            w0, w1 = a0 - x0, a1 - x1
+            t = l1 * w1
+            out[i] = ((x0, x1), ((l0 * w0 - u0 * t - b0) % p,
+                                 (l0 * w1 + l1 * w0 - u1 * t - b1) % p))
+        return out
 
 
 class Integers:

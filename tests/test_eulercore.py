@@ -75,6 +75,21 @@ def test_per_type_roundtrips():
         assert (lp, st.loop_iters) == (inst.expected, inst.depths), (inst.type, inst.f)
 
 
+def test_normalize_v_is_the_parity_of_the_power_of_p():
+    # y -> p y turns f into p^2 f, so p_normalize keeps v in {0, 1}: f and
+    # p^2 f report the same v, and p f the other one
+    rng = random.Random(52)
+    p = 7
+    for typ in ClusterType:
+        inst = random_instance(p, typ, rng, max_depth=4)
+        vs = []
+        for k in range(3):
+            lp, st = euler_factor_with_stats(EulerInput(tuple(p**k * c for c in inst.f), p), rng)
+            assert (st.cluster_type, lp) == (typ, inst.expected)
+            vs.append(st.normalize_v)
+        assert vs in ([0, 1, 0], [1, 0, 1]), (typ, vs)
+
+
 def test_loop_iterations_equal_depths():
     rng = random.Random(51)
     inst = gen_type1(7, 4, rng)

@@ -105,6 +105,22 @@ def test_count_affine_fp2_partial_block():
     assert kernels.count_affine_fp2(g, u0, 0, p) == brute_count_fp2(g, p, u0, 0) - 1
 
 
+def test_chi_table_is_cached_read_only():
+    # the two counts of one factor share p, so the table is built once and
+    # shared: no caller may write to it
+    chi = kernels._chi_table(1021)
+    assert kernels._chi_table(1021) is chi
+    assert not chi.flags.writeable
+    with pytest.raises(ValueError):
+        chi[1] = 0
+    rng = random.Random(33)
+    for p in (13, 1021):
+        g = tuple(rng.randrange(p) for _ in range(4))
+        want = brute_count_fp(g, p) - 1
+        assert kernels.count_affine_fp(g, p) == want
+        assert kernels.count_affine_fp(g, p) == want
+
+
 # ---------------------------------------------------------- quartic handling
 
 
@@ -462,10 +478,10 @@ def test_lane_advance_matches_plain_addition():
         rng.shuffle(lanes)
         assert curve.advance(lanes, step) == [curve.add(Q, step) for Q in lanes]
         assert curve.advance(lanes, None) == lanes
-        for start in (None, lanes[0]):
-            got, final = curve.progression(start, step)
-            assert got == [curve.add(start, curve.mul(k, step)) for k in range(LANES)]
-            assert final == curve.mul(LANES, step)
+        for start, width in ((None, LANES), (lanes[0], LANES), (lanes[0], 4), (None, 1)):
+            got, final = curve.progression(start, step, width)
+            assert got == [curve.add(start, curve.mul(k, step)) for k in range(width)]
+            assert final == curve.mul(width, step)
 
 
 def _prime_below(n):

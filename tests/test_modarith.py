@@ -3,12 +3,12 @@ import random
 import pytest
 
 from g2lpoly.errors import BadWitness, InexactDivision, NonResidue
+from g2lpoly.genus1 import _Curve
 from g2lpoly.modarith import (
     Fp,
     Fp2,
     Integers,
     QuadOrder,
-    batch_inverse,
     find_nonsquare,
     is_prime,
     legendre,
@@ -272,18 +272,18 @@ def test_is_prime_strong_pseudoprimes_and_large_primes():
         assert is_prime(n), n
 
 
-def test_batch_inverse_fp_and_fp2():
+def test_chord_round_matches_curve_addition():
+    # one round of 0, 1, 7 and 32 lanes against adding the step lane by lane;
+    # z^2 + z + 11 exercises the u1 terms that z^2 + 11 leaves out
     rng = random.Random(9)
-    for F in (Fp(2**61 - 1), Fp(13), Fp2(1009, 11, 0)):
-        for n in (1, 2, 7, 32):
-            values = [F.random(rng) for _ in range(n)]
-            values = [v if not F.is_zero(v) else F.one for v in values]
-            invs = batch_inverse(F, values)
-            assert invs == [F.inv(v) for v in values]
-            assert all(F.mul(v, w) == F.one for v, w in zip(values, invs))
-    F = Fp(13)
-    with pytest.raises(ZeroDivisionError):
-        batch_inverse(F, [3, 0, 5])
+    for F in (Fp(13), Fp(2**61 - 1), Fp2(1009, 11, 0), Fp2(1009, 11, 1)):
+        curve = _Curve(F, F.random(rng), F.random(rng))
+        for n in (0, 1, 7, 32):
+            xs, ys = step = curve.random_point(rng)
+            pts = [curve.random_point(rng) for _ in range(3 * n)]
+            pts = [P for P in pts if P[0] != xs][:n]
+            assert len(pts) == n
+            assert F.chord_round(pts, xs, ys) == [curve.add(P, step) for P in pts]
 
 
 def test_fp_inverse_matches_fermat():
