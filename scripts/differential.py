@@ -9,10 +9,11 @@ input it compares the input itself, then the coefficients, cluster type,
 loop_iters and normalize_v, or the class of the exception raised.
 
 Those inputs have p <= 61, where every genus 1 count is exhaustive, so a
-seeded BSGS section follows: group_order_bsgs on 216 random cubics, 24 per
-field size, over F_p with p of about 14, 20, 30, 40 and 61 bits and over
-F_{p^2} with p of about 7, 10, 13 and 16 bits, compared by the order found
-or the exception class.  Prints the first mismatch and the number of
+seeded BSGS section follows: group_order_bsgs on 264 random cubics, 24 per
+field size, over F_p with p of about 14, 20, 30, 34, 40, 48 and 61 bits
+(half of them with p = 1 and half with p = 2 mod 3, the two branches of the
+class mod 3) and over F_{p^2} with p of about 7, 10, 13 and 16 bits,
+compared by the order found or the exception class.  Prints the first mismatch and the number of
 mismatches; exits 1 if there are any.
 """
 
@@ -28,7 +29,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SEEDS = range(1, 7)
 COUNT = 600
 # (field, bits): p is the first prime from a draw in [2^(bits - 1), 2^bits)
-BSGS_FIELDS = [("fp", b) for b in (14, 20, 30, 40, 61)] + [("fp2", b) for b in (7, 10, 13, 16)]
+BSGS_FIELDS = ([("fp", b) for b in (14, 20, 30, 34, 40, 48, 61)]
+               + [("fp2", b) for b in (7, 10, 13, 16)])
 BSGS_CUBICS = 24
 
 
@@ -78,7 +80,8 @@ def bsgs_outcomes():
     for kind, bits in BSGS_FIELDS:
         for i in range(BSGS_CUBICS):
             p = rng.randrange(1 << (bits - 1), 1 << bits) | 1
-            while not is_prime(p):
+            # over F_p, cubic i takes p = 1 + i % 2 (mod 3)
+            while not is_prime(p) or kind == "fp" and p % 3 != 1 + i % 2:
                 p += 2
             F = _random_field(kind, p, rng)
             while True:

@@ -5,9 +5,10 @@ sums through the kernels module for F_p with p < FP_EXHAUSTIVE_BELOW and for
 F_{p^2} with q < FP2_EXHAUSTIVE_BELOW, baby-step/giant-step order-finding on
 the curve and its quadratic twist everywhere else.  BSGS runs on a cubic model;
 quartics reach one by reversal (when g(0) = 0) or through the classical
-quartic invariants.  The number of F_q-roots of the cubic fixes #E mod 2,
-and in most cases mod 4, so BSGS searches only that residue class of the
-Hasse interval wherever the interval is wide enough for that to pay.
+quartic invariants.  The F_q-roots of the cubic fix #E mod 2, and in most
+cases mod 4; those of the 3-division polynomial fix #E mod 3 in most cases.
+BSGS searches only that class of the Hasse interval, mod up to 12, wherever
+the interval is wide enough for reading it to pay.
 """
 
 import math
@@ -50,13 +51,15 @@ LANES = 32
 # Random points group_order_bsgs tries, alternating curve and twist, before
 # it gives up with AmbiguousOrder.
 MAX_POINTS = 48
-# Reading #E mod 2 or 4 (_order_class) costs about log2(p) products mod the
-# cubic: 0.08 ms over F_p and 0.13 ms over F_{p^2} at q = 2^20.  Against
-# the walk over the whole Hasse interval (median per call, 60 random cubics
-# per log2 q), it costs 18-23% where that walk has one baby round
-# (q < 2^18); at two rounds (2^18 <= q < 2^22) it is within 5% either way
-# over F_p and 4-17% ahead over F_{p^2}; from three rounds on it gains.
-CLASS_FROM_ROUNDS = 2
+# Reading #E mod 2 or 4 (_order_class), or mod 3 (_three_class), costs a
+# power x^q mod a quartic, about log2(p) squarings, and a gcd.  Against the
+# walk over the whole Hasse interval (per-call medians, 16 random cubics per
+# log2 q, F_p and F_{p^2} alike), the class mod 4 lost 6-19% at two baby
+# rounds (q = 2^20), broke even at three (2^22) and paid from 2^24; the
+# class mod 3 lost 4-9% at q = 2^26, 3% to +2% at 2^28 (6 rounds), and
+# paid from 2^30 (9 rounds) on.
+CLASS_FROM_ROUNDS = 3
+THREE_FROM_ROUNDS = 8
 
 
 @dataclass(frozen=True)
@@ -170,23 +173,7 @@ class _Curve:
         self.B = B
 
     def add(self, P, Q):
-        F = self.F
-        if P is None:
-            return Q
-        if Q is None:
-            return P
-        x1, y1 = P
-        x2, y2 = Q
-        if x1 == x2:
-            if F.is_zero(F.add(y1, y2)):
-                return None
-            num = F.add(F.smul(3, F.mul(x1, x1)), self.A)
-            lam = F.mul(num, F.inv(F.smul(2, y1)))
-        else:
-            lam = F.mul(F.sub(y2, y1), F.inv(F.sub(x2, x1)))
-        x3 = F.sub(F.sub(F.mul(lam, lam), x1), x2)
-        y3 = F.sub(F.mul(lam, F.sub(x1, x3)), y1)
-        return (x3, y3)
+        return self.F.ec_add(P, Q, self.A)
 
     def mul(self, k, P):
         R = None
@@ -248,32 +235,22 @@ def _to_short_weierstrass(model: Genus1Model):
     return A, B
 
 
-def _cubic_mulmod(F, a, b, A, B):
-    """a*b mod x^3 + Ax + B for coefficient triples a, b (degree <= 2)."""
-    mul, add, sub = F.mul, F.add, F.sub
-    a0, a1, a2 = a
-    b0, b1, b2 = b
-    c3 = add(mul(a1, b2), mul(a2, b1))
-    c4 = mul(a2, b2)
-    # x^3 = -Ax - B and x^4 = -Ax^2 - Bx
-    return (
-        sub(mul(a0, b0), mul(B, c3)),
-        sub(add(mul(a0, b1), mul(a1, b0)), add(mul(A, c3), mul(B, c4))),
-        sub(add(add(mul(a0, b2), mul(a1, b1)), mul(a2, b0)), mul(A, c4)),
-    )
-
-
-def _x_power_mod_cubic(F, A, B, e):
-    """x^e mod x^3 + Ax + B as a coefficient triple, for e >= 1: square,
-    then multiply by x, once per bit of e below the leading one."""
-    h = (F.zero, F.one, F.zero)
-    mul, sub = F.mul, F.sub
-    for bit in bin(e)[3:]:
-        h = _cubic_mulmod(F, h, h, A, B)
-        if bit == "1":
-            h0, h1, h2 = h
-            h = (F.neg(mul(B, h2)), sub(h0, mul(A, h2)), h1)
-    return h
+def _frobenius_roots(F, m, h):
+    """gcd(m, x^q - x) for a monic m given by its lower coefficients and
+    h = x^q mod m: the product of x - r over the F_q-roots r of m."""
+    a, b = [*m, F.one], [h[0], F.sub(h[1], F.one), *h[2:]]
+    while b:
+        if F.is_zero(b[-1]):
+            b.pop()
+            continue
+        inv = F.inv(b[-1])
+        while len(a) >= len(b):
+            c = F.mul(a.pop(), inv)
+            for i, bi in enumerate(b[:-1], len(a) - len(b) + 1):
+                a[i] = F.sub(a[i], F.mul(c, bi))
+        a, b = b, a
+    inv = F.inv(a[-1])
+    return [F.mul(c, inv) for c in a]
 
 
 def _order_class(F, A, B):
@@ -283,33 +260,42 @@ def _order_class(F, A, B):
     order 2 (Sutherland, "Order computations in generic groups", MIT thesis
     2007, ch. 4).  No root: #E is odd.  Three roots: E[2] is rational, so
     4 | #E.  One root e: the 2-part of E(F_q) is cyclic, and 4 | #E exactly
-    when (e, 0) is halvable, that is when g'(e) is a square.  The roots are
-    those of gcd(x^q - x, g); over F_{p^2}, x^q = sum frob(h_i) h^i mod g
-    with h = x^p mod g.
+    when (e, 0) is halvable, that is when g'(e) is a square.  x^q is read
+    mod x*g, the one quartic shape F.xq_mod takes.
     """
-    h = _x_power_mod_cubic(F, A, B, F.p)
-    if F.q != F.p:
-        f0, f1, f2 = map(F.frobenius, h)
-        hh = _cubic_mulmod(F, h, h, A, B)
-        h = [F.add(F.mul(f1, u), F.mul(f2, v)) for u, v in zip(h, hh)]
-        h[0] = F.add(h[0], f0)
-    # r = x^q - x mod g: zero when g splits, else gcd(g, r) has degree <= 1
-    r0, r1, r2 = h[0], F.sub(h[1], F.one), h[2]
-    if F.is_zero(r0) and F.is_zero(r1) and F.is_zero(r2):
+    h0, h1, h2, h3 = F.xq_mod((F.zero, B, A))
+    h = (F.sub(h0, F.mul(h3, B)), F.sub(h1, F.mul(h3, A)), h2)
+    G = _frobenius_roots(F, (B, A, F.zero), h)
+    if len(G) == 4:
         return 0, 4
-    if not F.is_zero(r2):
-        # gcd(g, r) = gcd(r, g mod r), and g mod r is linear
-        inv = F.inv(r2)
-        u0, u1 = F.mul(r0, inv), F.mul(r1, inv)
-        r0 = F.add(F.mul(u1, u0), B)
-        r1 = F.add(F.sub(F.mul(u1, u1), u0), A)
-    if not F.is_zero(r1):
-        # the one candidate root; every root of g in F_q is a root of r
-        e = F.neg(F.mul(r0, F.inv(r1)))
-        if F.is_zero(F.add(F.mul(e, F.add(F.mul(e, e), A)), B)):
-            slope = F.add(F.smul(3, F.mul(e, e)), A)
-            return (0 if F.is_square(slope) else 2), 4
+    if len(G) == 2:
+        e = F.neg(G[0])
+        return (0 if F.is_square(F.add(F.smul(3, F.mul(e, e)), A)) else 2), 4
     return 1, 2
+
+
+def _three_class(F, A, B):
+    """(res, 3) with #E(F_q) = res (mod 3) for E: y^2 = x^3 + Ax + B, or
+    None where the 3-division polynomial leaves it open.
+
+    The roots of psi_3 = 3x^4 + 6Ax^2 + 12Bx - A^2 are the x-coordinates of
+    the points of order 3 (Schoof, Math. Comp. 44, 1985): of E where g(x0)
+    is a square, else of the twist, with N' = 2q + 2 - N points.  Frobenius
+    fixes none or two of the four lines of E[3] for q = 2 (mod 3), where
+    N = -N' (mod 3), and none, one or four for q = 1 (mod 3), where no root
+    leaves N = 2, one gives N = 0 or N' = 0, and four leave N open.
+    """
+    m = (F.neg(F.mul(F.mul(A, A), F.inv(F.from_int(3)))), F.smul(4, B), F.smul(2, A))
+    G = _frobenius_roots(F, (*m, F.zero), F.xq_mod(m))
+    if F.q % 3 == 2:
+        return (0, 3) if len(G) > 1 else None
+    if len(G) == 1:
+        return 2, 3
+    if len(G) == 2:
+        x0 = F.neg(G[0])
+        on_e = F.is_square(F.add(F.mul(x0, F.add(F.mul(x0, x0), A)), B))
+        return (0 if on_e else (2 * F.q + 2) % 3), 3
+    return None
 
 
 def _crt(a, b):
@@ -345,7 +331,7 @@ def _baby_steps(curve: _Curve, Q, s: int, width: int):
     No event up to s means n > 2s, and then n is 0, baby maps x(jQ) to j,
     baby_y[j] is y(jQ) and sQ = s*Q.
     """
-    F = curve.F
+    zero = curve.F.zero
     lanes, step = curve.progression(None, Q, width)
     baby, baby_y = {}, [None]
     for j0 in range(0, s + 1, width):
@@ -355,7 +341,7 @@ def _baby_steps(curve: _Curve, Q, s: int, width: int):
             if j == 0:
                 continue
             x, y = R
-            if F.is_zero(y):
+            if y == zero:
                 return 2 * j, None, None, None
             if x in baby:
                 return baby[x] + j, None, None, None
@@ -437,14 +423,14 @@ def group_order_bsgs(model: Genus1Model, rng=None) -> int:
     """#E(F_q) by interleaved order-finding on the curve and its twist.
 
     N = #E(F_q) mod 2, and in most cases mod 4, is read off the roots of the
-    cubic (_order_class); the twist's count 2q + 2 - N lies in the same
-    class.  Random points on each side are then searched over that class
-    only: the class members in the Hasse interval that kill the point form
-    one residue class, which is merged into what is known of N by the CRT.
-    The order is pinned once a single candidate N in the interval remains.
-    Uniqueness is guaranteed for q > MESTRE_BOUND, the only fields lpoly1
-    sends here.  Where the walk over the whole interval has fewer than
-    CLASS_FROM_ROUNDS baby rounds, it searches that whole interval instead.
+    cubic (_order_class) from CLASS_FROM_ROUNDS baby rounds of the walk over
+    the whole Hasse interval, and N mod 3, in most cases, off those of psi_3
+    (_three_class) from THREE_FROM_ROUNDS, over F_p and F_{p^2} alike.  The
+    twist's count 2q + 2 - N has the class 2q + 2 - res: N's class mod 4,
+    but not mod 3.  Random points on each side are searched over that side's
+    class: the members in the interval that kill the point form one residue
+    class, merged into what is known of N by the CRT, until one candidate N
+    remains.  It is unique for q > MESTRE_BOUND, the fields lpoly1 sends here.
     """
     if rng is None:
         rng = random.Random()
@@ -462,14 +448,16 @@ def group_order_bsgs(model: Genus1Model, rng=None) -> int:
     t0 = math.isqrt(4 * q)
     lo, hi = q + 1 - t0, q + 1 + t0
     target = 2 * q + 2
-    # q is odd, so 4 | 2q + 2 and the twist's count shares N's class
-    wide = _baby_rounds(hi - lo + 1) >= CLASS_FROM_ROUNDS
-    known = cls = _order_class(F, A, B) if wide else (0, 1)
+    rounds = _baby_rounds(hi - lo + 1)
+    known = _order_class(F, A, B) if rounds >= CLASS_FROM_ROUNDS else (0, 1)
+    if rounds >= THREE_FROM_ROUNDS:
+        known = _crt(known, _three_class(F, A, B) or (0, 1))
+    classes = (known, ((target - known[0]) % known[1], known[1]))
     for trial in range(MAX_POINTS):
         side = trial % 2
         curve = curves[side]
         P = curve.random_point(rng)
-        first, second = _multiples_in_interval(curve, P, lo, hi, *cls)
+        first, second = _multiples_in_interval(curve, P, lo, hi, *classes[side])
         if first is None:
             raise AmbiguousOrder("point order has no multiple in the interval")
         if second is None:

@@ -12,8 +12,8 @@ recentring loop serve both.
 Fp and Fp2 share one square test (chi_p of the norm), one Tonelli-Shanks
 square root, and a nonsquare drawn once per field object and kept.
 legendre, sqrt_mod_p and find_nonsquare are the same tools on plain ints.
-Each field's chord_round adds one point to many on raw ints, for one
-inversion: the lane round of the genus 1 BSGS walks.
+Each field's raw-int chord_round (one point added to many for one
+inversion), ec_add and xq_mod (x^q mod a quartic) serve the genus 1 BSGS.
 """
 
 import operator
@@ -129,6 +129,12 @@ def _tonelli_shanks(F, a, z):
     return x
 
 
+def _square4(a, b, c, d):
+    """The coefficients of (a + bx + cx^2 + dx^3)^2, constant first."""
+    return (a * a, 2 * a * b, b * b + 2 * a * c, 2 * (a * d + b * c),
+            c * c + 2 * b * d, 2 * c * d, d * d)
+
+
 class _SquareRoots:
     """Squares, square roots and a nonsquare, for any field class with p,
     q, one, zero, is_zero, mul, pow, norm and random."""
@@ -222,9 +228,6 @@ class Fp(_SquareRoots):
     def pow(self, a, e):
         return pow(a, e, self.p)
 
-    def frobenius(self, a):
-        return a
-
     def random(self, rng):
         return rng.randrange(self.p)
 
@@ -245,6 +248,39 @@ class Fp(_SquareRoots):
             x3 = (lam * lam - x1 - xs) % p
             out[i] = (x3, (lam * (x1 - x3) - y1) % p)
         return out
+
+    def ec_add(self, P, Q, A):
+        """P + Q on any curve y^2 = x^3 + Ax + B, on raw ints: the chord,
+        or the tangent when P = Q; None is the identity."""
+        if P is None or Q is None:
+            return Q if P is None else P
+        p = self.p
+        (x1, y1), (x2, y2) = P, Q
+        if x1 != x2:
+            lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+        elif (y1 + y2) % p == 0:
+            return None
+        else:
+            lam = (3 * x1 * x1 + A) * pow(2 * y1, -1, p) % p
+        x3 = (lam * lam - x1 - x2) % p
+        return x3, (lam * (x1 - x3) - y1) % p
+
+    def xq_mod(self, m):
+        """x^q mod x^4 + a*x^2 + b*x + c for m = (c, b, a), as four
+        coefficients, constant first, on raw ints: square, then multiply by
+        x, once per bit of q below the leading one."""
+        p, (c, b, a), h = self.p, m, (0, 1, 0, 0)
+        for bit in bin(p)[3:]:
+            s0, s1, s2, s3, s4, s5, s6 = _square4(*h)
+            # x^4 = -(a x^2 + b x + c), applied to x^6, x^5, then x^4
+            s4 = (s4 - a * s6) % p
+            s0, s1, s2, s3 = (s0 - c * s4, s1 - b * s4 - c * s5,
+                              s2 - a * s4 - b * s5 - c * s6, s3 - a * s5 - b * s6)
+            if bit == "1":  # times x: x^4 once more
+                t = s3 % p
+                s0, s1, s2, s3 = -c * t, s0 - b * t, s1 - a * t, s2
+            h = (s0 % p, s1 % p, s2 % p, s3 % p)
+        return h
 
 
 class Fp2(_SquareRoots):
@@ -340,14 +376,16 @@ class Fp2(_SquareRoots):
         return (c[0] * ninv % self.p, c[1] * ninv % self.p)
 
     def pow(self, a, e):
-        result = (1, 0)
-        base = a
+        p, u0, u1 = self.p, self.u0, self.u1
+        (r0, r1), (b0, b1) = (1, 0), a
         while e:
             if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
+                t = r1 * b1
+                r0, r1 = (r0 * b0 - u0 * t) % p, (r0 * b1 + r1 * b0 - u1 * t) % p
+            t = b1 * b1
+            b0, b1 = (b0 * b0 - u0 * t) % p, (2 * b0 * b1 - u1 * t) % p
             e >>= 1
-        return result
+        return r0, r1
 
     def random(self, rng):
         return (rng.randrange(self.p), rng.randrange(self.p))
@@ -384,6 +422,81 @@ class Fp2(_SquareRoots):
             out[i] = ((x0, x1), ((l0 * w0 - u0 * t - b0) % p,
                                  (l0 * w1 + l1 * w0 - u1 * t - b1) % p))
         return out
+
+    def ec_add(self, P, Q, A):
+        """Fp.ec_add over F_{p^2}: slope n/d, 1/d = frob(d)/N(d) as in chord_round."""
+        if P is None or Q is None:
+            return Q if P is None else P
+        p, u0, u1 = self.p, self.u0, self.u1
+        ((a0, a1), (b0, b1)), ((c0, c1), (e0, e1)) = P, Q
+        if a0 != c0 or a1 != c1:
+            n0, n1, d0, d1 = e0 - b0, e1 - b1, c0 - a0, c1 - a1
+        elif (b0 + e0) % p == 0 and (b1 + e1) % p == 0:
+            return None
+        else:
+            t = a1 * a1
+            n0, n1 = 3 * (a0 * a0 - u0 * t) + A[0], 3 * (2 * a0 * a1 - u1 * t) + A[1]
+            d0, d1 = 2 * b0, 2 * b1
+        ninv = pow((d0 * d0 - u1 * d0 * d1 + u0 * d1 * d1) % p, -1, p)
+        f0 = d0 - u1 * d1  # frob(d) = (f0, -d1)
+        t = -n1 * d1
+        l0 = (n0 * f0 - u0 * t) * ninv % p
+        l1 = (n1 * f0 - n0 * d1 - u1 * t) * ninv % p
+        t = l1 * l1
+        x0 = (l0 * l0 - u0 * t - a0 - c0) % p
+        x1 = (2 * l0 * l1 - u1 * t - a1 - c1) % p
+        w0, w1 = a0 - x0, a1 - x1
+        t = l1 * w1
+        return (x0, x1), ((l0 * w0 - u0 * t - b0) % p, (l0 * w1 + l1 * w0 - u1 * t - b1) % p)
+
+    def xq_mod(self, m):
+        """Fp.xq_mod over F_{p^2}, m = (c, b, a) pairs: x^q = (x^p)^p is
+        sum frob(h_i) h^i for h = x^p, h^3 from the squares h^2, h^4 and
+        (h + h^2)^2 = h^2 + 2h^3 + h^4.  (X + zY)^2 comes from the F_p squares
+        X^2, Y^2, (X + Y)^2, and a pair t reduces as t0*m_j + t1*z*m_j."""
+        p, u0, u1 = self.p, self.u0, self.u1
+        (c0, c1, cz0, cz1), (b0, b1, bz0, bz1), (a0, a1, az0, az1) = [
+            (m0, m1, -u0 * m1, m0 - u1 * m1) for m0, m1 in m]
+
+        def square(x, y, shift=False):
+            X, Y = _square4(*x), _square4(*y)
+            r0, r1, r2, r3, r4, r5, r6 = [s - u0 * t for s, t in zip(X, Y)]
+            i0, i1, i2, i3, i4, i5, i6 = [s - r - (1 + u1) * t for s, r, t in zip(
+                _square4(*[a + b for a, b in zip(x, y)]), X, Y)]
+            # x^4 = -(a x^2 + b x + c), applied to x^6, x^5, then x^4
+            r4 = (r4 - r6 * a0 - i6 * az0) % p
+            i4 = (i4 - r6 * a1 - i6 * az1) % p
+            r3 -= r6 * b0 + i6 * bz0 + r5 * a0 + i5 * az0
+            i3 -= r6 * b1 + i6 * bz1 + r5 * a1 + i5 * az1
+            r2 -= r6 * c0 + i6 * cz0 + r5 * b0 + i5 * bz0 + r4 * a0 + i4 * az0
+            i2 -= r6 * c1 + i6 * cz1 + r5 * b1 + i5 * bz1 + r4 * a1 + i4 * az1
+            r1 -= r5 * c0 + i5 * cz0 + r4 * b0 + i4 * bz0
+            i1 -= r5 * c1 + i5 * cz1 + r4 * b1 + i4 * bz1
+            r0 -= r4 * c0 + i4 * cz0
+            i0 -= r4 * c1 + i4 * cz1
+            if shift:  # times x: x^4 once more
+                t0, t1 = r3 % p, i3 % p
+                r0, r1, r2, r3 = (-t0 * c0 - t1 * cz0, r0 - t0 * b0 - t1 * bz0,
+                                  r1 - t0 * a0 - t1 * az0, r2)
+                i0, i1, i2, i3 = (-t0 * c1 - t1 * cz1, i0 - t0 * b1 - t1 * bz1,
+                                  i1 - t0 * a1 - t1 * az1, i2)
+            return (r0 % p, r1 % p, r2 % p, r3 % p), (i0 % p, i1 % p, i2 % p, i3 % p)
+
+        h = (0, 1, 0, 0), (0, 0, 0, 0)
+        for bit in bin(p)[3:]:
+            h = square(*h, bit == "1")
+        h2 = square(*h)
+        h4 = square(*h2)
+        s = square(*([a + b for a, b in zip(u, v)] for u, v in zip(h, h2)))
+        h3 = [[(a - b - c) * (p + 1) // 2 % p for a, b, c in zip(*w)] for w in zip(s, h2, h4)]
+        re, im = [0] * 4, [0] * 4
+        for (f0, f1), (P, Q) in zip(zip(*h), (((1, 0, 0, 0), (0,) * 4), h, h2, h3)):
+            f0, f1 = f0 - u1 * f1, -f1  # frob(f0 + f1 z) = (f0 - u1 f1) - f1 z
+            for k in range(4):
+                t = f1 * Q[k]
+                re[k] += f0 * P[k] - u0 * t
+                im[k] += f0 * Q[k] + f1 * P[k] - u1 * t
+        return tuple((a % p, b % p) for a, b in zip(re, im))
 
 
 class Integers:

@@ -86,13 +86,22 @@ def taylor_shift(f, r):
 
 
 def vp(n: int, p: int) -> int:
-    """p-adic valuation of a nonzero integer."""
+    """p-adic valuation of a nonzero integer: six divisions by p, then, for
+    a larger valuation, by p^(2^i) for rising and then falling i."""
     if n == 0:
         raise ValueError("valuation of 0 is infinite")
     v = 0
     while n % p == 0:
         n //= p
         v += 1
+        if v == 6:
+            pows = [p]
+            while n % pows[-1] == 0:
+                pows.append(pows[-1] * pows[-1])
+            for i in range(len(pows) - 2, -1, -1):
+                if n % pows[i] == 0:
+                    n //= pows[i]
+                    v += 1 << i
     return v
 
 

@@ -17,6 +17,7 @@ from g2lpoly.genus1 import (
     _Curve,
     _multiples_in_interval,
     _order_class,
+    _three_class,
     count_points_naive,
     group_order_bsgs,
     lpoly1,
@@ -550,9 +551,9 @@ def test_order_class_matches_exhaustive_counts():
 
 
 def test_class_interval_multiples_match_brute_force_orders():
-    # m = res (mod 2 or 4) with m*P = O: Q = mod*P may be the identity (P of
-    # order 1, 2 or 4), its order may show in the baby walk (small fields),
-    # or the giant windows decide (q near 2000)
+    # m = res (mod 2, 3, 4 or 12) with m*P = O: Q = mod*P may be the identity
+    # (P of order dividing mod), its order may show in the baby walk (small
+    # fields), or the giant windows decide (q near 2000)
     rng = random.Random(53)
     fields = (Fp(23), Fp(47), Fp(1009), Fp(1999), Fp2(5, 2, 0), Fp2(43, 1, 0))
     seen = set()
@@ -566,7 +567,7 @@ def test_class_interval_multiples_match_brute_force_orders():
             points += [P for P in draws if _order(curve, P) in (2, 4)][:2]
             for P in points:
                 n = _order(curve, P)
-                for mod in (2, 4):
+                for mod in (2, 3, 4, 12):
                     n_q = n // math.gcd(n, mod)
                     seen.add("Q = O" if n_q == 1 else "giant" if n_q > 62 else "baby")
                     res = rng.randrange(mod)
@@ -579,9 +580,9 @@ def test_class_interval_multiples_match_brute_force_orders():
     assert seen == {"Q = O", "baby", "giant"}
 
 
-def _prime_near(n, mod):
-    """Smallest prime p >= n with p = 1 (mod mod)."""
-    p = n + (1 - n) % mod
+def _prime_near(n, mod, res=1):
+    """Smallest prime p >= n with p = res (mod mod)."""
+    p = n + (res - n) % mod
     while not is_prime(p):
         p += mod
     return p
@@ -591,13 +592,16 @@ def _prime_near(n, mod):
 def test_lpoly1_exact_cm_curves_fp(bits):
     # y^2 = x^3 + Ax (j = 1728, p = 1 mod 4: one or three roots) and
     # y^2 = x^3 + B (j = 0, p = 1 mod 3: none or three), with the trace read
-    # off p = a^2 + b^2 or x^2 + 3y^2 by arithmetic independent of the package
+    # off p = a^2 + b^2 or x^2 + 3y^2 by arithmetic independent of the package.
+    # j = 1728 runs at p = 1 and p = 5 (mod 12), so both residues of q mod 3
+    # reach the class mod 3 (read from q = 2^30 on)
     rng = random.Random(bits)
     cases = []
-    p = _prime_near(1 << bits, 4)
-    c = rng.randrange(2, p)
-    # A = -c^2 splits x(x - c)(x + c); A a nonsquare leaves the root 0 alone
-    cases += [(p, (0, -c * c % p, 0, 1)), (p, (0, find_nonsquare(p, rng), 0, 1))]
+    for res in (1, 5):
+        p = _prime_near(1 << bits, 12, res)
+        c = rng.randrange(2, p)
+        # A = -c^2 splits x(x - c)(x + c); A a nonsquare leaves the root 0 alone
+        cases += [(p, (0, -c * c % p, 0, 1)), (p, (0, find_nonsquare(p, rng), 0, 1))]
     p = _prime_near(1 << bits, 3)
     c = rng.randrange(2, p)
     w = next(w for w in range(2, p) if pow(w, (p - 1) // 3, p) != 1)
@@ -616,3 +620,92 @@ def test_cm_trace_reference_matches_brute_force():
                 assert p + 1 - _util.cm_trace(c, 0, p, rng) == brute_count_fp((0, c, 0, 1), p)
             if p % 3 == 1:
                 assert p + 1 - _util.cm_trace(0, c, p, rng) == brute_count_fp((c, 0, 0, 1), p)
+
+
+def _brute_count(F, g):
+    return brute_count_fp(g, F.p) if F.q == F.p else brute_count_fp2(g, F.p, F.u0, F.u1)
+
+
+def _elements(F):
+    return range(F.p) if F.q == F.p else _util.fp2_elements(F.p)
+
+
+def _eval(F, f, x):
+    acc = F.zero
+    for c in reversed(f):
+        acc = F.add(F.mul(acc, x), c)
+    return acc
+
+
+def test_three_class_matches_exhaustive_counts():
+    # #E mod 3 from the F_q-roots of psi_3, against brute-force counts.
+    # Frobenius fixes none or two of the four lines of E[3] when q = 2
+    # (mod 3), and none, one or four when q = 1: F_p at p = 1 and 2 (mod 3),
+    # F_{p^2} (always q = 1), one root on the curve or on its twist
+    rng = random.Random(57)
+    fields = [Fp(p) for p in _fp_primes(5, 200)]
+    fields += [Fp2(p, -find_nonsquare(p, rng) % p, 0) for p in _fp_primes(5, 30)]
+    seen = set()
+    for F in fields:
+        for _ in range(12 if F.q == F.p else 6):
+            curve = _random_curve(F, rng)
+            A, B = curve.A, curve.B
+            n = _brute_count(F, (B, A, F.zero, F.one))
+            psi = (F.neg(F.mul(A, A)), F.smul(12, B), F.smul(6, A), F.zero, F.from_int(3))
+            roots = [x for x in _elements(F) if F.is_zero(_eval(F, psi, x))]
+            branch = (F.q % 3, len(roots))
+            if branch == (1, 1):
+                rhs = F.add(F.mul(roots[0], F.add(F.mul(roots[0], roots[0]), A)), B)
+                branch += ("curve" if F.is_square(rhs) else "twist",)
+            seen.add(branch)
+            cls = _three_class(F, A, B)
+            if branch in ((2, 0), (1, 4)):
+                assert cls is None, (F, A, B)
+            else:
+                assert cls == (n % 3, 3), (F, A, B, n)
+    assert seen == {(2, 0), (2, 2), (1, 0), (1, 1, "curve"), (1, 1, "twist"), (1, 4)}
+
+
+def test_bsgs_class_mod_12_on_both_sides(monkeypatch):
+    # with both classes read at every size, fields just above MESTRE_BOUND
+    # leave many points whose order has several multiples in the interval,
+    # so the twist side runs too: each side must search its own class,
+    # 2q + 2 - res for the twist, which differs from N's mod 3
+    monkeypatch.setattr(genus1, "CLASS_FROM_ROUNDS", 0)
+    monkeypatch.setattr(genus1, "THREE_FROM_ROUNDS", 0)
+    searched = []
+    real = genus1._multiples_in_interval
+
+    def spy(curve, P, lo, hi, res=0, mod=1):
+        searched.append(mod)
+        return real(curve, P, lo, hi, res, mod)
+
+    monkeypatch.setattr(genus1, "_multiples_in_interval", spy)
+    rng = random.Random(58)
+    fields = [Fp(p) for p in (233, 239, 241, 251, 257, 263)]
+    fields += [Fp2(p, -find_nonsquare(p, rng) % p, 0) for p in (17, 19, 23)]
+    twist_mod_3 = 0
+    for F in fields:
+        for _ in range(40):
+            curve = _random_curve(F, rng)
+            model = Genus1Model(F, (curve.B, curve.A, F.zero, F.one))
+            searched.clear()
+            assert group_order_bsgs(model, rng) == count_points_naive(model), (F, model.g)
+            twist_mod_3 += len(searched) > 1 and searched[1] % 3 == 0
+    assert twist_mod_3 >= 10
+
+
+def test_scalar_multiplication_kills_points():
+    # _Curve.mul runs on the field's raw-int ec_add: doublings, chords and
+    # P + (-P) = O; #E*P = O and (#E + 1)*P = P on brute-counted curves
+    rng = random.Random(59)
+    fields = [Fp(1009), Fp(2003), Fp2(43, 1, 0), Fp2(47, -find_nonsquare(47, rng) % 47, 0)]
+    for F in fields:
+        for _ in range(5):
+            curve = _random_curve(F, rng)
+            n = _brute_count(F, (curve.B, curve.A, F.zero, F.one))
+            for _ in range(4):
+                P = curve.random_point(rng)
+                assert curve.mul(n, P) is None, (F, curve.A, curve.B, P)
+                assert curve.mul(n + 1, P) == P
+                assert curve.add(P, (P[0], F.neg(P[1]))) is None

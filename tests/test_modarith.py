@@ -115,6 +115,13 @@ def test_fp2_field_axioms_random():
         # Frobenius has order dividing 2 and x^(p^2) = x
         assert F.frobenius(F.frobenius(x)) == x
         assert F.pow(x, F.q) == x
+        # pow on raw ints against repeated mul, and a^(e + f) = a^e a^f
+        e, f = rng.randrange(40), rng.randrange(F.q * F.q)
+        power = F.one
+        for _ in range(e):
+            power = F.mul(power, x)
+        assert F.pow(x, e) == power
+        assert F.pow(x, e + f) == F.mul(power, F.pow(x, f))
         # it is a ring morphism
         assert F.frobenius(F.mul(x, y)) == F.mul(F.frobenius(x), F.frobenius(y))
 
@@ -292,3 +299,28 @@ def test_fp_inverse_matches_fermat():
     for _ in range(20):
         a = rng.randrange(1, F.p)
         assert F.inv(a) == pow(a, F.p - 2, F.p)
+
+
+def _xq_reference(F, m):
+    """x^q mod x^4 + a x^2 + b x + c, m = (c, b, a), by q - 1 products by x
+    through the field's methods."""
+    c, b, a = m
+    h = [F.zero, F.one, F.zero, F.zero]
+    for _ in range(F.q - 1):
+        t = h[3]
+        h = [F.neg(F.mul(t, c)), F.sub(h[0], F.mul(t, b)), F.sub(h[1], F.mul(t, a)), h[2]]
+    return tuple(h)
+
+
+def test_xq_mod_matches_repeated_products():
+    # q - 1 products by x against the raw-int square-and-multiply over F_p
+    # and the Frobenius route x^q = sum frob(h_i) h^i over F_{p^2}, for
+    # random quartics x^4 + a x^2 + b x + c, c = 0 (x times a cubic) included
+    rng = random.Random(60)
+    fields = [Fp(p) for p in (5, 7, 101, 1009, 7919)]
+    fields += [Fp2(p, -find_nonsquare(p, rng) % p, 0) for p in (3, 7, 23, 61)]
+    fields.append(Fp2(31, 2, 1))  # z^2 + z + 2: u1 != 0
+    for F in fields:
+        for c_zero in (False, True):
+            m = (F.zero if c_zero else F.random(rng), F.random(rng), F.random(rng))
+            assert F.xq_mod(m) == _xq_reference(F, m), (F, m)

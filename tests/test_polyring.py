@@ -25,6 +25,7 @@ from g2lpoly.polyring import (
     shift_scale,
     taylor_shift,
     trim,
+    vp,
 )
 
 from _util import (
@@ -443,3 +444,20 @@ def test_squarefree_part_small_characteristic():
     # (x^2+1)^3 = x^6 + 1 over F_3: derivative vanishes, exhaustive path needed
     f = (1, 0, 0, 0, 0, 0, 1)
     assert fp_squarefree_part(f, 3) == (1, 0, 1)
+
+
+def test_vp_matches_repeated_division():
+    # six single divisions, then squares of p: valuations around the switch
+    # and far above it (height-256 discriminants reach 132)
+    rng = random.Random(61)
+    for _ in range(3000):
+        p = rng.choice((3, 5, 7, 97, 8191, (1 << 61) - 1))
+        k = rng.choice((0, 1, 5, 6, 7, 8, 15, 16, 17, 52, 132, rng.randrange(300)))
+        n = rng.choice((1, -1)) * rng.randrange(1, 10 ** rng.randrange(1, 60)) * p**k
+        want, m = 0, n
+        while m % p == 0:
+            m //= p
+            want += 1
+        assert vp(n, p) == want >= k
+    with pytest.raises(ValueError):
+        vp(0, 5)
