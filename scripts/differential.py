@@ -8,13 +8,17 @@ runs in its own interpreter with its own src/ and tests/ on the path.  Per
 input it compares the input itself, then the coefficients, cluster type,
 loop_iters and normalize_v, or the class of the exception raised.
 
-Those inputs have p <= 61, where every genus 1 count is exhaustive, so a
-seeded BSGS section follows: group_order_bsgs on 264 random cubics, 24 per
-field size, over F_p with p of about 14, 20, 30, 34, 40, 48 and 61 bits
-(half of them with p = 1 and half with p = 2 mod 3, the two branches of the
-class mod 3) and over F_{p^2} with p of about 7, 10, 13 and 16 bits,
-compared by the order found or the exception class.  Prints the first mismatch and the number of
-mismatches; exits 1 if there are any.
+Those inputs have p <= 61, where every genus 1 count is exhaustive, so two
+seeded sections follow.  The BSGS section runs group_order_bsgs on 264
+random cubics, 24 per field size, over F_p with p of about 14, 20, 30, 34,
+40, 48 and 61 bits (half of them with p = 1 and half with p = 2 mod 3, the
+two branches of the class mod 3) and over F_{p^2} with p of about 7, 10, 13
+and 16 bits, compared by the order found or the exception class.  The
+kernel section runs count_points_naive on 3 random cubics and 3 random
+quartics per field: over F_p with p drawn from each [2^(b-1), 2^b) for
+b = 2 ... 13 and p = 65521, and over F_{p^2} for every odd p <= 61 and
+p = 257 (186 counts), compared count by count.  Prints the first mismatch and the
+number of mismatches; exits 1 if there are any.
 """
 
 import argparse
@@ -32,6 +36,13 @@ COUNT = 600
 BSGS_FIELDS = ([("fp", b) for b in (14, 20, 30, 34, 40, 48, 61)]
                + [("fp2", b) for b in (7, 10, 13, 16)])
 BSGS_CUBICS = 24
+# over F_p, one prime drawn as for BSGS_FIELDS per bit size, then 65521, the
+# largest prime below 2^16; over F_{p^2}, every odd prime to 61, and 257
+KERNEL_FP_BITS = range(2, 14)
+KERNEL_PRIMES = ([("fp", 65521)]
+                 + [("fp2", p) for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41,
+                                         43, 47, 53, 59, 61, 257)])
+KERNEL_MODELS = 3  # cubics, and as many quartics, per field
 
 
 def outcomes():
@@ -54,7 +65,7 @@ def outcomes():
                        "loop_iters": list(stats.loop_iters),
                        "normalize_v": stats.normalize_v}
             out.append((dict(case, seed=seed), got))
-    return out + bsgs_outcomes()
+    return out + bsgs_outcomes() + kernel_outcomes()
 
 
 def _random_field(kind, p, rng):
@@ -93,6 +104,38 @@ def bsgs_outcomes():
                     continue
             try:
                 got = {"order": group_order_bsgs(model, random.Random(i))}
+            except Exception as exc:  # the exception class is part of the outcome
+                got = {"exc": type(exc).__name__}
+            out.append(({"field": repr(F), "g": g}, got))
+    return out
+
+
+def kernel_outcomes():
+    """(model, outcome) for count_points_naive on the seeded random models."""
+    from g2lpoly.errors import DegreeError, NotSquarefree
+    from g2lpoly.genus1 import Genus1Model, count_points_naive
+    from g2lpoly.modarith import is_prime
+
+    rng = random.Random(2025)
+    out = []
+    drawn = []
+    for bits in KERNEL_FP_BITS:
+        p = rng.randrange(1 << (bits - 1), 1 << bits) | 1
+        while not is_prime(p):
+            p += 2
+        drawn.append(("fp", p))
+    for kind, p in drawn + KERNEL_PRIMES:
+        F = _random_field(kind, p, rng)
+        for degree in [3] * KERNEL_MODELS + [4] * KERNEL_MODELS:
+            while True:
+                g = tuple(F.random(rng) for _ in range(degree + 1))
+                try:
+                    model = Genus1Model(F, g)
+                    break
+                except (DegreeError, NotSquarefree):
+                    continue
+            try:
+                got = {"count": count_points_naive(model, limit=1 << 17)}
             except Exception as exc:  # the exception class is part of the outcome
                 got = {"exc": type(exc).__name__}
             out.append(({"field": repr(F), "g": g}, got))

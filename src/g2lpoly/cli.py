@@ -134,6 +134,10 @@ def run_batch(lines, out, jobs=1, stable=True, seed=None):
         return 0
     tasks = [(ln, seed) for ln in lines]
     if jobs > 1:
+        # loaded once here, forked workers share numpy instead of each
+        # importing it for its first exhaustive count
+        import numpy  # noqa: F401
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             if stable:
                 results = list(pool.map(_worker, tasks, chunksize=16))

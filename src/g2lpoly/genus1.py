@@ -28,13 +28,16 @@ from .modarith import Fp2
 from .polyring import field_disc, fp2_trim, fp_trim
 
 DEFAULT_NAIVE_LIMIT = 1 << 16
-# Over F_p one numpy pass over [0, p) beats BSGS up to about p = 2^13
-# (0.30 ms against 0.32 ms at p = 8191, 0.78 ms against 0.34 ms at 16381).
+# Median ms per count, 20 random cubics and 20 quartics per prime (README,
+# "Point counting").  Over F_p the kernel costs 0.08-0.12 against BSGS
+# 0.12-0.17 at p = 8191, and 0.29-0.37 against 0.15-0.22 at 16381, so the
+# band ends at 2^13.
 FP_EXHAUSTIVE_BELOW = 1 << 13
-# Over F_{p^2} an exhaustive count costs p^2 evaluations: it beats BSGS
-# clearly up to p = 31 (0.24 ms against 0.60 ms), is within noise of it at
-# p = 61 and 67, and loses from about p = 79 on, so the band ends at p = 61.
-FP2_EXHAUSTIVE_BELOW = 1 << 12
+# Over F_{p^2} an exhaustive count costs p^2 evaluations: 0.10-0.19 against
+# BSGS 0.26-0.29 at p = 61 and 0.24-0.30 against 0.29-0.33 at 89; the two
+# are even at 97 and 101, and BSGS wins from 113 on, so the band ends at
+# q = 2^13 (p = 89).
+FP2_EXHAUSTIVE_BELOW = 1 << 13
 # Above q = 229, E or its quadratic twist has a point whose order has only
 # one multiple in the Hasse interval (Mestre for prime q; Cremona and
 # Sutherland, "On a theorem of Mestre and Schoof", JTNB 2010, for every q),

@@ -4,19 +4,31 @@ Both kernels count affine points of y^2 = g(x), i.e. sum over x of
 1 + chi(g(x)) with chi the quadratic character (chi(0) = 0); points at
 infinity are the caller's job.
 
-All kernels assume p < 2^30 so that short sums of products of reduced values
-fit in int64.
+Horner runs in place on int64 and reduces mod p only where it must.  All
+operands are kept non-negative (a subtraction becomes the addition of the
+negated constant mod p), and an upper bound on the accumulators is carried
+beside them in Python ints: a step goes ahead unreduced while the bound says
+every intermediate stays below _BOUND = 2^62, and otherwise the accumulators
+are reduced first.  The bound depends only on p and the degree, so the
+schedule is fixed before any point is evaluated.  Below p = 2^13 that is one
+reduction for a cubic over F_p and at most two for a quartic; over F_{p^2}
+it is at most three per block below p = 2^8 (two before the norm, one
+after).  Both kernels take p < 2^30, where a step from reduced accumulators
+stays below the bound, once over F_{p^2} above p = 2^20 the product g1 b
+inside a step and the two products of the norm are reduced too.
+
+numpy is imported by the first count, not by `import g2lpoly`, so a run
+whose fields all lie above the exhaustive bands never loads it.
 """
 
 import functools
 
-import numpy as np
-
 _P_LIMIT = 1 << 30
+_BOUND = 1 << 62
 # count_affine_fp2 evaluates about this many points per numpy pass (whole
 # rows of p values of a, at least one row), which bounds its memory at any p.
-# 2^14 ran fastest of 2^12 ... 2^18 from p = 1021 to 8191, within noise at
-# p <= 251.
+# 2^14 ran fastest, or within 12% of the fastest, of 2^12 ... 2^17 from
+# p = 127 to 4093.
 _FP2_BLOCK = 1 << 14
 
 
@@ -27,53 +39,150 @@ def kernel_mode() -> str:
 
 @functools.lru_cache(maxsize=4)  # the two genus 1 counts of a factor share p
 def _chi_table(p):
+    import numpy as np
+
     chi = np.full(p, -1, dtype=np.int8)
-    idx = (np.arange(p, dtype=np.int64) ** 2) % p
-    chi[idx] = 1
+    sq = np.arange((p + 1) // 2, dtype=np.int64)  # x and -x share x^2
+    sq *= sq
+    _reduce(sq, p, np.empty_like(sq))
+    chi[sq] = 1
     chi[0] = 0
     chi.setflags(write=False)  # shared by every caller
     return chi
+
+
+def _reduce(v, p, tmp):
+    """v %= p in place for v >= 0.  numpy divides by a scalar through
+    libdivide, so from about 2^10 entries v - (v // p) p runs faster than
+    np.remainder (1.5x at 2^12), whose one call wins below that."""
+    import numpy as np
+
+    if v.size < 1 << 10:
+        np.remainder(v, p, out=v)
+        return
+    np.floor_divide(v, p, out=tmp)
+    tmp *= p
+    v -= tmp
 
 
 def count_affine_fp(coeffs, p: int) -> int:
     """Affine count over F_p, Horner over all of [0, p) in one pass."""
     if p >= _P_LIMIT:
         raise ValueError(f"kernel requires p < 2^30, got {p}")
+    import numpy as np
+
+    m = p - 1
+    cs = [int(c) % p for c in reversed(coeffs)]
+    cs = [0] * (2 - len(cs)) + cs  # at least l x + c
     chi = _chi_table(p)
-    xs = np.arange(p, dtype=np.int64)
-    acc = np.zeros(p, dtype=np.int64)
-    for c in reversed(coeffs):
-        acc = (acc * xs + int(c) % p) % p
-    return int(p + chi[acc].sum())
+    x = np.arange(p, dtype=np.int64)
+    acc, tmp = np.empty((2, p), dtype=np.int64)
+    np.multiply(x, cs[0], out=acc)
+    acc += cs[1]
+    bound = (m + 1) * m  # acc <= bound
+    for c in cs[2:]:
+        if (bound + 1) * m >= _BOUND:  # acc * x + c could reach 2^62
+            _reduce(acc, p, tmp)
+            bound = m
+        acc *= x
+        if c:
+            acc += c
+        bound = (bound + 1) * m
+    _reduce(acc, p, tmp)
+    return int(p + chi.take(acc).sum())
 
 
 def count_affine_fp2(coeffs, u0: int, u1: int, p: int) -> int:
     """Affine count over F_p[z]/(z^2 + u1 z + u0).
 
     coeffs are (c0, c1) pairs for c0 + c1 z.  The points a + b z are taken
-    in blocks of consecutive b, every a at once.  The character is evaluated
-    through the norm to F_p, which collapses the p^2 grid to one table
-    lookup per point.
+    in blocks of consecutive b, every a at once, as flat arrays.  With
+    z^2 = n1 z + n0 (n0 = -u0, n1 = -u1 mod p), one Horner step is
+        g0 + g1 z  ->  (g0 a + n0 t + c0) + (g0 b + g1 a + n1 t + c1) z,
+    t = g1 b.  The character is evaluated through the norm to F_p,
+    g0^2 + n1 g0 g1 + u0 g1^2 mod p, which collapses the p^2 grid to one
+    table lookup per point.
     """
     if p >= _P_LIMIT:
         raise ValueError(f"kernel requires p < 2^30, got {p}")
+    import numpy as np
+
+    m = p - 1
     u0 %= p
-    u1 %= p
+    n0, n1 = -u0 % p, -u1 % p
     cs = [(int(c[0]) % p, int(c[1]) % p) for c in reversed(coeffs)]
+    cs = [(0, 0)] * (2 - len(cs)) + cs  # at least l x + c
     chi = _chi_table(p)
-    a = np.arange(p, dtype=np.int64)
-    rows = max(1, _FP2_BLOCK // p)
+    rows = min(p, max(1, _FP2_BLOCK // p))
+    # a, b and four accumulators, rows * p each, in one allocation
+    work = np.empty((6, rows * p), dtype=np.int64)
+    a_all, b_all, g0_all, g1_all, t_all, s_all = work
+    a_all.reshape(rows, p)[:] = np.arange(p)
+    b_all.reshape(rows, p)[:] = np.arange(rows)[:, None]
+    (l0, l1), rest = cs[0], cs[1:]
+    # first step from the scalar leading coefficient: l x + c
+    al, be, ga, de = l0, n0 * l1 % p, l1, (l0 + n1 * l1) % p
     total = p * p
     for start in range(0, p, rows):
-        b = np.arange(start, min(start + rows, p), dtype=np.int64)[:, None]
-        g0 = np.zeros((len(b), p), dtype=np.int64)
-        g1 = np.zeros((len(b), p), dtype=np.int64)
-        for c0, c1 in cs:
-            t = g1 * b % p
-            n0 = (g0 * a - u0 * t + c0) % p
-            g1 = (g0 * b + g1 * a - u1 * t + c1) % p
-            g0 = n0
-        # norm(g0 + g1 z) = g0^2 - u1 g0 g1 + u0 g1^2
-        norm = (g0 * g0 - (u1 * g0 % p) * g1 + (u0 * g1 % p) * g1) % p
-        total += int(chi[norm].sum())
+        if start:
+            b_all += rows
+        size = min(rows, p - start) * p
+        a, b = a_all[:size], b_all[:size]
+        g0, g1, t, s = g0_all[:size], g1_all[:size], t_all[:size], s_all[:size]
+        c0, c1 = rest[0]
+        np.multiply(a, al, out=g0)
+        np.multiply(b, be, out=t)
+        g0 += t
+        g0 += c0
+        np.multiply(a, ga, out=g1)
+        np.multiply(b, de, out=t)
+        g1 += t
+        g1 += c1
+        bound = (2 * m + 1) * m  # g0, g1 <= bound
+        for c0, c1 in rest[1:]:
+            # the step below leaves g0, g1 <= (tb + 2 bound) m + m
+            if (bound * m + 2 * bound) * m + m >= _BOUND:
+                _reduce(g0, p, t)
+                _reduce(g1, p, t)
+                bound = m
+            np.multiply(g1, b, out=t)
+            tb = bound * m  # t <= tb
+            if (tb + 2 * bound) * m + m >= _BOUND:  # only for p above 2^20
+                _reduce(t, p, s)
+                tb = m
+            np.multiply(g0, b, out=s)
+            g0 *= a
+            g1 *= a
+            g1 += s
+            if n1:
+                np.multiply(t, n1, out=s)
+                g1 += s
+            t *= n0
+            g0 += t
+            if c0:
+                g0 += c0
+            if c1:
+                g1 += c1
+            bound = (tb + 2 * bound) * m + m
+        # the norm g0 (g0 + n1 g1) + u0 g1^2 <= bound^2 (2m + 1)
+        if bound * bound * (2 * m + 1) >= _BOUND:
+            _reduce(g0, p, t)
+            _reduce(g1, p, t)
+            bound = m
+        wide = bound * bound * (2 * m + 1) >= _BOUND  # only for p above 2^20
+        if n1:
+            np.multiply(g1, n1, out=t)
+            if wide:
+                _reduce(t, p, s)
+            t += g0
+            t *= g0
+        else:
+            np.multiply(g0, g0, out=t)
+        np.multiply(g1, u0, out=s)
+        if wide:
+            _reduce(s, p, g0)  # g0 is spent
+        s *= g1
+        t += s
+        _reduce(t, p, s)
+        total += int(chi.take(t).sum())
     return total

@@ -1,8 +1,13 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import g2lpoly
 from g2lpoly import genus1, kernels
 from g2lpoly.errors import (
     DegreeError,
@@ -120,6 +125,74 @@ def test_chi_table_is_cached_read_only():
         want = brute_count_fp(g, p) - 1
         assert kernels.count_affine_fp(g, p) == want
         assert kernels.count_affine_fp(g, p) == want
+
+
+@pytest.mark.parametrize("p", (8191, 65521))
+def test_count_fp_at_the_kernel_reduction_edges(p):
+    # below 2^13 a cubic is reduced once, at the end, and a quartic also
+    # before its last Horner step; near 2^16 both are reduced before the
+    # third step and at the end
+    rng = random.Random(p)
+    F = Fp(p)
+    for coeffs in ((None, None, None, None), (None, None, None, None, None)):
+        m = _random_nonsingular(rng, F, coeffs)
+        assert count_points_naive(m, limit=1 << 16) == brute_count_fp(m.g, p)
+
+
+@pytest.mark.parametrize("p", (43, 257))
+def test_count_fp2_against_bruteforce_on_both_grids(p):
+    # p = 43 is one block; at 257 the fifth block is partial.  u1 != 0 takes
+    # the z-coefficient of z^2 through every step and the norm
+    rng = random.Random(p)
+    while True:
+        try:
+            F = Fp2(p, rng.randrange(1, p), rng.randrange(1, p))
+            break
+        except ValueError:  # z^2 + u1 z + u0 reducible mod p
+            continue
+    for coeffs in ((None, None, None, 1), (None, None, None, None, None)):
+        m = _random_nonsingular(rng, F, coeffs)
+        assert count_points_naive(m, limit=1 << 17) == brute_count_fp2(m.g, p, F.u0, F.u1)
+
+
+def test_kernels_with_a_lowered_bound(monkeypatch):
+    # At 2^14 the bound schedules at p = 43 what p above 2^20 needs: every
+    # step reduces first, t = g1 b is reduced inside the step, and so are the
+    # norm's two products.  The counts must not change.
+    rng = random.Random(34)
+    p = 43
+    cases = []
+    for u1 in (0, 5):
+        u0 = next(u for u in range(1, p) if pow((u1 * u1 - 4 * u) % p, (p - 1) // 2, p) == p - 1)
+        for d in (3, 4):
+            g = tuple((rng.randrange(p), rng.randrange(p)) for _ in range(d + 1))
+            cases.append((kernels.count_affine_fp2, (g, u0, u1, p)))
+    for d in (3, 4, 6):
+        cases.append((kernels.count_affine_fp, (tuple(rng.randrange(p) for _ in range(d + 1)), p)))
+    want = [kernel(*args) for kernel, args in cases]
+    monkeypatch.setattr(kernels, "_BOUND", 1 << 14)
+    assert [kernel(*args) for kernel, args in cases] == want
+
+
+_COLD_IMPORT = """
+import random, sys
+import g2lpoly
+from g2lpoly.polyring import poly_mul
+assert "numpy" not in sys.modules, "import g2lpoly loaded numpy"
+p = 1048583  # type 1: both genus 1 counts over F_p go through BSGS
+f = poly_mul((1, 1, 0, 1), (3 * p**6, 2 * p**4, p**2, 1))
+g2lpoly.euler_factor(g2lpoly.EulerInput(f, p), random.Random(1))
+assert "numpy" not in sys.modules, "a BSGS-only factor loaded numpy"
+g2lpoly.count_points_naive(g2lpoly.Genus1Model(g2lpoly.Fp(13), (1, 1, 0, 1)))
+assert "numpy" in sys.modules, "an exhaustive count ran without numpy"
+"""
+
+
+def test_numpy_loads_on_the_first_exhaustive_count():
+    env = dict(os.environ, PYTHONPATH=str(Path(g2lpoly.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _COLD_IMPORT], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------- quartic handling
@@ -296,10 +369,10 @@ def _counting_route(monkeypatch):
 @pytest.mark.parametrize(
     "p, over_fp2, route",
     [(8191, False, "exhaustive"), (8209, False, "bsgs"),
-     (61, True, "exhaustive"), (67, True, "bsgs")],
+     (89, True, "exhaustive"), (97, True, "bsgs")],
 )
 def test_lpoly1_route_boundaries(monkeypatch, p, over_fp2, route):
-    # F_p counts exhaustively below 2^13, F_{p^2} below q = 2^12
+    # F_p counts exhaustively below 2^13, F_{p^2} below q = 2^13
     rng = random.Random(p)
     F = Fp2(p, -find_nonsquare(p, rng) % p, 0) if over_fp2 else Fp(p)
     m = Genus1Model(F, tuple(F.from_int(c) for c in (1, 1, 0, 1)))
@@ -334,7 +407,7 @@ def test_lpoly1_bsgs_equals_naive():
             for _ in range(3):
                 m = _random_nonsingular(rng, F, coeffs)
                 assert lpoly1(m, rng) == LPoly1(p + 1 - count_points_naive(m, 1 << 26), p)
-    for p in (67, 71, 251):
+    for p in (97, 101, 251):
         F = Fp2(p, -find_nonsquare(p, rng) % p, 0)
         for _ in range(3):
             m = _random_nonsingular(rng, F, (None, None, None, 1))
