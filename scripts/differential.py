@@ -17,8 +17,15 @@ and 16 bits, compared by the order found or the exception class.  The
 kernel section runs count_points_naive on 3 random cubics and 3 random
 quartics per field: over F_p with p drawn from each [2^(b-1), 2^b) for
 b = 2 ... 13 and p = 65521, and over F_{p^2} for every odd p <= 61 and
-p = 257 (186 counts), compared count by count.  Prints the first mismatch and the
-number of mismatches; exits 1 if there are any.
+p = 257 (186 counts), compared count by count.  The polynomial section runs
+fp_gcd_k (k = 3 and 5), fp_gcd(f, f') and power_root(f, 6) on 60 seeded
+sextics per prime, p = 3, 5, 7, 11 and 8191: ten each of lc (x - a)^3 u,
+(x - a)^5 (x - b), lc (x - a)^6, lc g^3 with g a monic quadratic, g^2 h with
+g and h monic quadratics, and random sextics; then power_root(g, k) for
+k = 3, 5 and 6 on 10 planted lc (x - r)^k per k, half of them with one
+coefficient changed, over each of those fields and over F_{5^2} (1,380
+outputs in all), compared output by output.  Prints the first mismatch and
+the number of mismatches; exits 1 if there are any.
 """
 
 import argparse
@@ -43,6 +50,9 @@ KERNEL_PRIMES = ([("fp", 65521)]
                  + [("fp2", p) for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41,
                                          43, 47, 53, 59, 61, 257)])
 KERNEL_MODELS = 3  # cubics, and as many quartics, per field
+POLY_PRIMES = (3, 5, 7, 11, 8191)
+POLY_SEXTICS = 10  # per pattern and prime
+POWERS = 10  # planted lc (x - r)^k per k and field
 
 
 def outcomes():
@@ -65,7 +75,7 @@ def outcomes():
                        "loop_iters": list(stats.loop_iters),
                        "normalize_v": stats.normalize_v}
             out.append((dict(case, seed=seed), got))
-    return out + bsgs_outcomes() + kernel_outcomes()
+    return out + bsgs_outcomes() + kernel_outcomes() + poly_outcomes()
 
 
 def _random_field(kind, p, rng):
@@ -139,6 +149,86 @@ def kernel_outcomes():
             except Exception as exc:  # the exception class is part of the outcome
                 got = {"exc": type(exc).__name__}
             out.append(({"field": repr(F), "g": g}, got))
+    return out
+
+
+def _times(f, g, F):
+    """f g over the field F, schoolbook, coefficients as F keeps them."""
+    out = [F.zero] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = F.add(out[i + j], F.mul(a, b))
+    return tuple(out)
+
+
+def _planted_sextic(pattern, F, rng):
+    """A sextic over F_p of one of the repeated-factor patterns classify reads."""
+    def lin():
+        return (F.neg(F.random(rng)), F.one)
+
+    def monic(d):
+        return tuple(F.random(rng) for _ in range(d)) + (F.one,)
+
+    lc = (F.random(rng) % (F.p - 1) + 1,)
+    if pattern == "cube":  # lc (x - a)^3 u
+        a = lin()
+        factors = [lc, a, a, a, monic(3)]
+    elif pattern == "fifth":  # (x - a)^5 (x - b)
+        a = lin()
+        factors = [a] * 5 + [lin()]
+    elif pattern == "sixth":
+        factors = [lc] + [lin()] * 6
+    elif pattern == "quad_cube":  # lc g^3, g irreducible or split
+        factors = [lc] + [monic(2)] * 3
+    elif pattern == "squares":  # g^2 h
+        g = monic(2)
+        factors = [g, g, monic(2)]
+    else:
+        return tuple(F.random(rng) for _ in range(6)) + lc
+    out = (F.one,)
+    for g in factors:
+        out = _times(out, g, F)
+    return out
+
+
+def poly_outcomes():
+    """(input, outcome) for the F_p polynomial layer on seeded sextics and
+    planted k-th powers."""
+    from g2lpoly.modarith import Fp
+    from g2lpoly.polyring import fp_derivative, fp_gcd, fp_gcd_k, power_root
+
+    def run(fn, *args):
+        try:
+            return {"out": fn(*args)}
+        except Exception as exc:  # the exception class is part of the outcome
+            return {"exc": type(exc).__name__}
+
+    rng = random.Random(2026)
+    out = []
+    for p in POLY_PRIMES:
+        F = Fp(p)
+        for pattern in ("cube", "fifth", "sixth", "quad_cube", "squares", "random"):
+            for _ in range(POLY_SEXTICS):
+                f = _planted_sextic(pattern, F, rng)
+                for name, fn, args in (("gcd_k3", fp_gcd_k, (f, 3, p)),
+                                       ("gcd_k5", fp_gcd_k, (f, 5, p)),
+                                       ("gcd_df", fp_gcd, (f, fp_derivative(f, p), p)),
+                                       ("root6", power_root, (f, 6, F))):
+                    out.append(({"op": name, "p": p, "f": f}, run(fn, *args)))
+    for F in [Fp(p) for p in POLY_PRIMES] + [_random_field("fp2", 5, rng)]:
+        for k in (3, 5, 6):
+            for i in range(POWERS):
+                g = (F.random(rng),)
+                while F.is_zero(g[0]):
+                    g = (F.random(rng),)
+                r = F.random(rng)
+                for _ in range(k):
+                    g = _times(g, (F.neg(r), F.one), F)
+                if i % 2:
+                    j = rng.randrange(k)
+                    g = g[:j] + (F.add(g[j], F.one),) + g[j + 1:]
+                out.append(({"op": f"root{k}", "field": repr(F), "g": g},
+                            run(power_root, g, k, F)))
     return out
 
 

@@ -505,7 +505,7 @@ class Integers:
     Elements are plain ints; the interface is QuadOrder's.
     """
 
-    __slots__ = ("p", "kappa")
+    __slots__ = ("p", "kappa", "reduce")
     zero = 0
     # the builtin operators, as shift_scale's inner loop calls them
     add = staticmethod(operator.add)
@@ -515,6 +515,8 @@ class Integers:
     def __init__(self, p: int):
         self.kappa = Fp(p)  # validates the modulus
         self.p = p
+        # the reduction map onto kappa = Z/pZ, a -> a % p, as a C-level call
+        self.reduce = p.__rmod__
 
     def exact_div_pk(self, a, k: int):
         """Divide by p^k, insisting the division is exact."""
@@ -522,10 +524,6 @@ class Integers:
         if r:
             raise InexactDivision(f"{a} is not divisible by {self.p}^{k}")
         return q
-
-    def reduce(self, a):
-        """The reduction map onto kappa = Z/pZ."""
-        return a % self.p
 
 
 class QuadOrder:

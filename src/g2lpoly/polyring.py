@@ -9,6 +9,7 @@ residue field (reduce_poly) are written once, over a residue ring R from
 modarith: Integers(p) for Z, a QuadOrder for the unramified quadratic order.
 """
 
+from functools import lru_cache
 from itertools import product as _cartesian
 from math import comb
 
@@ -243,61 +244,94 @@ def fp_monic(f, p):
     return tuple(c * inv % p for c in f)
 
 
+def _fp_rem(a, b, p, q=None):
+    """a mod b over F_p, in place on the list a, which ends trimmed; with a
+    list q of length len(a) - deg b the quotient is stored there.
+
+    Each step pops the leading coefficient c and subtracts (c / lc b) x^k b
+    from what is left, nothing when c = 0; no step trims.
+    """
+    n = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    for k in range(len(a) - 1 - n, -1, -1):
+        c = a.pop() * inv % p
+        if c:
+            if q is not None:
+                q[k] = c
+            for i in range(n):
+                a[k + i] = (a[k + i] - c * b[i]) % p
+    while a and a[-1] == 0:
+        a.pop()
+
+
 def fp_divmod(f, g, p):
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
-    f = list(f)
-    dg = deg(g)
-    inv_lead = pow(g[-1], -1, p)
-    q = [0] * max(len(f) - dg, 0)
-    while len(f) - 1 >= dg and f:
-        c = f[-1] * inv_lead % p
-        k = len(f) - 1 - dg
-        q[k] = c
-        for i, b in enumerate(g):
-            f[k + i] = (f[k + i] - c * b) % p
-        while f and f[-1] == 0:
-            f.pop()
-    return trim(q), tuple(f)
+    r = list(f)
+    q = [0] * max(len(r) - len(g) + 1, 0)
+    _fp_rem(r, g, p, q)
+    return trim(q), tuple(r)
 
 
 def fp_gcd(f, g, p):
-    """Monic gcd over F_p."""
-    f, g = fp_trim(f, p), fp_trim(g, p)
-    while g:
-        f, g = g, fp_divmod(f, g, p)[1]
-    return fp_monic(f, p)
+    """Monic gcd over F_p: Euclid's remainder loop on two lists."""
+    a, b = list(fp_trim(f, p)), list(fp_trim(g, p))
+    while b:
+        _fp_rem(a, b, p)
+        a, b = b, a
+    return fp_monic(a, p)
 
 
+@lru_cache(maxsize=16)
 def _fp_irreducibles(d, p):
-    """Monic irreducible polynomials of degree d over F_p, d <= 3 (root test)."""
-    assert d <= 3, "irreducibility by root-testing only holds through degree 3"
-    for tail in _cartesian(range(p), repeat=d):
-        g = tail + (1,)
-        if d == 1 or all(fp_eval(g, x, p) for x in range(p)):
-            yield g
+    """The monic irreducible polynomials of degree d over F_p, 2 <= d <= 3
+    (root test), built once per (d, p) as a read-only tuple."""
+    assert 2 <= d <= 3, "irreducibility by root-testing only holds for degrees 2 and 3"
+    return tuple(
+        tail + (1,)
+        for tail in _cartesian(range(p), repeat=d)
+        if all(fp_eval(tail + (1,), x, p) for x in range(p))
+    )
 
 
 def _fp_multiplicity(f, g, p):
+    """(v, f / g^v) for the largest v with g^v | f."""
     v = 0
     while True:
         q, r = fp_divmod(f, g, p)
         if r:
-            return v
+            return v, f
         v += 1
         f = q
 
 
 def _fp_gcd_k_exhaustive(f, k, p):
-    """gcd_k by direct divisibility tests; the oracle route, any p."""
+    """gcd_k by divisibility tests: fp_gcd_k's route for p <= deg f, valid
+    at any p.  A root's multiplicity is read by synthetic division, which
+    also strips (x - a)^v from what is left of f."""
     out = (1,)
-    d = deg(f)
-    for gdeg in range(1, d // k + 1):
-        for g in _fp_irreducibles(gdeg, p):
-            v = _fp_multiplicity(f, g, p)
-            if v >= k:
-                for _ in range(v - k + 1):
-                    out = fp_mul(out, g, p)
+    rest = list(f)
+    for a in range(p):
+        v = 0
+        while True:
+            acc, q = 0, []
+            for c in reversed(rest):
+                acc = (acc * a + c) % p
+                q.append(acc)
+            if acc:
+                break
+            v += 1
+            q.pop()
+            rest = q[::-1]
+        for _ in range(v - k + 1):
+            out = fp_mul(out, (-a % p, 1), p)
+    for e in range(2, (len(rest) - 1) // k + 1):
+        for g in _fp_irreducibles(e, p):
+            if e * k > len(rest) - 1:
+                break
+            v, rest = _fp_multiplicity(rest, g, p)
+            for _ in range(v - k + 1):
+                out = fp_mul(out, g, p)
     return out
 
 
@@ -305,8 +339,12 @@ def fp_gcd_k(f, k: int, p: int):
     """The multiplicity-k kernel: product of g^(v_g(f)-k+1) over monic
     irreducible g with g^k | f, returned monic.
 
-    Uses gcd(f, f', ..., f^(k-1)) when p > deg f; for p <= deg f the
-    derivative trick fails and divisibility is tested exhaustively.
+    Uses gcd(f, f', ..., f^(k-1)) when p > deg f.  For p <= deg f (p = 3
+    and 5 on a sextic) the derivative trick fails and divisibility is tested
+    directly: roots by evaluation at each a in F_p, then the cached monic
+    irreducibles of degree e >= 2 while g^k still fits in the part of f
+    left after its roots.  So a sextic with a root in F_p skips every
+    quadratic when k = 3: the cube of a quadratic already has degree 6.
     """
     if k <= 0:
         raise ValueError("k must be positive")
@@ -400,20 +438,24 @@ def power_root(g, k: int, F):
     Write k = p^e m with p not dividing m.  Then (x - r)^k = (x^(p^e) - s)^m
     with s = r^(p^e), so the x^(p^e (m-1)) coefficient of g is -m lc s.
     Frobenius is a bijection of F, so r = s^(q / p^e) (this needs p^e <= q,
-    true for k <= 6 at odd p).  The candidate is checked by expanding.
+    true for k <= 6 at odd p).  The candidate is checked coefficient by
+    coefficient from x^(k-1) down, up to the first that differs.
     """
+    if len(g) != k + 1:
+        return None
     pe, m = 1, k
     while m % F.p == 0:
         pe, m = pe * F.p, m // F.p
     lc = g[-1]
     s = F.neg(F.mul(g[pe * (m - 1)], F.inv(F.smul(m, lc))))
     r = F.pow(s, F.q // pe) if pe > 1 else s
+    mul, smul = F.mul, F.smul
     nr, t = F.neg(r), lc
-    expanded = [lc]
     for j in range(k - 1, -1, -1):  # the x^j coefficient lc C(k, j) (-r)^(k - j)
-        t = F.mul(t, nr)
-        expanded.append(F.smul(comb(k, j), t))
-    return r if tuple(g) == tuple(reversed(expanded)) else None
+        t = mul(t, nr)
+        if smul(comb(k, j), t) != g[j]:
+            return None
+    return r
 
 
 # ---------------------------------------------------------------------------

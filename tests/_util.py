@@ -6,10 +6,9 @@ with the package's counting kernels.
 """
 
 import math
+from itertools import product
 
 from g2lpoly.polyring import (
-    _fp_irreducibles,
-    _fp_multiplicity,
     deg,
     fp_derivative,
     fp_divmod,
@@ -77,6 +76,50 @@ SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                 59, 61, 67, 71, 73, 79, 83, 89, 97)
 
 
+def fp_long_division(f, g, p):
+    """(quotient, remainder) of f by g over F_p, schoolbook, both trimmed."""
+    r = [c % p for c in f]
+    n = len(g) - 1
+    q = [0] * max(len(r) - n, 0)
+    inv = pow(g[-1], -1, p)
+    for k in range(len(r) - 1 - n, -1, -1):
+        q[k] = c = r[k + n] * inv % p
+        for i, b in enumerate(g):
+            r[k + i] = (r[k + i] - c * b) % p
+    return fp_trim(q, p), fp_trim(r, p)
+
+
+def fp_monic_irreducibles(d, p):
+    """Every monic irreducible of degree d <= 3 over F_p: no root in F_p."""
+    assert d <= 3
+    for tail in product(range(p), repeat=d):
+        g = tail + (1,)
+        if d == 1 or all(sum(c * x**i for i, c in enumerate(g)) % p for x in range(p)):
+            yield g
+
+
+def fp_multiplicity_by_division(f, g, p):
+    """The largest v with g^v | f over F_p, by repeated long division."""
+    v = 0
+    while True:
+        q, r = fp_long_division(f, g, p)
+        if r:
+            return v
+        f, v = q, v + 1
+
+
+def fp_gcd_k_by_trial_division(f, k, p):
+    """gcd_k of f over F_p (deg f <= 6): every monic irreducible g of degree
+    up to deg f // k is tried, and g^(v - k + 1) kept when v = v_g(f) >= k."""
+    f = fp_trim(f, p)
+    out = (1,)
+    for e in range(1, deg(f) // k + 1):
+        for g in fp_monic_irreducibles(e, p):
+            for _ in range(fp_multiplicity_by_division(f, g, p) - k + 1):
+                out = fp_trim(poly_mul(out, g), p)
+    return out
+
+
 def fp_squarefree_part(f, p: int):
     """Distinct irreducible factors of f over F_p times the leading coefficient."""
     f = fp_trim(f, p)
@@ -93,9 +136,9 @@ def fp_squarefree_part(f, p: int):
     # degree <= d // 2, so the root test suffices)
     out = f
     for gdeg in range(1, d // 2 + 1):
-        for g in _fp_irreducibles(gdeg, p):
-            for _ in range(_fp_multiplicity(out, g, p) - 1):
-                out, r = fp_divmod(out, g, p)
+        for g in fp_monic_irreducibles(gdeg, p):
+            for _ in range(fp_multiplicity_by_division(out, g, p) - 1):
+                out, r = fp_long_division(out, g, p)
                 assert not r
     return out
 

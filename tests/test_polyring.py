@@ -8,13 +8,18 @@ from g2lpoly.errors import DegreeError, InexactDivision, NotSquarefree
 from g2lpoly.modarith import Fp, Fp2, Integers, QuadOrder
 from g2lpoly.polyring import (
     _fp_gcd_k_exhaustive,
+    _fp_irreducibles,
     complete_square,
     deg,
     disc,
     field_disc,
     fp_disc,
+    fp_divmod,
+    fp_gcd,
     fp_gcd_k,
+    fp_monic,
     fp_mul,
+    fp_trim,
     poly_add,
     poly_derivative,
     poly_mul,
@@ -31,6 +36,9 @@ from g2lpoly.polyring import (
 from _util import (
     SMALL_PRIMES,
     fp2_elements,
+    fp_gcd_k_by_trial_division,
+    fp_long_division,
+    fp_monic_irreducibles,
     fp_squarefree_part,
     least_nonsquare,
     shift_scale_by_rebuilds,
@@ -67,8 +75,6 @@ def test_gcd_k_exhaustive_branch_x6():
 def test_gcd_k_quadratic_cube_over_f3():
     f = fp_mul(fp_mul((1, 0, 1), (1, 0, 1), 3), (1, 0, 1), 3)
     # independent enumeration of every monic quadratic over F_3
-    from g2lpoly.polyring import fp_divmod
-
     hits = []
     for b in range(3):
         for c in range(3):
@@ -86,8 +92,6 @@ def test_gcd_k_quadratic_cube_over_f3():
 
 def test_gcd_k_divisibility_chain():
     rng = random.Random(10)
-    from g2lpoly.polyring import fp_divmod
-
     for _ in range(100):
         p = rng.choice((7, 11, 13))
         f = _random_fp_poly(rng, p, rng.randrange(3, 7))
@@ -115,9 +119,99 @@ def test_gcd_k_derivative_vs_exhaustive():
             assert fp_gcd_k(f, k, p) == _fp_gcd_k_exhaustive(f, k, p)
 
 
+def _fp_product(factors, p, lc=1):
+    out = (lc % p,)
+    for g in factors:
+        out = fp_mul(out, g, p)
+    return out
+
+
+def _small_char_sextics(p, rng):
+    """Sextics over F_p (p = 3 or 5) of every repeated-factor pattern the
+    small-characteristic route of gcd_k tells apart."""
+    lin = [(-a % p, 1) for a in range(p)]
+    quads = list(fp_monic_irreducibles(2, p))
+    units = range(1, p)
+    squarefree_cubics = [g for g in product(range(p), repeat=3)
+                         if fp_squarefree_part(g + (1,), p) == g + (1,)]
+    out = []
+    for a in range(p):
+        for u in rng.sample(squarefree_cubics, 8):  # lc (x - a)^3 u
+            out.append(_fp_product([lin[a]] * 3 + [u + (1,)], p, rng.choice(units)))
+        for b in range(p):
+            if b != a:
+                out.append(_fp_product([lin[a]] * 5 + [lin[b]], p))  # (x - a)^5 (x - b)
+                out.append(_fp_product([fp_mul(lin[a], lin[b], p)] * 3, p,
+                                       rng.choice(units)))  # lc g^3, g split
+        out.append(_fp_product([lin[a]] * 6, p))  # (x - a)^6
+    for g in quads:
+        out.append(_fp_product([g] * 3, p, rng.choice(units)))  # lc g^3, g irreducible
+        out.append(_fp_product([g] * 2 + [rng.choice(quads)], p))  # double roots only
+    for _ in range(30):  # double roots only: three distinct squared linear factors
+        a, b, c = rng.sample(range(p), 3)
+        out.append(_fp_product([lin[a], lin[a], lin[b], lin[b], lin[c], lin[c]], p))
+    sextics = 0
+    while sextics < 30:  # squarefree sextics
+        f = _random_fp_poly(rng, p, 6)
+        if fp_squarefree_part(f, p) == f:
+            out.append(f)
+            sextics += 1
+    return out
+
+
+def test_gcd_k_small_characteristic_matches_trial_division():
+    # p <= deg f: the route that evaluates for roots and tries the quadratics
+    # only while their cube still fits; the reference tries every monic
+    # irreducible of degree <= deg f // k
+    rng = random.Random(15)
+    for p in (3, 5):
+        kernels = set()
+        for f in _small_char_sextics(p, rng):
+            assert deg(f) == 6
+            for k in (2, 3, 4, 5, 6):
+                want = fp_gcd_k_by_trial_division(f, k, p)
+                assert fp_gcd_k(f, k, p) == want, (p, k, f)
+                if k == 3:
+                    kernels.add(deg(want))
+        # (x - a)^5 (x - b) and (x - a)^6 give kernels of degree 3 and 4
+        assert kernels == {0, 1, 2, 3, 4}
+    # built once per (degree, p), read-only
+    assert _fp_irreducibles(2, 5) is _fp_irreducibles(2, 5)
+    assert _fp_irreducibles(2, 5) == tuple(fp_monic_irreducibles(2, 5))
+
+
 def test_gcd_k_rejects_bad_k():
     with pytest.raises(ValueError):
         fp_gcd_k((1, 1), 0, 7)
+
+
+def test_divmod_and_gcd_properties():
+    # a = q b + r with deg r < deg b; the gcd is monic and divides both; and
+    # gcd(a c, b c) = monic(c) gcd(a, b).  Sparse draws make remainder steps
+    # meet zero leading coefficients.
+    rng = random.Random(19)
+
+    def draw(p, d):
+        c = [rng.randrange(p) if rng.random() < 0.5 else 0 for _ in range(d)]
+        return fp_trim(c + [rng.randrange(1, p)], p)
+
+    cases = [((1, 0, 0, 0, 1, 0, 1), (1, 0, 1), 3),  # x^6 + x^4 + 1 by x^2 + 1
+             ((2, 0, 0, 0, 0, 0, 0, 0, 1), (0, 0, 0, 1), 5)]
+    for p in (3, 5, 7, 8191):
+        for _ in range(150):
+            cases.append((draw(p, rng.randrange(0, 9)), draw(p, rng.randrange(0, 7)), p))
+    for a, b, p in cases:
+        q, r = fp_divmod(a, b, p)
+        assert (q, r) == fp_long_division(a, b, p)
+        assert fp_trim(poly_add(fp_mul(q, b, p), r), p) == a
+        assert deg(r) < deg(b)
+        g = fp_gcd(a, b, p)
+        assert g[-1] == 1
+        assert not fp_long_division(a, g, p)[1] and not fp_long_division(b, g, p)[1]
+        c = draw(p, rng.randrange(0, 4))
+        assert fp_gcd(fp_mul(a, c, p), fp_mul(b, c, p), p) == fp_mul(fp_monic(c, p), g, p)
+    # the first division meets a zero x^5 coefficient after its first step
+    assert fp_divmod((1, 0, 0, 0, 1, 0, 1), (1, 0, 1), 3) == ((0, 0, 0, 0, 1), (1,))
 
 
 # ----------------------------------------------------------------- power_root
@@ -178,6 +272,29 @@ def test_power_root_matches_brute_force():
     for F, r in ((Fp2(3, 1, 0), (2, 1)), (Fp2(7, 1, 0), (4, 3))):
         assert power_root(_power(r, 3, F), 3, F) == r
         assert power_root(_power(r, 3, F, lc=(2, 1)), 3, F) == r
+    # every lc (x - r)^k with one coefficient changed: the check runs from
+    # x^(k-1) down and stops at the first mismatch, so a change anywhere must
+    # still be seen.  The answer is None unless the changed g is itself
+    # lc' (x - r')^k, as when p | k (x^3 - s over F_3 stays a cube)
+    changes = [0, 0]
+    for F in (Fp(3), Fp(5), Fp(7), Fp2(5, 2, 0)):
+        elements = _elements(F)
+        units = [c for c in elements if not F.is_zero(c)]
+        for k in (3, 5, 6):
+            powers = {_power(r, k, F): r for r in elements}
+            for r in elements:
+                lc = rng.choice(units)
+                g = _power(r, k, F, lc=lc)
+                assert power_root(g, k, F) == r
+                for i in range(k + 1):
+                    changed = g[:i] + (F.add(g[i], rng.choice(units)),) + g[i + 1:]
+                    if F.is_zero(changed[-1]):
+                        continue
+                    inv = F.inv(changed[-1])
+                    want = powers.get(tuple(F.mul(inv, c) for c in changed))
+                    assert power_root(changed, k, F) == want, (F, k, r, i)
+                    changes[want is None] += 1
+    assert changes[True] > 4 * changes[False]  # about one change in ten stays a power
 
 
 # ----------------------------------------------------------------------- disc
