@@ -15,9 +15,10 @@ random cubics, 24 per field size, over F_p with p of about 14, 20, 30, 34,
 two branches of the class mod 3) and over F_{p^2} with p of about 7, 10, 13
 and 16 bits, compared by the order found or the exception class.  The
 kernel section runs count_points_naive on 3 random cubics and 3 random
-quartics per field: over F_p with p drawn from each [2^(b-1), 2^b) for
-b = 2 ... 13 and p = 65521, and over F_{p^2} for every odd p <= 61 and
-p = 257 (186 counts), compared count by count.  The polynomial section runs
+quartics per field: over F_p for every odd p <= 61 (the plain loop), with p
+drawn from each [2^(b-1), 2^b) for b = 7 ... 13 and p = 65521, and over
+F_{p^2} for every odd p <= 61 and p = 257 (258 counts), compared count by
+count.  The polynomial section runs
 fp_gcd_k (k = 3 and 5), fp_gcd(f, f') and power_root(f, 6) on 60 seeded
 sextics per prime, p = 3, 5, 7, 11 and 8191: ten each of lc (x - a)^3 u,
 (x - a)^5 (x - b), lc (x - a)^6, lc g^3 with g a monic quadratic, g^2 h with
@@ -43,12 +44,12 @@ COUNT = 600
 BSGS_FIELDS = ([("fp", b) for b in (14, 20, 30, 34, 40, 48, 61)]
                + [("fp2", b) for b in (7, 10, 13, 16)])
 BSGS_CUBICS = 24
-# over F_p, one prime drawn as for BSGS_FIELDS per bit size, then 65521, the
-# largest prime below 2^16; over F_{p^2}, every odd prime to 61, and 257
-KERNEL_FP_BITS = range(2, 14)
-KERNEL_PRIMES = ([("fp", 65521)]
-                 + [("fp2", p) for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41,
-                                         43, 47, 53, 59, 61, 257)])
+# over F_p, every odd prime to 61, one prime drawn as for BSGS_FIELDS per bit
+# size above, then 65521, the largest prime below 2^16; over F_{p^2}, every
+# odd prime to 61, and 257
+SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+KERNEL_FP_BITS = range(7, 14)
+KERNEL_PRIMES = ([("fp", 65521)] + [("fp2", p) for p in SMALL_PRIMES + (257,)])
 KERNEL_MODELS = 3  # cubics, and as many quartics, per field
 POLY_PRIMES = (3, 5, 7, 11, 8191)
 POLY_SEXTICS = 10  # per pattern and prime
@@ -128,7 +129,7 @@ def kernel_outcomes():
 
     rng = random.Random(2025)
     out = []
-    drawn = []
+    drawn = [("fp", p) for p in SMALL_PRIMES]
     for bits in KERNEL_FP_BITS:
         p = rng.randrange(1 << (bits - 1), 1 << bits) | 1
         while not is_prime(p):

@@ -1,29 +1,40 @@
-"""Vectorized numpy loops for exhaustive point counting.
+"""Exhaustive point counting: a plain loop below p = 2^6, numpy above.
 
 Both kernels count affine points of y^2 = g(x), i.e. sum over x of
 1 + chi(g(x)) with chi the quadratic character (chi(0) = 0); points at
 infinity are the caller's job.
 
-Horner runs in place on int64 and reduces mod p only where it must.  All
-operands are kept non-negative (a subtraction becomes the addition of the
-negated constant mod p), and an upper bound on the accumulators is carried
-beside them in Python ints: a step goes ahead unreduced while the bound says
-every intermediate stays below _BOUND = 2^62, and otherwise the accumulators
-are reduced first.  The bound depends only on p and the degree, so the
-schedule is fixed before any point is evaluated.  Below p = 2^13 that is one
-reduction for a cubic over F_p and at most two for a quartic; over F_{p^2}
-it is at most three per block below p = 2^8 (two before the norm, one
-after).  Both kernels take p < 2^30, where a step from reduced accumulators
-stays below the bound, once over F_{p^2} above p = 2^20 the product g1 b
-inside a step and the two products of the norm are reduced too.
+Over F_p with p < _LOOP_BELOW = 2^6 the count is a plain-Python Horner loop
+that reads 1 + chi(v) from a cached per-p tuple, unrolled for cubics and
+quartics.  There numpy's fixed cost of 12-28 us per call (with the character
+table warm or cold) is more than the whole loop: about 2 us at p = 3 and
+12-15 us at p = 61.  The two are even near p = 97, and numpy wins from 127.
+F_{p^2} stays on numpy: a plain loop wins there only at p = 3 and 5.
 
-numpy is imported by the first count, not by `import g2lpoly`, so a run
-whose fields all lie above the exhaustive bands never loads it.
+In the numpy kernels Horner runs in place on int64 and reduces mod p only
+where it must.  All operands are kept non-negative (a subtraction becomes
+the addition of the negated constant mod p), and an upper bound on the
+accumulators is carried beside them in Python ints: a step goes ahead
+unreduced while the bound says every intermediate stays below
+_BOUND = 2^62, and otherwise the accumulators are reduced first.  The bound
+depends only on p and the degree, so the schedule is fixed before any point
+is evaluated.  Below p = 2^13 that is one reduction for a cubic over F_p and
+at most two for a quartic; over F_{p^2} it is at most three per block below
+p = 2^8 (two before the norm, one after).  Both kernels take p < 2^30,
+where a step from reduced accumulators stays below the bound, once over
+F_{p^2} above p = 2^20 the product g1 b inside a step and the two products
+of the norm are reduced too.
+
+numpy is imported by the first count that needs it, not by `import g2lpoly`,
+so a run whose counts all lie over F_p below 2^6 or above the exhaustive
+bands never loads it.
 """
 
 import functools
 
 _P_LIMIT = 1 << 30
+# count_affine_fp loops in plain Python below this p and runs numpy from 67 up
+_LOOP_BELOW = 1 << 6
 _BOUND = 1 << 62
 # count_affine_fp2 evaluates about this many points per numpy pass (whole
 # rows of p values of a, at least one row), which bounds its memory at any p.
@@ -37,7 +48,39 @@ def kernel_mode() -> str:
     return "numpy"
 
 
-@functools.lru_cache(maxsize=4)  # the two genus 1 counts of a factor share p
+@functools.lru_cache(maxsize=None)  # one per odd prime below _LOOP_BELOW
+def _chi_plus_one(p):
+    """1 + chi(v) for v in [0, p), as a tuple."""
+    t = [0] * p
+    for x in range(1, (p + 1) // 2):  # x and -x share x^2
+        t[x * x % p] = 2
+    t[0] = 1
+    return tuple(t)
+
+
+def _count_loop(cs, p):
+    """Affine count over F_p by a plain Horner loop, cs reduced mod p and
+    constant term first."""
+    t = _chi_plus_one(p)
+    if len(cs) == 4:
+        c0, c1, c2, c3 = cs
+        return sum([t[(((c3 * x + c2) * x + c1) * x + c0) % p] for x in range(p)])
+    if len(cs) == 5:
+        c0, c1, c2, c3, c4 = cs
+        return sum([t[((((c4 * x + c3) * x + c2) * x + c1) * x + c0) % p] for x in range(p)])
+    rev = cs[::-1]
+    n = 0
+    for x in range(p):
+        v = 0
+        for c in rev:
+            v = v * x + c
+        n += t[v % p]
+    return n
+
+
+# A batch cycles through its primes: at 4 entries oracle_mixed rebuilt a
+# table on 278 of 768 lookups, at 7-32 us each; at 32, on 13 (one per p).
+@functools.lru_cache(maxsize=32)
 def _chi_table(p):
     import numpy as np
 
@@ -66,9 +109,12 @@ def _reduce(v, p, tmp):
 
 
 def count_affine_fp(coeffs, p: int) -> int:
-    """Affine count over F_p, Horner over all of [0, p) in one pass."""
+    """Affine count over F_p, Horner over all of [0, p) in one pass: a plain
+    loop below _LOOP_BELOW, numpy from there."""
     if p >= _P_LIMIT:
         raise ValueError(f"kernel requires p < 2^30, got {p}")
+    if p < _LOOP_BELOW:
+        return _count_loop([int(c) % p for c in coeffs], p)
     import numpy as np
 
     m = p - 1

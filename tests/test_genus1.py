@@ -112,7 +112,7 @@ def test_count_affine_fp2_partial_block():
 
 
 def test_chi_table_is_cached_read_only():
-    # the two counts of one factor share p, so the table is built once and
+    # counts at one p share its table, so the table is built once and
     # shared: no caller may write to it
     chi = kernels._chi_table(1021)
     assert kernels._chi_table(1021) is chi
@@ -120,11 +120,55 @@ def test_chi_table_is_cached_read_only():
     with pytest.raises(ValueError):
         chi[1] = 0
     rng = random.Random(33)
-    for p in (13, 1021):
+    for p in (67, 1021):
         g = tuple(rng.randrange(p) for _ in range(4))
         want = brute_count_fp(g, p) - 1
         assert kernels.count_affine_fp(g, p) == want
         assert kernels.count_affine_fp(g, p) == want
+
+
+def test_chi_table_cache_holds_a_batch_of_primes():
+    # a second pass over 13 primes counted by numpy builds no table
+    primes = (67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127)
+    rng = random.Random(35)
+    cases = [(tuple(rng.randrange(p) for _ in range(4)), p) for p in primes]
+    first = [kernels.count_affine_fp(g, p) for g, p in cases]
+    misses = kernels._chi_table.cache_info().misses
+    assert [kernels.count_affine_fp(g, p) for g, p in cases] == first
+    assert kernels._chi_table.cache_info().misses == misses
+
+
+def _affine_brute_fp(g, p):
+    """brute_count_fp less its points at infinity."""
+    if len(g) - 1 == 3:
+        return brute_count_fp(g, p) - 1
+    return brute_count_fp(g, p) - (2 if _util.chi_p(g[-1], p) == 1 else 0)
+
+
+def test_count_loop_against_bruteforce_below_the_bound():
+    # every odd prime below 2^6, at the unrolled degrees and the generic
+    # Horner, with unreduced and negative coefficients
+    rng = random.Random(36)
+    primes = [p for p in range(3, kernels._LOOP_BELOW, 2) if is_prime(p)]
+    assert len(primes) == 17
+    for p in primes:
+        for d in (3, 4, 6):
+            for lo, hi in ((0, p), (-5 * p, 5 * p), (-(1 << 70), 1 << 70)):
+                g = tuple(rng.randrange(lo, hi) for _ in range(d + 1))
+                assert kernels.count_affine_fp(g, p) == _affine_brute_fp(g, p)
+
+
+def test_count_loop_stops_below_67():
+    # p = 61 is counted by the plain loop, which never reaches numpy's
+    # character table; p = 67 is counted by numpy
+    g = (1, 2, 0, 1)
+    lookups = kernels._chi_table.cache_info()
+    kernels.count_affine_fp(g, 61)
+    after = kernels._chi_table.cache_info()
+    assert after.hits + after.misses == lookups.hits + lookups.misses
+    kernels.count_affine_fp(g, 67)
+    final = kernels._chi_table.cache_info()
+    assert final.hits + final.misses == after.hits + after.misses + 1
 
 
 @pytest.mark.parametrize("p", (8191, 65521))
@@ -156,9 +200,10 @@ def test_count_fp2_against_bruteforce_on_both_grids(p):
 
 
 def test_kernels_with_a_lowered_bound(monkeypatch):
-    # At 2^14 the bound schedules at p = 43 what p above 2^20 needs: every
-    # step reduces first, t = g1 b is reduced inside the step, and so are the
-    # norm's two products.  The counts must not change.
+    # At 2^14 the bound schedules at p = 43 (F_{p^2}) and 67 (F_p, the
+    # least prime numpy counts) what p above 2^20 needs: every step reduces
+    # first, t = g1 b is reduced inside the step, and so are the norm's two
+    # products.  The counts must not change.
     rng = random.Random(34)
     p = 43
     cases = []
@@ -167,6 +212,7 @@ def test_kernels_with_a_lowered_bound(monkeypatch):
         for d in (3, 4):
             g = tuple((rng.randrange(p), rng.randrange(p)) for _ in range(d + 1))
             cases.append((kernels.count_affine_fp2, (g, u0, u1, p)))
+    p = 67
     for d in (3, 4, 6):
         cases.append((kernels.count_affine_fp, (tuple(rng.randrange(p) for _ in range(d + 1)), p)))
     want = [kernel(*args) for kernel, args in cases]
@@ -177,14 +223,18 @@ def test_kernels_with_a_lowered_bound(monkeypatch):
 _COLD_IMPORT = """
 import random, sys
 import g2lpoly
+from g2lpoly.oracle import gen_type1
 from g2lpoly.polyring import poly_mul
 assert "numpy" not in sys.modules, "import g2lpoly loaded numpy"
 p = 1048583  # type 1: both genus 1 counts over F_p go through BSGS
 f = poly_mul((1, 1, 0, 1), (3 * p**6, 2 * p**4, p**2, 1))
 g2lpoly.euler_factor(g2lpoly.EulerInput(f, p), random.Random(1))
 assert "numpy" not in sys.modules, "a BSGS-only factor loaded numpy"
-g2lpoly.count_points_naive(g2lpoly.Genus1Model(g2lpoly.Fp(13), (1, 1, 0, 1)))
-assert "numpy" in sys.modules, "an exhaustive count ran without numpy"
+inst = gen_type1(3, 4, random.Random(5))  # both counts over F_3, by the plain loop
+assert g2lpoly.euler_factor(g2lpoly.EulerInput(inst.f, 3), random.Random(1)) == inst.expected
+assert "numpy" not in sys.modules, "a type 1 factor at p = 3 loaded numpy"
+g2lpoly.count_points_naive(g2lpoly.Genus1Model(g2lpoly.Fp(67), (1, 1, 0, 1)))
+assert "numpy" in sys.modules, "an exhaustive count at p = 67 ran without numpy"
 """
 
 
