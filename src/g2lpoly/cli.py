@@ -21,42 +21,14 @@ import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
 
-from .errors import (
-    AmbiguousOrder,
-    BadWitness,
-    DegreeError,
-    FieldTooLarge,
-    G2Error,
-    GoodReduction,
-    HasseViolation,
-    InexactDivision,
-    NonResidue,
-    NotAlmostGood,
-    NotOddPrime,
-    NotSquarefree,
-    Unsupported,
-)
+from .errors import G2Error
 from .eulercore import EulerInput, euler_factor
 from .modarith import is_prime
 
-_ERROR_TOKENS = (
-    (GoodReduction, "good-reduction"),
-    (NotAlmostGood, "not-almost-good"),
-    (NotSquarefree, "not-squarefree"),
-    (NotOddPrime, "not-odd-prime"),
-    (BadWitness, "bad-witness"),
-    (DegreeError, "degree"),
-    (HasseViolation, "hasse-violation"),
-    (AmbiguousOrder, "ambiguous-order"),
-    (Unsupported, "unsupported"),
-    (NonResidue, "non-residue"),
-    (InexactDivision, "inexact-division"),
-    (FieldTooLarge, "field-too-large"),
-)
-
 
 class ParseError(G2Error):
-    pass
+    """The line does not follow the grammar."""
+    token = "parse"
 
 
 def _parse_bracket_list(text):
@@ -96,28 +68,26 @@ def process_line(line, seed=None):
     """One job line -> one output line; never raises.
 
     Every odd p >= 3 is checked for primality first; even p and p < 3 are
-    left to euler_factor, which names them not-odd-prime.  A failure without
-    a token of its own prints ERR:error, and one that is not a G2Error also
-    writes its traceback to stderr.
+    left to euler_factor, which names them not-odd-prime.  A G2Error prints
+    ERR:<its token>; any other exception prints ERR:error and writes its
+    traceback to stderr.
     """
     if not line.strip():
         return None
     try:
         p, f, h = parse_job_line(line)
-    except ParseError:
-        return "ERR:parse"
+    except ParseError as exc:
+        return f"ERR:{exc.token}"
     if p >= 3 and p % 2 and not is_prime(p):
         return "ERR:not-prime"
     rng = random.Random(f"{seed}|{line.strip()}")
     try:
         lp = euler_factor(EulerInput(f, p, h), rng)
-    except Exception as exc:
-        for cls, token in _ERROR_TOKENS:
-            if isinstance(exc, cls):
-                return f"ERR:{token}"
-        if not isinstance(exc, G2Error):
-            print(f"g2lpoly: {line.strip()}", file=sys.stderr)
-            traceback.print_exc(file=sys.stderr)
+    except G2Error as exc:
+        return f"ERR:{exc.token}"
+    except Exception:
+        print(f"g2lpoly: {line.strip()}", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
         return "ERR:error"
     c = lp.coefficients()
     return f"{p}:[{c[0]},{c[1]},{c[2]},{c[3]},{c[4]}]"

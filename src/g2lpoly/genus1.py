@@ -3,12 +3,12 @@
 The field alone picks the counting method (lpoly1): exhaustive character
 sums through the kernels module for F_p with p < FP_EXHAUSTIVE_BELOW and for
 F_{p^2} with q < FP2_EXHAUSTIVE_BELOW, baby-step/giant-step order-finding on
-the curve and its quadratic twist everywhere else.  BSGS runs on a cubic model;
-quartics reach one by reversal (when g(0) = 0) or through the classical
-quartic invariants.  The F_q-roots of the cubic fix #E mod 2, and in most
-cases mod 4; those of the 3-division polynomial fix #E mod 3 in most cases.
-BSGS searches only that class of the Hasse interval, mod up to 12, wherever
-the interval is wide enough for reading it to pay.
+the curve and its quadratic twist everywhere else.  lpoly1 takes cubic
+models only; quartic_to_cubic and quartic_jacobian turn a quartic into one.
+The F_q-roots of the cubic fix #E mod 2, and in most cases mod 4; those of
+the 3-division polynomial fix #E mod 3 in most cases.  BSGS searches only
+that class of the Hasse interval, mod up to 12, wherever the interval is
+wide enough for reading it to pay.
 """
 
 import math
@@ -25,7 +25,7 @@ from .errors import (
     Unsupported,
 )
 from .modarith import Fp2
-from .polyring import field_disc, fp2_trim, fp_trim
+from .polyring import field_disc, fp2_trim, reduce_mod
 
 DEFAULT_NAIVE_LIMIT = 1 << 16
 # Median ms per count, 20 random cubics and 20 quartics per prime (README,
@@ -74,7 +74,7 @@ class Genus1Model:
 
     def __post_init__(self):
         F = self.field
-        g = fp2_trim(self.g, F) if isinstance(F, Fp2) else fp_trim(self.g, F.p)
+        g = fp2_trim(self.g, F) if isinstance(F, Fp2) else reduce_mod(self.g, F.p)
         d = len(g) - 1
         if d not in (3, 4):
             raise DegreeError(f"genus 1 model needs degree 3 or 4, got {d}")
@@ -475,22 +475,17 @@ def group_order_bsgs(model: Genus1Model, rng=None) -> int:
 
 
 def lpoly1(model: Genus1Model, rng=None) -> LPoly1:
-    """Trace of Frobenius for the model, counting by the method its field
-    calls for.
+    """Trace of Frobenius for a cubic model, counting by the method its
+    field calls for.
 
     Exhaustive counting for F_p with p < FP_EXHAUSTIVE_BELOW and for
-    F_{p^2} with q < FP2_EXHAUSTIVE_BELOW; otherwise BSGS on a cubic model,
-    which quartics reach by reversal when g(0) = 0 and through the quartic
-    invariants otherwise.
+    F_{p^2} with q < FP2_EXHAUSTIVE_BELOW; otherwise BSGS.  A quartic raises
+    DegreeError at every field size.
     """
+    if model.degree != 3:
+        raise DegreeError("lpoly1 expects a cubic model")
     F = model.field
     q = F.q
     if q < (FP2_EXHAUSTIVE_BELOW if isinstance(F, Fp2) else FP_EXHAUSTIVE_BELOW):
         return LPoly1(q + 1 - count_points_naive(model), q)
-    cubic = model
-    if model.degree == 4:
-        if F.is_zero(model.g[0]):
-            cubic = quartic_to_cubic(model)
-        else:
-            cubic = quartic_jacobian(model)
-    return LPoly1(q + 1 - group_order_bsgs(cubic, rng), q)
+    return LPoly1(q + 1 - group_order_bsgs(model, rng), q)

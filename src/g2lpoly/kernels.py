@@ -44,8 +44,8 @@ _FP2_BLOCK = 1 << 14
 
 
 def kernel_mode() -> str:
-    """Which implementation backs the counting entry points."""
-    return "numpy"
+    """Which implementations back the counting entry points."""
+    return f"python (F_p, p < {_LOOP_BELOW}) + numpy"
 
 
 @functools.lru_cache(maxsize=None)  # one per odd prime below _LOOP_BELOW

@@ -5,9 +5,11 @@ alongside.  Elements of the quadratic extension and of the order are (c0, c1)
 pairs of ints giving coordinates with respect to the basis {1, z}.
 
 Integers(p) and QuadOrder are the residue rings R of the descents, with
-residue field R.kappa = R/pR.  Their one interface (p, kappa, zero, add,
-mul, smul, exact_div_pk, reduce) lets one shift-and-scale and one
-recentring loop serve both.
+residue field R.kappa = R/pR.  Their one interface (the attributes p, kappa
+and zero; the methods add, mul, smul, exact_div_pk and reduce) lets one
+shift-and-scale and one recentring loop serve both.  The constants zero,
+one and gen (the class of z) are class attributes on every field and ring
+that has them.
 
 Fp and Fp2 share one square test (chi_p of the norm), one Tonelli-Shanks
 square root, and a nonsquare drawn once per field object and kept.
@@ -171,6 +173,8 @@ class Fp(_SquareRoots):
     """Prime field context.  Elements are plain ints in [0, p)."""
 
     __slots__ = ("p", "q")
+    zero = 0
+    one = 1
 
     def __init__(self, p: int):
         check_odd_prime_modulus(p)
@@ -186,14 +190,6 @@ class Fp(_SquareRoots):
 
     def __hash__(self):
         return hash(("Fp", self.p))
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
 
     def from_int(self, n):
         return n % self.p
@@ -213,8 +209,7 @@ class Fp(_SquareRoots):
     def mul(self, a, b):
         return a * b % self.p
 
-    def smul(self, n, a):
-        return n * a % self.p
+    smul = mul
 
     def norm(self, a):
         """Norm to F_p: the identity."""
@@ -291,6 +286,9 @@ class Fp2(_SquareRoots):
     """
 
     __slots__ = ("p", "u0", "u1", "q")
+    zero = (0, 0)
+    one = (1, 0)
+    gen = (0, 1)
 
     def __init__(self, p: int, u0: int, u1: int):
         check_odd_prime_modulus(p)
@@ -315,18 +313,6 @@ class Fp2(_SquareRoots):
 
     def __hash__(self):
         return hash(("Fp2", self.p, self.u0, self.u1))
-
-    @property
-    def zero(self):
-        return (0, 0)
-
-    @property
-    def one(self):
-        return (1, 0)
-
-    @property
-    def gen(self):
-        return (0, 1)
 
     def from_int(self, n):
         return (n % self.p, 0)
@@ -535,6 +521,8 @@ class QuadOrder:
     """
 
     __slots__ = ("u0", "u1", "p", "kappa")
+    zero = (0, 0)
+    gen = (0, 1)
 
     def __init__(self, u0: int, u1: int, p: int):
         self.kappa = Fp2(p, u0 % p, u1 % p)  # validates irreducibility mod p
@@ -544,14 +532,6 @@ class QuadOrder:
 
     def __repr__(self):
         return f"QuadOrder(z^2+{self.u1}z+{self.u0}, p={self.p})"
-
-    @property
-    def zero(self):
-        return (0, 0)
-
-    @property
-    def gen(self):
-        return (0, 1)
 
     def from_int(self, n):
         return (n, 0)

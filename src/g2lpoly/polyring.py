@@ -41,10 +41,7 @@ def poly_add(f, g):
 
 
 def poly_sub(f, g):
-    n = max(len(f), len(g))
-    f = list(f) + [0] * (n - len(f))
-    g = list(g) + [0] * (n - len(g))
-    return trim(a - b for a, b in zip(f, g))
+    return poly_add(f, poly_scale(g, -1))
 
 
 def poly_mul(f, g):
@@ -73,7 +70,7 @@ def poly_eval(f, x):
 
 
 def poly_derivative(f):
-    return trim(i * c for i, c in enumerate(f) if i >= 1)
+    return trim([i * f[i] for i in range(1, len(f))])
 
 
 def taylor_shift(f, r):
@@ -113,7 +110,10 @@ def min_vp(f, p: int) -> int:
 
 def reduce_mod(f, p: int):
     """Reduction Z[x] -> F_p[x]; the degree may drop."""
-    return trim(c % p for c in f)
+    f = [c % p for c in f]
+    while f and f[-1] == 0:
+        f.pop()
+    return tuple(f)
 
 
 def reverse6(f):
@@ -201,40 +201,20 @@ def fp_disc(fbar, p: int):
 # ---------------------------------------------------------------------------
 
 
-def fp_trim(f, p):
-    f = [c % p for c in f]
-    while f and f[-1] == 0:
-        f.pop()
-    return tuple(f)
-
-
 def fp_mul(f, g, p):
-    if not f or not g:
-        return ()
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-    return fp_trim(out, p)
+    return reduce_mod(poly_mul(f, g), p)
 
 
 def fp_scale(f, c, p):
-    c %= p
-    if c == 0:
-        return ()
-    return tuple(a * c % p for a in f)
+    return reduce_mod(poly_scale(f, c), p)
 
 
 def fp_eval(f, x, p):
-    acc = 0
-    for c in reversed(f):
-        acc = (acc * x + c) % p
-    return acc
+    return poly_eval(f, x) % p
 
 
 def fp_derivative(f, p):
-    return fp_trim([i * c for i, c in enumerate(f) if i >= 1], p)
+    return reduce_mod(poly_derivative(f), p)
 
 
 def fp_monic(f, p):
@@ -275,7 +255,7 @@ def fp_divmod(f, g, p):
 
 def fp_gcd(f, g, p):
     """Monic gcd over F_p: Euclid's remainder loop on two lists."""
-    a, b = list(fp_trim(f, p)), list(fp_trim(g, p))
+    a, b = list(reduce_mod(f, p)), list(reduce_mod(g, p))
     while b:
         _fp_rem(a, b, p)
         a, b = b, a
@@ -348,7 +328,7 @@ def fp_gcd_k(f, k: int, p: int):
     """
     if k <= 0:
         raise ValueError("k must be positive")
-    f = fp_trim(f, p)
+    f = reduce_mod(f, p)
     if not f:
         raise ValueError("gcd_k of the zero polynomial")
     d = deg(f)

@@ -13,10 +13,10 @@ from g2lpoly.polyring import (
     fp_derivative,
     fp_divmod,
     fp_gcd,
-    fp_trim,
     poly_add,
     poly_mul,
     poly_scale,
+    reduce_mod,
 )
 
 
@@ -86,7 +86,7 @@ def fp_long_division(f, g, p):
         q[k] = c = r[k + n] * inv % p
         for i, b in enumerate(g):
             r[k + i] = (r[k + i] - c * b) % p
-    return fp_trim(q, p), fp_trim(r, p)
+    return reduce_mod(q, p), reduce_mod(r, p)
 
 
 def fp_monic_irreducibles(d, p):
@@ -111,18 +111,18 @@ def fp_multiplicity_by_division(f, g, p):
 def fp_gcd_k_by_trial_division(f, k, p):
     """gcd_k of f over F_p (deg f <= 6): every monic irreducible g of degree
     up to deg f // k is tried, and g^(v - k + 1) kept when v = v_g(f) >= k."""
-    f = fp_trim(f, p)
+    f = reduce_mod(f, p)
     out = (1,)
     for e in range(1, deg(f) // k + 1):
         for g in fp_monic_irreducibles(e, p):
             for _ in range(fp_multiplicity_by_division(f, g, p) - k + 1):
-                out = fp_trim(poly_mul(out, g), p)
+                out = reduce_mod(poly_mul(out, g), p)
     return out
 
 
 def fp_squarefree_part(f, p: int):
     """Distinct irreducible factors of f over F_p times the leading coefficient."""
-    f = fp_trim(f, p)
+    f = reduce_mod(f, p)
     if not f:
         raise ValueError("squarefree part of the zero polynomial")
     d = deg(f)

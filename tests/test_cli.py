@@ -1,11 +1,13 @@
 import io
 import random
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from g2lpoly import cli
+from g2lpoly import cli, errors
 from g2lpoly.cli import parse_job_line, process_line, run_batch
 from g2lpoly.errors import (
     AmbiguousOrder,
@@ -105,6 +107,26 @@ def test_every_exception_ends_in_a_token(monkeypatch, capsys, exc, token):
     assert process_line(_worked_example_line()) == token
     traceback_printed = type(exc).__name__ in capsys.readouterr().err
     assert traceback_printed == (not isinstance(exc, G2Error))
+
+
+def test_error_vocabulary(monkeypatch):
+    # every error class declares its own token, a line that raises it prints
+    # ERR:<token>, and README's token table lists exactly those tokens plus
+    # not-prime (a check, not an error class) and error (anything else)
+    classes = [cls for cls in vars(errors).values() if isinstance(cls, type)
+               and issubclass(cls, G2Error) and cls is not G2Error] + [cli.ParseError]
+    assert all("token" in vars(cls) for cls in classes)
+    tokens = [cls.token for cls in classes]
+    assert len(set(tokens) | {"not-prime", "error"}) == len(tokens) + 2
+    for cls in classes:
+        def fail(*args, cls=cls):
+            raise cls("x")
+
+        monkeypatch.setattr(cli, "euler_factor", fail)
+        assert process_line(_worked_example_line()) == f"ERR:{cls.token}"
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = re.findall(r"^\| `([a-z-]+)` \|", readme, re.M)
+    assert sorted(table) == sorted(tokens + ["not-prime", "error"])
 
 
 def test_trailing_zero_omission():

@@ -1,14 +1,16 @@
 """Structural checks on the package source, by parsing it with ast.
 
 No linter ships with the project.  Every module-level function and class
-must have a user: a definition whose name is referenced nowhere in src/,
-tests/ or perfbench/ apart from the definition itself fails.  A reference
-is a name that is read, an attribute, an imported name, or a string
-constant equal to the name (the __all__ entries and the benchmark's tracing
-hooks).  Every import in src/ must be used by its own module: read as a
-name or listed in __all__, unless its line says "# noqa: F401" (the names
-kept only for the benchmark's tracing hooks).  And no module reads the
-environment, so that behaviour is set by arguments alone.
+must have a user, and so must every method and class attribute of the field
+and ring classes and of genus1's _Curve (dunder names aside): a definition
+whose name is referenced nowhere in src/, tests/ or perfbench/ apart from
+the definition itself fails.  A reference is a name that is read, an
+attribute, an imported name, or a string constant equal to the name (the
+__all__ entries and the benchmark's tracing hooks).  Every import in src/
+must be used by its own module: read as a name or listed in __all__, unless
+its line says "# noqa: F401" (the names kept only for the benchmark's
+tracing hooks).  And no module reads the environment, so that behaviour is
+set by arguments alone.
 """
 
 import ast
@@ -17,6 +19,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "g2lpoly"
+# classes whose methods and class attributes are checked too, by module
+MEMBERS_CHECKED = {
+    "modarith.py": ("_SquareRoots", "Fp", "Fp2", "Integers", "QuadOrder"),
+    "genus1.py": ("_Curve",),
+}
 
 
 def _references(tree):
@@ -31,6 +38,26 @@ def _references(tree):
             yield node.value
 
 
+def _definitions(path, tree):
+    """(label, name, node) for each checked definition of a module."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        yield f"{path.name}:{node.lineno} {node.name}", node.name, node
+        if node.name not in MEMBERS_CHECKED.get(path.name, ()):
+            continue
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef):
+                names = [item.name]
+            elif isinstance(item, ast.Assign):
+                names = [t.id for t in item.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if not name.startswith("__"):
+                    yield f"{path.name}:{item.lineno} {node.name}.{name}", name, item
+
+
 def test_no_dead_module_level_definitions():
     trees = {
         path: ast.parse(path.read_text(), str(path))
@@ -42,11 +69,10 @@ def test_no_dead_module_level_definitions():
         refs.update(_references(tree))
     dead = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in trees[path].body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                own = Counter(_references(node))  # recursion is not a use
-                if refs[node.name] == own[node.name]:
-                    dead.append(f"{path.name}:{node.lineno} {node.name}")
+        for label, name, node in _definitions(path, trees[path]):
+            own = Counter(_references(node))  # recursion is not a use
+            if refs[name] == own[name]:
+                dead.append(label)
     assert not dead, "unreferenced definitions: " + ", ".join(dead)
 
 

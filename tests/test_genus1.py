@@ -451,12 +451,15 @@ def test_lpoly1_bsgs_equals_naive():
     rng = random.Random(42)
     for p in (8209, 65521):
         F = Fp(p)
-        # a cubic, a quartic through reversal, a quartic through invariants
-        for coeffs in ((None, None, None, 1), (0, None, None, None, 1),
-                       (None, None, None, None, 1)):
+        # a cubic, a quartic through reversal, a quartic through invariants;
+        # the naive count is the quartic's own
+        for coeffs, to_cubic in (((None, None, None, 1), None),
+                                 ((0, None, None, None, 1), quartic_to_cubic),
+                                 ((None, None, None, None, 1), quartic_jacobian)):
             for _ in range(3):
                 m = _random_nonsingular(rng, F, coeffs)
-                assert lpoly1(m, rng) == LPoly1(p + 1 - count_points_naive(m, 1 << 26), p)
+                cubic = to_cubic(m) if to_cubic else m
+                assert lpoly1(cubic, rng) == LPoly1(p + 1 - count_points_naive(m, 1 << 26), p)
     for p in (97, 101, 251):
         F = Fp2(p, -find_nonsquare(p, rng) % p, 0)
         for _ in range(3):
@@ -485,8 +488,7 @@ def test_lpoly1_hasse_bound():
     for _ in range(40):
         p = rng.choice((3, 5, 7, 11, 13, 61))
         while True:
-            d = rng.choice((3, 4))
-            g = tuple(rng.randrange(p) for _ in range(d)) + (rng.randrange(1, p),)
+            g = tuple(rng.randrange(p) for _ in range(3)) + (rng.randrange(1, p),)
             try:
                 m = Genus1Model(Fp(p), g)
                 break
@@ -494,6 +496,14 @@ def test_lpoly1_hasse_bound():
                 continue
         lp = lpoly1(m, rng)
         assert lp.a * lp.a <= 4 * p
+
+
+@pytest.mark.parametrize("F", [Fp(13), Fp(8209), F9, Fp2(97, 5, 0)])
+def test_lpoly1_rejects_quartics(F):
+    # cubics only, in the exhaustive bands and in the BSGS range alike
+    m = Genus1Model(F, tuple(F.from_int(c) for c in (1, 0, 0, 0, 1)))
+    with pytest.raises(DegreeError):
+        lpoly1(m, random.Random(0))
 
 
 def test_interval_multiples_contract():
