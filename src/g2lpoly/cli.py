@@ -13,13 +13,17 @@ Trailing zero coefficients may be omitted.  Each successful line prints
 which are the coefficients of 1 + a1*T + a2*T^2 + p*a1*T^3 + p^2*T^4 in that
 exact sign convention (systems differ; this one expands the polynomial as
 written).  Failed lines print ERR:<token> and processing continues.
+Blank lines are skipped.  Output keeps input order at any --jobs, each
+line written once it and every line before it are done.
 """
 
 import argparse
+import contextlib
+import itertools
 import random
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor
 
 from .errors import G2Error
 from .eulercore import EulerInput, euler_factor
@@ -93,33 +97,27 @@ def process_line(line, seed=None):
     return f"{p}:[{c[0]},{c[1]},{c[2]},{c[3]},{c[4]}]"
 
 
-def _worker(args):
-    return process_line(*args)
-
-
 def run_batch(lines, out, jobs=1, stable=True, seed=None):
-    """Process a job stream; returns the exit code (0 unless nothing parsed)."""
+    """Process a job stream, writing each result in input order as soon as
+    it is done; returns the exit code (0 unless nothing parsed).  stable
+    selects nothing; it stays only because perfbench/run.py passes it."""
     lines = [ln for ln in lines if ln.strip()]
     if not lines:
         return 0
-    tasks = [(ln, seed) for ln in lines]
-    if jobs > 1:
-        # loaded once here, forked workers share numpy instead of each
-        # importing it for its first exhaustive count
-        import numpy  # noqa: F401
+    parsed = 0
+    with contextlib.ExitStack() as stack:
+        if jobs > 1:
+            # loaded once here, forked workers share numpy instead of each
+            # importing it for its first exhaustive count
+            import numpy  # noqa: F401
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            if stable:
-                results = list(pool.map(_worker, tasks, chunksize=16))
-            else:
-                futures = [pool.submit(_worker, t) for t in tasks]
-                results = [fut.result() for fut in as_completed(futures)]
-    else:
-        results = [_worker(t) for t in tasks]
-    for res in results:
-        if res is not None:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
+            results = pool.map(process_line, lines, itertools.repeat(seed), chunksize=16)
+        else:
+            results = map(process_line, lines, itertools.repeat(seed))
+        for res in results:
             print(res, file=out)
-    parsed = sum(1 for r in results if r != "ERR:parse")
+            parsed += res != "ERR:parse"
     return 0 if parsed else 1
 
 
@@ -129,8 +127,6 @@ def main(argv=None):
         description="Euler factors of genus 2 curves at odd primes of almost "
         "good reduction; reads p:[f0,...,f6](:[h0,...,h3]) lines from stdin.",
     )
-    parser.add_argument("--stable", action="store_true",
-                        help="preserve input order under --jobs")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="worker processes for line-level parallelism")
     parser.add_argument("--seed", type=int, default=None,
@@ -140,13 +136,7 @@ def main(argv=None):
         lines = sys.stdin.read().splitlines()
     except OSError:
         return 2
-    return run_batch(
-        lines,
-        sys.stdout,
-        jobs=max(args.jobs, 1),
-        stable=args.stable or args.jobs <= 1,
-        seed=args.seed,
-    )
+    return run_batch(lines, sys.stdout, jobs=max(args.jobs, 1), seed=args.seed)
 
 
 if __name__ == "__main__":

@@ -3,7 +3,9 @@ Jacobian keeps good reduction.
 
 Each reduction type descends into the inner clusters with substitutions
 x -> p*x + r followed by exact division, until the reduced cubic becomes
-separable; the genus 1 factors found there multiply out to the answer.
+separable.  A handler returns the field, the genus 1 cubics found there and
+its loop counts; euler_factor_with_stats counts the curves and multiplies
+their factors out to the answer.
 """
 
 import random
@@ -99,14 +101,6 @@ def _descend(f, r, R, max_iters: int):
     return gbar, iters
 
 
-def _lp2_over_fp(F, rng, g1, g2) -> LPoly2:
-    """Count the genus 1 curves y^2 = g1 and y^2 = g2 over F_p and multiply
-    their factors."""
-    t1 = lpoly1(Genus1Model(F, g1), rng).a
-    t2 = lpoly1(Genus1Model(F, g2), rng).a
-    return LPoly2.from_traces(t1, t2, F.p)
-
-
 def euler_type1(c: Classification, rng, max_iters: int):
     """Type 1: one loose triple cluster.
 
@@ -119,8 +113,7 @@ def euler_type1(c: Classification, rng, max_iters: int):
     g2bar, iters = _descend(c.nf.ftilde, r, Z, max_iters)
     # fbar(x + r) = x^3 u(x + r); the cubic is the reversal of u(x + r)
     cubic = tuple(reversed(reduce_mod(taylor_shift(c.fbar, r), p)[3:]))
-    lp = _lp2_over_fp(Z.kappa, rng, cubic, g2bar)
-    return lp, RunStats(ClusterType.T1, (iters,), c.nf.v)
+    return Z.kappa, (cubic, g2bar), (iters,)
 
 
 def euler_type2a(c: Classification, rng, max_iters: int):
@@ -135,8 +128,7 @@ def euler_type2a(c: Classification, rng, max_iters: int):
     r1, r2 = sorted(((-u[1] + root) * inv2 % p, (-u[1] - root) * inv2 % p))
     g1bar, it1 = _descend(c.nf.ftilde, r1, Z, max_iters)
     g2bar, it2 = _descend(c.nf.ftilde, r2, Z, max_iters)
-    lp = _lp2_over_fp(F, rng, g1bar, g2bar)
-    return lp, RunStats(ClusterType.T2A, (it1, it2), c.nf.v)
+    return F, (g1bar, g2bar), (it1, it2)
 
 
 def euler_type2b(c: Classification, rng, max_iters: int):
@@ -150,9 +142,7 @@ def euler_type2b(c: Classification, rng, max_iters: int):
     order = QuadOrder(u[0], u[1], p)
     fo = tuple(order.from_int(a) for a in c.nf.ftilde)
     gbar, iters = _descend(fo, order.gen, order, max_iters)
-    t = lpoly1(Genus1Model(order.kappa, gbar), rng).a
-    # L(E/F_{p^2}, T^2) = 1 - t T^2 + p^2 T^4
-    return LPoly2(0, -t, p), RunStats(ClusterType.T2B, (iters,), c.nf.v)
+    return order.kappa, (gbar,), (iters,)
 
 
 def euler_type4(c: Classification, rng, max_iters: int):
@@ -174,8 +164,7 @@ def euler_type4(c: Classification, rng, max_iters: int):
     if field_disc(cubic, F) == 0:
         raise NotAlmostGood("type 4 cubic is singular")
     g2bar, inner = _descend(ftilde, _root(g3, p), Z, max_iters)
-    lp = _lp2_over_fp(F, rng, cubic, g2bar)
-    return lp, RunStats(ClusterType.T4, (outer, inner), c.nf.v)
+    return F, (cubic, g2bar), (outer, inner)
 
 
 def euler_factor_with_stats(inp: EulerInput, rng=None):
@@ -194,10 +183,16 @@ def euler_factor_with_stats(inp: EulerInput, rng=None):
         ClusterType.T2B: euler_type2b,
         ClusterType.T4: euler_type4,
     }[c.type]
-    lp, stats = handler(c, rng, max_iters)
+    field, cubics, iters = handler(c, rng, max_iters)
+    traces = [lpoly1(Genus1Model(field, g), rng).a for g in cubics]
+    if len(traces) == 2:
+        lp = LPoly2.from_traces(*traces, nf.p)
+    else:
+        # type 2b's one curve over F_{p^2}: L(E/F_{p^2}, T^2) = 1 - t T^2 + p^2 T^4
+        lp = LPoly2(0, -traces[0], nf.p)
     if not validate_lpoly2(lp):
         raise HasseViolation(f"Weil bounds fail for {lp}")
-    return lp, stats
+    return lp, RunStats(c.type, iters, nf.v)
 
 
 def euler_factor(inp: EulerInput, rng=None) -> LPoly2:

@@ -20,10 +20,10 @@ _BOUND = 2^62, and otherwise the accumulators are reduced first.  The bound
 depends only on p and the degree, so the schedule is fixed before any point
 is evaluated.  Below p = 2^13 that is one reduction for a cubic over F_p and
 at most two for a quartic; over F_{p^2} it is at most three per block below
-p = 2^8 (two before the norm, one after).  Both kernels take p < 2^30,
-where a step from reduced accumulators stays below the bound, once over
-F_{p^2} above p = 2^20 the product g1 b inside a step and the two products
-of the norm are reduced too.
+p = 2^8 (two before the norm, one after).  count_affine_fp takes p < 2^30
+and count_affine_fp2 p < 2^20 (no caller counts above q = 2^26), where a
+step from reduced values stays below the bound: (m + 1) m, m^3 + 2 m^2 + m
+and the norm's m^2 (2 m + 1) are all below 2^61 (m = p - 1).
 
 numpy is imported by the first count that needs it, not by `import g2lpoly`,
 so a run whose counts all lie over F_p below 2^6 or above the exhaustive
@@ -33,6 +33,7 @@ bands never loads it.
 import functools
 
 _P_LIMIT = 1 << 30
+_FP2_P_LIMIT = 1 << 20
 # count_affine_fp loops in plain Python below this p and runs numpy from 67 up
 _LOOP_BELOW = 1 << 6
 _BOUND = 1 << 62
@@ -149,8 +150,8 @@ def count_affine_fp2(coeffs, u0: int, u1: int, p: int) -> int:
     g0^2 + n1 g0 g1 + u0 g1^2 mod p, which collapses the p^2 grid to one
     table lookup per point.
     """
-    if p >= _P_LIMIT:
-        raise ValueError(f"kernel requires p < 2^30, got {p}")
+    if p >= _FP2_P_LIMIT:
+        raise ValueError(f"kernel requires p < 2^20, got {p}")
     import numpy as np
 
     m = p - 1
@@ -186,16 +187,12 @@ def count_affine_fp2(coeffs, u0: int, u1: int, p: int) -> int:
         g1 += c1
         bound = (2 * m + 1) * m  # g0, g1 <= bound
         for c0, c1 in rest[1:]:
-            # the step below leaves g0, g1 <= (tb + 2 bound) m + m
+            # the step below leaves g0, g1 <= (bound m + 2 bound) m + m
             if (bound * m + 2 * bound) * m + m >= _BOUND:
                 _reduce(g0, p, t)
                 _reduce(g1, p, t)
                 bound = m
-            np.multiply(g1, b, out=t)
-            tb = bound * m  # t <= tb
-            if (tb + 2 * bound) * m + m >= _BOUND:  # only for p above 2^20
-                _reduce(t, p, s)
-                tb = m
+            np.multiply(g1, b, out=t)  # t <= bound m
             np.multiply(g0, b, out=s)
             g0 *= a
             g1 *= a
@@ -209,24 +206,19 @@ def count_affine_fp2(coeffs, u0: int, u1: int, p: int) -> int:
                 g0 += c0
             if c1:
                 g1 += c1
-            bound = (tb + 2 * bound) * m + m
+            bound = (bound * m + 2 * bound) * m + m
         # the norm g0 (g0 + n1 g1) + u0 g1^2 <= bound^2 (2m + 1)
         if bound * bound * (2 * m + 1) >= _BOUND:
             _reduce(g0, p, t)
             _reduce(g1, p, t)
             bound = m
-        wide = bound * bound * (2 * m + 1) >= _BOUND  # only for p above 2^20
         if n1:
             np.multiply(g1, n1, out=t)
-            if wide:
-                _reduce(t, p, s)
             t += g0
             t *= g0
         else:
             np.multiply(g0, g0, out=t)
         np.multiply(g1, u0, out=s)
-        if wide:
-            _reduce(s, p, g0)  # g0 is spent
         s *= g1
         t += s
         _reduce(t, p, s)

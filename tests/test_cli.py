@@ -162,7 +162,7 @@ def test_parallel_matches_sequential():
         lines.append(job_line(random_instance(p, ClusterType.T2A, rng, compute_expected=False)))
     seq, par = io.StringIO(), io.StringIO()
     run_batch(lines, seq, jobs=1)
-    run_batch(lines, par, jobs=2, stable=True)
+    run_batch(lines, par, jobs=2)
     assert seq.getvalue() == par.getvalue()
 
 
@@ -189,13 +189,34 @@ def test_console_entry_point():
     assert proc.stdout.strip() == "5:[1,0,6,0,25]"
 
 
-def test_parallel_unordered_same_multiset():
+def test_jobs_2_prints_what_jobs_1_prints(monkeypatch, capsys):
+    # 48 lines of all four types go to two workers in chunks of 16; every
+    # line must come back, in input order
     rng = random.Random(82)
-    lines = []
-    for _ in range(6):
-        p = rng.choice((3, 5, 7))
-        lines.append(job_line(random_instance(p, ClusterType.T1, rng, compute_expected=False)))
-    seq, par = io.StringIO(), io.StringIO()
-    run_batch(lines, seq, jobs=1)
-    run_batch(lines, par, jobs=2, stable=False)
-    assert sorted(seq.getvalue().splitlines()) == sorted(par.getvalue().splitlines())
+    lines = [
+        job_line(random_instance(rng.choice((3, 5, 7, 11, 13)), typ, rng, compute_expected=False))
+        for _ in range(12)
+        for typ in ClusterType
+    ]
+    printed = []
+    for jobs in ("1", "2"):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(lines) + "\n"))
+        assert cli.main(["--jobs", jobs]) == 0
+        printed.append(capsys.readouterr().out.splitlines())
+    assert len(printed[0]) == len(lines)
+    assert printed[1] == printed[0]
+
+
+def test_each_result_is_written_when_its_line_is_done(monkeypatch):
+    out = io.StringIO()
+    written = []
+
+    def recording(line, seed=None):
+        written.append(len(out.getvalue().splitlines()))
+        return process_line(line, seed)
+
+    monkeypatch.setattr(cli, "process_line", recording)
+    lines = [_worked_example_line(), "garbage", "", _worked_example_line()]
+    assert run_batch(lines, out) == 0
+    assert written == [0, 1, 2]
+    assert len(out.getvalue().splitlines()) == 3

@@ -200,10 +200,9 @@ def test_count_fp2_against_bruteforce_on_both_grids(p):
 
 
 def test_kernels_with_a_lowered_bound(monkeypatch):
-    # At 2^14 the bound schedules at p = 43 (F_{p^2}) and 67 (F_p, the
-    # least prime numpy counts) what p above 2^20 needs: every step reduces
-    # first, t = g1 b is reduced inside the step, and so are the norm's two
-    # products.  The counts must not change.
+    # At 2^14 the bound makes every step at p = 43 (F_{p^2}) and 67 (F_p,
+    # the least prime numpy counts) reduce first, and the norm reduce its
+    # inputs.  The counts must not change.
     rng = random.Random(34)
     p = 43
     cases = []
@@ -218,6 +217,16 @@ def test_kernels_with_a_lowered_bound(monkeypatch):
     want = [kernel(*args) for kernel, args in cases]
     monkeypatch.setattr(kernels, "_BOUND", 1 << 14)
     assert [kernel(*args) for kernel, args in cases] == want
+
+
+def test_fp2_kernel_refuses_p_from_2_20():
+    # below the limit a step from reduced accumulators, m^3 + 2 m^2 + m, and
+    # the norm of reduced values, m^2 (2 m + 1), stay below the bound
+    m = kernels._FP2_P_LIMIT - 2
+    assert m**3 + 2 * m**2 + m < kernels._BOUND
+    assert m * m * (2 * m + 1) < kernels._BOUND
+    with pytest.raises(ValueError):
+        kernels.count_affine_fp2(((0, 0), (1, 0), (0, 0), (1, 0)), 1, 0, 1048583)
 
 
 _COLD_IMPORT = """
