@@ -2,6 +2,7 @@
 
     python3 scripts/ab.py --checkout ../parent-clone --workload large_p
     python3 scripts/ab.py --checkout ../parent-clone --workload all --passes 5
+    python3 scripts/ab.py --checkout ../parent-clone --workload all --setup 15
 
 Loads both packages into one interpreter, this tree's as g2lpoly and the
 other's under another module name, and builds each pool with this tree's
@@ -16,14 +17,23 @@ per-case median times) and the per-type p50 of those medians, with the
 ratio other/this (above 1: this tree is faster).  It exits 1 if any case's
 outcome (the factor, the ERR: token or the exception class) differs between
 the two packages; outcomes that differ from the expected value are counted.
+
+With --setup N it times cold starts instead, in fresh interpreters: per
+workload, N rounds that each run, for both trees in alternating order, one
+import-only child and one of perfbench's own set-up children (run._SETUP_CHILD:
+import g2lpoly, then the workload's setup case).  It prints the median import
+and set-up times of each side and the ratio this/other (below 1: this tree
+starts faster), and exits 1 if the two trees print different factors.
 """
 
 import argparse
 import gc
 import importlib
 import importlib.util
+import os
 import random
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -90,6 +100,41 @@ def report(pool, times, outcomes):
     return [(c.line, a, b) for c, a, b in zip(pool.cases, *outcomes) if a != b]
 
 
+_IMPORT_CHILD = """
+import time
+t0 = time.perf_counter()
+import g2lpoly
+print(time.perf_counter() - t0)
+"""
+
+
+def cold_start(pool, trees, rounds, setup_child):
+    """Print the median import and set-up ms per tree over alternating fresh
+    interpreters; returns whether the trees' set-up children printed
+    different factors."""
+    case = pool.setup_case
+    imports, setups, outputs = ([[], []] for _ in range(3))
+
+    def child(tree, *argv):
+        return subprocess.run(
+            [sys.executable, "-c", *argv], env=dict(os.environ, PYTHONPATH=str(tree / "src")),
+            cwd=tree, capture_output=True, text=True, timeout=120, check=True).stdout.split()
+
+    for n in range(rounds):
+        for side in ((0, 1) if n % 2 == 0 else (1, 0)):
+            imports[side].append(float(child(trees[side], _IMPORT_CHILD)[0]))
+            secs, out = child(trees[side], setup_child, case.line, str(case.rng_seed))
+            setups[side].append(float(secs))
+            outputs[side].append(out)
+    imp, setup = ([statistics.median(t) * 1e3 for t in side] for side in (imports, setups))
+    print(f"{pool.name}: {rounds} fresh interpreters per side and kind, ms "
+          f"import this {imp[0]:.1f}, other {imp[1]:.1f}, ratio {imp[0] / imp[1]:.2f}; "
+          f"set-up this {setup[0]:.1f}, other {setup[1]:.1f}, ratio {setup[0] / setup[1]:.2f}")
+    wrong = [sum(out != case.expected for out in side) for side in outputs]
+    print(f"  set-up outputs not as expected: this {wrong[0]}, other {wrong[1]}")
+    return outputs[0] != outputs[1]
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--checkout", type=Path, required=True,
@@ -98,6 +143,8 @@ def main(argv=None):
                     help="a perfbench workload name, or all")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--passes", type=int, default=7)
+    ap.add_argument("--setup", type=int, default=0, metavar="N",
+                    help="time N cold starts per side instead of the in-process A/B")
     args = ap.parse_args(argv)
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import g2lpoly
@@ -105,8 +152,17 @@ def main(argv=None):
 
     if Path(g2lpoly.__file__).resolve().parent != ROOT / "src" / "g2lpoly":
         sys.exit(f"ab: imported g2lpoly from {g2lpoly.__file__}")
-    load_other(args.checkout.resolve())
     names = list(workloads.WORKLOADS) if args.workload == "all" else [args.workload]
+    if args.setup:
+        from run import _SETUP_CHILD
+
+        trees = (ROOT, args.checkout.resolve())
+        differing = [name for name in names
+                     if cold_start(workloads.WORKLOADS[name](args.seed), trees, args.setup,
+                                   _SETUP_CHILD)]
+        print(f"{len(differing)} workloads with differing set-up outputs")
+        return 1 if differing else 0
+    load_other(args.checkout.resolve())
     differing = []
     for name in names:
         pool = workloads.WORKLOADS[name](args.seed)

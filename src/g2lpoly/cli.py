@@ -14,7 +14,9 @@ which are the coefficients of 1 + a1*T + a2*T^2 + p*a1*T^3 + p^2*T^4 in that
 exact sign convention (systems differ; this one expands the polynomial as
 written).  Failed lines print ERR:<token> and processing continues.
 Blank lines are skipped.  Output keeps input order at any --jobs, each
-line written once it and every line before it are done.
+line written once it and every line before it are done.  The process pool
+is imported only for --jobs above 1, and traceback only for an unexpected
+exception, so a one-job run starts without multiprocessing.
 """
 
 import argparse
@@ -22,8 +24,6 @@ import contextlib
 import itertools
 import random
 import sys
-import traceback
-from concurrent.futures import ProcessPoolExecutor
 
 from .errors import G2Error
 from .eulercore import EulerInput, euler_factor
@@ -90,6 +90,8 @@ def process_line(line, seed=None):
     except G2Error as exc:
         return f"ERR:{exc.token}"
     except Exception:
+        import traceback
+
         print(f"g2lpoly: {line.strip()}", file=sys.stderr)
         traceback.print_exc(file=sys.stderr)
         return "ERR:error"
@@ -107,6 +109,8 @@ def run_batch(lines, out, jobs=1, stable=True, seed=None):
     parsed = 0
     with contextlib.ExitStack() as stack:
         if jobs > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             # loaded once here, forked workers share numpy instead of each
             # importing it for its first exhaustive count
             import numpy  # noqa: F401

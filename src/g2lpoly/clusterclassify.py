@@ -8,7 +8,7 @@ decides which of the four types applies.
 """
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     DegreeError,
@@ -46,16 +46,12 @@ class ClusterType(enum.Enum):
     T4 = "4"
 
 
-@dataclass(frozen=True)
-class PNormalized:
+class PNormalized(namedtuple("PNormalized", "ftilde p v vdisc")):
     """A p-normalized sextic model f = p^v ftilde, kept as its unit-leading
     part ftilde, with vdisc = v_p(disc(ftilde)); vdisc + 1 is the default
     iteration cap of the cluster descents."""
 
-    ftilde: tuple
-    p: int
-    v: int
-    vdisc: int
+    __slots__ = ()
 
     @property
     def f(self):
@@ -139,16 +135,12 @@ def recentre(f, r, k: int, R, max_iters: int):
     raise NotAlmostGood(f"descent exceeded {max_iters} iterations")
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(namedtuple("Classification", "nf type fbar kernel")):
     """One reading of a p-normalized model mod p: its type, the reduction
     fbar of nf.ftilde, and kernel = gcd_3(fbar), monic.  The handlers start
     their descents from these."""
 
-    nf: PNormalized
-    type: ClusterType
-    fbar: tuple
-    kernel: tuple
+    __slots__ = ()
 
 
 def classify(nf: PNormalized) -> Classification:
@@ -164,10 +156,10 @@ def classify(nf: PNormalized) -> Classification:
     """
     p = nf.p
     fbar = reduce_mod(nf.ftilde, p)
-    g = fp_gcd_k(fbar, 3, p)
+    squarefree, g = fp_gcd_k(fbar, 3, p, squarefree=True)
     d = deg(g)
     if d == 0:
-        if fp_is_squarefree(fbar, p):
+        if squarefree:
             raise GoodReduction(f"f is squarefree mod {p}")
         raise NotAlmostGood("repeated factors of multiplicity 2 only")
     if d == 1:

@@ -5,11 +5,12 @@ Each reduction type descends into the inner clusters with substitutions
 x -> p*x + r followed by exact division, until the reduced cubic becomes
 separable.  A handler returns the field, the genus 1 cubics found there and
 its loop counts; euler_factor_with_stats counts the curves and multiplies
-their factors out to the answer.
+their factors out to the answer.  LPoly2, EulerInput and RunStats are
+immutable named tuples.
 """
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .clusterclassify import Classification, ClusterType, classify, p_normalize, recentre
 from .clusterclassify import which_type  # noqa: F401  only a hook target for perfbench/tracing.py
@@ -31,13 +32,10 @@ from .polyring import (
 )
 
 
-@dataclass(frozen=True)
-class LPoly2:
+class LPoly2(namedtuple("LPoly2", "a1 a2 p")):
     """1 + a1*T + a2*T^2 + p*a1*T^3 + p^2*T^4."""
 
-    a1: int
-    a2: int
-    p: int
+    __slots__ = ()
 
     @classmethod
     def from_traces(cls, t1: int, t2: int, p: int) -> "LPoly2":
@@ -48,23 +46,17 @@ class LPoly2:
         return (1, self.a1, self.a2, self.p * self.a1, self.p * self.p)
 
 
-@dataclass
-class EulerInput:
+class EulerInput(namedtuple("EulerInput", "f p h max_iters", defaults=(None, None))):
     """A curve y^2 + h(x) y = f(x) (h optional) and an odd prime p."""
 
-    f: tuple
-    p: int
-    h: tuple | None = None
-    max_iters: int | None = None
+    __slots__ = ()
 
 
-@dataclass
-class RunStats:
+class RunStats(namedtuple("RunStats", "cluster_type loop_iters normalize_v",
+                          defaults=(None, (), 0))):
     """Loop-iteration diagnostics; counts equal the cluster depths."""
 
-    cluster_type: ClusterType | None = None
-    loop_iters: tuple = ()
-    normalize_v: int = 0
+    __slots__ = ()
 
 
 def validate_lpoly2(lp: LPoly2) -> bool:

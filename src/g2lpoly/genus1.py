@@ -8,12 +8,13 @@ models only; quartic_to_cubic and quartic_jacobian turn a quartic into one.
 The F_q-roots of the cubic fix #E mod 2, and in most cases mod 4; those of
 the 3-division polynomial fix #E mod 3 in most cases.  BSGS searches only
 that class of the Hasse interval, mod up to 12, wherever the interval is
-wide enough for reading it to pay.
+wide enough for reading it to pay.  Genus1Model and LPoly1 are immutable
+named tuples whose constructors check the model and the Hasse bound.
 """
 
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import kernels
 from .errors import (
@@ -65,38 +66,35 @@ CLASS_FROM_ROUNDS = 3
 THREE_FROM_ROUNDS = 8
 
 
-@dataclass(frozen=True)
-class Genus1Model:
-    """A squarefree cubic or quartic y^2 = g(x) over F_p or F_{p^2}."""
+class Genus1Model(namedtuple("Genus1Model", "field g")):
+    """A squarefree cubic or quartic y^2 = g(x) over F_p or F_{p^2} (field
+    an Fp or Fp2); g is kept reduced and trimmed."""
 
-    field: object  # Fp or Fp2
-    g: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        F = self.field
-        g = fp2_trim(self.g, F) if isinstance(F, Fp2) else reduce_mod(self.g, F.p)
+    def __new__(cls, field, g):
+        g = fp2_trim(g, field) if isinstance(field, Fp2) else reduce_mod(g, field.p)
         d = len(g) - 1
         if d not in (3, 4):
             raise DegreeError(f"genus 1 model needs degree 3 or 4, got {d}")
-        if F.is_zero(field_disc(g, F)):
+        if field.is_zero(field_disc(g, field)):
             raise NotSquarefree("singular genus 1 model")
-        object.__setattr__(self, "g", g)
+        return super().__new__(cls, field, g)
 
     @property
     def degree(self):
         return len(self.g) - 1
 
 
-@dataclass(frozen=True)
-class LPoly1:
+class LPoly1(namedtuple("LPoly1", "a q")):
     """1 - a*T + q*T^2 for a genus 1 curve over a field of size q."""
 
-    a: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.a * self.a > 4 * self.q:
-            raise HasseViolation(f"|{self.a}| > 2*sqrt({self.q})")
+    def __new__(cls, a, q):
+        if a * a > 4 * q:
+            raise HasseViolation(f"|{a}| > 2*sqrt({q})")
+        return super().__new__(cls, a, q)
 
 
 def count_points_naive(model: Genus1Model, limit: int = DEFAULT_NAIVE_LIMIT) -> int:

@@ -7,7 +7,7 @@ their roots at the right p-adic distances.  Expected values come from
 exhaustive point counts only, never from the descent code under test.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .clusterclassify import ClusterType
 from .errors import G2Error
@@ -37,14 +37,12 @@ _ORACLE_COUNT_LIMIT = 1 << 26
 _MAX_RETRIES = 64
 
 
-@dataclass
-class OracleInstance:
-    f: tuple
-    p: int
-    expected: LPoly2 | None
-    type: ClusterType
-    depths: tuple
-    seed: int | None = None
+class OracleInstance(namedtuple("OracleInstance", "f p expected type depths seed",
+                                defaults=(None,))):
+    """A planted sextic f at p, its type and cluster depths, and the LPoly2
+    the construction predicts (None when not computed)."""
+
+    __slots__ = ()
 
 
 class OracleError(G2Error):

@@ -315,7 +315,7 @@ def _fp_gcd_k_exhaustive(f, k, p):
     return out
 
 
-def fp_gcd_k(f, k: int, p: int):
+def fp_gcd_k(f, k: int, p: int, squarefree=False):
     """The multiplicity-k kernel: product of g^(v_g(f)-k+1) over monic
     irreducible g with g^k | f, returned monic.
 
@@ -325,6 +325,11 @@ def fp_gcd_k(f, k: int, p: int):
     irreducibles of degree e >= 2 while g^k still fits in the part of f
     left after its roots.  So a sextic with a root in F_p skips every
     quadratic when k = 3: the cube of a quadratic already has degree 6.
+
+    With squarefree true (k >= 2) the result is the pair (whether f is
+    squarefree, the kernel).  The derivative route reads the first from
+    gcd(f, f'), its own first step; the others pay one more gcd, and only
+    when the kernel is trivial, since a nontrivial one is a repeated factor.
     """
     if k <= 0:
         raise ValueError("k must be positive")
@@ -335,15 +340,17 @@ def fp_gcd_k(f, k: int, p: int):
     if k == 1:
         return fp_monic(f, p)
     if k > d:
-        return (1,)
-    if p <= d:
-        return _fp_gcd_k_exhaustive(f, k, p)
-    g = f
-    h = f
-    for _ in range(k - 1):
-        h = fp_derivative(h, p)
-        g = fp_gcd(g, h, p)
-    return g
+        g = (1,)
+    elif p <= d:
+        g = _fp_gcd_k_exhaustive(f, k, p)
+    else:
+        h = fp_derivative(f, p)
+        g = first = fp_gcd(f, h, p)
+        for _ in range(k - 2):
+            h = fp_derivative(h, p)
+            g = fp_gcd(g, h, p)
+        return (deg(first) == 0, g) if squarefree else g
+    return (deg(g) == 0 and fp_is_squarefree(f, p), g) if squarefree else g
 
 
 def fp_is_squarefree(f, p: int) -> bool:

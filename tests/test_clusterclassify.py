@@ -252,9 +252,9 @@ def test_one_gcd_k_pass_per_factor(monkeypatch):
     # gcd_3, on the quintic where its outer loop stops
     calls = []
 
-    def counted(*args):
+    def counted(*args, **kw):
         calls.append(args)
-        return fp_gcd_k(*args)
+        return fp_gcd_k(*args, **kw)
 
     monkeypatch.setattr(clusterclassify, "fp_gcd_k", counted)
     monkeypatch.setattr(eulercore, "fp_gcd_k", counted)
@@ -268,6 +268,31 @@ def test_one_gcd_k_pass_per_factor(monkeypatch):
                 _, stats = euler_factor_with_stats(EulerInput(inst.f, p), rng)
                 assert stats.cluster_type is typ
                 assert len(calls) == n, (p, typ, calls)
+
+
+def test_trivial_kernel_reuses_the_first_gcd(monkeypatch):
+    # at p > 6 the kernel's gcd(fbar, fbar') also tells good reduction from
+    # double roots only: two gcds per line, not a third for squarefreeness
+    from g2lpoly import polyring
+
+    p = 13
+    good = _product([(-i, 1) for i in range(6)])
+    double = tuple(c + p * d for c, d in zip(
+        _product([(-1, 1), (-1, 1), (-2, 1), (-2, 1), (-3, 1), (-4, 1)]), (1, 3, 0, 2, 0, 0, 0)))
+    calls = []
+    fp_gcd = polyring.fp_gcd
+
+    def counted(*args):
+        calls.append(args)
+        return fp_gcd(*args)
+
+    monkeypatch.setattr(polyring, "fp_gcd", counted)
+    for f, exc in ((good, GoodReduction), (double, NotAlmostGood)):
+        nf = p_normalize(f, p)
+        calls.clear()
+        with pytest.raises(exc):
+            classify(nf)
+        assert len(calls) == 2, (f, calls)
 
 
 def test_type_invariant_under_shift_and_scaling():
