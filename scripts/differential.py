@@ -8,25 +8,31 @@ runs in its own interpreter with its own src/ and tests/ on the path.  Per
 input it compares the input itself, then the coefficients, cluster type,
 loop_iters and normalize_v, or the class of the exception raised.
 
-Those inputs have p <= 61, where every genus 1 count is exhaustive, so two
-seeded sections follow.  The BSGS section runs group_order_bsgs on 264
-random cubics, 24 per field size, over F_p with p of about 14, 20, 30, 34,
-40, 48 and 61 bits (half of them with p = 1 and half with p = 2 mod 3, the
-two branches of the class mod 3) and over F_{p^2} with p of about 7, 10, 13
-and 16 bits, compared by the order found or the exception class.  The
-kernel section runs count_points_naive on 3 random cubics and 3 random
-quartics per field: over F_p for every odd p <= 61 (the plain loop), with p
-drawn from each [2^(b-1), 2^b) for b = 7 ... 13 and p = 65521, and over
-F_{p^2} for every odd p <= 61 and p = 257 (258 counts), compared count by
-count.  The polynomial section runs
-fp_gcd_k (k = 3 and 5), fp_gcd(f, f') and power_root(f, 6) on 60 seeded
-sextics per prime, p = 3, 5, 7, 11 and 8191: ten each of lc (x - a)^3 u,
-(x - a)^5 (x - b), lc (x - a)^6, lc g^3 with g a monic quadratic, g^2 h with
-g and h monic quadratics, and random sextics; then power_root(g, k) for
-k = 3, 5 and 6 on 10 planted lc (x - r)^k per k, half of them with one
-coefficient changed, over each of those fields and over F_{5^2} (1,380
-outputs in all), compared output by output.  Prints the first mismatch and
-the number of mismatches; exits 1 if there are any.
+Those inputs have p <= 61 and small coefficients, so four seeded sections
+follow.  The height section runs euler_factor_with_stats, compared as above,
+on oracle.perturb models at 256 and 1024 bits, two per type and golden prime
+(3, 5, 7, 13, 31, 61), each also scaled as ELL^6 f(x / ELL), the same curve
+with ELL^30 | disc for the word prime ELL = 2^31 - 1 of p_normalize's
+squarefree check.  Per prime and height it adds two squarefree sextics with
+roots a and a + ELL (ELL^2 | disc), one with ELL | lc and one g^2 h, and it
+runs every model with max_iters None, 1 and 2 (720 runs).  The BSGS section
+runs group_order_bsgs on 264 random cubics, 24 per field size, over F_p
+with p of about 14, 20, 30, 34, 40, 48 and 61 bits (half of them with p = 1
+and half with p = 2 mod 3, the two branches of the class mod 3) and over
+F_{p^2} with p of about 7, 10, 13 and 16 bits, compared by the order found
+or the exception class.  The kernel section runs count_points_naive on 3
+random cubics and 3 random quartics per field: over F_p for every odd p <=
+61 (the plain loop), with p drawn from each [2^(b-1), 2^b) for b = 7 ... 13
+and p = 65521, and over F_{p^2} for every odd p <= 61 and p = 257 (258
+counts), compared count by count.  The polynomial section runs fp_gcd_k (k =
+3 and 5), fp_gcd(f, f') and power_root(f, 6) on 60 seeded sextics per prime,
+p = 3, 5, 7, 11 and 8191: ten each of lc (x - a)^3 u, (x - a)^5 (x - b), lc
+(x - a)^6, lc g^3 with g a monic quadratic, g^2 h with g and h monic
+quadratics, and random sextics; then power_root(g, k) for k = 3, 5 and 6 on
+10 planted lc (x - r)^k per k, half of them with one coefficient changed,
+over each of those fields and over F_{5^2} (1,380 outputs in all), compared
+output by output.  Prints the first mismatch and the number of mismatches;
+exits 1 if there are any.
 """
 
 import argparse
@@ -54,29 +60,76 @@ KERNEL_MODELS = 3  # cubics, and as many quartics, per field
 POLY_PRIMES = (3, 5, 7, 11, 8191)
 POLY_SEXTICS = 10  # per pattern and prime
 POWERS = 10  # planted lc (x - r)^k per k and field
+HEIGHT_BITS = (256, 1024)
+HEIGHT_MODELS = 2  # perturbed oracle models per type, golden prime and height
+ELL = 2**31 - 1  # the word prime of p_normalize's squarefree check
+
+
+def factor_outcome(case, i):
+    """euler_factor_with_stats on one {f, p, h, max_iters} case with Random(i)."""
+    from g2lpoly.eulercore import EulerInput, euler_factor_with_stats
+
+    inp = EulerInput(tuple(case["f"]), case["p"],
+                     h=None if case["h"] is None else tuple(case["h"]),
+                     max_iters=case["max_iters"])
+    try:
+        lp, stats = euler_factor_with_stats(inp, random.Random(i))
+    except Exception as exc:  # the exception class is part of the outcome
+        return {"exc": type(exc).__name__}
+    return {"lp": list(lp.coefficients()), "type": stats.cluster_type.value,
+            "loop_iters": list(stats.loop_iters), "normalize_v": stats.normalize_v}
 
 
 def outcomes():
     """(input, outcome) for every input, from the g2lpoly on sys.path."""
-    from g2lpoly.eulercore import EulerInput, euler_factor_with_stats
     from test_golden import golden_inputs
 
     out = []
     for seed in SEEDS:
         for i, case in enumerate(golden_inputs(seed, COUNT)):
-            inp = EulerInput(tuple(case["f"]), case["p"],
-                             h=None if case["h"] is None else tuple(case["h"]),
-                             max_iters=case["max_iters"])
-            try:
-                lp, stats = euler_factor_with_stats(inp, random.Random(i))
-            except Exception as exc:  # the exception class is part of the outcome
-                got = {"exc": type(exc).__name__}
-            else:
-                got = {"lp": list(lp.coefficients()), "type": stats.cluster_type.value,
-                       "loop_iters": list(stats.loop_iters),
-                       "normalize_v": stats.normalize_v}
-            out.append((dict(case, seed=seed), got))
-    return out + bsgs_outcomes() + kernel_outcomes() + poly_outcomes()
+            out.append((dict(case, seed=seed), factor_outcome(case, i)))
+    return (out + height_outcomes() + bsgs_outcomes() + kernel_outcomes()
+            + poly_outcomes())
+
+
+def height_outcomes():
+    """(input, outcome) for euler_factor_with_stats on tall models and on
+    sextics whose discriminant or leading coefficient ELL divides."""
+    from g2lpoly.clusterclassify import ClusterType
+    from g2lpoly.oracle import perturb, random_instance
+    from g2lpoly.polyring import poly_mul
+    from test_golden import PRIMES
+
+    def product(roots, lc):
+        f = (lc,)
+        for r in roots:
+            f = poly_mul(f, (-r, 1))
+        return f
+
+    rng = random.Random(2027)
+    models = []
+    for p in PRIMES:
+        for bits in HEIGHT_BITS:
+            for typ in ClusterType:
+                for _ in range(HEIGHT_MODELS):
+                    inst = random_instance(p, typ, rng, max_depth=6, compute_expected=False)
+                    f = perturb(inst, rng, bits).f
+                    models += [(f, p), (tuple(c * ELL ** (6 - i) for i, c in enumerate(f)), p)]
+            size = 1 << (bits // 6)
+            for _ in range(2):
+                a = rng.randrange(-size, size)
+                roots = [a, a + ELL] + [rng.randrange(-size, size) for _ in range(4)]
+                models.append((product(roots, rng.randrange(1, size)), p))
+            f = tuple(rng.getrandbits(bits) - (1 << (bits - 1)) for _ in range(6))
+            models.append((f + (ELL * rng.randrange(1, 100),), p))
+            g = tuple(rng.getrandbits(bits // 6) for _ in range(3))
+            models.append((poly_mul(poly_mul(g, g), f[:3]), p))
+    out = []
+    for f, p in models:
+        for max_iters in (None, 1, 2):
+            case = {"kind": "height", "f": list(f), "p": p, "h": None, "max_iters": max_iters}
+            out.append((case, factor_outcome(case, len(out))))
+    return out
 
 
 def _random_field(kind, p, rng):

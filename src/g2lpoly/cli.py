@@ -14,9 +14,10 @@ which are the coefficients of 1 + a1*T + a2*T^2 + p*a1*T^3 + p^2*T^4 in that
 exact sign convention (systems differ; this one expands the polynomial as
 written).  Failed lines print ERR:<token> and processing continues.
 Blank lines are skipped.  Output keeps input order at any --jobs, each
-line written once it and every line before it are done.  The process pool
-is imported only for --jobs above 1, and traceback only for an unexpected
-exception, so a one-job run starts without multiprocessing.
+line written and flushed once it and every line before it are done; one job
+reads stdin a line at a time, more jobs read all of it first.  The process
+pool is imported only for --jobs above 1, and traceback only for an
+unexpected exception, so a one-job run starts without multiprocessing.
 """
 
 import argparse
@@ -100,12 +101,15 @@ def process_line(line, seed=None):
 
 
 def run_batch(lines, out, jobs=1, stable=True, seed=None):
-    """Process a job stream, writing each result in input order as soon as
-    it is done; returns the exit code (0 unless nothing parsed).  stable
-    selects nothing; it stays only because perfbench/run.py passes it."""
-    lines = [ln for ln in lines if ln.strip()]
-    if not lines:
+    """Process a job stream, writing and flushing each result in input order
+    as soon as it is done; returns the exit code (0 unless lines came and none
+    parsed).  One job reads the lines as it needs them; Executor.map submits
+    them all first.  stable selects nothing; perfbench/run.py passes it."""
+    lines = (ln for ln in lines if ln.strip())
+    first = next(lines, None)
+    if first is None:
         return 0
+    lines = itertools.chain((first,), lines)
     parsed = 0
     with contextlib.ExitStack() as stack:
         if jobs > 1:
@@ -120,7 +124,7 @@ def run_batch(lines, out, jobs=1, stable=True, seed=None):
         else:
             results = map(process_line, lines, itertools.repeat(seed))
         for res in results:
-            print(res, file=out)
+            print(res, file=out, flush=True)
             parsed += res != "ERR:parse"
     return 0 if parsed else 1
 
@@ -137,10 +141,9 @@ def main(argv=None):
                         help="seed for the Las Vegas draws")
     args = parser.parse_args(argv)
     try:
-        lines = sys.stdin.read().splitlines()
-    except OSError:
+        return run_batch(sys.stdin, sys.stdout, jobs=max(args.jobs, 1), seed=args.seed)
+    except OSError:  # stdin or stdout failed
         return 2
-    return run_batch(lines, sys.stdout, jobs=max(args.jobs, 1), seed=args.seed)
 
 
 if __name__ == "__main__":

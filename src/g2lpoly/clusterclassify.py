@@ -38,6 +38,8 @@ from .polyring import (
     vp,
 )
 
+ELL = 2**31 - 1  # a word prime: disc(f) mod ELL shows f squarefree without the exact disc
+
 
 class ClusterType(enum.Enum):
     T1 = "1"
@@ -46,10 +48,10 @@ class ClusterType(enum.Enum):
     T4 = "4"
 
 
-class PNormalized(namedtuple("PNormalized", "ftilde p v vdisc")):
+class PNormalized(namedtuple("PNormalized", "ftilde p v vdisc_bound")):
     """A p-normalized sextic model f = p^v ftilde, kept as its unit-leading
-    part ftilde, with vdisc = v_p(disc(ftilde)); vdisc + 1 is the default
-    iteration cap of the cluster descents."""
+    part ftilde, and vdisc_bound >= v_p(disc(ftilde)), from Hadamard's
+    inequality; vdisc_bound + 1 is the default cap of the cluster descents."""
 
     __slots__ = ()
 
@@ -80,16 +82,19 @@ def p_normalize(f, p: int) -> PNormalized:
         if a:
             f = taylor_shift(f, a)
         f = reverse6(f)
-    d_f = disc(f)
-    if d_f == 0:
+    # disc(g) mod ELL, g the symmetric residues of f, shows f squarefree when
+    # nonzero; the exact disc(f) decides the rest, and is disc(g) when g is f
+    b = max(map(abs, f)).bit_length()
+    g = f if b <= 30 else tuple((c + ELL // 2) % ELL - ELL // 2 for c in f)
+    d = g[6] and disc(g)
+    if d % ELL == 0 and g is not f:
+        d = disc(f)
+    if d == 0:
         raise NotSquarefree("discriminant vanishes")
-    vdisc = vp(d_f, p)
 
     Z = Integers(p)
     v = vp(f[6], p)
-    e = 0
-    w = 0
-    if v > 1 or v != min_vp(f, p):
+    if v > 1 or v and v != min_vp(f, p):  # min_vp <= v, so v = 0 is balanced
         e = max(
             -((vp(f[i], p) - v) // (6 - i)) for i in range(6) if f[i] != 0
         )  # ceil((v - v_p(f_i)) / (6 - i))
@@ -100,16 +105,18 @@ def p_normalize(f, p: int) -> PNormalized:
             scaled.append(c * p**k if k >= 0 else Z.exact_div_pk(c, -k))
         f = trim(scaled)
         v = vp(f[6], p)
+        b = max(map(abs, f)).bit_length()
 
     h = tuple(Z.exact_div_pk(c, v) for c in f)
-    # v_p(disc) tracks the rescalings exactly: disc(p^a f(x/p^e)) = p^(10a+30e) disc(f)
-    vdisc_h = vdisc + 30 * e - 10 * w - 10 * v
+    # Hadamard: |disc h| <= |Res(h, h')| <= |h|^5 |h'|^6 < 2^(11b + 27) when
+    # |h_i| < 2^b, and p >= 2^(bit length - 1) turns that into a bound on v_p
+    vdisc = (11 * b + 27) // (p.bit_length() - 1)
     iters = 0
     if (a := power_root(reduce_mod(h, p), 6, Z.kappa)) is not None:
         # each step divides the nonzero discriminant by p^30, so an exact
-        # recentring ends after at most vdisc_h // 30 steps
-        h, _, iters = recentre(h, a, 6, Z, vdisc_h // 30)
-    return PNormalized(h, p, v, vdisc_h - 30 * iters)
+        # recentring ends after at most vdisc // 30 steps
+        h, _, iters = recentre(h, a, 6, Z, vdisc // 30)
+    return PNormalized(h, p, v, vdisc - 30 * iters)
 
 
 def recentre(f, r, k: int, R, max_iters: int):

@@ -167,8 +167,8 @@ def euler_factor_with_stats(inp: EulerInput, rng=None):
     h = trim(inp.h or ())
     nf = p_normalize(complete_square(f, h) if h else f, inp.p)
     c = classify(nf)
-    # the recentering bound: v_p(disc) + 1 unless the caller set one
-    max_iters = nf.vdisc + 1 if inp.max_iters is None else inp.max_iters
+    # default cap: a descent past vdisc_bound + 1 steps needs v_p(disc) > 6 * vdisc_bound
+    max_iters = nf.vdisc_bound + 1 if inp.max_iters is None else inp.max_iters
     handler = {
         ClusterType.T1: euler_type1,
         ClusterType.T2A: euler_type2a,

@@ -3,6 +3,7 @@ import random
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -187,6 +188,37 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "5:[1,0,6,0,25]"
+
+
+def test_piped_run_answers_before_stdin_closes():
+    # one job reads a line at a time and flushes each answer, so the first
+    # result arrives while the writer still holds stdin open
+    proc = subprocess.Popen([sys.executable, "-m", "g2lpoly.cli"], stdin=subprocess.PIPE,
+                            stdout=subprocess.PIPE, text=True)
+    try:
+        proc.stdin.write(_worked_example_line() + "\n")
+        proc.stdin.flush()
+        first = []
+        reader = threading.Thread(target=lambda: first.append(proc.stdout.readline()),
+                                  daemon=True)
+        reader.start()
+        reader.join(timeout=30)
+        assert first == ["5:[1,0,6,0,25]\n"]
+        assert proc.poll() is None  # still waiting for more lines
+        proc.stdin.write("\n5:[1,2\n")
+        proc.stdin.close()
+        assert proc.stdout.read() == "ERR:parse\n"
+        assert proc.wait(timeout=60) == 0
+    finally:
+        proc.kill()
+        proc.wait()
+
+
+def test_empty_and_blank_streams_exit_0():
+    for lines in ([], ["", "  \n", "\n"]):
+        out = io.StringIO()
+        assert run_batch(iter(lines), out) == 0
+        assert out.getvalue() == ""
 
 
 def test_jobs_2_prints_what_jobs_1_prints(monkeypatch, capsys):

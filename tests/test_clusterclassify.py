@@ -7,7 +7,7 @@ from g2lpoly.clusterclassify import ClusterType, classify, p_normalize, recentre
 from g2lpoly.errors import GoodReduction, NotAlmostGood, NotSquarefree
 from g2lpoly.eulercore import EulerInput, euler_factor_with_stats
 from g2lpoly.modarith import Integers, QuadOrder
-from g2lpoly.oracle import perturb, random_instance
+from g2lpoly.oracle import gen_type1, gen_type2a, gen_type2b, gen_type4, perturb, random_instance
 from g2lpoly.polyring import (
     deg,
     disc,
@@ -16,6 +16,7 @@ from g2lpoly.polyring import (
     poly_scale,
     power_root,
     reduce_mod,
+    reverse6,
     taylor_shift,
     trim,
     vp,
@@ -329,23 +330,124 @@ def test_normalize_disc_changes_by_squares_and_p_powers():
         assert math.isqrt(a) ** 2 == a and math.isqrt(b) ** 2 == b
 
 
-def test_normalize_tracks_vdisc_of_ftilde():
-    # vdisc is carried through the rescalings and the outer recentering
-    # steps, never recomputed; it must equal the valuation of a fresh
-    # discriminant of the unit-leading model
+def test_normalize_bounds_vdisc_of_ftilde():
+    # vdisc_bound comes from Hadamard's inequality on the rescaled model and
+    # drops by 30 per outer recentring step; it must never fall below the
+    # valuation of a fresh discriminant of the unit-leading model
     rng = random.Random(24)
+    models = []
     for _ in range(60):
         p = rng.choice((3, 5, 7, 13, 31))
         inst = random_instance(p, rng.choice(list(ClusterType)), rng, max_depth=6,
                                compute_expected=False)
-        models = [
+        models.append((p, inst))
+    # depth-8 clusters at p = 3, where v_p(disc) is largest against the height
+    for inst in (gen_type1(3, 8, rng, False), gen_type2a(3, 8, 8, rng, None, False),
+                 gen_type2b(3, 8, rng, False), gen_type4(3, 6, 8, rng, False)):
+        models.append((3, inst))
+    for p, inst in models:
+        for f in (
             inst.f,
             taylor_shift(inst.f, rng.randrange(-40, 41)),
             poly_scale(inst.f, p),
             poly_scale(inst.f, p * p),
             perturb(inst, rng, 64).f,
             outer_cluster_model(inst.f, p, rng.choice((1, 2)), rng.randrange(-20, 21)),
-        ]
-        for f in models:
+        ):
             nf = p_normalize(f, p)
-            assert nf.vdisc == vp(disc(nf.ftilde), p), (p, f)
+            assert nf.vdisc_bound >= vp(disc(nf.ftilde), p), (p, f)
+
+
+# ---------------------------------------------- squarefree check modulo ELL
+
+ELL = clusterclassify.ELL
+
+
+def _counted_disc(monkeypatch):
+    """The list of polynomials clusterclassify passes to disc from now on."""
+    calls = []
+    monkeypatch.setattr(clusterclassify, "disc",
+                        lambda f, d=clusterclassify.disc: calls.append(f) or d(f))
+    return calls
+
+
+def _ell_scaled(f):
+    """ELL^6 f(x / ELL): the same curve, its roots times ELL, so ELL^30 | disc."""
+    return tuple(c * ELL ** (6 - i) for i, c in enumerate(f))
+
+
+@pytest.mark.parametrize("bits", (64, 256))
+def test_squarefree_check_falls_back_when_ell_divides_disc(monkeypatch, bits):
+    calls = _counted_disc(monkeypatch)
+    rng = random.Random(bits)
+    # roots a and a + ELL: ELL^2 | disc(f) although f is squarefree
+    size = 1 << (bits // 6)
+    roots = [rng.randrange(size)]
+    roots.append(roots[0] + ELL)
+    while len(roots) < 6:
+        if (r := rng.randrange(-size, size)) % 7 not in {s % 7 for s in roots}:
+            roots.append(r)
+    f = poly_scale(_product([(-r, 1) for r in roots]), 2 * rng.randrange(size) + 1)
+    assert max(map(abs, f)).bit_length() > 31 and disc(f) % ELL == 0
+    calls.clear()
+    nf = p_normalize(f, 7)
+    assert nf.f == f and len(calls) == 2
+    # the same plant with a known Euler factor: an oracle model, perturbed
+    # to the height and scaled by x -> x / ELL, which leaves p's factor alone
+    for p, typ in ((5, ClusterType.T1), (7, ClusterType.T2B), (13, ClusterType.T4)):
+        inst = random_instance(p, typ, rng, max_depth=4)
+        want = euler_factor_with_stats(EulerInput(inst.f, p), random.Random(0))
+        f = _ell_scaled(perturb(inst, rng, bits).f)
+        assert disc(f) % ELL == 0
+        calls.clear()
+        got = euler_factor_with_stats(EulerInput(f, p), random.Random(0))
+        assert got[0] == inst.expected and got == want
+        assert len(calls) == 2
+
+
+def test_squarefree_check_goes_exact_when_ell_divides_lc(monkeypatch):
+    # reducing mod ELL drops the degree, so only the exact disc decides
+    calls = _counted_disc(monkeypatch)
+    f = (2, -1, 0, 3, 0, 1, ELL)
+    assert disc(f) % ELL != 0
+    nf = p_normalize(f, 5)
+    assert nf.f == f and len(calls) == 1
+    # ELL^2 f is the same curve and every coefficient reduces to 0
+    rng = random.Random(28)
+    for p, typ in ((3, ClusterType.T2A), (11, ClusterType.T1)):
+        inst = random_instance(p, typ, rng, max_depth=4)
+        calls.clear()
+        lp, stats = euler_factor_with_stats(EulerInput(poly_scale(inst.f, ELL**2), p), rng)
+        assert lp == inst.expected and stats.cluster_type is typ
+        assert len(calls) == 1
+
+
+def test_squarefree_check_rejects_tall_repeated_factor(monkeypatch):
+    # g^2 h at 256 bits: disc vanishes mod ELL, and the exact disc confirms it
+    calls = _counted_disc(monkeypatch)
+    rng = random.Random(29)
+    g = (rng.getrandbits(64), rng.getrandbits(64), rng.getrandbits(64) | 1)
+    h = (rng.getrandbits(128), -rng.getrandbits(128), rng.getrandbits(128) | 1)
+    f = poly_mul(poly_mul(g, g), h)
+    assert max(map(abs, f)).bit_length() >= 250
+    with pytest.raises(NotSquarefree):
+        p_normalize(f, 7)
+    assert len(calls) == 2
+
+
+def test_squarefree_check_on_quintics(monkeypatch):
+    # a quintic is shifted off a root and reversed before the check; a small
+    # one takes its exact disc at once, a tall one its disc mod ELL
+    calls = _counted_disc(monkeypatch)
+    rng = random.Random(30)
+    small = (1, 0, 0, 0, 0, 1)  # x^5 + 1
+    tall = tuple(rng.getrandbits(256) - (1 << 255) for _ in range(6))
+    for f in (small, tall):
+        calls.clear()
+        nf = p_normalize(f, 5)
+        assert len(calls) == 1 and deg(nf.ftilde) == 6
+    assert nf.f == reverse6(f)  # tall(0) != 0: no shift
+    calls.clear()
+    with pytest.raises(NotSquarefree):
+        p_normalize(poly_mul(poly_mul((-3, 1), (-3, 1)), (1, 2, 0, 5)), 5)  # (x - 3)^2 (...)
+    assert len(calls) == 1
