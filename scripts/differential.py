@@ -8,31 +8,36 @@ runs in its own interpreter with its own src/ and tests/ on the path.  Per
 input it compares the input itself, then the coefficients, cluster type,
 loop_iters and normalize_v, or the class of the exception raised.
 
-Those inputs have p <= 61 and small coefficients, so four seeded sections
-follow.  The height section runs euler_factor_with_stats, compared as above,
-on oracle.perturb models at 256 and 1024 bits, two per type and golden prime
-(3, 5, 7, 13, 31, 61), each also scaled as ELL^6 f(x / ELL), the same curve
+Those inputs have p <= 61 and small coefficients, so five seeded sections
+follow.  The singular-curve section checks where the separability gate sits,
+which the golden inputs seldom reach: per golden prime (3, 5, 7, 13, 31, 61)
+and type it plants two models at each depth 1-4 whose genus 1 curve has a
+double root mod p, for each curve the descents find the bottom cubic of its
+cluster, and the loose cubic of type 1 and type 4 (singular_plant, 336
+runs), compared as above.  The height section runs euler_factor_with_stats,
+compared as above, on oracle.perturb models at 256 and 1024 bits, two per
+type and golden prime, each also scaled as ELL^6 f(x / ELL), the same curve
 with ELL^30 | disc for the word prime ELL = 2^31 - 1 of p_normalize's
 squarefree check.  Per prime and height it adds two squarefree sextics with
 roots a and a + ELL (ELL^2 | disc), one with ELL | lc and one g^2 h, and it
 runs every model with max_iters None, 1 and 2 (720 runs).  The BSGS section
-runs group_order_bsgs on 264 random cubics, 24 per field size, over F_p
-with p of about 14, 20, 30, 34, 40, 48 and 61 bits (half of them with p = 1
-and half with p = 2 mod 3, the two branches of the class mod 3) and over
-F_{p^2} with p of about 7, 10, 13 and 16 bits, compared by the order found
-or the exception class.  The kernel section runs count_points_naive on 3
-random cubics and 3 random quartics per field: over F_p for every odd p <=
-61 (the plain loop), with p drawn from each [2^(b-1), 2^b) for b = 7 ... 13
-and p = 65521, and over F_{p^2} for every odd p <= 61 and p = 257 (258
-counts), compared count by count.  The polynomial section runs fp_gcd_k (k =
-3 and 5), fp_gcd(f, f') and power_root(f, 6) on 60 seeded sextics per prime,
-p = 3, 5, 7, 11 and 8191: ten each of lc (x - a)^3 u, (x - a)^5 (x - b), lc
-(x - a)^6, lc g^3 with g a monic quadratic, g^2 h with g and h monic
-quadratics, and random sextics; then power_root(g, k) for k = 3, 5 and 6 on
-10 planted lc (x - r)^k per k, half of them with one coefficient changed,
-over each of those fields and over F_{5^2} (1,380 outputs in all), compared
-output by output.  Prints the first mismatch and the number of mismatches;
-exits 1 if there are any.
+runs group_order_bsgs on 264 random cubics, 24 per field size, over F_p with
+p of about 14, 20, 30, 34, 40, 48 and 61 bits (half of them with p = 1 and
+half with p = 2 mod 3, the two branches of the class mod 3) and over F_{p^2}
+with p of about 7, 10, 13 and 16 bits, compared by the order found or the
+exception class.  The kernel section runs count_points_naive on 3 random
+cubics and 3 random quartics per field: over F_p for every odd p <= 61 (the
+plain loop), with p drawn from each [2^(b-1), 2^b) for b = 7 ... 13 and p =
+65521, and over F_{p^2} for every odd p <= 61 and p = 257 (258 counts),
+compared count by count.  The polynomial section runs fp_gcd_k (k = 3 and
+5), fp_gcd(f, f') and power_root(f, 6) on 60 seeded sextics per prime, p =
+3, 5, 7, 11 and 8191: ten each of lc (x - a)^3 u, (x - a)^5 (x - b), lc (x -
+a)^6, lc g^3 with g a monic quadratic, g^2 h with g and h monic quadratics,
+and random sextics; then power_root(g, k) for k = 3, 5 and 6 on 10 planted
+lc (x - r)^k per k, half of them with one coefficient changed, over each of
+those fields and over F_{5^2} (1,380 outputs in all), compared output by
+output.  Prints the first mismatch and the number of mismatches; exits 1 if
+there are any.
 """
 
 import argparse
@@ -60,6 +65,8 @@ KERNEL_MODELS = 3  # cubics, and as many quartics, per field
 POLY_PRIMES = (3, 5, 7, 11, 8191)
 POLY_SEXTICS = 10  # per pattern and prime
 POWERS = 10  # planted lc (x - r)^k per k and field
+SINGULAR_DEPTHS = range(1, 5)
+SINGULAR_MODELS = 2  # per golden prime, type, curve and depth
 HEIGHT_BITS = (256, 1024)
 HEIGHT_MODELS = 2  # perturbed oracle models per type, golden prime and height
 ELL = 2**31 - 1  # the word prime of p_normalize's squarefree check
@@ -88,8 +95,96 @@ def outcomes():
     for seed in SEEDS:
         for i, case in enumerate(golden_inputs(seed, COUNT)):
             out.append((dict(case, seed=seed), factor_outcome(case, i)))
-    return (out + height_outcomes() + bsgs_outcomes() + kernel_outcomes()
-            + poly_outcomes())
+    return (out + singular_outcomes() + height_outcomes() + bsgs_outcomes()
+            + kernel_outcomes() + poly_outcomes())
+
+
+def _double_root_cubic(p, rng, avoid=()):
+    """A monic integer cubic whose reduction mod p is (x - a)^2 (x - b) with
+    a != b, neither in avoid."""
+    from g2lpoly.polyring import poly_mul
+
+    a, b = rng.sample([r for r in range(p) if r not in avoid], 2)
+    g = poly_mul(poly_mul((-a, 1), (-a, 1)), (-b, 1))
+    return tuple(c + p * rng.randrange(p) for c in g[:3]) + (1,)
+
+
+def singular_plant(typ, curve, p, depth, rng):
+    """A squarefree sextic with the reduction pattern of type typ whose
+    genus 1 curve number curve (1 or 2, in the order euler_factor_with_stats
+    counts them) is singular mod p.  That is the bottom cubic of its cluster,
+    planted at the given depth (type 4: the pair's depth, with the inner
+    cluster two levels below it), or for curve 1 of type 1 and type 4 the
+    loose cubic."""
+    from g2lpoly.clusterclassify import ClusterType
+    from g2lpoly.modarith import QuadOrder, legendre
+    from g2lpoly.oracle import (
+        _planted_conjugate_pair,
+        _planted_cubic,
+        _random_sqfree_cubic,
+        build_type2a,
+    )
+    from g2lpoly.polyring import disc, fp_eval, order_poly_mul, poly_mul, poly_scale
+
+    while True:
+        if typ is ClusterType.T1:
+            s1 = rng.randrange(p)
+            if curve == 1:
+                h0, h1 = _double_root_cubic(p, rng, (s1,)), _random_sqfree_cubic(p, rng)
+            else:
+                h0, h1 = _random_sqfree_cubic(p, rng), _double_root_cubic(p, rng)
+            if fp_eval(h0, s1, p) == 0:
+                continue
+            f = poly_mul(h0, _planted_cubic(h1, s1, depth, p))
+        elif typ is ClusterType.T2A:  # curve 1 sits at the smaller center
+            s1, s2 = sorted(rng.sample(range(p), 2))
+            hs = [_random_sqfree_cubic(p, rng)]
+            hs.insert(curve - 1, _double_root_cubic(p, rng))
+            f = build_type2a(p, depth, depth, s1, s2, *hs, depth % 2, False).f
+        elif typ is ClusterType.T2B:
+            u0 = next(c for c in range(1, p) if legendre(-4 * c, p) == -1)
+            order = QuadOrder(u0, 0, p)
+            a, b = rng.sample([(x, y) for x in range(p) for y in range(p)], 2)
+            hh = ((1, 0),)
+            for r in (a, a, b):
+                hh = order_poly_mul(hh, (order.neg(r), (1, 0)), order)
+            hh = tuple(order.add(c, (p * rng.randrange(p), p * rng.randrange(p)))
+                       for c in hh[:3]) + ((1, 0),)
+            f = poly_scale(_planted_conjugate_pair(hh, depth, order), p ** (depth % 2))
+        else:
+            n = depth
+            s0, s1 = rng.sample(range(p), 2)
+            a1, a2 = rng.sample(range(1, p), 2)
+            if curve == 1:  # the pair collides again one level down
+                a2 = a1 + p
+                h2 = _random_sqfree_cubic(p, rng)
+            else:
+                h2 = _double_root_cubic(p, rng)
+            f = poly_mul(poly_mul((-s0, 1), (-(s1 + p**n * a1), 1)),
+                         poly_mul((-(s1 + p**n * a2), 1), _planted_cubic(h2, s1, n + 2, p)))
+            f = poly_scale(f, p ** (n % 2))
+        if disc(f) != 0:
+            return f
+
+
+def singular_outcomes():
+    """(input, outcome) for euler_factor_with_stats on models with a singular
+    genus 1 curve, every (type, curve) at every golden prime and depth."""
+    from g2lpoly.clusterclassify import ClusterType
+    from test_golden import PRIMES
+
+    rng = random.Random(2028)
+    out = []
+    for p in PRIMES:
+        for typ in ClusterType:
+            for curve in (1,) if typ is ClusterType.T2B else (1, 2):
+                for depth in SINGULAR_DEPTHS:
+                    for _ in range(SINGULAR_MODELS):
+                        case = {"kind": "singular", "type": typ.value, "curve": curve,
+                                "f": list(singular_plant(typ, curve, p, depth, rng)), "p": p,
+                                "h": None, "max_iters": None}
+                        out.append((case, factor_outcome(case, len(out))))
+    return out
 
 
 def height_outcomes():

@@ -35,16 +35,6 @@ from .genus1 import (
     quartic_to_cubic,
 )
 from .modarith import Fp, Fp2, QuadOrder, find_nonsquare, legendre, sqrt_mod_p
-from .oracle import (
-    OracleInstance,
-    gen_type1,
-    gen_type2a,
-    gen_type2b,
-    gen_type4,
-    job_line,
-    perturb,
-    random_instance,
-)
 
 __version__ = "0.1.0"
 
@@ -69,7 +59,6 @@ __all__ = [
     "NotAlmostGood",
     "NotOddPrime",
     "NotSquarefree",
-    "OracleInstance",
     "PNormalized",
     "QuadOrder",
     "RunStats",
@@ -78,19 +67,12 @@ __all__ = [
     "euler_factor",
     "euler_factor_with_stats",
     "find_nonsquare",
-    "gen_type1",
-    "gen_type2a",
-    "gen_type2b",
-    "gen_type4",
     "group_order_bsgs",
-    "job_line",
     "legendre",
     "lpoly1",
     "p_normalize",
-    "perturb",
     "quartic_jacobian",
     "quartic_to_cubic",
-    "random_instance",
     "sqrt_mod_p",
     "validate_lpoly2",
     "which_type",

@@ -51,6 +51,8 @@ def _parse_bracket_list(text):
 
 def parse_job_line(line):
     """-> (p, f_coeffs, h_coeffs or None)."""
+    if not line.isascii() or "_" in line:  # int() would read PEP 515 and Unicode digits
+        raise ParseError("the grammar takes ASCII decimal digits only")
     parts = line.strip().split(":")
     if len(parts) not in (2, 3):
         raise ParseError("expected p:[f0,...] or p:[f0,...]:[h0,...]")

@@ -24,7 +24,6 @@ from .polyring import (
     field_disc,
     fp_divmod,
     fp_gcd_k,
-    fp_is_squarefree,
     fp_mul,
     min_vp,
     poly_eval,
@@ -170,10 +169,11 @@ def classify(nf: PNormalized) -> Classification:
             raise GoodReduction(f"f is squarefree mod {p}")
         raise NotAlmostGood("repeated factors of multiplicity 2 only")
     if d == 1:
-        # a linear kernel means fbar = g^3 u with u a cubic prime to g
+        # a linear kernel means fbar = g^3 u with u a cubic prime to g; u is
+        # type 1's loose curve, tested here so that which_type rejects it too
         u = fp_divmod(fbar, fp_mul(fp_mul(g, g, p), g, p), p)[0]
-        if not fp_is_squarefree(u, p):
-            raise NotAlmostGood("cofactor of the triple root is not squarefree")
+        if field_disc(u, Fp(p)) == 0:
+            raise NotAlmostGood("type 1 curve 1 is singular: the cofactor of the triple root")
         typ = ClusterType.T1
     elif d == 2:
         # a squarefree quadratic kernel is the cube root of fbar / lc

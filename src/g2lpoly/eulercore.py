@@ -2,11 +2,14 @@
 Jacobian keeps good reduction.
 
 Each reduction type descends into the inner clusters with substitutions
-x -> p*x + r followed by exact division, until the reduced cubic becomes
-separable.  A handler returns the field, the genus 1 cubics found there and
-its loop counts; euler_factor_with_stats counts the curves and multiplies
-their factors out to the answer.  LPoly2, EulerInput and RunStats are
-immutable named tuples.
+x -> p*x + r followed by exact division (clusterclassify.recentre), until
+the reduced cubic is no longer a cube.  A handler returns the field, the
+genus 1 cubics found there and its loop counts.  euler_factor_with_stats
+builds a Genus1Model of each, the one separability check of a genus 1
+curve, before it counts any: p_normalize has proved f squarefree, so a
+singular curve means the almost-good hypothesis fails, and NotSquarefree
+becomes NotAlmostGood.  It then multiplies their factors out to the
+answer.  LPoly2, EulerInput and RunStats are immutable named tuples.
 """
 
 import random
@@ -14,7 +17,7 @@ from collections import namedtuple
 
 from .clusterclassify import Classification, ClusterType, classify, p_normalize, recentre
 from .clusterclassify import which_type  # noqa: F401  only a hook target for perfbench/tracing.py
-from .errors import HasseViolation, NotAlmostGood
+from .errors import HasseViolation, NotAlmostGood, NotSquarefree
 from .genus1 import Genus1Model, lpoly1
 from .modarith import Integers, QuadOrder
 from .polyring import disc, shift_scale  # noqa: F401  only hook targets for perfbench/tracing.py
@@ -81,18 +84,6 @@ def _root(u, p: int) -> int:
     return (p - u[0]) % p
 
 
-def _descend(f, r, R, max_iters: int):
-    """Recentre over the residue ring R into a triple cluster until the
-    reduced cubic over R.kappa is not a cube; that cubic must then be
-    separable.  Returns (cubic, iterations).
-    """
-    _, gbar, iters = recentre(f, r, 3, R, max_iters)
-    F = R.kappa
-    if F.is_zero(field_disc(gbar, F)):
-        raise NotAlmostGood("inseparable cubic without a triple root")
-    return gbar, iters
-
-
 def euler_type1(c: Classification, rng, max_iters: int):
     """Type 1: one loose triple cluster.
 
@@ -102,7 +93,7 @@ def euler_type1(c: Classification, rng, max_iters: int):
     """
     p, Z = c.nf.p, Integers(c.nf.p)
     r = _root(c.kernel, p)
-    g2bar, iters = _descend(c.nf.ftilde, r, Z, max_iters)
+    _, g2bar, iters = recentre(c.nf.ftilde, r, 3, Z, max_iters)
     # fbar(x + r) = x^3 u(x + r); the cubic is the reversal of u(x + r)
     cubic = tuple(reversed(reduce_mod(taylor_shift(c.fbar, r), p)[3:]))
     return Z.kappa, (cubic, g2bar), (iters,)
@@ -118,8 +109,8 @@ def euler_type2a(c: Classification, rng, max_iters: int):
     inv2 = (p + 1) // 2
     # smaller center first; the product is symmetric
     r1, r2 = sorted(((-u[1] + root) * inv2 % p, (-u[1] - root) * inv2 % p))
-    g1bar, it1 = _descend(c.nf.ftilde, r1, Z, max_iters)
-    g2bar, it2 = _descend(c.nf.ftilde, r2, Z, max_iters)
+    _, g1bar, it1 = recentre(c.nf.ftilde, r1, 3, Z, max_iters)
+    _, g2bar, it2 = recentre(c.nf.ftilde, r2, 3, Z, max_iters)
     return F, (g1bar, g2bar), (it1, it2)
 
 
@@ -133,7 +124,7 @@ def euler_type2b(c: Classification, rng, max_iters: int):
     p, u = c.nf.p, c.kernel
     order = QuadOrder(u[0], u[1], p)
     fo = tuple(order.from_int(a) for a in c.nf.ftilde)
-    gbar, iters = _descend(fo, order.gen, order, max_iters)
+    _, gbar, iters = recentre(fo, order.gen, 3, order, max_iters)
     return order.kappa, (gbar,), (iters,)
 
 
@@ -142,7 +133,7 @@ def euler_type4(c: Classification, rng, max_iters: int):
 
     The outer recentring divides by p^5 while the reduction keeps the five
     inner roots together as lc (x - r)^5; once only a triple cluster
-    remains, its separable cofactor is the first curve and an ordinary
+    remains, its cofactor is the first curve and an ordinary
     depth-3 descent finds the second.
     """
     p, Z = c.nf.p, Integers(c.nf.p)
@@ -153,9 +144,7 @@ def euler_type4(c: Classification, rng, max_iters: int):
     if deg(g3) != 1:
         raise NotAlmostGood(f"type 4 kernel of degree {deg(g3)}")
     cubic = fp_divmod(fbar, fp_mul(g3, g3, p), p)[0]
-    if field_disc(cubic, F) == 0:
-        raise NotAlmostGood("type 4 cubic is singular")
-    g2bar, inner = _descend(ftilde, _root(g3, p), Z, max_iters)
+    _, g2bar, inner = recentre(ftilde, _root(g3, p), 3, Z, max_iters)
     return F, (cubic, g2bar), (outer, inner)
 
 
@@ -176,7 +165,13 @@ def euler_factor_with_stats(inp: EulerInput, rng=None):
         ClusterType.T4: euler_type4,
     }[c.type]
     field, cubics, iters = handler(c, rng, max_iters)
-    traces = [lpoly1(Genus1Model(field, g), rng).a for g in cubics]
+    models = []
+    for i, g in enumerate(cubics, 1):
+        try:
+            models.append(Genus1Model(field, g))
+        except NotSquarefree as exc:
+            raise NotAlmostGood(f"type {c.type.value} curve {i} is singular: y^2 = {g}") from exc
+    traces = [lpoly1(m, rng).a for m in models]
     if len(traces) == 2:
         lp = LPoly2.from_traces(*traces, nf.p)
     else:

@@ -1,15 +1,17 @@
 """L-polynomials of genus 1 curves y^2 = g(x) over F_p and F_{p^2}.
 
-The field alone picks the counting method (lpoly1): exhaustive character
-sums through the kernels module for F_p with p < FP_EXHAUSTIVE_BELOW and for
-F_{p^2} with q < FP2_EXHAUSTIVE_BELOW, baby-step/giant-step order-finding on
-the curve and its quadratic twist everywhere else.  lpoly1 takes cubic
-models only; quartic_to_cubic and quartic_jacobian turn a quartic into one.
+The field size alone picks the counting method (lpoly1): exhaustive
+character sums through the kernels module for q < EXHAUSTIVE_BELOW, over
+F_p and F_{p^2} alike, baby-step/giant-step order-finding on the curve and
+its quadratic twist everywhere else.  lpoly1 takes cubic models only;
+quartic_to_cubic and quartic_jacobian turn a quartic into one.
 The F_q-roots of the cubic fix #E mod 2, and in most cases mod 4; those of
 the 3-division polynomial fix #E mod 3 in most cases.  BSGS searches only
 that class of the Hasse interval, mod up to 12, wherever the interval is
 wide enough for reading it to pay.  Genus1Model and LPoly1 are immutable
-named tuples whose constructors check the model and the Hasse bound.
+named tuples whose constructors check the model and the Hasse bound;
+Genus1Model's is the one separability check of a genus 1 curve, which
+eulercore relies on for every curve its descents find.
 """
 
 import math
@@ -29,20 +31,19 @@ from .modarith import Fp2
 from .polyring import field_disc, fp2_trim, reduce_mod
 
 DEFAULT_NAIVE_LIMIT = 1 << 16
-# Median ms per count, 20 random cubics and 20 quartics per prime (README,
-# "Point counting").  Over F_p the kernel costs 0.08-0.12 against BSGS
-# 0.12-0.17 at p = 8191, and 0.29-0.37 against 0.15-0.22 at 16381, so the
-# band ends at 2^13.
-FP_EXHAUSTIVE_BELOW = 1 << 13
-# Over F_{p^2} an exhaustive count costs p^2 evaluations: 0.10-0.19 against
-# BSGS 0.26-0.29 at p = 61 and 0.24-0.30 against 0.29-0.33 at 89; the two
-# are even at 97 and 101, and BSGS wins from 113 on, so the band ends at
-# q = 2^13 (p = 89).
-FP2_EXHAUSTIVE_BELOW = 1 << 13
+# Counting is exhaustive below q = EXHAUSTIVE_BELOW, over F_p and F_{p^2}
+# alike.  Median ms per count, 20 random cubics and 20 quartics per prime
+# (README, "Point counting"): over F_p the kernel costs 0.08-0.12 against
+# BSGS 0.12-0.17 at p = 8191, and 0.29-0.37 against 0.15-0.22 at 16381;
+# over F_{p^2}, with p^2 evaluations, 0.10-0.19 against BSGS 0.26-0.29 at
+# p = 61 and 0.24-0.30 against 0.29-0.33 at 89, even at 97 and 101, and
+# BSGS wins from 113 on.  Both crossovers put the bound at 2^13 (p = 89
+# over F_{p^2}).
+EXHAUSTIVE_BELOW = 1 << 13
 # Above q = 229, E or its quadratic twist has a point whose order has only
 # one multiple in the Hasse interval (Mestre for prime q; Cremona and
 # Sutherland, "On a theorem of Mestre and Schoof", JTNB 2010, for every q),
-# so group_order_bsgs can pin the order there.  Both exhaustive bands exceed
+# so group_order_bsgs can pin the order there.  The exhaustive band exceeds
 # the bound, so BSGS stays exact, and characteristic 3, which BSGS cannot
 # take, is always counted exhaustively.
 MESTRE_BOUND = 229
@@ -474,16 +475,14 @@ def group_order_bsgs(model: Genus1Model, rng=None) -> int:
 
 def lpoly1(model: Genus1Model, rng=None) -> LPoly1:
     """Trace of Frobenius for a cubic model, counting by the method its
-    field calls for.
+    field size calls for.
 
-    Exhaustive counting for F_p with p < FP_EXHAUSTIVE_BELOW and for
-    F_{p^2} with q < FP2_EXHAUSTIVE_BELOW; otherwise BSGS.  A quartic raises
-    DegreeError at every field size.
+    Exhaustive counting for q < EXHAUSTIVE_BELOW, BSGS above.  A quartic
+    raises DegreeError at every field size.
     """
     if model.degree != 3:
         raise DegreeError("lpoly1 expects a cubic model")
-    F = model.field
-    q = F.q
-    if q < (FP2_EXHAUSTIVE_BELOW if isinstance(F, Fp2) else FP_EXHAUSTIVE_BELOW):
+    q = model.field.q
+    if q < EXHAUSTIVE_BELOW:
         return LPoly1(q + 1 - count_points_naive(model), q)
     return LPoly1(q + 1 - group_order_bsgs(model, rng), q)

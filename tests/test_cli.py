@@ -56,6 +56,16 @@ def test_malformed_line_continues():
     assert code == 0  # some lines parsed
 
 
+@pytest.mark.parametrize("line", [
+    "5:[0,732_420_000,-771478650,39447199,-388447,-103,1]",  # PEP 515 underscores
+    "٥:[0,732420000,-771478650,39447199,-388447,-103,1]",  # Arabic-Indic five
+])
+def test_grammar_takes_ascii_decimal_only(line):
+    # int() reads both, and the curve is the worked example's
+    assert process_line(line) == "ERR:parse"
+    assert process_line(line.replace("_", "").replace("٥", "5")) == "5:[1,0,6,0,25]"
+
+
 def test_all_lines_unparseable_is_hard_failure():
     out = io.StringIO()
     assert run_batch(["nope", "also nope"], out) == 1

@@ -1,7 +1,11 @@
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
+from g2lpoly import clusterclassify, eulercore, genus1, polyring
+from g2lpoly.cli import process_line
 from g2lpoly.clusterclassify import ClusterType
 from g2lpoly.errors import GoodReduction, NotAlmostGood, NotSquarefree
 from g2lpoly.eulercore import (
@@ -23,6 +27,9 @@ from g2lpoly.oracle import _planted_conjugate_pair, _planted_cubic, _random_sqfr
 from g2lpoly.polyring import complete_square, poly_mul, poly_scale, taylor_shift
 
 from _util import SMALL_PRIMES, brute_count_fp, outer_cluster_model
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+from differential import singular_plant  # noqa: E402  (scripts/ is no package)
 
 
 def _product(factors):
@@ -308,8 +315,8 @@ def test_inseparable_cubic_without_triple_root_rejected():
         f = poly_mul((1, -1, 0, 1), _planted_cubic(planted, 0, 2, p))
         order = QuadOrder(1, 0, p)
         g = _planted_conjugate_pair(tuple((c, 0) for c in planted), 2, order)
-        for f in (f, g):
-            with pytest.raises(NotAlmostGood, match="inseparable cubic without a triple root"):
+        for f, curve in ((f, "type 1 curve 2"), (g, "type 2b curve 1")):
+            with pytest.raises(NotAlmostGood, match=f"{curve} is singular"):
                 euler_factor(EulerInput(f, p), random.Random(p))
 
 
@@ -331,5 +338,64 @@ def test_type4_colliding_pair_rejected():
         )
         if n % 2:
             f = poly_scale(f, p)
-        with pytest.raises(NotAlmostGood, match="type 4 cubic is singular"):
+        with pytest.raises(NotAlmostGood, match="type 4 curve 1 is singular"):
             euler_factor(EulerInput(f, p), rng)
+
+
+SINGULAR_CURVES = [(ClusterType.T1, 1), (ClusterType.T1, 2), (ClusterType.T2A, 1),
+                   (ClusterType.T2A, 2), (ClusterType.T2B, 1), (ClusterType.T4, 1),
+                   (ClusterType.T4, 2)]
+
+
+@pytest.mark.parametrize("typ, curve", SINGULAR_CURVES)
+def test_singular_curve_is_not_almost_good(typ, curve):
+    # one gate for every curve: Genus1Model's separability check, read by
+    # the driver as NotAlmostGood naming the type and the curve (type 1's
+    # loose curve is rejected by classify, under the same name)
+    rng = random.Random(f"{typ.value}|{curve}")
+    for p in (5, 7, 13):
+        for depth in (2, 4) if typ is ClusterType.T1 else (1, 2, 3):
+            f = singular_plant(typ, curve, p, depth, rng)
+            with pytest.raises(NotAlmostGood, match=f"type {typ.value} curve {curve} is singular"):
+                euler_factor(EulerInput(f, p), rng)
+            line = f"{p}:[{','.join(map(str, f))}]"
+            assert process_line(line) == "ERR:not-almost-good"
+
+
+def test_singular_second_curve_is_found_before_counting(monkeypatch):
+    counted = []
+    monkeypatch.setattr(eulercore, "lpoly1", lambda *args: counted.append(args))
+    rng = random.Random(66)
+    for typ, depth in ((ClusterType.T1, 2), (ClusterType.T2A, 1), (ClusterType.T4, 1)):
+        f = singular_plant(typ, 2, 7, depth, rng)
+        with pytest.raises(NotAlmostGood, match=f"type {typ.value} curve 2 is singular"):
+            euler_factor(EulerInput(f, 7), rng)
+    assert counted == []
+
+
+@pytest.mark.parametrize("p", [13, 127, 1021])
+def test_one_separability_check_per_curve(monkeypatch, p):
+    # field_disc runs once per Genus1Model, plus classify's quadratic kernel
+    # (types 2a and 2b), type 2a's centres and type 1's loose cubic; the
+    # F_p gcds of a type 1 factor are the two of fp_gcd_k (p > 6)
+    calls = {"field_disc": 0, "fp_gcd": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    for mod in (clusterclassify, eulercore, genus1):
+        monkeypatch.setattr(mod, "field_disc", counting("field_disc", mod.field_disc))
+    monkeypatch.setattr(polyring, "fp_gcd", counting("fp_gcd", polyring.fp_gcd))
+    rng = random.Random(p)
+    for typ, want in ((ClusterType.T1, 3), (ClusterType.T2A, 4), (ClusterType.T2B, 2),
+                      (ClusterType.T4, 2)):
+        inst = random_instance(p, typ, rng, max_depth=4, compute_expected=p < 1000)
+        calls.update(field_disc=0, fp_gcd=0)
+        lp = euler_factor(EulerInput(inst.f, p), rng)
+        assert inst.expected in (None, lp)
+        assert calls["field_disc"] == want, typ
+        if typ is ClusterType.T1:
+            assert calls["fp_gcd"] == 2

@@ -441,9 +441,8 @@ def test_lpoly1_route_boundaries(monkeypatch, p, over_fp2, route):
 
 
 def test_exhaustive_bands_cover_every_field_bsgs_cannot_pin():
-    # BSGS is exact only above MESTRE_BOUND, so both bands must reach past it
-    assert genus1.FP_EXHAUSTIVE_BELOW > genus1.MESTRE_BOUND
-    assert genus1.FP2_EXHAUSTIVE_BELOW > genus1.MESTRE_BOUND
+    # BSGS is exact only above MESTRE_BOUND, so the band must reach past it
+    assert genus1.EXHAUSTIVE_BELOW > genus1.MESTRE_BOUND
 
 
 def _random_nonsingular(rng, F, coeffs):

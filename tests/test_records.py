@@ -113,6 +113,7 @@ import g2lpoly
 added = set(sys.modules) - before
 heavy = added & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 assert not heavy, f"import g2lpoly loaded {sorted(heavy)}"
+assert "g2lpoly.oracle" not in sys.modules, "import g2lpoly loaded the oracle"
 
 import random
 from g2lpoly.clusterclassify import ClusterType
