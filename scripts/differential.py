@@ -36,8 +36,12 @@ a)^6, lc g^3 with g a monic quadratic, g^2 h with g and h monic quadratics,
 and random sextics; then power_root(g, k) for k = 3, 5 and 6 on 10 planted
 lc (x - r)^k per k, half of them with one coefficient changed, over each of
 those fields and over F_{5^2} (1,380 outputs in all), compared output by
-output.  Prints the first mismatch and the number of mismatches; exits 1 if
-there are any.
+output.  The oracle section checks the generators that perfbench builds its
+inputs from: per type and each of oracle_mixed's 13 primes (3 ... 8191) it
+draws four oracle.random_instance models with compute_expected=False and
+oracle.perturb of each at 256 bits (416 instances), compared by f, type
+and depths.  Prints the first mismatch and the number of mismatches; exits
+1 if there are any.
 """
 
 import argparse
@@ -70,6 +74,8 @@ SINGULAR_MODELS = 2  # per golden prime, type, curve and depth
 HEIGHT_BITS = (256, 1024)
 HEIGHT_MODELS = 2  # perturbed oracle models per type, golden prime and height
 ELL = 2**31 - 1  # the word prime of p_normalize's squarefree check
+ORACLE_PRIMES = (3, 5, 7, 13, 31, 61, 127, 251, 509, 1021, 2039, 4093, 8191)  # oracle_mixed's
+ORACLE_MODELS = 4  # per type and prime
 
 
 def factor_outcome(case, i):
@@ -96,7 +102,7 @@ def outcomes():
         for i, case in enumerate(golden_inputs(seed, COUNT)):
             out.append((dict(case, seed=seed), factor_outcome(case, i)))
     return (out + singular_outcomes() + height_outcomes() + bsgs_outcomes()
-            + kernel_outcomes() + poly_outcomes())
+            + kernel_outcomes() + poly_outcomes() + oracle_outcomes())
 
 
 def _double_root_cubic(p, rng, avoid=()):
@@ -378,6 +384,28 @@ def poly_outcomes():
                     g = g[:j] + (F.add(g[j], F.one),) + g[j + 1:]
                 out.append(({"op": f"root{k}", "field": repr(F), "g": g},
                             run(power_root, g, k, F)))
+    return out
+
+
+def oracle_outcomes():
+    """(draw, instance) for oracle.random_instance at every oracle_mixed
+    prime and type, and for oracle.perturb of each at 256 bits."""
+    from g2lpoly.clusterclassify import ClusterType
+    from g2lpoly.oracle import perturb, random_instance
+
+    def planted(inst):
+        # the planted model, not the whole record, whose fields may differ between trees
+        return {"f": list(inst.f), "type": inst.type.value, "depths": list(inst.depths)}
+
+    rng = random.Random(2029)
+    out = []
+    for p in ORACLE_PRIMES:
+        for typ in ClusterType:
+            for i in range(ORACLE_MODELS):
+                inst = random_instance(p, typ, rng, compute_expected=False)
+                out.append(({"op": "oracle", "p": p, "type": typ.value, "i": i}, planted(inst)))
+                out.append(({"op": "perturb", "p": p, "type": typ.value, "i": i},
+                            planted(perturb(inst, rng, 256))))
     return out
 
 

@@ -3,7 +3,8 @@ Jacobian keeps good reduction.
 
 Each reduction type descends into the inner clusters with substitutions
 x -> p*x + r followed by exact division (clusterclassify.recentre), until
-the reduced cubic is no longer a cube.  A handler returns the field, the
+the reduced cubic is no longer a cube; types 1 and 4 read their loose
+cubic off fbar(x + r) at the triple root r.  A handler returns the field, the
 genus 1 cubics found there and its loop counts.  euler_factor_with_stats
 builds a Genus1Model of each, the one separability check of a genus 1
 curve, before it counts any: p_normalize has proved f squarefree, so a
@@ -25,9 +26,7 @@ from .polyring import (
     complete_square,
     deg,
     field_disc,
-    fp_divmod,
     fp_gcd_k,
-    fp_mul,
     power_root,
     reduce_mod,
     taylor_shift,
@@ -79,24 +78,26 @@ def validate_lpoly2(lp: LPoly2) -> bool:
     return True
 
 
-def _root(u, p: int) -> int:
-    """The root of a monic linear polynomial over F_p."""
-    return (p - u[0]) % p
+def _cut(f, fbar, g, Z, max_iters):
+    """Type 1's or type 4's two curves at the root r of g = x - r, where the
+    reduction fbar of f is lc (x - r)^3 w: fbar(x + r) from x^2 up is
+    x w(x + r), the first cubic for a quadratic w and for a cubic w reversed
+    into x^3 w(1/x + r); the depth-3 descent from r gives the second."""
+    r = -g[0] % Z.p
+    _, g2bar, iters = recentre(f, r, 3, Z, max_iters)
+    xw = reduce_mod(taylor_shift(fbar, r), Z.p)[2:]
+    return (xw if len(xw) == 4 else xw[:0:-1], g2bar), iters
 
 
 def euler_type1(c: Classification, rng, max_iters: int):
     """Type 1: one loose triple cluster.
 
-    With f mod p = (x - r)^3 u(x), the first curve is y^2 = (x - r) u(x),
-    taken as the cubic x^3 u(1/x + r) that sends r to infinity; the descent
-    into the depth-n cluster gives the second.
+    With f mod p = (x - r)^3 u(x), the first curve is y^2 = (x - r) u(x);
+    the descent into the depth-n cluster gives the second.
     """
-    p, Z = c.nf.p, Integers(c.nf.p)
-    r = _root(c.kernel, p)
-    _, g2bar, iters = recentre(c.nf.ftilde, r, 3, Z, max_iters)
-    # fbar(x + r) = x^3 u(x + r); the cubic is the reversal of u(x + r)
-    cubic = tuple(reversed(reduce_mod(taylor_shift(c.fbar, r), p)[3:]))
-    return Z.kappa, (cubic, g2bar), (iters,)
+    Z = Integers(c.nf.p)
+    cubics, iters = _cut(c.nf.ftilde, c.fbar, c.kernel, Z, max_iters)
+    return Z.kappa, cubics, (iters,)
 
 
 def euler_type2a(c: Classification, rng, max_iters: int):
@@ -136,16 +137,14 @@ def euler_type4(c: Classification, rng, max_iters: int):
     remains, its cofactor is the first curve and an ordinary
     depth-3 descent finds the second.
     """
-    p, Z = c.nf.p, Integers(c.nf.p)
-    F = Z.kappa
-    r = power_root(c.kernel, 3, F)  # the kernel of (x - r)^5 (x - s) is (x - r)^3
+    Z = Integers(c.nf.p)
+    r = power_root(c.kernel, 3, Z.kappa)  # the kernel of (x - r)^5 (x - s) is (x - r)^3
     ftilde, fbar, outer = recentre(c.nf.ftilde, r, 5, Z, max_iters)
-    g3 = fp_gcd_k(fbar, 3, p)
+    g3 = fp_gcd_k(fbar, 3, Z.p)
     if deg(g3) != 1:
         raise NotAlmostGood(f"type 4 kernel of degree {deg(g3)}")
-    cubic = fp_divmod(fbar, fp_mul(g3, g3, p), p)[0]
-    _, g2bar, inner = recentre(ftilde, _root(g3, p), 3, Z, max_iters)
-    return F, (cubic, g2bar), (outer, inner)
+    cubics, inner = _cut(ftilde, fbar, g3, Z, max_iters)
+    return Z.kappa, cubics, (outer, inner)
 
 
 def euler_factor_with_stats(inp: EulerInput, rng=None):

@@ -493,7 +493,7 @@ class Integers:
 
     __slots__ = ("p", "kappa", "reduce")
     zero = 0
-    # the builtin operators, as shift_scale's inner loop calls them
+    # the builtin operators, as taylor_shift's inner loop calls them
     add = staticmethod(operator.add)
     mul = staticmethod(operator.mul)
     smul = staticmethod(operator.mul)

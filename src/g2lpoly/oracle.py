@@ -3,8 +3,9 @@ data with prescribed cluster depths, together with the L-polynomial the
 construction predicts.
 
 Each generator works in reverse: pick the residual curves first, then plant
-their roots at the right p-adic distances.  Expected values come from
-exhaustive point counts only, never from the descent code under test.
+their roots at the right p-adic distances, each cluster by one taylor_shift
+over Z or the quadratic order.  Expected values come from exhaustive point
+counts only, never from the descent code under test.
 """
 
 from collections import namedtuple
@@ -25,10 +26,10 @@ from .polyring import (
     fp2_trim,
     order_poly_conj,
     order_poly_mul,
-    poly_add,
     poly_mul,
     poly_scale,
     reduce_mod,
+    taylor_shift,
     trim,
 )
 
@@ -37,8 +38,7 @@ _ORACLE_COUNT_LIMIT = 1 << 26
 _MAX_RETRIES = 64
 
 
-class OracleInstance(namedtuple("OracleInstance", "f p expected type depths seed",
-                                defaults=(None,))):
+class OracleInstance(namedtuple("OracleInstance", "f p expected type depths")):
     """A planted sextic f at p, its type and cluster depths, and the LPoly2
     the construction predicts (None when not computed)."""
 
@@ -71,17 +71,11 @@ def _random_sqfree_cubic(p, rng):
 
 def _planted_cubic(h, s: int, depth: int, p: int):
     """p^(3n) * h((x - s)/p^n) for monic integer cubic h: a cubic cluster of
-    depth n centered at s, expanded in Z[x]."""
-    out = ()
-    xs = (1,)
-    shift = (-s, 1)
-    for i, c in enumerate(h):
-        out = poly_add(out, poly_scale(xs, c * p ** (depth * (3 - i))))
-        xs = poly_mul(xs, shift)
-    return out
+    depth n centered at s, the shift by -s of h with x^i scaled by p^(n(3-i))."""
+    return taylor_shift([c * p ** (depth * (3 - i)) for i, c in enumerate(h)], -s)
 
 
-def gen_type1(p, n, rng, compute_expected=True, seed=None) -> OracleInstance:
+def gen_type1(p, n, rng, compute_expected=True) -> OracleInstance:
     """Type 1 instance: loose cubic h0 plus a depth-n cluster of h1 at s1."""
     _check_prime(p)
     if n % 2 or n < 2:
@@ -104,11 +98,11 @@ def gen_type1(p, n, rng, compute_expected=True, seed=None) -> OracleInstance:
             c = fp_eval(h0bar, s1, p)
             t2 = _trace(fp_scale(reduce_mod(h1, p), c, p), field)
             expected = LPoly2.from_traces(t1, t2, p)
-        return OracleInstance(f, p, expected, ClusterType.T1, (n,), seed)
+        return OracleInstance(f, p, expected, ClusterType.T1, (n,))
     raise OracleError("type 1 generation failed")
 
 
-def build_type2a(p, n, m, s1, s2, h1, h2, v=0, compute_expected=True, seed=None):
+def build_type2a(p, n, m, s1, s2, h1, h2, v=0, compute_expected=True):
     """Deterministic type 2a assembly from explicit components."""
     f = poly_mul(_planted_cubic(h1, s1, n, p), _planted_cubic(h2, s2, m, p))
     if v:
@@ -121,10 +115,10 @@ def build_type2a(p, n, m, s1, s2, h1, h2, v=0, compute_expected=True, seed=None)
         t1 = _trace(fp_scale(reduce_mod(h1, p), d12, p), field)
         t2 = _trace(fp_scale(reduce_mod(h2, p), d21, p), field)
         expected = LPoly2.from_traces(t1, t2, p)
-    return OracleInstance(f, p, expected, ClusterType.T2A, (n, m), seed)
+    return OracleInstance(f, p, expected, ClusterType.T2A, (n, m))
 
 
-def gen_type2a(p, n, m, rng, v=None, compute_expected=True, seed=None):
+def gen_type2a(p, n, m, rng, v=None, compute_expected=True):
     """Type 2a instance: rational clusters of depths n, m at distinct centers."""
     _check_prime(p)
     if n % 2 != m % 2 or n < 1 or m < 1:
@@ -140,7 +134,7 @@ def gen_type2a(p, n, m, rng, v=None, compute_expected=True, seed=None):
             continue
         h1 = _random_sqfree_cubic(p, rng)
         h2 = _random_sqfree_cubic(p, rng)
-        inst = build_type2a(p, n, m, s1, s2, h1, h2, v, compute_expected, seed)
+        inst = build_type2a(p, n, m, s1, s2, h1, h2, v, compute_expected)
         if disc(inst.f) != 0:
             return inst
     raise OracleError("type 2a generation failed")
@@ -149,26 +143,15 @@ def gen_type2a(p, n, m, rng, v=None, compute_expected=True, seed=None):
 def _planted_conjugate_pair(hh, n: int, order: QuadOrder):
     """g * conj(g) in Z[x] for g(x) = p^(3n) hh((x - z)/p^n), hh a monic cubic
     over the order: conjugate cubic clusters of depth n at z and conj(z)."""
-    p = order.p
-    g = [(0, 0)] * 4
-    xs = [(1, 0)]
-    minus_z = order.neg(order.gen)
-    for i, c in enumerate(hh):
-        scale = p ** (n * (3 - i))
-        for j, a in enumerate(xs):
-            g[j] = order.add(g[j], order.smul(scale, order.mul(c, a)))
-        nxt = [(0, 0)] * (len(xs) + 1)
-        for j, a in enumerate(xs):
-            nxt[j] = order.add(nxt[j], order.mul(a, minus_z))
-            nxt[j + 1] = order.add(nxt[j + 1], a)
-        xs = nxt
-    fo = order_poly_mul(tuple(g), order_poly_conj(tuple(g), order), order)
+    g = taylor_shift([order.smul(order.p ** (n * (3 - i)), c) for i, c in enumerate(hh)],
+                     order.neg(order.gen), order)
+    fo = order_poly_mul(g, order_poly_conj(g, order), order)
     if any(c[1] for c in fo):
         raise OracleError("conjugation-stable product left the rationals")
     return trim(tuple(c[0] for c in fo))
 
 
-def gen_type2b(p, n, rng, compute_expected=True, seed=None):
+def gen_type2b(p, n, rng, compute_expected=True):
     """Type 2b instance: conjugate clusters of depth n centered at the two
     roots of a lifted irreducible quadratic; f = g * conj(g) lands in Z[x]."""
     _check_prime(p)
@@ -196,11 +179,11 @@ def gen_type2b(p, n, rng, compute_expected=True, seed=None):
             c = kappa.mul(dz, kappa.mul(dz, dz))
             t = _trace(fp2_scale(fp2_trim(hh, kappa), c, kappa), kappa)
             expected = LPoly2(0, -t, p)
-        return OracleInstance(f, p, expected, ClusterType.T2B, (n,), seed)
+        return OracleInstance(f, p, expected, ClusterType.T2B, (n,))
     raise OracleError("type 2b generation failed")
 
 
-def gen_type4(p, n, m, rng, compute_expected=True, seed=None):
+def gen_type4(p, n, m, rng, compute_expected=True):
     """Type 4 instance: a loose root, two roots at depth n from s1, and a
     cubic cluster at depth m > n inside the same disc."""
     _check_prime(p)
@@ -238,7 +221,7 @@ def gen_type4(p, n, m, rng, compute_expected=True, seed=None):
             c = d * a1 % p * a2 % p
             t2 = _trace(fp_scale(reduce_mod(h2, p), c, p), field)
             expected = LPoly2.from_traces(t1, t2, p)
-        return OracleInstance(f, p, expected, ClusterType.T4, (n, m), seed)
+        return OracleInstance(f, p, expected, ClusterType.T4, (n, m))
     raise OracleError("type 4 generation failed")
 
 
@@ -264,7 +247,7 @@ def perturb(inst: OracleInstance, rng, bits: int = 256) -> OracleInstance:
         noise = tuple(rng.getrandbits(bits) - (1 << (bits - 1)) for _ in range(7))
         f = trim(tuple(c + pk * noise[i] for i, c in enumerate(base)))
         if len(f) == 7 and disc(f) != 0:
-            return OracleInstance(f, p, inst.expected, inst.type, inst.depths, inst.seed)
+            return inst._replace(f=f)
     raise OracleError("perturbation kept hitting singular models")
 
 

@@ -4,9 +4,10 @@ Polynomials are little-endian coefficient tuples with no trailing zeros:
 index i holds the coefficient of x^i, and the zero polynomial is ().  Over
 F_{p^2} and over an order the coefficients are (c0, c1) pairs.
 
-The descent step f(p x + r) / p^k (shift_scale) and the reduction to the
-residue field (reduce_poly) are written once, over a residue ring R from
-modarith: Integers(p) for Z, a QuadOrder for the unramified quadratic order.
+One shift f(x + r), taylor_shift over Z or a residue ring R from modarith
+(Integers(p) for Z, a QuadOrder for the unramified quadratic order), serves
+the descent step f(p x + r) / p^k (shift_scale), the type 1 and type 4 cut
+and the oracle's plants; reduce_poly is the one reduction R[x] -> kappa[x].
 """
 
 from functools import lru_cache
@@ -14,7 +15,7 @@ from itertools import product as _cartesian
 from math import comb
 
 from .errors import DegreeError
-from .modarith import Fp2, QuadOrder
+from .modarith import Fp2, Integers, QuadOrder
 
 # ---------------------------------------------------------------------------
 # integer polynomials
@@ -73,13 +74,16 @@ def poly_derivative(f):
     return trim([i * f[i] for i in range(1, len(f))])
 
 
-def taylor_shift(f, r):
-    """f(x + r), by repeated synthetic division by x - r on one list."""
-    c = list(trim(f))
+def taylor_shift(f, r, R=None):
+    """f(x + r), by repeated synthetic division by x - r on one list: over
+    Z, trimmed, or over a residue ring R (Integers(p), a QuadOrder) through
+    R.add and R.mul, at the length of f."""
+    c = list(trim(f) if R is None else f)
+    add, mul = (R or Integers).add, (R or Integers).mul
     n = len(c)
     for i in range(n - 1):
         for j in range(n - 2, i - 1, -1):
-            c[j] += r * c[j + 1]
+            c[j] = add(c[j], mul(r, c[j + 1]))
     return tuple(c)
 
 
@@ -452,17 +456,11 @@ def power_root(g, k: int, F):
 
 
 def shift_scale(f, r, k: int, R):
-    """f(p x + r) / p^k over R: the shift by r in place as in taylor_shift,
-    then coefficient i times p^(i - k), where for i < k R.exact_div_pk
-    checks that p^(k - i) divides it."""
-    add, mul = R.add, R.mul
-    c = list(f)
-    n = len(c)
+    """f(p x + r) / p^k over R: taylor_shift by r, then coefficient i times
+    p^(i - k), where for i < k R.exact_div_pk checks that p^(k - i) divides
+    it."""
     # a centre at 0 needs no shift, and most centres after the first step are 0
-    if r != R.zero:
-        for i in range(n - 1):
-            for j in range(n - 2, i - 1, -1):
-                c[j] = add(c[j], mul(r, c[j + 1]))
+    c = f if r == R.zero else taylor_shift(f, r, R)
     p = R.p
     return tuple(
         R.smul(p ** (i - k), a) if i >= k else R.exact_div_pk(a, k - i)

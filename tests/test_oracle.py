@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -19,6 +20,7 @@ from g2lpoly.oracle import (
 from g2lpoly.polyring import poly_mul, reduce_mod
 
 from _util import SMALL_PRIMES
+from test_golden import DATA, golden_inputs
 
 
 def test_worked_example_reproduced_by_generator():
@@ -111,3 +113,11 @@ def test_job_line_format():
     assert head == "7"
     assert coeffs.startswith("[") and coeffs.endswith("]")
     assert tuple(int(t) for t in coeffs[1:-1].split(",")) == inst.f
+
+
+def test_oracle_draws_the_golden_inputs():
+    # the golden test replays the stored models, so only this shows that the
+    # generators still draw them
+    stored = json.loads(DATA.read_text())
+    keys = ("kind", "f", "p", "h", "max_iters")
+    assert [{k: case[k] for k in keys} for case in stored] == golden_inputs()

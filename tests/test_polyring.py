@@ -458,13 +458,21 @@ def test_shift_scale_exactness_witness():
         assert tuple(c * p**k for c in scaled) == g
 
 
-def _taylor_shift_by_rebuilds(f, r):
-    """f(x + r) by Horner in the shifted variable, rebuilding the polynomial
-    at each step: the formula the in-place shifts replaced."""
-    acc = ()
+def _taylor_shift_by_rebuilds(f, r, R=None):
+    """f(x + r) by Horner in the shifted variable, acc -> acc (x + r) + c,
+    rebuilding the polynomial at each step: the formula the in-place shifts
+    replaced.  Over Z, trimmed, or over the residue ring R at the length of f."""
+    if R is None:
+        acc = ()
+        for c in reversed(f):
+            acc = poly_add((0,) + acc, poly_add(poly_scale(acc, r), (c,)))
+        return acc
+    acc = []
     for c in reversed(f):
-        acc = poly_add((0,) + acc, poly_add(poly_scale(acc, r), (c,)))
-    return acc
+        acc = ([R.add(R.mul(r, acc[0]), c)]
+               + [R.add(a, R.mul(r, b)) for a, b in zip(acc, acc[1:])]
+               + acc[-1:]) if acc else [c]
+    return tuple(acc)
 
 
 def test_taylor_shifts_match_rebuild_formula():
@@ -485,6 +493,7 @@ def test_taylor_shifts_match_rebuild_formula():
         scale = p**k if i % 4 < 2 else 1  # exact at every k, else exact only at k = 0
         fo = [(scale * c, scale * rng.randrange(-(1 << bits), 1 << bits)) for c in f]
         ro = (r, rng.randrange(-(1 << bits), 1 << bits))
+        assert taylor_shift(fo, ro, order) == _taylor_shift_by_rebuilds(fo, ro, order)
         for R, g, s in ((Integers(p), [scale * c for c in f], r), (order, fo, ro)):
             outcomes = []
             for shift in (shift_scale, shift_scale_by_rebuilds):
