@@ -30,13 +30,15 @@ cubics and 3 random quartics per field: over F_p for every odd p <= 61 (the
 plain loop), with p drawn from each [2^(b-1), 2^b) for b = 7 ... 13 and p =
 65521, and over F_{p^2} for every odd p <= 61 and p = 257 (258 counts),
 compared count by count.  The polynomial section runs fp_gcd_k (k = 3 and
-5), fp_gcd(f, f') and power_root(f, 6) on 60 seeded sextics per prime, p =
+5), fp_gcd(f, f') and power_root(f, 6) on 70 seeded sextics per prime, p =
 3, 5, 7, 11 and 8191: ten each of lc (x - a)^3 u, (x - a)^5 (x - b), lc (x -
 a)^6, lc g^3 with g a monic quadratic, g^2 h with g and h monic quadratics,
-and random sextics; then power_root(g, k) for k = 3, 5 and 6 on 10 planted
-lc (x - r)^k per k, half of them with one coefficient changed, over each of
-those fields and over F_{5^2} (1,380 outputs in all), compared output by
-output.  The oracle section checks the generators that perfbench builds its
+lc x (x - a) g^2, and random sextics; it also runs classify(p_normalize())
+on a lift of each to Z, f plus p times a random sextic, recording the type
+and kernel or the exception's class and message; then power_root(g, k)
+for k = 3, 5 and 6 on 10 planted lc (x - r)^k per k, half of them with one
+coefficient changed, over each of those fields and over F_{5^2} (1,930
+outputs in all), compared output by output.  The oracle section checks the generators that perfbench builds its
 inputs from: per type and each of oracle_mixed's 13 primes (3 ... 8191) it
 draws four oracle.random_instance models with compute_expected=False and
 oracle.perturb of each at 256 bits (416 instances), compared by f, type
@@ -338,6 +340,9 @@ def _planted_sextic(pattern, F, rng):
     elif pattern == "squares":  # g^2 h
         g = monic(2)
         factors = [g, g, monic(2)]
+    elif pattern == "roots_square":  # x (x - a) g^2: g^2 beside two roots
+        g = monic(2)
+        factors = [lc, (F.zero, F.one), lin(), g, g]
     else:
         return tuple(F.random(rng) for _ in range(6)) + lc
     out = (F.one,)
@@ -349,6 +354,7 @@ def _planted_sextic(pattern, F, rng):
 def poly_outcomes():
     """(input, outcome) for the F_p polynomial layer on seeded sextics and
     planted k-th powers."""
+    from g2lpoly.clusterclassify import classify, p_normalize
     from g2lpoly.modarith import Fp
     from g2lpoly.polyring import fp_derivative, fp_gcd, fp_gcd_k, power_root
 
@@ -358,11 +364,19 @@ def poly_outcomes():
         except Exception as exc:  # the exception class is part of the outcome
             return {"exc": type(exc).__name__}
 
+    def classified(f, p):
+        try:
+            c = classify(p_normalize(f, p))
+        except Exception as exc:  # so are the class and message of a rejection
+            return {"exc": type(exc).__name__, "msg": str(exc)}
+        return {"type": c.type.value, "kernel": list(c.kernel)}
+
     rng = random.Random(2026)
     out = []
     for p in POLY_PRIMES:
         F = Fp(p)
-        for pattern in ("cube", "fifth", "sixth", "quad_cube", "squares", "random"):
+        for pattern in ("cube", "fifth", "sixth", "quad_cube", "squares", "roots_square",
+                        "random"):
             for _ in range(POLY_SEXTICS):
                 f = _planted_sextic(pattern, F, rng)
                 for name, fn, args in (("gcd_k3", fp_gcd_k, (f, 3, p)),
@@ -370,6 +384,9 @@ def poly_outcomes():
                                        ("gcd_df", fp_gcd, (f, fp_derivative(f, p), p)),
                                        ("root6", power_root, (f, 6, F))):
                     out.append(({"op": name, "p": p, "f": f}, run(fn, *args)))
+                # a lift to Z with the same reduction, so that p_normalize accepts it
+                lift = [c + p * rng.randrange(p) for c in f]
+                out.append(({"op": "classify", "p": p, "f": lift}, classified(lift, p)))
     for F in [Fp(p) for p in POLY_PRIMES] + [_random_field("fp2", 5, rng)]:
         for k in (3, 5, 6):
             for i in range(POWERS):

@@ -1,7 +1,8 @@
 """Batch front end: read curve/prime jobs from stdin, write L-polynomial
 coefficients to stdout.
 
-Line grammar (ASCII decimal, whitespace-insensitive):
+Line grammar (ASCII decimal, whitespace-insensitive; a number longer than
+sys.get_int_max_str_digits() digits, 4,300 on CPython 3.11, is ERR:parse):
 
     p:[f0,...,f6]
     p:[f0,...,f6]:[h0,...,h3]

@@ -3,8 +3,9 @@
 A sextic f is p-normalized when v_p(f6) = min_i v_p(f_i) <= 1 and the six
 roots do not all collide modulo p (outer depth zero).  Every squarefree
 quintic or sextic over Z is brought to this shape by a Q-isomorphism that
-preserves the curve, after which the repeated-factor pattern of f mod p
-decides which of the four types applies.
+preserves the curve, after which the repeated-factor pattern of f mod p,
+read off one fp_gcd_k call as the kernel gcd_3 and deg gcd(f, f'), decides
+which of the four types applies.
 """
 
 import enum
@@ -22,9 +23,7 @@ from .polyring import (
     deg,
     disc,
     field_disc,
-    fp_divmod,
     fp_gcd_k,
-    fp_mul,
     min_vp,
     poly_eval,
     power_root,
@@ -158,21 +157,22 @@ def classify(nf: PNormalized) -> Classification:
     reduction (route to ordinary point counting), anything else means the
     almost-good hypothesis fails.  fbar is a sextic, since p_normalize leaves
     a unit leading coefficient, and it has no sextuple root, so the kernel
-    has degree at most 3.
+    has degree at most 3.  The same fp_gcd_k call gives deg gcd(fbar,
+    fbar'): 0 for good reduction, and exactly 2 for type 1, whose fbar is
+    (x - r)^3 u with u prime to x - r.
     """
     p = nf.p
     fbar = reduce_mod(nf.ftilde, p)
-    squarefree, g = fp_gcd_k(fbar, 3, p, squarefree=True)
+    rep, g = fp_gcd_k(fbar, 3, p, repeated=True)
     d = deg(g)
     if d == 0:
-        if squarefree:
+        if rep == 0:
             raise GoodReduction(f"f is squarefree mod {p}")
         raise NotAlmostGood("repeated factors of multiplicity 2 only")
     if d == 1:
-        # a linear kernel means fbar = g^3 u with u a cubic prime to g; u is
-        # type 1's loose curve, tested here so that which_type rejects it too
-        u = fp_divmod(fbar, fp_mul(fp_mul(g, g, p), g, p), p)[0]
-        if field_disc(u, Fp(p)) == 0:
+        # a repeated factor of the cofactor u makes type 1's loose curve
+        # singular, tested here so that which_type rejects it too
+        if rep != 2:
             raise NotAlmostGood("type 1 curve 1 is singular: the cofactor of the triple root")
         typ = ClusterType.T1
     elif d == 2:

@@ -19,7 +19,6 @@ from .polyring import (
     disc,
     field_disc,
     fp_eval,
-    fp_is_squarefree,
     fp_mul,
     fp_scale,
     fp2_scale,
@@ -64,7 +63,7 @@ def _random_sqfree_cubic(p, rng):
     """Monic integer cubic with squarefree reduction mod p."""
     for _ in range(_MAX_RETRIES):
         h = (rng.randrange(p), rng.randrange(p), rng.randrange(p), 1)
-        if fp_is_squarefree(reduce_mod(h, p), p):
+        if field_disc(h, Fp(p)):
             return h
     raise OracleError("no squarefree cubic found")
 

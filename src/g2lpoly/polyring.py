@@ -290,10 +290,10 @@ def _fp_multiplicity(f, g, p):
 
 
 def _fp_gcd_k_exhaustive(f, k, p):
-    """gcd_k by divisibility tests: fp_gcd_k's route for p <= deg f, valid
-    at any p.  A root's multiplicity is read by synthetic division, which
-    also strips (x - a)^v from what is left of f."""
-    out = (1,)
+    """(deg gcd(f, f'), gcd_k) by divisibility tests: fp_gcd_k's route for
+    p <= deg f, valid at any p.  A root's multiplicity is read by synthetic
+    division, which also strips (x - a)^v from what is left of f."""
+    out, rep = (1,), 0
     rest = list(f)
     for a in range(p):
         v = 0
@@ -307,58 +307,51 @@ def _fp_gcd_k_exhaustive(f, k, p):
             v += 1
             q.pop()
             rest = q[::-1]
+        rep += max(v - 1, 0)
         for _ in range(v - k + 1):
             out = fp_mul(out, (-a % p, 1), p)
-    for e in range(2, (len(rest) - 1) // k + 1):
+    for e in range(2, (len(rest) - 1) // 2 + 1):
         for g in _fp_irreducibles(e, p):
-            if e * k > len(rest) - 1:
+            if 2 * e > len(rest) - 1:
                 break
             v, rest = _fp_multiplicity(rest, g, p)
+            rep += e * max(v - 1, 0)
             for _ in range(v - k + 1):
                 out = fp_mul(out, g, p)
-    return out
+    return rep, out
 
 
-def fp_gcd_k(f, k: int, p: int, squarefree=False):
+def fp_gcd_k(f, k: int, p: int, repeated=False):
     """The multiplicity-k kernel: product of g^(v_g(f)-k+1) over monic
     irreducible g with g^k | f, returned monic.
 
     Uses gcd(f, f', ..., f^(k-1)) when p > deg f.  For p <= deg f (p = 3
     and 5 on a sextic) the derivative trick fails and divisibility is tested
     directly: roots by evaluation at each a in F_p, then the cached monic
-    irreducibles of degree e >= 2 while g^k still fits in the part of f
-    left after its roots.  So a sextic with a root in F_p skips every
-    quadratic when k = 3: the cube of a quadratic already has degree 6.
+    irreducibles of degree e >= 2 while g^2 still fits in the part of f
+    left after its roots.  So a sextic with a root in F_p tries no cubic.
 
-    With squarefree true (k >= 2) the result is the pair (whether f is
-    squarefree, the kernel).  The derivative route reads the first from
-    gcd(f, f'), its own first step; the others pay one more gcd, and only
-    when the kernel is trivial, since a nontrivial one is a repeated factor.
+    With repeated true (k >= 2) the result is the pair (deg gcd(f, f') =
+    sum of (v_g - 1) deg g, the kernel): the derivative route reads it off
+    its own first gcd, the other sums the multiplicities it finds.
     """
     if k <= 0:
         raise ValueError("k must be positive")
     f = reduce_mod(f, p)
     if not f:
         raise ValueError("gcd_k of the zero polynomial")
-    d = deg(f)
     if k == 1:
         return fp_monic(f, p)
-    if k > d:
-        g = (1,)
-    elif p <= d:
-        g = _fp_gcd_k_exhaustive(f, k, p)
+    if p <= deg(f):
+        rep, g = _fp_gcd_k_exhaustive(f, k, p)
     else:
         h = fp_derivative(f, p)
         g = first = fp_gcd(f, h, p)
         for _ in range(k - 2):
             h = fp_derivative(h, p)
             g = fp_gcd(g, h, p)
-        return (deg(first) == 0, g) if squarefree else g
-    return (deg(g) == 0 and fp_is_squarefree(f, p), g) if squarefree else g
-
-
-def fp_is_squarefree(f, p: int) -> bool:
-    return deg(fp_gcd(f, fp_derivative(f, p), p)) == 0
+        rep = deg(first)
+    return (rep, g) if repeated else g
 
 
 # ---------------------------------------------------------------------------

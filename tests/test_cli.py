@@ -48,11 +48,14 @@ def test_worked_example_through_batch():
 
 def test_malformed_line_continues():
     out = io.StringIO()
-    code = run_batch(["garbage", _worked_example_line(), "5:[1,2"], out)
+    # int() refuses more than sys.get_int_max_str_digits() digits
+    too_long = "5:[" + "1" * 5000 + ",0,0,0,0,0,1]"
+    code = run_batch(["garbage", _worked_example_line(), "5:[1,2", too_long], out)
     lines = out.getvalue().strip().splitlines()
     assert lines[0] == "ERR:parse"
     assert lines[1] == "5:[1,0,6,0,25]"
     assert lines[2] == "ERR:parse"
+    assert lines[3] == "ERR:parse"
     assert code == 0  # some lines parsed
 
 

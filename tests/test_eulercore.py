@@ -26,7 +26,7 @@ from g2lpoly.oracle import (
 from g2lpoly.oracle import _planted_conjugate_pair, _planted_cubic, _random_sqfree_cubic
 from g2lpoly.polyring import complete_square, poly_mul, poly_scale, taylor_shift
 
-from _util import SMALL_PRIMES, brute_count_fp, outer_cluster_model
+from _util import SMALL_PRIMES, brute_count_fp, least_nonsquare, outer_cluster_model
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 from differential import singular_plant  # noqa: E402  (scripts/ is no package)
@@ -189,6 +189,24 @@ def test_output_invariances():
         assert euler_factor(EulerInput(taylor_shift(inst.f, a), p), rng) == base
         assert euler_factor(EulerInput(poly_scale(inst.f, p * p), p), rng) == base
         assert euler_factor(EulerInput(poly_scale(inst.f, p), p), rng) == base
+
+
+def test_twist_and_inversion_relations():
+    # u f for a nonsquare unit u is the quadratic twist, L(T) -> L(-T), which
+    # negates a1 (type 2b's a1 is 0); (X + d)^6 f(1/(X + d)) is the same curve.
+    # Both hand classify models centred away from the oracle's plants.
+    rng = random.Random(64)
+    for p in (3, 5, 7, 13, 61):
+        u = least_nonsquare(p)
+        for typ in ClusterType:
+            for _ in range(6):
+                inst = random_instance(p, typ, rng)
+                lp = inst.expected
+                twisted = euler_factor(EulerInput(poly_scale(inst.f, u), p), rng)
+                assert twisted == LPoly2(-lp.a1, lp.a2, p), (p, typ, inst.f)
+                d = rng.randrange(-20, 21)
+                inverted = taylor_shift(tuple(reversed(inst.f)), d)
+                assert euler_factor(EulerInput(inverted, p), rng) == lp, (p, typ, d, inst.f)
 
 
 def test_model_change_h_to_completed_square():
@@ -376,8 +394,9 @@ def test_singular_second_curve_is_found_before_counting(monkeypatch):
 @pytest.mark.parametrize("p", [13, 127, 1021])
 def test_one_separability_check_per_curve(monkeypatch, p):
     # field_disc runs once per Genus1Model, plus classify's quadratic kernel
-    # (types 2a and 2b), type 2a's centres and type 1's loose cubic; the
-    # F_p gcds of a type 1 factor are the two of fp_gcd_k (p > 6)
+    # (types 2a and 2b) and type 2a's centres; classify reads type 1's loose
+    # cubic off deg gcd(fbar, fbar'), so the F_p gcds of a type 1 factor are
+    # the two of fp_gcd_k (p > 6)
     calls = {"field_disc": 0, "fp_gcd": 0}
 
     def counting(name, fn):
@@ -390,7 +409,7 @@ def test_one_separability_check_per_curve(monkeypatch, p):
         monkeypatch.setattr(mod, "field_disc", counting("field_disc", mod.field_disc))
     monkeypatch.setattr(polyring, "fp_gcd", counting("fp_gcd", polyring.fp_gcd))
     rng = random.Random(p)
-    for typ, want in ((ClusterType.T1, 3), (ClusterType.T2A, 4), (ClusterType.T2B, 2),
+    for typ, want in ((ClusterType.T1, 2), (ClusterType.T2A, 4), (ClusterType.T2B, 2),
                       (ClusterType.T4, 2)):
         inst = random_instance(p, typ, rng, max_depth=4, compute_expected=p < 1000)
         calls.update(field_disc=0, fp_gcd=0)

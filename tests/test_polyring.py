@@ -114,8 +114,8 @@ def test_gcd_k_derivative_vs_exhaustive():
         )
         if deg(f) > 6:
             continue
-        for k in (2, 3, 4):
-            assert fp_gcd_k(f, k, p) == _fp_gcd_k_exhaustive(f, k, p)
+        for k in (2, 3, 4):  # the degree of gcd(f, f') and the kernel
+            assert fp_gcd_k(f, k, p, repeated=True) == _fp_gcd_k_exhaustive(f, k, p)
 
 
 def _fp_product(factors, p, lc=1):
@@ -146,6 +146,9 @@ def _small_char_sextics(p, rng):
     for g in quads:
         out.append(_fp_product([g] * 3, p, rng.choice(units)))  # lc g^3, g irreducible
         out.append(_fp_product([g] * 2 + [rng.choice(quads)], p))  # double roots only
+        # two simple roots leave g^2 in a rest of degree 4, where the cube
+        # of g does not fit
+        out.append(_fp_product([lin[0], lin[1], g, g], p))
     for _ in range(30):  # double roots only: three distinct squared linear factors
         a, b, c = rng.sample(range(p), 3)
         out.append(_fp_product([lin[a], lin[a], lin[b], lin[b], lin[c], lin[c]], p))
@@ -159,17 +162,20 @@ def _small_char_sextics(p, rng):
 
 
 def test_gcd_k_small_characteristic_matches_trial_division():
-    # p <= deg f: the route that evaluates for roots and tries the quadratics
-    # only while their cube still fits; the reference tries every monic
-    # irreducible of degree <= deg f // k
+    # p <= deg f: the route that evaluates for roots and tries the
+    # irreducibles only while their square still fits; the reference tries
+    # every monic irreducible of degree <= deg f // k, and its gcd_2 has the
+    # degree of gcd(f, f')
     rng = random.Random(15)
     for p in (3, 5):
         kernels = set()
         for f in _small_char_sextics(p, rng):
             assert deg(f) == 6
+            rep = deg(fp_gcd_k_by_trial_division(f, 2, p))
             for k in (2, 3, 4, 5, 6):
                 want = fp_gcd_k_by_trial_division(f, k, p)
                 assert fp_gcd_k(f, k, p) == want, (p, k, f)
+                assert fp_gcd_k(f, k, p, repeated=True)[0] == rep, (p, k, f)
                 if k == 3:
                     kernels.add(deg(want))
         # (x - a)^5 (x - b) and (x - a)^6 give kernels of degree 3 and 4
