@@ -30,15 +30,18 @@ cubics and 3 random quartics per field: over F_p for every odd p <= 61 (the
 plain loop), with p drawn from each [2^(b-1), 2^b) for b = 7 ... 13 and p =
 65521, and over F_{p^2} for every odd p <= 61 and p = 257 (258 counts),
 compared count by count.  The polynomial section runs fp_gcd_k (k = 3 and
-5), fp_gcd(f, f') and power_root(f, 6) on 70 seeded sextics per prime, p =
-3, 5, 7, 11 and 8191: ten each of lc (x - a)^3 u, (x - a)^5 (x - b), lc (x -
-a)^6, lc g^3 with g a monic quadratic, g^2 h with g and h monic quadratics,
-lc x (x - a) g^2, and random sextics; it also runs classify(p_normalize())
-on a lift of each to Z, f plus p times a random sextic, recording the type
-and kernel or the exception's class and message; then power_root(g, k)
-for k = 3, 5 and 6 on 10 planted lc (x - r)^k per k, half of them with one
-coefficient changed, over each of those fields and over F_{5^2} (1,930
-outputs in all), compared output by output.  The oracle section checks the generators that perfbench builds its
+5, the pair (deg gcd(f, f'), kernel), asked for with repeated=True from a
+checkout whose fp_gcd_k still has that switch), fp_gcd(f, f') and
+power_root(f, 6) on 90 seeded sextics per prime, p = 3, 5, 7, 11 and 8191:
+ten each of lc (x - a)^3 u, (x - a)^5 (x - b), lc (x - a)^6, lc g^3 with g
+a monic quadratic, g^2 h with g and h monic quadratics, lc x (x - a) g^2,
+lc c^2 with c a monic cubic, random sextics redrawn until they have no root
+in F_p, and random sextics; it also runs classify(p_normalize()) on a lift
+of each to Z, f plus p times a random sextic, recording the type and kernel
+or the exception's class and message; then power_root(g, k) for k = 3, 5
+and 6 on 10 planted lc (x - r)^k per k, half of them with one coefficient
+changed, over each of those fields and over F_{5^2} (2,430 outputs in all),
+compared output by output.  The oracle section checks the generators that perfbench builds its
 inputs from: per type and each of oracle_mixed's 13 primes (3 ... 8191) it
 draws four oracle.random_instance models with compute_expected=False and
 oracle.perturb of each at 256 bits (416 instances), compared by f, type
@@ -47,6 +50,7 @@ and depths.  Prints the first mismatch and the number of mismatches; exits
 """
 
 import argparse
+import inspect
 import json
 import os
 import random
@@ -320,6 +324,8 @@ def _times(f, g, F):
 
 def _planted_sextic(pattern, F, rng):
     """A sextic over F_p of one of the repeated-factor patterns classify reads."""
+    from g2lpoly.polyring import fp_eval
+
     def lin():
         return (F.neg(F.random(rng)), F.one)
 
@@ -343,8 +349,14 @@ def _planted_sextic(pattern, F, rng):
     elif pattern == "roots_square":  # x (x - a) g^2: g^2 beside two roots
         g = monic(2)
         factors = [lc, (F.zero, F.one), lin(), g, g]
+    elif pattern == "cubic_square":  # lc c^2
+        c = monic(3)
+        factors = [lc, c, c]
     else:
-        return tuple(F.random(rng) for _ in range(6)) + lc
+        while True:  # "random", and "rootless": redrawn until no a in F_p is a root
+            f = tuple(F.random(rng) for _ in range(6)) + lc
+            if pattern == "random" or all(fp_eval(f, a, F.p) for a in range(F.p)):
+                return f
     out = (F.one,)
     for g in factors:
         out = _times(out, g, F)
@@ -357,6 +369,13 @@ def poly_outcomes():
     from g2lpoly.clusterclassify import classify, p_normalize
     from g2lpoly.modarith import Fp
     from g2lpoly.polyring import fp_derivative, fp_gcd, fp_gcd_k, power_root
+
+    # (deg gcd(f, f'), kernel) from either tree: a checkout whose fp_gcd_k
+    # still has the repeated switch returns that pair only with it set
+    repeated = {"repeated": True} if "repeated" in inspect.signature(fp_gcd_k).parameters else {}
+
+    def gcd_k(f, k, p):
+        return fp_gcd_k(f, k, p, **repeated)
 
     def run(fn, *args):
         try:
@@ -376,11 +395,11 @@ def poly_outcomes():
     for p in POLY_PRIMES:
         F = Fp(p)
         for pattern in ("cube", "fifth", "sixth", "quad_cube", "squares", "roots_square",
-                        "random"):
+                        "cubic_square", "rootless", "random"):
             for _ in range(POLY_SEXTICS):
                 f = _planted_sextic(pattern, F, rng)
-                for name, fn, args in (("gcd_k3", fp_gcd_k, (f, 3, p)),
-                                       ("gcd_k5", fp_gcd_k, (f, 5, p)),
+                for name, fn, args in (("gcd_k3", gcd_k, (f, 3, p)),
+                                       ("gcd_k5", gcd_k, (f, 5, p)),
                                        ("gcd_df", fp_gcd, (f, fp_derivative(f, p), p)),
                                        ("root6", power_root, (f, 6, F))):
                     out.append(({"op": name, "p": p, "f": f}, run(fn, *args)))

@@ -65,7 +65,8 @@ def p_normalize(f, p: int) -> PNormalized:
     Quintics are first shifted off a root of f and reversed into sextics.
     Valuation rebalancing then forces v_p(f6) = min_i v_p(f_i) <= 1, and
     recentre with k = 6 divides out the common p-adic root approximation
-    until the outer depth reaches zero.
+    until the outer depth reaches zero; six roots that meet mod p but lie in
+    a ramified extension fail there on an inexact division.
     """
     f = trim(f)
     if deg(f) not in (5, 6):
@@ -111,9 +112,10 @@ def p_normalize(f, p: int) -> PNormalized:
     vdisc = (11 * b + 27) // (p.bit_length() - 1)
     iters = 0
     if (a := power_root(reduce_mod(h, p), 6, Z.kappa)) is not None:
-        # each step divides the nonzero discriminant by p^30, so an exact
-        # recentring ends after at most vdisc // 30 steps
-        h, _, iters = recentre(h, a, 6, Z, vdisc // 30)
+        # each exact step divides the nonzero discriminant by p^30, so an
+        # exact recentring ends within vdisc // 30 steps, and the step after
+        # those raises the inexact division that names a ramified cluster
+        h, _, iters = recentre(h, a, 6, Z, vdisc // 30 + 1)
     return PNormalized(h, p, v, vdisc - 30 * iters)
 
 
@@ -163,7 +165,7 @@ def classify(nf: PNormalized) -> Classification:
     """
     p = nf.p
     fbar = reduce_mod(nf.ftilde, p)
-    rep, g = fp_gcd_k(fbar, 3, p, repeated=True)
+    rep, g = fp_gcd_k(fbar, 3, p)
     d = deg(g)
     if d == 0:
         if rep == 0:

@@ -140,7 +140,7 @@ def euler_type4(c: Classification, rng, max_iters: int):
     Z = Integers(c.nf.p)
     r = power_root(c.kernel, 3, Z.kappa)  # the kernel of (x - r)^5 (x - s) is (x - r)^3
     ftilde, fbar, outer = recentre(c.nf.ftilde, r, 5, Z, max_iters)
-    g3 = fp_gcd_k(fbar, 3, Z.p)
+    _, g3 = fp_gcd_k(fbar, 3, Z.p)
     if deg(g3) != 1:
         raise NotAlmostGood(f"type 4 kernel of degree {deg(g3)}")
     cubics, inner = _cut(ftilde, fbar, g3, Z, max_iters)

@@ -8,10 +8,10 @@ One shift f(x + r), taylor_shift over Z or a residue ring R from modarith
 (Integers(p) for Z, a QuadOrder for the unramified quadratic order), serves
 the descent step f(p x + r) / p^k (shift_scale), the type 1 and type 4 cut
 and the oracle's plants; reduce_poly is the one reduction R[x] -> kappa[x].
+Over F_p, fp_gcd_k reads repeated factors off gcds of derivatives alone,
+once each root in F_p is stripped by synthetic division at p <= deg f.
 """
 
-from functools import lru_cache
-from itertools import product as _cartesian
 from math import comb
 
 from .errors import DegreeError
@@ -228,130 +228,76 @@ def fp_monic(f, p):
     return tuple(c * inv % p for c in f)
 
 
-def _fp_rem(a, b, p, q=None):
-    """a mod b over F_p, in place on the list a, which ends trimmed; with a
-    list q of length len(a) - deg b the quotient is stored there.
-
-    Each step pops the leading coefficient c and subtracts (c / lc b) x^k b
-    from what is left, nothing when c = 0; no step trims.
-    """
-    n = len(b) - 1
-    inv = pow(b[-1], -1, p)
-    for k in range(len(a) - 1 - n, -1, -1):
-        c = a.pop() * inv % p
-        if c:
-            if q is not None:
-                q[k] = c
-            for i in range(n):
-                a[k + i] = (a[k + i] - c * b[i]) % p
-    while a and a[-1] == 0:
-        a.pop()
-
-
-def fp_divmod(f, g, p):
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = list(f)
-    q = [0] * max(len(r) - len(g) + 1, 0)
-    _fp_rem(r, g, p, q)
-    return trim(q), tuple(r)
-
-
 def fp_gcd(f, g, p):
-    """Monic gcd over F_p: Euclid's remainder loop on two lists."""
+    """Monic gcd over F_p: Euclid's remainder loop on two lists.
+
+    Each remainder step pops the leading coefficient c of a and subtracts
+    (c / lc b) x^k b from what is left, nothing when c = 0, then trims a.
+    """
     a, b = list(reduce_mod(f, p)), list(reduce_mod(g, p))
     while b:
-        _fp_rem(a, b, p)
+        n = len(b) - 1
+        inv = pow(b[-1], -1, p)
+        for k in range(len(a) - 1 - n, -1, -1):
+            c = a.pop() * inv % p
+            if c:
+                for i in range(n):
+                    a[k + i] = (a[k + i] - c * b[i]) % p
+        while a and a[-1] == 0:
+            a.pop()
         a, b = b, a
     return fp_monic(a, p)
 
 
-@lru_cache(maxsize=16)
-def _fp_irreducibles(d, p):
-    """The monic irreducible polynomials of degree d over F_p, 2 <= d <= 3
-    (root test), built once per (d, p) as a read-only tuple."""
-    assert 2 <= d <= 3, "irreducibility by root-testing only holds for degrees 2 and 3"
-    return tuple(
-        tail + (1,)
-        for tail in _cartesian(range(p), repeat=d)
-        if all(fp_eval(tail + (1,), x, p) for x in range(p))
-    )
+def fp_gcd_k(f, k: int, p: int):
+    """(deg gcd(f, f'), the multiplicity-k kernel) for k >= 2, where the
+    kernel is the product of g^(v_g(f)-k+1) over monic irreducible g with
+    g^k | f, returned monic, and deg gcd(f, f') = sum of (v_g - 1) deg g.
 
-
-def _fp_multiplicity(f, g, p):
-    """(v, f / g^v) for the largest v with g^v | f."""
-    v = 0
-    while True:
-        q, r = fp_divmod(f, g, p)
-        if r:
-            return v, f
-        v += 1
-        f = q
-
-
-def _fp_gcd_k_exhaustive(f, k, p):
-    """(deg gcd(f, f'), gcd_k) by divisibility tests: fp_gcd_k's route for
-    p <= deg f, valid at any p.  A root's multiplicity is read by synthetic
-    division, which also strips (x - a)^v from what is left of f."""
-    out, rep = (1,), 0
-    rest = list(f)
-    for a in range(p):
-        v = 0
-        while True:
-            acc, q = 0, []
-            for c in reversed(rest):
-                acc = (acc * a + c) % p
-                q.append(acc)
-            if acc:
-                break
-            v += 1
-            q.pop()
-            rest = q[::-1]
-        rep += max(v - 1, 0)
-        for _ in range(v - k + 1):
-            out = fp_mul(out, (-a % p, 1), p)
-    for e in range(2, (len(rest) - 1) // 2 + 1):
-        for g in _fp_irreducibles(e, p):
-            if 2 * e > len(rest) - 1:
-                break
-            v, rest = _fp_multiplicity(rest, g, p)
-            rep += e * max(v - 1, 0)
-            for _ in range(v - k + 1):
-                out = fp_mul(out, g, p)
-    return rep, out
-
-
-def fp_gcd_k(f, k: int, p: int, repeated=False):
-    """The multiplicity-k kernel: product of g^(v_g(f)-k+1) over monic
-    irreducible g with g^k | f, returned monic.
-
-    Uses gcd(f, f', ..., f^(k-1)) when p > deg f.  For p <= deg f (p = 3
-    and 5 on a sextic) the derivative trick fails and divisibility is tested
-    directly: roots by evaluation at each a in F_p, then the cached monic
-    irreducibles of degree e >= 2 while g^2 still fits in the part of f
-    left after its roots.  So a sextic with a root in F_p tries no cubic.
-
-    With repeated true (k >= 2) the result is the pair (deg gcd(f, f') =
-    sum of (v_g - 1) deg g, the kernel): the derivative route reads it off
-    its own first gcd, the other sums the multiplicities it finds.
+    Both are read off gcd(f, f', ..., f^(k-1)), which is right while every
+    multiplicity is below p.  At p <= deg f (p = 3 and 5 on a sextic) a
+    root's multiplicity can reach p, so each root a in F_p is first
+    stripped by synthetic division.  What is left has no root: below degree
+    4 it is squarefree, and otherwise its multiplicities are at most 3, so
+    it takes the same gcds, except lc q^3 at p = 3, whose derivative is 0.
     """
-    if k <= 0:
-        raise ValueError("k must be positive")
+    if k < 2:
+        raise ValueError("k must be at least 2")
     f = reduce_mod(f, p)
     if not f:
         raise ValueError("gcd_k of the zero polynomial")
-    if k == 1:
-        return fp_monic(f, p)
+    rep, out = 0, (1,)
     if p <= deg(f):
-        rep, g = _fp_gcd_k_exhaustive(f, k, p)
-    else:
-        h = fp_derivative(f, p)
-        g = first = fp_gcd(f, h, p)
-        for _ in range(k - 2):
-            h = fp_derivative(h, p)
-            g = fp_gcd(g, h, p)
-        rep = deg(first)
-    return (rep, g) if repeated else g
+        for a in range(p):
+            v = 0
+            while True:
+                acc, q = 0, []
+                for c in reversed(f):
+                    acc = (acc * a + c) % p
+                    q.append(acc)
+                if acc:
+                    break
+                v += 1
+                q.pop()
+                f = q[::-1]
+            rep += max(v - 1, 0)
+            for _ in range(v - k + 1):
+                out = fp_mul(out, (-a % p, 1), p)
+        if deg(f) < 4:
+            return rep, out
+    h = fp_derivative(f, p)
+    if not h and deg(f) == 6:
+        # lc q^3 at p = 3 with q irreducible: a^3 = a on F_3, so q is
+        # lc^-1 (f0 + f3 x + f6 x^2)
+        q = fp_monic(f[::3], p)
+        for _ in range(4 - k):
+            out = fp_mul(out, q, p)
+        return rep + 4, out
+    g = first = fp_gcd(f, h, p)
+    for _ in range(k - 2):
+        h = fp_derivative(h, p)
+        g = fp_gcd(g, h, p)
+    return rep + deg(first), g if out == (1,) else fp_mul(out, g, p)
 
 
 # ---------------------------------------------------------------------------

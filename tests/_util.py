@@ -11,7 +11,6 @@ from itertools import product
 from g2lpoly.polyring import (
     deg,
     fp_derivative,
-    fp_divmod,
     fp_gcd,
     poly_add,
     poly_mul,
@@ -129,7 +128,7 @@ def fp_squarefree_part(f, p: int):
     if d <= 0:
         return f
     if p > d:
-        q, r = fp_divmod(f, fp_gcd(f, fp_derivative(f, p), p), p)
+        q, r = fp_long_division(f, fp_gcd(f, fp_derivative(f, p), p), p)
         assert not r
         return q
     # small characteristic: strip repeated factors directly (they have

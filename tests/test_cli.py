@@ -92,7 +92,7 @@ def test_check_prime_flag():
 
 
 def test_composite_modulus_is_named_not_run():
-    # a composite p used to spin forever in fp_divmod
+    # a composite p used to spin forever in the F_p remainder loop
     assert process_line("25:[-6875,-468750,11875,-8750,-225,234375,500]") == "ERR:not-prime"
     for line in ("1:[1,0,0,0,0,0,1]", "2:[1,0,0,0,0,0,1]", "-7:[1,0,0,0,0,0,1]"):
         assert process_line(line) == "ERR:not-odd-prime"

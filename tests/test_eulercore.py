@@ -24,7 +24,7 @@ from g2lpoly.oracle import (
     random_instance,
 )
 from g2lpoly.oracle import _planted_conjugate_pair, _planted_cubic, _random_sqfree_cubic
-from g2lpoly.polyring import complete_square, poly_mul, poly_scale, taylor_shift
+from g2lpoly.polyring import complete_square, poly_add, poly_mul, poly_scale, taylor_shift
 
 from _util import SMALL_PRIMES, brute_count_fp, least_nonsquare, outer_cluster_model
 
@@ -191,10 +191,38 @@ def test_output_invariances():
         assert euler_factor(EulerInput(poly_scale(inst.f, p), p), rng) == base
 
 
+def _moebius(f, a, b, c, d):
+    """(cX + d)^6 f((aX + b) / (cX + d)), the same curve when ad - bc = +-1
+    or when x = (aX + b) / (cX + d) is p^k X + b or (X + b) / p^k."""
+    out = ()
+    for i, fi in enumerate(f):
+        term = (fi,)
+        for _ in range(i):
+            term = poly_mul(term, (b, a))
+        for _ in range(6 - i):
+            term = poly_mul(term, (d, c))
+        out = poly_add(out, term)
+    return out
+
+
+def _unimodular(rng):
+    """(a, b, c, d) with ad - bc = +-1: a few random row operations and swaps."""
+    a, b, c, d = 1, 0, 0, 1
+    for _ in range(3):
+        t = rng.choice((-2, -1, 1, 2))
+        if rng.random() < 0.5:
+            a, b, c, d = c, d, a, b
+        a, b = a + t * c, b + t * d
+    return a, b, c, d
+
+
 def test_twist_and_inversion_relations():
     # u f for a nonsquare unit u is the quadratic twist, L(T) -> L(-T), which
-    # negates a1 (type 2b's a1 is 0); (X + d)^6 f(1/(X + d)) is the same curve.
-    # Both hand classify models centred away from the oracle's plants.
+    # negates a1 (type 2b's a1 is 0); (X + d)^6 f(1/(X + d)) is the same
+    # curve, and so are the models from x -> (aX + b) / (cX + d) with
+    # ad - bc = +-1, x -> p^k X + b and x -> (X + b) / p^k.  They hand
+    # classify models centred away from the oracle's plants, and scaled by
+    # powers of p.
     rng = random.Random(64)
     for p in (3, 5, 7, 13, 61):
         u = least_nonsquare(p)
@@ -207,6 +235,10 @@ def test_twist_and_inversion_relations():
                 d = rng.randrange(-20, 21)
                 inverted = taylor_shift(tuple(reversed(inst.f)), d)
                 assert euler_factor(EulerInput(inverted, p), rng) == lp, (p, typ, d, inst.f)
+                b, pk = rng.randrange(-20, 21), p ** rng.choice((1, 2))
+                for move in (_unimodular(rng), (pk, b, 0, 1), (1, b, 0, pk)):
+                    g = _moebius(inst.f, *move)
+                    assert euler_factor(EulerInput(g, p), rng) == lp, (p, typ, move, inst.f)
 
 
 def test_model_change_h_to_completed_square():

@@ -91,7 +91,7 @@ def test_quintuple_pattern_in_type4():
     fbar = reduce_mod(inst.f, 7)
     from g2lpoly.polyring import fp_gcd_k
 
-    assert len(fp_gcd_k(fbar, 5, 7)) - 1 == 1  # quintuple root present
+    assert len(fp_gcd_k(fbar, 5, 7)[1]) - 1 == 1  # quintuple root present
 
 
 def test_perturbation_preserves_everything():

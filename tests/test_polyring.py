@@ -7,14 +7,11 @@ from g2lpoly.clusterclassify import p_normalize
 from g2lpoly.errors import DegreeError, InexactDivision, NotSquarefree
 from g2lpoly.modarith import Fp, Fp2, Integers, QuadOrder
 from g2lpoly.polyring import (
-    _fp_gcd_k_exhaustive,
-    _fp_irreducibles,
     complete_square,
     deg,
     disc,
     field_disc,
     fp_disc,
-    fp_divmod,
     fp_gcd,
     fp_gcd_k,
     fp_monic,
@@ -57,21 +54,22 @@ def _random_fp_poly(rng, p, d):
 def test_gcd_k_triple_linear_factor():
     p = 7
     f = fp_mul(fp_mul(fp_mul((5, 1), (5, 1), p), (5, 1), p), (1, 1, 0, 1), p)
-    assert fp_gcd_k(f, 3, p) == (5, 1)  # (x-2)^3 * (x^3+x+1) -> x-2
+    assert fp_gcd_k(f, 3, p)[1] == (5, 1)  # (x-2)^3 * (x^3+x+1) -> x-2
 
 
 def test_gcd_k_squarefree_is_one():
     p = 11
     f = (1, 1, 0, 0, 0, 0, 1)
     for k in range(2, 7):
-        assert fp_gcd_k(f, k, p) == (1,)
+        assert fp_gcd_k(f, k, p) == (0, (1,))
 
 
 def test_gcd_k_exhaustive_branch_x6():
-    assert fp_gcd_k((0, 0, 0, 0, 0, 0, 1), 6, 3) == (0, 1)  # x^6 over F_3 -> x
+    assert fp_gcd_k((0, 0, 0, 0, 0, 0, 1), 6, 3) == (5, (0, 1))  # x^6 over F_3 -> x
 
 
 def test_gcd_k_quadratic_cube_over_f3():
+    # (x^2 + 1)^3 = x^6 + 1 over F_3, whose derivative is 0
     f = fp_mul(fp_mul((1, 0, 1), (1, 0, 1), 3), (1, 0, 1), 3)
     # independent enumeration of every monic quadratic over F_3
     hits = []
@@ -79,14 +77,15 @@ def test_gcd_k_quadratic_cube_over_f3():
         for c in range(3):
             g, h, v = (c, b, 1), f, 0
             while True:
-                q, r = fp_divmod(h, g, 3)
+                q, r = fp_long_division(h, g, 3)
                 if r:
                     break
                 h, v = q, v + 1
             if v >= 3:
                 hits.append(g)
     assert hits == [(1, 0, 1)]
-    assert fp_gcd_k(f, 3, 3) == (1, 0, 1)
+    assert fp_gcd_k(f, 3, 3) == (4, (1, 0, 1))
+    assert fp_gcd_k(fp_mul(f, (2,), 3), 2, 3) == (4, fp_mul((1, 0, 1), (1, 0, 1), 3))
 
 
 def test_gcd_k_divisibility_chain():
@@ -94,10 +93,10 @@ def test_gcd_k_divisibility_chain():
     for _ in range(100):
         p = rng.choice((7, 11, 13))
         f = _random_fp_poly(rng, p, rng.randrange(3, 7))
-        prev = fp_gcd_k(f, 1, p)
+        prev = fp_monic(f, p)
         for k in range(2, 7):
-            cur = fp_gcd_k(f, k, p)
-            assert not fp_divmod(prev, cur, p)[1]  # gcd_k | gcd_{k-1}
+            cur = fp_gcd_k(f, k, p)[1]
+            assert not fp_long_division(prev, cur, p)[1]  # gcd_k | gcd_{k-1}
             prev = cur
 
 
@@ -114,8 +113,9 @@ def test_gcd_k_derivative_vs_exhaustive():
         )
         if deg(f) > 6:
             continue
+        rep = deg(fp_gcd_k_by_trial_division(f, 2, p))
         for k in (2, 3, 4):  # the degree of gcd(f, f') and the kernel
-            assert fp_gcd_k(f, k, p, repeated=True) == _fp_gcd_k_exhaustive(f, k, p)
+            assert fp_gcd_k(f, k, p) == (rep, fp_gcd_k_by_trial_division(f, k, p))
 
 
 def _fp_product(factors, p, lc=1):
@@ -149,6 +149,8 @@ def _small_char_sextics(p, rng):
         # two simple roots leave g^2 in a rest of degree 4, where the cube
         # of g does not fit
         out.append(_fp_product([lin[0], lin[1], g, g], p))
+    for c in rng.sample(list(fp_monic_irreducibles(3, p)), 8):
+        out.append(_fp_product([c, c], p, rng.choice(units)))  # lc c^2, no root
     for _ in range(30):  # double roots only: three distinct squared linear factors
         a, b, c = rng.sample(range(p), 3)
         out.append(_fp_product([lin[a], lin[a], lin[b], lin[b], lin[c], lin[c]], p))
@@ -162,38 +164,36 @@ def _small_char_sextics(p, rng):
 
 
 def test_gcd_k_small_characteristic_matches_trial_division():
-    # p <= deg f: the route that evaluates for roots and tries the
-    # irreducibles only while their square still fits; the reference tries
-    # every monic irreducible of degree <= deg f // k, and its gcd_2 has the
-    # degree of gcd(f, f')
+    # p <= deg f: the roots are stripped by evaluation and the rest goes
+    # through the derivatives; the reference tries every monic irreducible
+    # of degree <= deg f // k, and its gcd_2 has the degree of gcd(f, f').
+    # At p = 3 every sextic is an input, at p = 5 the planted patterns.
     rng = random.Random(15)
-    for p in (3, 5):
+    every_f3_sextic = [tail + (lc,) for lc in (1, 2) for tail in product(range(3), repeat=6)]
+    for p, sextics in ((3, every_f3_sextic), (5, _small_char_sextics(5, rng))):
         kernels = set()
-        for f in _small_char_sextics(p, rng):
+        for f in sextics:
             assert deg(f) == 6
             rep = deg(fp_gcd_k_by_trial_division(f, 2, p))
             for k in (2, 3, 4, 5, 6):
                 want = fp_gcd_k_by_trial_division(f, k, p)
-                assert fp_gcd_k(f, k, p) == want, (p, k, f)
-                assert fp_gcd_k(f, k, p, repeated=True)[0] == rep, (p, k, f)
+                assert fp_gcd_k(f, k, p) == (rep, want), (p, k, f)
                 if k == 3:
                     kernels.add(deg(want))
         # (x - a)^5 (x - b) and (x - a)^6 give kernels of degree 3 and 4
         assert kernels == {0, 1, 2, 3, 4}
-    # built once per (degree, p), read-only
-    assert _fp_irreducibles(2, 5) is _fp_irreducibles(2, 5)
-    assert _fp_irreducibles(2, 5) == tuple(fp_monic_irreducibles(2, 5))
 
 
 def test_gcd_k_rejects_bad_k():
-    with pytest.raises(ValueError):
-        fp_gcd_k((1, 1), 0, 7)
+    for k in (0, 1):
+        with pytest.raises(ValueError):
+            fp_gcd_k((1, 1), k, 7)
 
 
 def test_divmod_and_gcd_properties():
-    # a = q b + r with deg r < deg b; the gcd is monic and divides both; and
-    # gcd(a c, b c) = monic(c) gcd(a, b).  Sparse draws make remainder steps
-    # meet zero leading coefficients.
+    # the gcd is monic and divides both, and gcd(a c, b c) = monic(c)
+    # gcd(a, b).  Sparse draws make remainder steps meet zero leading
+    # coefficients.
     rng = random.Random(19)
 
     def draw(p, d):
@@ -206,17 +206,11 @@ def test_divmod_and_gcd_properties():
         for _ in range(150):
             cases.append((draw(p, rng.randrange(0, 9)), draw(p, rng.randrange(0, 7)), p))
     for a, b, p in cases:
-        q, r = fp_divmod(a, b, p)
-        assert (q, r) == fp_long_division(a, b, p)
-        assert reduce_mod(poly_add(fp_mul(q, b, p), r), p) == a
-        assert deg(r) < deg(b)
         g = fp_gcd(a, b, p)
         assert g[-1] == 1
         assert not fp_long_division(a, g, p)[1] and not fp_long_division(b, g, p)[1]
         c = draw(p, rng.randrange(0, 4))
         assert fp_gcd(fp_mul(a, c, p), fp_mul(b, c, p), p) == fp_mul(fp_monic(c, p), g, p)
-    # the first division meets a zero x^5 coefficient after its first step
-    assert fp_divmod((1, 0, 0, 0, 1, 0, 1), (1, 0, 1), 3) == ((0, 0, 0, 0, 1), (1,))
 
 
 # ----------------------------------------------------------------- power_root
@@ -401,7 +395,7 @@ def test_disc_mod_p_consistency_with_gcd2():
         fbar = reduce_mod(f, p)
         if deg(fbar) != 6:
             continue
-        has_square = deg(fp_gcd_k(fbar, 2, p)) > 0
+        has_square = fp_gcd_k(fbar, 2, p)[0] > 0
         assert (fp_disc(fbar, p) == 0) == has_square
 
 
