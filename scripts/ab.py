@@ -13,8 +13,9 @@ One process and one set of inputs leave no room for the few-percent bias
 that separate checkouts in separate processes can show.
 
 Per workload it prints factors/s for each side (cases over the sum of the
-per-case median times) and the per-type p50 of those medians, with the
-ratio other/this (above 1: this tree is faster).  It exits 1 if any case's
+per-case median times), the p50 and perfbench's tail (run.tail) of those
+medians over all cases, and their per-type p50s, each with the ratio
+other/this (above 1: this tree is faster).  It exits 1 if any case's
 outcome (the factor, the ERR: token or the exception class) differs between
 the two packages; outcomes that differ from the expected value are counted.
 
@@ -85,11 +86,17 @@ def compare(pool, runs, passes):
 
 
 def report(pool, times, outcomes):
-    """Print one workload's rates and per-type p50s; return its differing cases."""
+    """Print one workload's rates, p50s and tails; return its differing cases."""
+    from run import tail
+
     med = [[statistics.median(t) / 1e6 for t in side] for side in times]
     rate = [len(pool.cases) / (sum(m) / 1e3) for m in med]
     print(f"{pool.name}: {len(pool.cases)} cases, factors/s this {rate[0]:.1f}, "
           f"other {rate[1]:.1f}, ratio {rate[0] / rate[1]:.3f}")
+    p50 = [statistics.median(m) for m in med]
+    tails = [tail(m)[0] for m in med]
+    print(f"  all p50 ms this {p50[0]:.3f}, other {p50[1]:.3f}, ratio {p50[1] / p50[0]:.3f}; "
+          f"tail ms this {tails[0]:.3f}, other {tails[1]:.3f}, ratio {tails[1] / tails[0]:.3f}")
     for typ in sorted({c.typ for c in pool.cases}):
         idx = [i for i, c in enumerate(pool.cases) if c.typ == typ]
         p50 = [statistics.median(m[i] for i in idx) for m in med]

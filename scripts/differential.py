@@ -21,11 +21,13 @@ with ELL^30 | disc for the word prime ELL = 2^31 - 1 of p_normalize's
 squarefree check.  Per prime and height it adds two squarefree sextics with
 roots a and a + ELL (ELL^2 | disc), one with ELL | lc and one g^2 h, and it
 runs every model with max_iters None, 1 and 2 (720 runs).  The BSGS section
-runs group_order_bsgs on 264 random cubics, 24 per field size, over F_p with
+runs group_order_bsgs on 336 random cubics, 24 per field size, over F_p with
 p of about 14, 20, 30, 34, 40, 48 and 61 bits (half of them with p = 1 and
 half with p = 2 mod 3, the two branches of the class mod 3) and over F_{p^2}
-with p of about 7, 10, 13 and 16 bits, compared by the order found or the
-exception class.  The kernel section runs count_points_naive on 3 random
+with p of about 7, 10, 13 and 16 bits, then over F_{p^2} with p from 97 to
+131 and over F_p with p from 2^14 to 2^16, where a walk is one round of a
+lane count that is mostly not a power of two; compared by the order found or
+the exception class.  The kernel section runs count_points_naive on 3 random
 cubics and 3 random quartics per field: over F_p for every odd p <= 61 (the
 plain loop), with p drawn from each [2^(b-1), 2^b) for b = 7 ... 13 and p =
 65521, and over F_{p^2} for every odd p <= 61 and p = 257 (258 counts),
@@ -61,9 +63,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = range(1, 7)
 COUNT = 600
-# (field, bits): p is the first prime from a draw in [2^(bits - 1), 2^bits)
-BSGS_FIELDS = ([("fp", b) for b in (14, 20, 30, 34, 40, 48, 61)]
-               + [("fp2", b) for b in (7, 10, 13, 16)])
+# (field, lo, hi): p is the first prime from a draw in [lo, hi); the last
+# three fields take walks of one round whose lane count is not a power of two
+BSGS_FIELDS = ([("fp", 1 << (b - 1), 1 << b) for b in (14, 20, 30, 34, 40, 48, 61)]
+               + [("fp2", 1 << (b - 1), 1 << b) for b in (7, 10, 13, 16)]
+               + [("fp2", 97, 132), ("fp", 1 << 14, 1 << 15), ("fp", 1 << 15, 1 << 16)])
 BSGS_CUBICS = 24
 # over F_p, every odd prime to 61, one prime drawn as for BSGS_FIELDS per bit
 # size above, then 65521, the largest prime below 2^16; over F_{p^2}, every
@@ -259,9 +263,9 @@ def bsgs_outcomes():
 
     rng = random.Random(2024)
     out = []
-    for kind, bits in BSGS_FIELDS:
+    for kind, lo, hi in BSGS_FIELDS:
         for i in range(BSGS_CUBICS):
-            p = rng.randrange(1 << (bits - 1), 1 << bits) | 1
+            p = rng.randrange(lo, hi) | 1
             # over F_p, cubic i takes p = 1 + i % 2 (mod 3)
             while not is_prime(p) or kind == "fp" and p % 3 != 1 + i % 2:
                 p += 2

@@ -8,7 +8,10 @@ quartic_to_cubic and quartic_jacobian turn a quartic into one.
 The F_q-roots of the cubic fix #E mod 2, and in most cases mod 4; those of
 the 3-division polynomial fix #E mod 3 in most cases.  BSGS searches only
 that class of the Hasse interval, mod up to 12, wherever the interval is
-wide enough for reading it to pay.  Genus1Model and LPoly1 are immutable
+wide enough for reading it to pay; in narrower ones a nonsquare
+discriminant still makes #E even.  Its random points take no square root:
+each lies on the twist of E by a random w, which is E or its quadratic
+twist as w is a square or not.  Genus1Model and LPoly1 are immutable
 named tuples whose constructors check the model and the Hasse bound;
 Genus1Model's is the one separability check of a genus 1 curve, which
 eulercore relies on for every curve its descents find.
@@ -50,11 +53,12 @@ MESTRE_BOUND = 229
 # Baby and giant steps advance in up to LANES independent lanes.  A round of
 # lane additions is one F.chord_round on raw ints with one inversion (over
 # F_{p^2}, of the F_p norms); more lanes spread it thinner.  A power of two,
-# because the lanes are built by doubling (_Curve.progression); shorter walks
-# take fewer (_width), and a walk's last round stops at its last point.
+# because the lanes are built by doubling (_Curve.progression) and a walk of
+# several rounds steps by the doubled last step; a walk of fewer points takes
+# one lane per point (_width), and a walk's last round stops at its last point.
 LANES = 32
-# Random points group_order_bsgs tries, alternating curve and twist, before
-# it gives up with AmbiguousOrder.
+# Random points group_order_bsgs tries, each on the curve or its twist as
+# chance falls (_twist_point), before it gives up with AmbiguousOrder.
 MAX_POINTS = 48
 # Reading #E mod 2 or 4 (_order_class), or mod 3 (_three_class), costs a
 # power x^q mod a quartic, about log2(p) squarings, and a gcd.  Against the
@@ -182,8 +186,9 @@ class _Curve:
         while k:
             if k & 1:
                 R = self.add(R, P)
-            P = self.add(P, P)
             k >>= 1
+            if k:
+                P = self.add(P, P)
         return R
 
     def advance(self, lanes, step):
@@ -199,24 +204,18 @@ class _Curve:
         chords = iter(self.F.chord_round([Q for Q, ok in zip(lanes, plain) if ok], xs, ys))
         return [next(chords) if ok else self.add(Q, step) for Q, ok in zip(lanes, plain)]
 
-    def progression(self, start, step, width):
-        """[start + k*step for k < width] and width*step for a power of two
-        width, by doubling the lanes: one batched round per doubling."""
+    def progression(self, start, step, width, more=False):
+        """([start + k*step for k < width], next) by doubling the lanes: one
+        batched round per doubling, the last cut to the lanes still needed.
+        The step doubles only for a round that follows, so next is
+        width*step (the step of the walk's later rounds) when more, for a
+        power of two width, and None otherwise."""
         lanes = [start]
         while len(lanes) < width:
-            lanes += self.advance(lanes, step)
-            step = self.add(step, step)
-        return lanes, step
-
-    def random_point(self, rng):
-        F = self.F
-        while True:
-            x = F.random(rng)
-            rhs = F.add(F.mul(x, F.add(F.mul(x, x), self.A)), self.B)
-            if F.is_zero(rhs):
-                return (x, F.zero)
-            if F.is_square(rhs):
-                return (x, F.sqrt(rhs, rng))
+            lanes += self.advance(lanes[:width - len(lanes)], step)
+            if more or len(lanes) < width:
+                step = self.add(step, step)
+        return lanes, step if more else None
 
 
 def _to_short_weierstrass(model: Genus1Model):
@@ -313,8 +312,8 @@ def _crt(a, b):
 
 
 def _width(terms):
-    """Lanes for a walk of terms points: the least power of two >= terms, capped at LANES."""
-    return min(LANES, 1 << (terms - 1).bit_length())
+    """Lanes for a walk of terms points: one per point, up to LANES."""
+    return min(LANES, terms)
 
 
 def _baby_rounds(n):
@@ -324,18 +323,18 @@ def _baby_rounds(n):
 
 
 def _baby_steps(curve: _Curve, Q, s: int, width: int):
-    """(n, baby, baby_y, sQ) from the walk jQ, j = 0..s, in rounds of width.
+    """(n, baby, pts) from the walk jQ, j = 0..s, in rounds of width.
 
     Lane k of the round from j0 holds (j0 + k)*Q, so the first round starts
     at the identity, and the last one stops at s.  Scanning j upwards, the
     first j with y(jQ) = 0 or with x(jQ) already in the table is j = ceil(n/2)
     for n = ord(Q), and it reveals n: 2jQ = O, or jQ = -iQ with i + j = n.
-    No event up to s means n > 2s, and then n is 0, baby maps x(jQ) to j,
-    baby_y[j] is y(jQ) and sQ = s*Q.
+    No event up to s means n > 2s, and then n is 0, baby maps x(jQ) to j and
+    pts[j] is jQ (pts[0] the identity None).
     """
     zero = curve.F.zero
-    lanes, step = curve.progression(None, Q, width)
-    baby, baby_y = {}, [None]
+    lanes, step = curve.progression(None, Q, width, s + 1 > width)
+    baby, pts = {}, [None]
     for j0 in range(0, s + 1, width):
         if j0:
             lanes = curve.advance(lanes[:s + 1 - j0], step)
@@ -344,12 +343,29 @@ def _baby_steps(curve: _Curve, Q, s: int, width: int):
                 continue
             x, y = R
             if y == zero:
-                return 2 * j, None, None, None
+                return 2 * j, None, None
             if x in baby:
-                return baby[x] + j, None, None, None
+                return baby[x] + j, None, None
             baby[x] = j
-            baby_y.append(y)
-    return 0, baby, baby_y, lanes[-1]
+            pts.append(R)
+    return 0, baby, pts
+
+
+def _giant_start(curve: _Curve, P, m0: int, mod: int, pts, G):
+    """(m0 + mod*s)*P for pts[j] = jQ, j = 0..s, Q = mod*P and G = (2s + 1)*Q.
+
+    It is (m0 % mod)*P + a*G + b*Q with (a, b) = divmod(m0 // mod + s, 2s + 1),
+    b folded into [-s, s] so that b*Q is +-pts[|b|]: the one long scalar
+    multiplication, a*G, is log2(mod*(2s + 1)) bits shorter.
+    """
+    s = len(pts) - 1
+    a, b = divmod(m0 // mod + s, 2 * s + 1)
+    if b > s:
+        a, b = a + 1, b - 2 * s - 1
+    R = pts[abs(b)]
+    if b < 0:
+        R = (R[0], curve.F.neg(R[1]))
+    return curve.add(curve.add(curve.mul(m0 % mod, P), curve.mul(a, G)), R)
 
 
 def _two_smallest(cls, lo: int, hi: int):
@@ -375,20 +391,18 @@ def _multiples_in_interval(curve: _Curve, P, lo: int, hi: int, res: int = 0, mod
     both c - j and c + j for a giant centre c, and a y comparison picks the
     one that solves.  Baby and giant steps each run in _width lanes, one
     batched inversion per round (_Curve.advance), the last round cut short.
+    The giant walk starts from _giant_start, off the baby table.
     """
     m0 = _two_smallest((res, mod), lo, hi)[0]
     if m0 is None:
         return None, None
     K = (hi - m0) // mod
     Q = curve.mul(mod, P) if mod > 1 else P
-    # s >= isqrt((K + 1)/2), and every point of a first round is a baby step
-    terms = math.isqrt((K + 1) // 2) + 1
-    width = _width(terms)
-    s = max(terms, width) - 1
+    s = math.isqrt((K + 1) // 2)
     if Q is None:
         order = 1
     else:
-        order, baby, baby_y, sQ = _baby_steps(curve, Q, s, width)
+        order, baby, pts = _baby_steps(curve, Q, s, _width(s + 1))
     if order:
         # ord(P) = ord(Q) * gcd(ord(P), mod): the least d | mod that kills P
         d = next(d for d in range(1, mod + 1) if mod % d == 0
@@ -399,26 +413,46 @@ def _multiples_in_interval(curve: _Curve, P, lo: int, hi: int, res: int = 0, mod
     # upwards from k = 0
     stride = 2 * s + 1
     windows = K // stride + 1
-    G = curve.add(curve.add(sQ, sQ), Q)
+    G = curve.add(curve.add(pts[s], pts[s]), Q)
     width = _width(windows)
-    lanes, step = curve.progression(curve.mul(m0 + mod * s, P), G, width)
+    lanes, step = curve.progression(_giant_start(curve, P, m0, mod, pts, G), G, width,
+                                    windows > width)
     found = []
     for i0 in range(0, windows, width):
         if i0:
             lanes = curve.advance(lanes[:windows - i0], step)
-        # lanes of a first round wider than the walk only find k > K
+        # the last window may reach past K
         for i, R in enumerate(lanes, i0):
             c = s + i * stride
             if R is None:
                 k = c
             else:
                 j = baby.get(R[0])
-                k = None if j is None else c - j if R[1] == baby_y[j] else c + j
+                k = None if j is None else c - j if R[1] == pts[j][1] else c + j
             if k is not None and k <= K:
                 found.append(m0 + mod * k)
                 if len(found) == 2:
                     return found[0], found[1]
     return (*found, None, None)[:2]
+
+
+def _twist_point(F, A, B, rng):
+    """(side, curve, P): a random point P, taken without a square root, on
+    curve: y^2 = x^3 + Aw^2 x + Bw^3, the twist of E: y^2 = x^3 + Ax + B by w.
+
+    For a random x with w = x^3 + Ax + B != 0, P = (xw, w^2), since
+    (xw)^3 + Aw^2 xw + Bw^3 = w^4.  The twist by w is E itself (side 0) when
+    w is a square, and E's quadratic twist (side 1), with 2q + 2 - #E
+    points, when it is not.
+    """
+    while True:
+        x = F.random(rng)
+        w = F.add(F.mul(x, F.add(F.mul(x, x), A)), B)
+        if not F.is_zero(w):
+            break
+    w2 = F.mul(w, w)
+    curve = _Curve(F, F.mul(A, w2), F.mul(B, F.mul(w2, w)))
+    return (0 if F.is_square(w) else 1), curve, (F.mul(x, w), w2)
 
 
 def group_order_bsgs(model: Genus1Model, rng=None) -> int:
@@ -427,9 +461,12 @@ def group_order_bsgs(model: Genus1Model, rng=None) -> int:
     N = #E(F_q) mod 2, and in most cases mod 4, is read off the roots of the
     cubic (_order_class) from CLASS_FROM_ROUNDS baby rounds of the walk over
     the whole Hasse interval, and N mod 3, in most cases, off those of psi_3
-    (_three_class) from THREE_FROM_ROUNDS, over F_p and F_{p^2} alike.  The
-    twist's count 2q + 2 - N has the class 2q + 2 - res: N's class mod 4,
-    but not mod 3.  Random points on each side are searched over that side's
+    (_three_class) from THREE_FROM_ROUNDS, over F_p and F_{p^2} alike.
+    Below CLASS_FROM_ROUNDS a nonsquare discriminant -4A^3 - 27B^2 still
+    makes N even: the cubic then has exactly one root in F_q (Stickelberger).
+    The twist's count 2q + 2 - N has the class 2q + 2 - res: N's class mod
+    4, but not mod 3.  Each random point (_twist_point) lies on E or on its
+    twist, as the character of its w says, and is searched over that side's
     class: the members in the interval that kill the point form one residue
     class, merged into what is known of N by the CRT, until one candidate N
     remains.  It is unique for q > MESTRE_BOUND, the fields lpoly1 sends here.
@@ -441,24 +478,20 @@ def group_order_bsgs(model: Genus1Model, rng=None) -> int:
     if model.degree != 3:
         raise DegreeError("group order search expects a cubic model")
     A, B = _to_short_weierstrass(model)
-    d = F.nonsquare(rng)
-    d2 = F.mul(d, d)
-    curves = (
-        _Curve(F, A, B),
-        _Curve(F, F.mul(A, d2), F.mul(B, F.mul(d2, d))),
-    )
     t0 = math.isqrt(4 * q)
     lo, hi = q + 1 - t0, q + 1 + t0
     target = 2 * q + 2
     rounds = _baby_rounds(hi - lo + 1)
-    known = _order_class(F, A, B) if rounds >= CLASS_FROM_ROUNDS else (0, 1)
+    if rounds >= CLASS_FROM_ROUNDS:
+        known = _order_class(F, A, B)
+    else:
+        disc = F.neg(F.add(F.smul(4, F.mul(A, F.mul(A, A))), F.smul(27, F.mul(B, B))))
+        known = (0, 1) if F.is_square(disc) else (0, 2)
     if rounds >= THREE_FROM_ROUNDS:
         known = _crt(known, _three_class(F, A, B) or (0, 1))
     classes = (known, ((target - known[0]) % known[1], known[1]))
-    for trial in range(MAX_POINTS):
-        side = trial % 2
-        curve = curves[side]
-        P = curve.random_point(rng)
+    for _ in range(MAX_POINTS):
+        side, curve, P = _twist_point(F, A, B, rng)
         first, second = _multiples_in_interval(curve, P, lo, hi, *classes[side])
         if first is None:
             raise AmbiguousOrder("point order has no multiple in the interval")

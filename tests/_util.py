@@ -220,6 +220,19 @@ def sqrt_fp(a, p):
     return r
 
 
+def random_point(curve, rng):
+    """A random affine point of a genus1._Curve, by a square root of
+    x^3 + Ax + B at a random x (redrawn while that is a nonsquare)."""
+    F = curve.F
+    while True:
+        x = F.random(rng)
+        rhs = F.add(F.mul(x, F.add(F.mul(x, x), curve.A)), curve.B)
+        if F.is_zero(rhs):
+            return (x, F.zero)
+        if F.is_square(rhs):
+            return (x, F.sqrt(rhs, rng))
+
+
 def cornacchia(d, p):
     """(x, y) with x^2 + d*y^2 = p, for a prime p where -d is a square."""
     r = sqrt_fp(-d, p)

@@ -32,7 +32,7 @@ from g2lpoly.genus1 import (
 from g2lpoly.modarith import Fp, Fp2, find_nonsquare, is_prime
 
 import _util
-from _util import brute_count_fp, brute_count_fp2
+from _util import brute_count_fp, brute_count_fp2, random_point
 
 F5 = Fp(5)
 F9 = Fp2(3, 1, 0)
@@ -527,7 +527,7 @@ def test_interval_multiples_contract():
     n = count_points_naive(m)
     lo, hi = p + 1 - 2 * 31, p + 1 + 2 * 31
     for _ in range(25):
-        P = curve.random_point(rng)
+        P = random_point(curve, rng)
         # brute-force the true order of P
         Q, order = P, 1
         while Q is not None:
@@ -581,7 +581,7 @@ def test_interval_multiples_match_brute_force_orders():
         for _ in range(6):
             curve = _random_curve(F, rng)
             for _ in range(4):
-                P = curve.random_point(rng)
+                P = random_point(curve, rng)
                 n = _order(curve, P)
                 seen.add("giant" if n > 62 else "even" if n % 2 == 0 else "odd")
                 lo = rng.randrange(1, 2 * F.q)
@@ -608,22 +608,36 @@ def test_interval_multiples_two_torsion():
             assert _multiples_in_interval(curve, P, lo, F.q + 1 + t0) == (first, first + 2)
 
 
-def test_lane_advance_matches_plain_addition():
+def test_lane_advance_matches_plain_addition(monkeypatch):
     # a lane that is the identity or +-step has no chord: it goes through
     # add while the other lanes share one inversion
     rng = random.Random(50)
+    add = _Curve.add
     for F in (Fp(1009), Fp2(43, 1, 0)):
         curve = _random_curve(F, rng)
-        step = curve.random_point(rng)
-        lanes = [curve.random_point(rng) for _ in range(5)]
+        step = random_point(curve, rng)
+        lanes = [random_point(curve, rng) for _ in range(5)]
         lanes += [None, step, (step[0], F.neg(step[1]))]
         rng.shuffle(lanes)
         assert curve.advance(lanes, step) == [curve.add(Q, step) for Q in lanes]
         assert curve.advance(lanes, None) == lanes
-        for start, width in ((None, LANES), (lanes[0], LANES), (lanes[0], 4), (None, 1)):
-            got, final = curve.progression(start, step, width)
-            assert got == [curve.add(start, curve.mul(k, step)) for k in range(width)]
-            assert final == curve.mul(width, step)
+        # widths 3 and 17 cut the last doubling round short; the step doubles
+        # only for a round that follows, so a second round of the walk (more)
+        # steps by width*step, and at width 1 by step itself
+        for start, width in ((None, LANES), (lanes[0], LANES), (lanes[0], 4), (None, 1),
+                             (lanes[0], 1), (lanes[0], 3), (None, 17)):
+            want = [curve.add(start, curve.mul(k, step)) for k in range(width)]
+            for more in (False, True):
+                if more and width & (width - 1):
+                    continue  # more needs a power of two width
+                doublings = []
+                monkeypatch.setattr(_Curve, "add", lambda self, P, Q: doublings.append(P == Q)
+                                    or add(self, P, Q))
+                got, final = curve.progression(start, step, width, more)
+                monkeypatch.undo()
+                assert got == want
+                assert final == (curve.mul(width, step) if more else None)
+                assert sum(doublings) == (width - 1).bit_length() - (not more and width > 1)
 
 
 def _prime_below(n):
@@ -702,9 +716,9 @@ def test_class_interval_multiples_match_brute_force_orders():
         t0 = math.isqrt(4 * F.q)
         for _ in range(4):
             curve = _random_curve(F, rng)
-            points = [curve.random_point(rng) for _ in range(3)]
+            points = [random_point(curve, rng) for _ in range(3)]
             # up to two extra points of order 2 or 4, where mod*P = O
-            draws = (curve.random_point(rng) for _ in range(8))
+            draws = (random_point(curve, rng) for _ in range(8))
             points += [P for P in draws if _order(curve, P) in (2, 4)][:2]
             for P in points:
                 n = _order(curve, P)
@@ -822,6 +836,7 @@ def test_bsgs_class_mod_12_on_both_sides(monkeypatch):
         return real(curve, P, lo, hi, res, mod)
 
     monkeypatch.setattr(genus1, "_multiples_in_interval", spy)
+    sides = _spy_sides(monkeypatch)
     rng = random.Random(58)
     fields = [Fp(p) for p in (233, 239, 241, 251, 257, 263)]
     fields += [Fp2(p, -find_nonsquare(p, rng) % p, 0) for p in (17, 19, 23)]
@@ -831,9 +846,115 @@ def test_bsgs_class_mod_12_on_both_sides(monkeypatch):
             curve = _random_curve(F, rng)
             model = Genus1Model(F, (curve.B, curve.A, F.zero, F.one))
             searched.clear()
+            sides.clear()
             assert group_order_bsgs(model, rng) == count_points_naive(model), (F, model.g)
-            twist_mod_3 += len(searched) > 1 and searched[1] % 3 == 0
+            twist_mod_3 += any(side and mod % 3 == 0 for side, mod in zip(sides, searched))
     assert twist_mod_3 >= 10
+
+
+# ------------------------------------------------------------ BSGS set-up
+
+
+def _spy_sides(monkeypatch):
+    """The side, chi(w) = 1 (0) or -1 (1), of each point group_order_bsgs draws."""
+    sides = []
+    real = genus1._twist_point
+
+    def spy(F, A, B, rng):
+        side, curve, P = real(F, A, B, rng)
+        sides.append(side)
+        return side, curve, P
+
+    monkeypatch.setattr(genus1, "_twist_point", spy)
+    return sides
+
+
+def test_twist_points_lie_on_their_twists():
+    # P = (xw, w^2) is on y^2 = x^3 + Aw^2 x + Bw^3, which has #E points for
+    # a square w and 2q + 2 - #E otherwise: (#E or 2q + 2 - #E) * P = O
+    rng = random.Random(60)
+    seen = set()
+    for F in (Fp(1009), Fp2(43, 1, 0)):
+        for _ in range(4):
+            curve = _random_curve(F, rng)
+            n = _brute_count(F, (curve.B, curve.A, F.zero, F.one))
+            for _ in range(6):
+                side, twist, (x, y) = genus1._twist_point(F, curve.A, curve.B, rng)
+                seen.add(side)
+                assert F.mul(y, y) == F.add(F.mul(x, F.add(F.mul(x, x), twist.A)), twist.B)
+                assert twist.mul(2 * F.q + 2 - n if side else n, (x, y)) is None
+    assert seen == {0, 1}
+
+
+def test_bsgs_set_up_matches_naive_above_the_mestre_bound(monkeypatch):
+    # Just above MESTRE_BOUND every walk is one round with one lane per
+    # point, mostly not a power of two; near q = 2^18 and 2^20 (F_{p^2} at
+    # p = 521, F_p at 2^20 + 7) baby and giant walks pass LANES points.  The
+    # points come from both sides of chi(w).
+    widths = []
+    real = genus1._baby_steps
+
+    def spy(curve, Q, s, width):
+        widths.append((s + 1, width))
+        return real(curve, Q, s, width)
+
+    monkeypatch.setattr(genus1, "_baby_steps", spy)
+    sides = _spy_sides(monkeypatch)
+    rng = random.Random(61)
+    fields = [(Fp(p), 8) for p in (233, 239, 241, 8209)]
+    fields += [(Fp2(p, -find_nonsquare(p, rng) % p, 0), 8) for p in (17, 19, 23)]
+    fields += [(Fp2(521, -find_nonsquare(521, rng) % 521, 0), 3), (Fp(1048583), 3)]
+    for F, cubics in fields:
+        for _ in range(cubics):
+            m = _random_nonsingular(rng, F, (None, None, None, rng.randrange(1, F.p)))
+            assert group_order_bsgs(m, rng) == count_points_naive(m, 1 << 21), (F, m.g)
+    assert {0, 1} <= set(sides)
+    assert any(terms == width and width & (width - 1) for terms, width in widths)
+    assert any(terms > LANES for terms, _ in widths)
+
+
+def test_nonsquare_discriminant_means_even_count():
+    # chi(-4A^3 - 27B^2) = -1: the cubic has exactly one root (Stickelberger),
+    # so E has one point of order 2
+    rng = random.Random(62)
+    fields = [Fp(p) for p in _fp_primes(5, 120)]
+    fields += [Fp2(p, -find_nonsquare(p, rng) % p, 0) for p in (5, 7, 11, 13)]
+    nonsquare = odd = 0
+    for F in fields:
+        for _ in range(10):
+            curve = _random_curve(F, rng)
+            A, B = curve.A, curve.B
+            disc = F.neg(F.add(F.smul(4, F.mul(A, F.mul(A, A))), F.smul(27, F.mul(B, B))))
+            n = _brute_count(F, (B, A, F.zero, F.one))
+            odd += n % 2
+            if not F.is_square(disc):
+                nonsquare += 1
+                assert n % 2 == 0, (F, A, B, n)
+    assert nonsquare >= 50 and odd >= 50
+
+
+def test_giant_start_reads_the_baby_table():
+    # (m0 % mod)*P + a*G + (+-pts[|b|]) = (m0 + mod*s)*P, for b below, at and
+    # above s before the fold
+    rng = random.Random(63)
+    folds = set()
+    for F in (Fp(1009), Fp2(43, 1, 0)):
+        for mod in (1, 2, 3, 4, 6, 12):
+            for _ in range(8):
+                curve = _random_curve(F, rng)
+                P = random_point(curve, rng)
+                Q = curve.mul(mod, P)
+                s = rng.randrange(1, 9)
+                if Q is None or _order(curve, Q) <= 2 * s:
+                    continue
+                pts = [curve.mul(j, Q) for j in range(s + 1)]
+                G = curve.mul(2 * s + 1, Q)
+                for m0 in rng.sample(range(4 * F.q), 6):
+                    b = (m0 // mod + s) % (2 * s + 1)
+                    folds.add((b > s) - (b < s))
+                    got = genus1._giant_start(curve, P, m0, mod, pts, G)
+                    assert got == curve.mul(m0 + mod * s, P), (F, mod, s, m0)
+    assert folds == {-1, 0, 1}
 
 
 def test_scalar_multiplication_kills_points():
@@ -846,7 +967,7 @@ def test_scalar_multiplication_kills_points():
             curve = _random_curve(F, rng)
             n = _brute_count(F, (curve.B, curve.A, F.zero, F.one))
             for _ in range(4):
-                P = curve.random_point(rng)
+                P = random_point(curve, rng)
                 assert curve.mul(n, P) is None, (F, curve.A, curve.B, P)
                 assert curve.mul(n + 1, P) == P
                 assert curve.add(P, (P[0], F.neg(P[1]))) is None
