@@ -42,8 +42,16 @@ in F_p, and random sextics; it also runs classify(p_normalize()) on a lift
 of each to Z, f plus p times a random sextic, recording the type and kernel
 or the exception's class and message; then power_root(g, k) for k = 3, 5
 and 6 on 10 planted lc (x - r)^k per k, half of them with one coefficient
-changed, over each of those fields and over F_{5^2} (2,430 outputs in all),
-compared output by output.  The oracle section checks the generators that perfbench builds its
+changed, over each of those fields and over F_{5^2} and F_{3^2}, where
+k = 3 and 6 take the Frobenius route (2,460 outputs in all), compared
+output by output.  The square-root section runs find_nonsquare and
+sqrt_mod_p at one prime of each 2-adic depth 1-16 (p = 2^e m + 1, m odd)
+and at three primes near 2^30 and three near 2^61, 2^61 - 1 among them: per
+prime a nonsquare from each of four seeds with the rng's next draw after it,
+and sqrt_mod_p of 0, of 8 squares and of 4 nonsquares, each with that
+witness, with none, with the square 4 and with p, then of 0 and 1 at the
+moduli -3, 0, 1, 2, 4 and 9 (1,244 outputs), compared by the root or the
+exception class.  The oracle section checks the generators that perfbench builds its
 inputs from: per type and each of oracle_mixed's 13 primes (3 ... 8191) it
 draws four oracle.random_instance models with compute_expected=False and
 oracle.perturb of each at 256 bits (416 instances), compared by f, type
@@ -79,6 +87,10 @@ KERNEL_MODELS = 3  # cubics, and as many quartics, per field
 POLY_PRIMES = (3, 5, 7, 11, 8191)
 POLY_SEXTICS = 10  # per pattern and prime
 POWERS = 10  # planted lc (x - r)^k per k and field
+SQRT_DEPTHS = range(1, 17)  # one prime p = 2^e m + 1, m odd, per depth e
+SQRT_BITS = (30, 61)  # and primes near 2^30 and 2^61
+SQRT_SEEDS = 4  # find_nonsquare draws per prime
+SQRT_VALUES = 4  # nonsquares per prime, and twice as many squares
 SINGULAR_DEPTHS = range(1, 5)
 SINGULAR_MODELS = 2  # per golden prime, type, curve and depth
 HEIGHT_BITS = (256, 1024)
@@ -112,7 +124,7 @@ def outcomes():
         for i, case in enumerate(golden_inputs(seed, COUNT)):
             out.append((dict(case, seed=seed), factor_outcome(case, i)))
     return (out + singular_outcomes() + height_outcomes() + bsgs_outcomes()
-            + kernel_outcomes() + poly_outcomes() + oracle_outcomes())
+            + kernel_outcomes() + poly_outcomes() + sqrt_outcomes() + oracle_outcomes())
 
 
 def _double_root_cubic(p, rng, avoid=()):
@@ -410,7 +422,7 @@ def poly_outcomes():
                 # a lift to Z with the same reduction, so that p_normalize accepts it
                 lift = [c + p * rng.randrange(p) for c in f]
                 out.append(({"op": "classify", "p": p, "f": lift}, classified(lift, p)))
-    for F in [Fp(p) for p in POLY_PRIMES] + [_random_field("fp2", 5, rng)]:
+    for F in [Fp(p) for p in POLY_PRIMES] + [_random_field("fp2", q, rng) for q in (5, 3)]:
         for k in (3, 5, 6):
             for i in range(POWERS):
                 g = (F.random(rng),)
@@ -424,6 +436,48 @@ def poly_outcomes():
                     g = g[:j] + (F.add(g[j], F.one),) + g[j + 1:]
                 out.append(({"op": f"root{k}", "field": repr(F), "g": g},
                             run(power_root, g, k, F)))
+    return out
+
+
+def sqrt_outcomes():
+    """(input, outcome) for find_nonsquare and sqrt_mod_p at primes of each
+    2-adic depth and near 2^30 and 2^61, witness misuse and bad moduli."""
+    from g2lpoly.modarith import find_nonsquare, is_prime, sqrt_mod_p
+
+    def root(a, p, s):
+        try:
+            return {"root": sqrt_mod_p(a, p, s)}
+        except Exception as exc:  # the exception class is part of the outcome
+            return {"exc": type(exc).__name__}
+
+    rng = random.Random(2030)
+    primes = []
+    for e in SQRT_DEPTHS:
+        m = rng.randrange(1 << 10) | 1
+        while not is_prime((m << e) + 1):
+            m += 2
+        primes.append((m << e) + 1)
+    for bits in SQRT_BITS:  # the first primes from 2^bits - 1 and from two draws above it
+        for lo in [(1 << bits) - 1] + [rng.randrange(1 << bits, (1 << bits) + (1 << 20)) | 1
+                                       for _ in range(2)]:
+            while not is_prime(lo):
+                lo += 2
+            primes.append(lo)
+    out = []
+    for p in primes:
+        for seed in range(SQRT_SEEDS):
+            draws = random.Random(seed)
+            s = find_nonsquare(p, draws)
+            out.append(({"op": "nonsquare", "p": p, "seed": seed},
+                        {"s": s, "next": draws.randrange(p)}))
+        xs = [rng.randrange(p) for _ in range(2 * SQRT_VALUES)]
+        values = [0] + [x * x % p for x in xs] + [s * x * x % p for x in xs[:SQRT_VALUES]]
+        for a in values:
+            for witness in (s, None, 4, p):
+                out.append(({"op": "sqrt", "a": a, "p": p, "s": witness}, root(a, p, witness)))
+    for p in (-3, 0, 1, 2, 4, 9):
+        for a in (0, 1):
+            out.append(({"op": "sqrt", "a": a, "p": p, "s": None}, root(a, p, None)))
     return out
 
 

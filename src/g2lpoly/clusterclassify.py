@@ -37,6 +37,8 @@ from .polyring import (
 )
 
 ELL = 2**31 - 1  # a word prime: disc(f) mod ELL shows f squarefree without the exact disc
+# p divides disc(f) at almost good reduction, so at p = ELL the check runs mod this prime
+ELL_AT_ELL = 2**61 - 1
 
 
 class ClusterType(enum.Enum):
@@ -81,12 +83,13 @@ def p_normalize(f, p: int) -> PNormalized:
         if a:
             f = taylor_shift(f, a)
         f = reverse6(f)
-    # disc(g) mod ELL, g the symmetric residues of f, shows f squarefree when
+    # disc(g) mod ell, g the symmetric residues of f, shows f squarefree when
     # nonzero; the exact disc(f) decides the rest, and is disc(g) when g is f
+    ell = ELL_AT_ELL if p == ELL else ELL
     b = max(map(abs, f)).bit_length()
-    g = f if b <= 30 else tuple((c + ELL // 2) % ELL - ELL // 2 for c in f)
+    g = f if b < ell.bit_length() else tuple((c + ell // 2) % ell - ell // 2 for c in f)
     d = g[6] and disc(g)
-    if d % ELL == 0 and g is not f:
+    if d % ell == 0 and g is not f:
         d = disc(f)
     if d == 0:
         raise NotSquarefree("discriminant vanishes")

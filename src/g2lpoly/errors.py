@@ -23,8 +23,8 @@ class NonResidue(G2Error):
 
 
 class BadWitness(G2Error):
-    """A nonsquare witness is missing (no witness and no rng to draw one)
-    or is actually a square."""
+    """sqrt_mod_p's nonsquare witness is missing where p = 1 mod 4 needs
+    one, or is not a nonsquare."""
     token = "bad-witness"
 
 

@@ -20,7 +20,7 @@ from .clusterclassify import Classification, ClusterType, classify, p_normalize,
 from .clusterclassify import which_type  # noqa: F401  only a hook target for perfbench/tracing.py
 from .errors import HasseViolation, NotAlmostGood, NotSquarefree
 from .genus1 import Genus1Model, lpoly1
-from .modarith import Integers, QuadOrder
+from .modarith import Integers, QuadOrder, find_nonsquare, sqrt_mod_p
 from .polyring import disc, shift_scale  # noqa: F401  only hook targets for perfbench/tracing.py
 from .polyring import (
     complete_square,
@@ -106,7 +106,7 @@ def euler_type2a(c: Classification, rng, max_iters: int):
     p, Z = c.nf.p, Integers(c.nf.p)
     F = Z.kappa
     u = c.kernel  # monic, split over F_p
-    root = F.sqrt(field_disc(u, F), rng)
+    root = sqrt_mod_p(field_disc(u, F), p, find_nonsquare(p, rng) if p % 4 == 1 else None)
     inv2 = (p + 1) // 2
     # smaller center first; the product is symmetric
     r1, r2 = sorted(((-u[1] + root) * inv2 % p, (-u[1] - root) * inv2 % p))
@@ -184,7 +184,7 @@ def euler_factor_with_stats(inp: EulerInput, rng=None):
 def euler_factor(inp: EulerInput, rng=None) -> LPoly2:
     """The main entry point: normalize, classify, and dispatch.
 
-    rng feeds the Las Vegas draws (nonsquares and random points); they
+    rng feeds the Las Vegas draws (type 2a's nonsquare and random points); they
     change how long a call takes, never its answer.
     GoodReduction propagates so batch callers can reroute those primes.
     """

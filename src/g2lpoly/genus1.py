@@ -36,12 +36,11 @@ from .polyring import field_disc, fp2_trim, reduce_mod
 DEFAULT_NAIVE_LIMIT = 1 << 16
 # Counting is exhaustive below q = EXHAUSTIVE_BELOW, over F_p and F_{p^2}
 # alike.  Median ms per count, 20 random cubics and 20 quartics per prime
-# (README, "Point counting"): over F_p the kernel costs 0.08-0.12 against
-# BSGS 0.12-0.17 at p = 8191, and 0.29-0.37 against 0.15-0.22 at 16381;
-# over F_{p^2}, with p^2 evaluations, 0.10-0.19 against BSGS 0.26-0.29 at
-# p = 61 and 0.24-0.30 against 0.29-0.33 at 89, even at 97 and 101, and
-# BSGS wins from 113 on.  Both crossovers put the bound at 2^13 (p = 89
-# over F_{p^2}).
+# (README, "Point counting"): over F_p the kernel costs 0.06-0.08 against
+# BSGS 0.09-0.10 at p = 8191, and 0.20-0.24 against 0.10-0.11 at 16381;
+# over F_{p^2}, with p^2 evaluations, 0.10-0.12 against 0.12-0.15 at p = 61,
+# and the two break even near p = 89 (0.15-0.19 against 0.14-0.16), the
+# last prime below the bound.  The bound sits at the F_p crossover, 2^13.
 EXHAUSTIVE_BELOW = 1 << 13
 # Above q = 229, E or its quadratic twist has a point whose order has only
 # one multiple in the Hasse interval (Mestre for prime q; Cremona and

@@ -11,9 +11,10 @@ shift-and-scale and one recentring loop serve both.  The constants zero,
 one and gen (the class of z) are class attributes on every field and ring
 that has them.
 
-Fp and Fp2 share one square test (chi_p of the norm), one Tonelli-Shanks
-square root, and a nonsquare drawn once per field object and kept.
-legendre, sqrt_mod_p and find_nonsquare are the same tools on plain ints.
+Fp and Fp2 test squares by chi_p (of the norm, over F_{p^2}) and take no
+square roots.  The one square root is sqrt_mod_p, Tonelli-Shanks on plain
+ints, whose nonsquare witness find_nonsquare draws: type 2a's two centres
+need it, and nothing else in the package does.
 Each field's raw-int chord_round (one point added to many for one
 inversion), ec_add and xq_mod (x^q mod a quartic) serve the genus 1 BSGS.
 """
@@ -83,52 +84,51 @@ def legendre(a: int, p: int) -> int:
 
 
 def sqrt_mod_p(a: int, p: int, s: int | None = None) -> int:
-    """Square root of a mod p, by Fp.sqrt.
+    """Square root of a mod p, by Tonelli-Shanks (Cohen, GTM 138, Alg. 1.5.1).
 
     Returns the smaller of the two roots, i.e. the representative in
     [0, (p-1)/2].  The witness s must be a quadratic nonresidue; it is only
-    consumed when p = 1 mod 4 but is validated whenever supplied.
+    consumed when p = 1 mod 4 but is validated whenever supplied.  Raises
+    NotOddPrime before anything else, then BadWitness for a witness that is
+    not a nonsquare, NonResidue for a nonsquare a, and BadWitness for a
+    nonzero a at p = 1 mod 4 with no witness.
     """
-    F = Fp(p)
+    check_odd_prime_modulus(p)
+    m, e = p - 1, 0
+    while m % 2 == 0:
+        m //= 2
+        e += 1
+    # Euler's criterion off the odd part: c^((p-1)/2) = (c^m)^(2^(e-1))
+    half = 1 << (e - 1)
     if s is not None:
-        if legendre(s, p) != -1:
+        y = pow(s, m, p)  # generator of the 2-Sylow subgroup
+        if pow(y, half, p) != p - 1:
             raise BadWitness(f"{s} is not a nonsquare mod {p}")
-        F._nonsquare = s % p
-    x = F.sqrt(a % p)
+    a %= p
+    if a == 0:
+        return 0
+    x, b = pow(a, (m + 1) // 2, p), pow(a, m, p)
+    if pow(b, half, p) != 1:
+        raise NonResidue(f"{a} is not a square mod {p}")
+    if p % 4 == 1 and s is None:
+        raise BadWitness(f"a nonsquare witness is needed mod {p}")
+    while b != 1:  # only when p = 1 mod 4
+        k, t = 0, b
+        while t != 1:
+            t = t * t % p
+            k += 1
+        c = pow(y, 1 << (e - k - 1), p)
+        x, y = x * c % p, c * c % p
+        b, e = b * y % p, k
     return min(x, p - x)
 
 
 def find_nonsquare(p: int, rng) -> int:
     """Random quadratic nonresidue mod p; Las Vegas, expected two draws."""
-    return Fp(p).nonsquare(rng)
-
-
-def _tonelli_shanks(F, a, z):
-    """A square root of the nonzero square a in the field F (Cohen, GTM 138,
-    Alg. 1.5.1).  z is a nonsquare of F; it is only read when 4 | q - 1."""
-    m, e = F.q - 1, 0
-    while m % 2 == 0:
-        m //= 2
-        e += 1
-    one = F.one
-    x = F.pow(a, (m + 1) // 2)
-    b = F.pow(a, m)
-    if b == one:
-        return x
-    y = F.pow(z, m)  # generator of the 2-Sylow subgroup
-    while b != one:
-        k, t = 0, b
-        while t != one:
-            t = F.mul(t, t)
-            k += 1
-        c = y
-        for _ in range(e - k - 1):
-            c = F.mul(c, c)
-        x = F.mul(x, c)
-        y = F.mul(c, c)
-        b = F.mul(b, y)
-        e = k
-    return x
+    while True:
+        s = rng.randrange(p)
+        if legendre(s, p) == -1:
+            return s
 
 
 def _square4(a, b, c, d):
@@ -137,39 +137,7 @@ def _square4(a, b, c, d):
             c * c + 2 * b * d, 2 * c * d, d * d)
 
 
-class _SquareRoots:
-    """Squares, square roots and a nonsquare, for any field class with p,
-    q, one, zero, is_zero, mul, pow, norm and random."""
-
-    __slots__ = ("_nonsquare",)
-
-    def is_square(self, a):
-        # chi_q(a) = chi_p(Norm(a)); 0 counts as a square here
-        return legendre(self.norm(a), self.p) >= 0
-
-    def sqrt(self, a, rng=None):
-        """A square root of a; rng draws the nonsquare when 4 | q - 1."""
-        if self.is_zero(a):
-            return self.zero
-        if not self.is_square(a):
-            raise NonResidue(f"{a} is not a square in {self!r}")
-        z = self.nonsquare(rng) if self.q % 4 == 1 else None
-        return _tonelli_shanks(self, a, z)
-
-    def nonsquare(self, rng=None):
-        """A nonsquare of the field, drawn from rng on the first call and
-        kept: Las Vegas, expected two draws."""
-        if self._nonsquare is None:
-            if rng is None:
-                raise BadWitness(f"rng needed to find a nonsquare of {self!r}")
-            a = self.random(rng)
-            while self.is_square(a):
-                a = self.random(rng)
-            self._nonsquare = a
-        return self._nonsquare
-
-
-class Fp(_SquareRoots):
+class Fp:
     """Prime field context.  Elements are plain ints in [0, p)."""
 
     __slots__ = ("p", "q")
@@ -180,7 +148,6 @@ class Fp(_SquareRoots):
         check_odd_prime_modulus(p)
         self.p = p
         self.q = p
-        self._nonsquare = None
 
     def __repr__(self):
         return f"Fp({self.p})"
@@ -211,17 +178,13 @@ class Fp(_SquareRoots):
 
     smul = mul
 
-    def norm(self, a):
-        """Norm to F_p: the identity."""
-        return a
-
     def inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError(f"inverse of 0 mod {self.p}")
         return pow(a, -1, self.p)
 
-    def pow(self, a, e):
-        return pow(a, e, self.p)
+    def is_square(self, a):
+        return legendre(a, self.p) >= 0  # 0 counts as a square here
 
     def random(self, rng):
         return rng.randrange(self.p)
@@ -278,7 +241,7 @@ class Fp(_SquareRoots):
         return h
 
 
-class Fp2(_SquareRoots):
+class Fp2:
     """F_p[z]/(z^2 + u1*z + u0) with the modulus irreducible mod p.
 
     Elements are (c0, c1) tuples of ints in [0, p).  The Frobenius map swaps
@@ -300,7 +263,6 @@ class Fp2(_SquareRoots):
         self.u0 = u0
         self.u1 = u1
         self.q = p * p
-        self._nonsquare = None
 
     def __repr__(self):
         return f"Fp2(p={self.p}, ubar=z^2+{self.u1}z+{self.u0})"
@@ -361,17 +323,8 @@ class Fp2(_SquareRoots):
         c = self.frobenius(a)
         return (c[0] * ninv % self.p, c[1] * ninv % self.p)
 
-    def pow(self, a, e):
-        p, u0, u1 = self.p, self.u0, self.u1
-        (r0, r1), (b0, b1) = (1, 0), a
-        while e:
-            if e & 1:
-                t = r1 * b1
-                r0, r1 = (r0 * b0 - u0 * t) % p, (r0 * b1 + r1 * b0 - u1 * t) % p
-            t = b1 * b1
-            b0, b1 = (b0 * b0 - u0 * t) % p, (2 * b0 * b1 - u1 * t) % p
-            e >>= 1
-        return r0, r1
+    def is_square(self, a):
+        return legendre(self.norm(a), self.p) >= 0  # chi_q(a) = chi_p(Norm(a))
 
     def random(self, rng):
         return (rng.randrange(self.p), rng.randrange(self.p))

@@ -368,7 +368,8 @@ def power_root(g, k: int, F):
     Write k = p^e m with p not dividing m.  Then (x - r)^k = (x^(p^e) - s)^m
     with s = r^(p^e), so the x^(p^e (m-1)) coefficient of g is -m lc s.
     Frobenius is a bijection of F, so r = s^(q / p^e) (this needs p^e <= q,
-    true for k <= 6 at odd p).  The candidate is checked coefficient by
+    true for k <= 6 at odd p, where q / p^e is 1 over F_p and p over
+    F_{p^2}).  The candidate is checked coefficient by
     coefficient from x^(k-1) down, up to the first that differs.
     """
     if len(g) != k + 1:
@@ -378,7 +379,7 @@ def power_root(g, k: int, F):
         pe, m = pe * F.p, m // F.p
     lc = g[-1]
     s = F.neg(F.mul(g[pe * (m - 1)], F.inv(F.smul(m, lc))))
-    r = F.pow(s, F.q // pe) if pe > 1 else s
+    r = F.frobenius(s) if F.q > pe > 1 else s
     mul, smul = F.mul, F.smul
     nr, t = F.neg(r), lc
     for j in range(k - 1, -1, -1):  # the x^j coefficient lc C(k, j) (-r)^(k - j)

@@ -220,6 +220,31 @@ def sqrt_fp(a, p):
     return r
 
 
+def sqrt_field(F, a):
+    """A square root of the square a in F, an Fp or an Fp2, from square roots
+    mod p alone.  Over F_{p^2} a root w has w^2 - Tr(w) w + N(w) = 0 with
+    N(w) = +-n, n^2 = N(a), and Tr(w)^2 = t = Tr(a) + 2 N(w); for a outside
+    F_p only the right sign makes t a nonzero square T^2 (the other gives
+    (w - frob(w))^2, a nonsquare), and w = (a + N(w)) / T.  An a in F_p that
+    is a nonsquare there has the root c (2z + u1), c^2 = a / (u1^2 - 4 u0)."""
+    p = F.p
+    if F.q == p:
+        return sqrt_fp(a, p)
+    (a0, a1), u0, u1 = a, F.u0, F.u1
+    if a1 == 0:
+        if chi_p(a0, p) >= 0:
+            return (sqrt_fp(a0, p), 0)
+        c = sqrt_fp(a0 * pow(u1 * u1 - 4 * u0, -1, p), p)
+        return (c * u1 % p, 2 * c % p)
+    n = sqrt_fp(a0 * a0 - u1 * a0 * a1 + u0 * a1 * a1, p)
+    for norm in (n, -n):
+        t = 2 * a0 - u1 * a1 + 2 * norm
+        if chi_p(t, p) == 1:
+            inv = pow(sqrt_fp(t, p), -1, p)
+            return ((a0 + norm) * inv % p, a1 * inv % p)
+    raise ValueError(f"{a} is not a square in {F!r}")
+
+
 def random_point(curve, rng):
     """A random affine point of a genus1._Curve, by a square root of
     x^3 + Ax + B at a random x (redrawn while that is a nonsquare)."""
@@ -230,7 +255,7 @@ def random_point(curve, rng):
         if F.is_zero(rhs):
             return (x, F.zero)
         if F.is_square(rhs):
-            return (x, F.sqrt(rhs, rng))
+            return (x, sqrt_field(F, rhs))
 
 
 def cornacchia(d, p):

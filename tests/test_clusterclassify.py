@@ -426,6 +426,21 @@ def test_squarefree_check_goes_exact_when_ell_divides_lc(monkeypatch):
         assert len(calls) == 1
 
 
+def test_squarefree_check_at_p_equal_to_ell(monkeypatch):
+    # p divides disc(f) at bad reduction, so at p = ELL the check reduces
+    # modulo the other word prime and needs no exact disc
+    calls = _counted_disc(monkeypatch)
+    rng = random.Random(31)
+    size = 1 << 38
+    a = rng.randrange(size)
+    roots = [a, a + ELL, a + 2 * ELL] + [rng.randrange(-size, size) for _ in range(3)]
+    f = poly_scale(_product([(-r, 1) for r in roots]), 2 * rng.randrange(size) + 1)
+    assert max(map(abs, f)).bit_length() >= 256 and disc(f) % ELL == 0
+    nf = p_normalize(f, ELL)
+    assert nf.f == f and len(calls) == 1
+    assert classify(nf).type is ClusterType.T1
+
+
 def test_squarefree_check_rejects_tall_repeated_factor(monkeypatch):
     # g^2 h at 256 bits: disc vanishes mod ELL, and the exact disc confirms it
     calls = _counted_disc(monkeypatch)

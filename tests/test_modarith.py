@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from g2lpoly.errors import BadWitness, InexactDivision, NonResidue
+from g2lpoly.errors import BadWitness, InexactDivision, NonResidue, NotOddPrime
 from g2lpoly.genus1 import _Curve
 from g2lpoly.modarith import (
     Fp,
@@ -15,7 +15,7 @@ from g2lpoly.modarith import (
     sqrt_mod_p,
 )
 
-from _util import SMALL_PRIMES, fp2_elements, random_point
+from _util import SMALL_PRIMES, fp2_elements, random_point, sqrt_field
 
 
 def test_legendre_examples():
@@ -65,6 +65,10 @@ def test_sqrt_errors():
         sqrt_mod_p(2, 7, 2)  # 2 is a square mod 7
     with pytest.raises(BadWitness):
         sqrt_mod_p(3, 13, None)  # p = 1 mod 4 needs a witness
+    # the modulus is checked first, at every a, a = 0 included
+    for a, p in ((0, 4), (1, 4), (0, 2), (0, 1), (4, -7)):
+        with pytest.raises(NotOddPrime):
+            sqrt_mod_p(a, p)
 
 
 def test_find_nonsquare():
@@ -75,6 +79,19 @@ def test_find_nonsquare():
         s = find_nonsquare(p, rng)
         assert pow(s, (p - 1) // 2, p) == p - 1
     assert find_nonsquare(7, rng) in (3, 5, 6)
+
+
+def test_find_nonsquare_draws_up_to_its_first_nonsquare():
+    # the draws of rng.randrange(p) up to the first nonsquare, and no more,
+    # so that a caller's stream after it is the one it always was
+    for p in (3, 13, 7681, 65537, 2**61 - 1):
+        for seed in range(20):
+            rng, twin = random.Random(seed), random.Random(seed)
+            s = find_nonsquare(p, rng)
+            t = twin.randrange(p)
+            while pow(t, (p - 1) // 2, p) != p - 1:
+                t = twin.randrange(p)
+            assert s == t and rng.getstate() == twin.getstate()
 
 
 def test_fp2_defining_relation():
@@ -112,17 +129,8 @@ def test_fp2_field_axioms_random():
         assert F.mul(x, y) == F.mul(y, x)
         if not F.is_zero(x):
             assert F.mul(x, F.inv(x)) == F.one
-        # Frobenius has order dividing 2 and x^(p^2) = x
+        # Frobenius has order dividing 2 and is a ring morphism
         assert F.frobenius(F.frobenius(x)) == x
-        assert F.pow(x, F.q) == x
-        # pow on raw ints against repeated mul, and a^(e + f) = a^e a^f
-        e, f = rng.randrange(40), rng.randrange(F.q * F.q)
-        power = F.one
-        for _ in range(e):
-            power = F.mul(power, x)
-        assert F.pow(x, e) == power
-        assert F.pow(x, e + f) == F.mul(power, F.pow(x, f))
-        # it is a ring morphism
         assert F.frobenius(F.mul(x, y)) == F.mul(F.frobenius(x), F.frobenius(y))
 
 
@@ -138,59 +146,53 @@ def test_fp2_division_by_zero():
         F.inv((0, 0))
 
 
-def test_fp2_sqrt_random():
-    rng = random.Random(6)
-    for p, u0, u1 in ((5, 2, 0), (13, 2, 0), (101, 2, 0)):
-        F = Fp2(p, u0, u1)
-        for _ in range(25):
-            x = F.random(rng)
-            sq = F.mul(x, x)
-            r = F.sqrt(sq, rng)
-            assert F.mul(r, r) == sq
-
-
-# (p, u0): Fp(p) when u0 is None, else Fp2(p, u0, 0) = F_p[z]/(z^2 + u0).
-# 2^e || q - 1 with e = 1 (10007), 9 (7681), 16 (65537) and 17 (65537^2,
-# where 3 is a primitive root, so z^2 - 3 is irreducible).
+# (p, u0): Fp(p) and sqrt_mod_p when u0 is None, else Fp2(p, u0, 0) =
+# F_p[z]/(z^2 + u0) and the tests' own root, random_point's.  2^e || q - 1
+# with e = 1 (10007), 9 (7681), 16 (65537) and 17 (65537^2, where 3 is a
+# primitive root, so z^2 - 3 is irreducible).
 @pytest.mark.parametrize(
     "p, u0, e", [(10007, None, 1), (7681, None, 9), (65537, None, 16), (65537, -3, 17)]
 )
 def test_field_sqrt_and_nonsquare(p, u0, e):
-    def field():
-        return Fp(p) if u0 is None else Fp2(p, u0, 0)
+    rng = random.Random(p + e)
+    s = find_nonsquare(p, rng)
+    assert legendre(s, p) == -1
+    if u0 is None:
+        F, g = Fp(p), pow(s, (p - 1) >> e, p)
 
-    F, rng = field(), random.Random(p + e)
+        def root(a):
+            r = sqrt_mod_p(a, p, s)
+            assert r <= p - r
+            return r
+    else:
+        # N(z) = u0 is a nonsquare, so z is one of F_{p^2}, and with z^2 = -u0
+        # the power z^m, m = (q - 1) / 2^e, is z (-u0)^((m - 1) / 2)
+        F = Fp2(p, u0, 0)
+        g = (0, pow(-u0, (((F.q - 1) >> e) - 1) // 2, p))
+
+        def root(a):
+            return sqrt_field(F, a)
+
     assert (F.q - 1) % (1 << e) == 0 and (F.q - 1) >> e & 1
-    s = F.nonsquare(rng)
-    assert not F.is_square(s)
-    assert F.nonsquare() == s and F.nonsquare(random.Random(0)) == s
-    # squares of random elements, and of the powers of a generator of the
+    # squares of random elements, and of the powers of g, a generator of the
     # 2-Sylow subgroup, which drive Tonelli-Shanks through every depth
-    g = F.pow(s, (F.q - 1) >> e)
-    xs = [F.random(rng) for _ in range(100)] + [F.pow(g, k) for k in range(1, 2 * e)]
+    xs = [F.random(rng) for _ in range(100)] + [g]
+    for _ in range(2, 2 * e):
+        xs.append(F.mul(xs[-1], g))
     for x in xs:
         sq = F.mul(x, x)
-        r = F.sqrt(sq, rng)
-        assert F.mul(r, r) == sq
-        if not F.is_zero(x):
+        assert root(sq) in (x, F.neg(x))
+        if u0 is None and x:
             with pytest.raises(NonResidue):
-                F.sqrt(F.mul(s, sq), rng)
-    # a field with no nonsquare yet needs rng exactly when 4 | q - 1
-    sq = F.mul(xs[-1], xs[-1])
-    if F.q % 4 == 1:
-        with pytest.raises(BadWitness):
-            field().sqrt(sq)
-    else:
-        assert field().sqrt(sq) in (xs[-1], F.neg(xs[-1]))
+                sqrt_mod_p(s * sq, p, s)
+    # no witness: the same root when p = 3 mod 4, BadWitness when 4 | p - 1
     if u0 is None:
-        # the integer API keeps the smaller root and demands its witness
-        for x in xs:
-            a = x * x % p
-            root = sqrt_mod_p(a, p, s)
-            assert root * root % p == a and root <= p - root
+        sq = xs[-1] * xs[-1] % p
         if p % 4 == 1:
             with pytest.raises(BadWitness):
-                sqrt_mod_p(4, p)
+                sqrt_mod_p(sq, p)
+        else:
+            assert sqrt_mod_p(sq, p) == root(sq)
 
 
 def test_order_reduce_fixes_residues():
@@ -248,7 +250,7 @@ def test_fp_field_interface():
     x = F.random(rng)
     if x:
         assert F.mul(x, F.inv(x)) == 1
-    assert F.sqrt(4, rng) in (2, 11)
+    assert F.is_square(4) and not F.is_square(2)
     assert F.q == 13
 
 
@@ -288,6 +290,9 @@ def test_chord_round_matches_curve_addition():
         for n in (0, 1, 7, 32):
             xs, ys = step = random_point(curve, rng)
             pts = [random_point(curve, rng) for _ in range(3 * n)]
+            # random_point's roots put its points on the curve
+            for x, y in pts + [step]:
+                assert F.mul(y, y) == F.add(F.mul(x, F.add(F.mul(x, x), curve.A)), curve.B)
             pts = [P for P in pts if P[0] != xs][:n]
             assert len(pts) == n
             assert F.chord_round(pts, xs, ys) == [curve.add(P, step) for P in pts]
