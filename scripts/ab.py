@@ -15,9 +15,13 @@ that separate checkouts in separate processes can show.
 Per workload it prints factors/s for each side (cases over the sum of the
 per-case median times), the p50 and perfbench's tail (run.tail) of those
 medians over all cases, and their per-type p50s, each with the ratio
-other/this (above 1: this tree is faster).  It exits 1 if any case's
-outcome (the factor, the ERR: token or the exception class) differs between
-the two packages; outcomes that differ from the expected value are counted.
+other/this (above 1: this tree is faster).  Reject lines (cli_batch) get one
+p50 per expected token (parse, not-squarefree, good-reduction,
+not-almost-good): their paths differ in cost about thirtyfold, so a median
+over all of them lands between paths and swings on identical trees.  It
+exits 1 if any case's outcome (the factor, the ERR: token or the exception
+class) differs between the two packages; outcomes that differ from the
+expected value are counted.
 
 With --setup N it times cold starts instead, in fresh interpreters: per
 workload, N rounds that each run, for both trees in alternating order, one
@@ -97,10 +101,12 @@ def report(pool, times, outcomes):
     tails = [tail(m)[0] for m in med]
     print(f"  all p50 ms this {p50[0]:.3f}, other {p50[1]:.3f}, ratio {p50[1] / p50[0]:.3f}; "
           f"tail ms this {tails[0]:.3f}, other {tails[1]:.3f}, ratio {tails[1] / tails[0]:.3f}")
-    for typ in sorted({c.typ for c in pool.cases}):
-        idx = [i for i, c in enumerate(pool.cases) if c.typ == typ]
+    groups = [c.expected.removeprefix("ERR:") if c.typ == "reject" else c.typ
+              for c in pool.cases]
+    for group in sorted(set(groups)):
+        idx = [i for i, g in enumerate(groups) if g == group]
         p50 = [statistics.median(m[i] for i in idx) for m in med]
-        print(f"  {typ:>6} p50 ms this {p50[0]:.3f}, other {p50[1]:.3f}, "
+        print(f"  {group:>15} p50 ms this {p50[0]:.3f}, other {p50[1]:.3f}, "
               f"ratio {p50[1] / p50[0]:.3f}")
     wrong = [sum(out != c.expected for out, c in zip(side, pool.cases)) for side in outcomes]
     print(f"  outcomes not as expected: this {wrong[0]}, other {wrong[1]}")

@@ -51,11 +51,20 @@ prime a nonsquare from each of four seeds with the rng's next draw after it,
 and sqrt_mod_p of 0, of 8 squares and of 4 nonsquares, each with that
 witness, with none, with the square 4 and with p, then of 0 and 1 at the
 moduli -3, 0, 1, 2, 4 and 9 (1,244 outputs), compared by the root or the
-exception class.  The oracle section checks the generators that perfbench builds its
-inputs from: per type and each of oracle_mixed's 13 primes (3 ... 8191) it
-draws four oracle.random_instance models with compute_expected=False and
-oracle.perturb of each at 256 bits (416 instances), compared by f, type
-and depths.  Prints the first mismatch and the number of mismatches; exits
+exception class.  The class-read section runs, on 24 seeded random curves
+y^2 = x^3 + Ax + B per field size, the two reads that fix N mod 4 and mod 3
+before a BSGS walk: _order_class(F, A, B), _three_class(F, A, B), and the
+xq_mod values they start from, x^q mod the cubic x^3 + Ax + B (from a
+checkout whose xq_mod takes only the quartic shape, x^q mod x(x^3 + Ax + B)
+reduced mod the cubic) and mod psi_3/3 = x^4 + 2Ax^2 + 4Bx - A^2/3.  It
+covers F_p with p of about 14, 20, 30 and 40 bits, half of them with p = 1
+and half with p = 2 mod 3, and F_{p^2} = F_p[z]/(z^2 + u1 z + u0) with
+u1 != 0 and p from 97 to 127 and of about 10, 13 and 16 bits (768
+outputs), compared output by output.  The oracle section checks the
+generators that perfbench builds its inputs from: per type and each of
+oracle_mixed's 13 primes (3 ... 8191) it draws four oracle.random_instance
+models with compute_expected=False and oracle.perturb of each at 256 bits
+(416 instances), compared by f, type and depths.  Prints the first mismatch and the number of mismatches; exits
 1 if there are any.
 """
 
@@ -91,6 +100,10 @@ SQRT_DEPTHS = range(1, 17)  # one prime p = 2^e m + 1, m odd, per depth e
 SQRT_BITS = (30, 61)  # and primes near 2^30 and 2^61
 SQRT_SEEDS = 4  # find_nonsquare draws per prime
 SQRT_VALUES = 4  # nonsquares per prime, and twice as many squares
+# (field, lo, hi) as for BSGS_FIELDS; over F_{p^2} the modulus has u1 != 0
+CLASS_FIELDS = ([("fp", 1 << (b - 1), 1 << b) for b in (14, 20, 30, 40)]
+                + [("fp2", 97, 128)] + [("fp2", 1 << (b - 1), 1 << b) for b in (10, 13, 16)])
+CLASS_CURVES = 24
 SINGULAR_DEPTHS = range(1, 5)
 SINGULAR_MODELS = 2  # per golden prime, type, curve and depth
 HEIGHT_BITS = (256, 1024)
@@ -124,7 +137,8 @@ def outcomes():
         for i, case in enumerate(golden_inputs(seed, COUNT)):
             out.append((dict(case, seed=seed), factor_outcome(case, i)))
     return (out + singular_outcomes() + height_outcomes() + bsgs_outcomes()
-            + kernel_outcomes() + poly_outcomes() + sqrt_outcomes() + oracle_outcomes())
+            + kernel_outcomes() + poly_outcomes() + sqrt_outcomes() + class_outcomes()
+            + oracle_outcomes())
 
 
 def _double_root_cubic(p, rng, avoid=()):
@@ -478,6 +492,44 @@ def sqrt_outcomes():
     for p in (-3, 0, 1, 2, 4, 9):
         for a in (0, 1):
             out.append(({"op": "sqrt", "a": a, "p": p, "s": None}, root(a, p, None)))
+    return out
+
+
+def class_outcomes():
+    """(curve, outcome) for the class reads before a BSGS walk and the
+    x^q mod the cubic and mod psi_3/3 that they read."""
+    from g2lpoly.genus1 import _order_class, _three_class
+    from g2lpoly.modarith import Fp, Fp2, is_prime
+
+    def xq_cubic(F, A, B):
+        # x^q mod x^3 + Ax + B from either tree: a checkout whose xq_mod
+        # takes only the quartic shape gives x^q mod x(x^3 + Ax + B)
+        try:
+            return F.xq_mod((B, A))
+        except ValueError:
+            h0, h1, h2, h3 = F.xq_mod((F.zero, B, A))
+            return F.sub(h0, F.mul(h3, B)), F.sub(h1, F.mul(h3, A)), h2
+
+    rng = random.Random(2031)
+    out = []
+    for kind, lo, hi in CLASS_FIELDS:
+        for i in range(CLASS_CURVES):
+            p = rng.randrange(lo, hi) | 1
+            # over F_p, curve i takes p = 1 + i % 2 (mod 3)
+            while not is_prime(p) or kind == "fp" and p % 3 != 1 + i % 2:
+                p += 2
+            F = Fp(p)
+            while kind == "fp2":
+                try:
+                    F = Fp2(p, rng.randrange(p), rng.randrange(1, p))
+                    break
+                except ValueError:  # z^2 + u1 z + u0 reducible mod p
+                    pass
+            A, B = F.random(rng), F.random(rng)
+            psi = (F.neg(F.mul(F.mul(A, A), F.inv(F.from_int(3)))), F.smul(4, B), F.smul(2, A))
+            out.append(({"op": "class", "field": repr(F), "A": A, "B": B},
+                        {"mod4": _order_class(F, A, B), "mod3": _three_class(F, A, B),
+                         "xq_cubic": xq_cubic(F, A, B), "xq_psi3": F.xq_mod(psi)}))
     return out
 
 

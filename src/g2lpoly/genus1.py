@@ -6,15 +6,17 @@ F_p and F_{p^2} alike, baby-step/giant-step order-finding on the curve and
 its quadratic twist everywhere else.  lpoly1 takes cubic models only;
 quartic_to_cubic and quartic_jacobian turn a quartic into one.
 The F_q-roots of the cubic fix #E mod 2, and in most cases mod 4; those of
-the 3-division polynomial fix #E mod 3 in most cases.  BSGS searches only
-that class of the Hasse interval, mod up to 12, wherever the interval is
-wide enough for reading it to pay; in narrower ones a nonsquare
-discriminant still makes #E even.  Its random points take no square root:
-each lies on the twist of E by a random w, which is E or its quadratic
-twist as w is a square or not.  Genus1Model and LPoly1 are immutable
-named tuples whose constructors check the model and the Hasse bound;
-Genus1Model's is the one separability check of a genus 1 curve, which
-eulercore relies on for every curve its descents find.
+the 3-division polynomial fix #E mod 3 in most cases, each read off x^q
+modulo that polynomial and one gcd, on raw ints.  BSGS searches only that
+class of the Hasse interval, mod up to 12, wherever the interval is wide
+enough for reading it to pay; in narrower ones a nonsquare discriminant
+still makes #E even.  Its random points take no square root: each lies on
+the twist of E by a random w, which is E or its quadratic twist as w is a
+square or not.  Multiples of a point share its doubling chain, so the giant
+walk steps by the doublings that its start a*G made.  Genus1Model and
+LPoly1 are immutable named tuples whose constructors check the model and
+the Hasse bound; Genus1Model's is the one separability check of a genus 1
+curve, which eulercore relies on for every curve its descents find.
 """
 
 import math
@@ -31,16 +33,16 @@ from .errors import (
     Unsupported,
 )
 from .modarith import Fp2
-from .polyring import field_disc, fp2_trim, reduce_mod
+from .polyring import field_disc, fp2_trim, fp_gcd, reduce_mod
 
 DEFAULT_NAIVE_LIMIT = 1 << 16
 # Counting is exhaustive below q = EXHAUSTIVE_BELOW, over F_p and F_{p^2}
 # alike.  Median ms per count, 20 random cubics and 20 quartics per prime
-# (README, "Point counting"): over F_p the kernel costs 0.06-0.08 against
-# BSGS 0.09-0.10 at p = 8191, and 0.20-0.24 against 0.10-0.11 at 16381;
-# over F_{p^2}, with p^2 evaluations, 0.10-0.12 against 0.12-0.15 at p = 61,
-# and the two break even near p = 89 (0.15-0.19 against 0.14-0.16), the
-# last prime below the bound.  The bound sits at the F_p crossover, 2^13.
+# (README, "Point counting"): over F_p the kernel costs 0.05-0.09 against
+# BSGS 0.08-0.12 at p = 8191, and 0.19-0.22 against 0.09-0.11 at 16381;
+# over F_{p^2}, with p^2 evaluations, 0.05-0.06 against 0.09-0.11 at p = 31,
+# and the two break even near p = 67-73, BSGS leading from 79 up to the
+# bound's last prime, 89.  The bound sits at the F_p crossover, 2^13.
 EXHAUSTIVE_BELOW = 1 << 13
 # Above q = 229, E or its quadratic twist has a point whose order has only
 # one multiple in the Hasse interval (Mestre for prime q; Cremona and
@@ -59,13 +61,16 @@ LANES = 32
 # Random points group_order_bsgs tries, each on the curve or its twist as
 # chance falls (_twist_point), before it gives up with AmbiguousOrder.
 MAX_POINTS = 48
-# Reading #E mod 2 or 4 (_order_class), or mod 3 (_three_class), costs a
-# power x^q mod a quartic, about log2(p) squarings, and a gcd.  Against the
-# walk over the whole Hasse interval (per-call medians, 16 random cubics per
-# log2 q, F_p and F_{p^2} alike), the class mod 4 lost 6-19% at two baby
-# rounds (q = 2^20), broke even at three (2^22) and paid from 2^24; the
-# class mod 3 lost 4-9% at q = 2^26, 3% to +2% at 2^28 (6 rounds), and
-# paid from 2^30 (9 rounds) on.
+# Reading #E mod 2 or 4 (_order_class) costs a power x^q mod the cubic,
+# about log2(p) squarings, and a gcd; mod 3 (_three_class), the same mod a
+# quartic.  Per-call medians of group_order_bsgs with each read on against
+# off, 16 random cubics per log2 q (2^20 to 2^25 for mod 4, 2^26 to 2^32
+# for mod 3), F_p and F_{p^2} alike, grouped by the baby rounds of the walk over the whole interval:
+# the class mod 4, against the parity that the discriminant gives, lost
+# 2-4% at two rounds and paid 2-4% at three and 6% at four.  The class mod
+# 3 lost 3-4% over F_p and 8-13% over F_{p^2} at four and five rounds,
+# broke even at six over F_p and at seven and eight over F_{p^2}, and paid
+# 5-8% from seven rounds over F_p and 2-13% from nine over F_{p^2}.
 CLASS_FROM_ROUNDS = 3
 THREE_FROM_ROUNDS = 8
 
@@ -180,14 +185,19 @@ class _Curve:
     def add(self, P, Q):
         return self.F.ec_add(P, Q, self.A)
 
-    def mul(self, k, P):
+    def doubled(self, chain, i):
+        """2^i*P for chain = [P, 2P, 4P, ...], grown by doubling to index i:
+        a caller that keeps chain pays for each doubling once."""
+        while len(chain) <= i:
+            chain.append(self.add(chain[-1], chain[-1]))
+        return chain[i]
+
+    def mul(self, k, chain):
+        """k*P for chain = [P, 2P, ...] by double-and-add."""
         R = None
-        while k:
-            if k & 1:
-                R = self.add(R, P)
-            k >>= 1
-            if k:
-                P = self.add(P, P)
+        for i in range(k.bit_length()):
+            if k >> i & 1:
+                R = self.add(R, self.doubled(chain, i))
         return R
 
     def advance(self, lanes, step):
@@ -200,21 +210,21 @@ class _Curve:
         plain = [Q is not None and Q[0] != xs for Q in lanes]
         if all(plain):
             return self.F.chord_round(lanes, xs, ys)
-        chords = iter(self.F.chord_round([Q for Q, ok in zip(lanes, plain) if ok], xs, ys))
+        chords = iter(self.F.chord_round([Q for Q, ok in zip(lanes, plain) if ok], xs, ys)
+                      if any(plain) else ())
         return [next(chords) if ok else self.add(Q, step) for Q, ok in zip(lanes, plain)]
 
-    def progression(self, start, step, width, more=False):
-        """([start + k*step for k < width], next) by doubling the lanes: one
-        batched round per doubling, the last cut to the lanes still needed.
-        The step doubles only for a round that follows, so next is
-        width*step (the step of the walk's later rounds) when more, for a
-        power of two width, and None otherwise."""
+    def progression(self, start, chain, width, more=False):
+        """([start + k*step for k < width], next) for chain = [step, 2step,
+        ...] by doubling the lanes: one batched round per doubling, the last
+        cut to the lanes still needed, the round from 2^i lanes stepping by
+        doubled(chain, i).  next is width*step (the step of the walk's later
+        rounds) when more, for a power of two width, and None otherwise."""
         lanes = [start]
         while len(lanes) < width:
+            step = self.doubled(chain, len(lanes).bit_length() - 1)
             lanes += self.advance(lanes[:width - len(lanes)], step)
-            if more or len(lanes) < width:
-                step = self.add(step, step)
-        return lanes, step if more else None
+        return lanes, self.doubled(chain, width.bit_length() - 1) if more else None
 
 
 def _to_short_weierstrass(model: Genus1Model):
@@ -237,20 +247,32 @@ def _to_short_weierstrass(model: Genus1Model):
 
 def _frobenius_roots(F, m, h):
     """gcd(m, x^q - x) for a monic m given by its lower coefficients and
-    h = x^q mod m: the product of x - r over the F_q-roots r of m."""
+    h = x^q mod m: the product of x - r over the F_q-roots r of m.  On raw
+    ints: fp_gcd over F_p, and over F_{p^2} its remainder loop on pairs,
+    each divisor made monic (1/c = frob(c)/N(c)), so the gcd comes out monic."""
     a, b = [*m, F.one], [h[0], F.sub(h[1], F.one), *h[2:]]
+    if F.q == F.p:
+        return fp_gcd(a, b, F.p)
+    p, u0, u1 = F.p, F.u0, F.u1
+    while b and b[-1] == (0, 0):
+        b.pop()
     while b:
-        if F.is_zero(b[-1]):
-            b.pop()
-            continue
-        inv = F.inv(b[-1])
-        while len(a) >= len(b):
-            c = F.mul(a.pop(), inv)
-            for i, bi in enumerate(b[:-1], len(a) - len(b) + 1):
-                a[i] = F.sub(a[i], F.mul(c, bi))
+        c0, c1 = b[-1]
+        ninv = pow((c0 * c0 - u1 * c0 * c1 + u0 * c1 * c1) % p, -1, p)
+        v0, v1 = (c0 - u1 * c1) * ninv % p, -c1 * ninv % p
+        b = [((e0 * v0 - u0 * e1 * v1) % p, (e0 * v1 + e1 * v0 - u1 * e1 * v1) % p)
+             for e0, e1 in b]
+        n = len(b) - 1
+        for k in range(len(a) - 1 - n, -1, -1):
+            c0, c1 = a.pop()  # a -= c x^k b
+            for i, (e0, e1) in enumerate(b[:n], k):
+                t = c1 * e1
+                a[i] = ((a[i][0] - c0 * e0 + u0 * t) % p,
+                        (a[i][1] - c0 * e1 - c1 * e0 + u1 * t) % p)
+        while a and a[-1] == (0, 0):
+            a.pop()
         a, b = b, a
-    inv = F.inv(a[-1])
-    return [F.mul(c, inv) for c in a]
+    return a
 
 
 def _order_class(F, A, B):
@@ -261,11 +283,9 @@ def _order_class(F, A, B):
     2007, ch. 4).  No root: #E is odd.  Three roots: E[2] is rational, so
     4 | #E.  One root e: the 2-part of E(F_q) is cyclic, and 4 | #E exactly
     when (e, 0) is halvable, that is when g'(e) is a square.  x^q is read
-    mod x*g, the one quartic shape F.xq_mod takes.
+    mod g itself, F.xq_mod's cubic shape.
     """
-    h0, h1, h2, h3 = F.xq_mod((F.zero, B, A))
-    h = (F.sub(h0, F.mul(h3, B)), F.sub(h1, F.mul(h3, A)), h2)
-    G = _frobenius_roots(F, (B, A, F.zero), h)
+    G = _frobenius_roots(F, (B, A, F.zero), F.xq_mod((B, A)))
     if len(G) == 4:
         return 0, 4
     if len(G) == 2:
@@ -332,7 +352,7 @@ def _baby_steps(curve: _Curve, Q, s: int, width: int):
     pts[j] is jQ (pts[0] the identity None).
     """
     zero = curve.F.zero
-    lanes, step = curve.progression(None, Q, width, s + 1 > width)
+    lanes, step = curve.progression(None, [Q], width, s + 1 > width)
     baby, pts = {}, [None]
     for j0 in range(0, s + 1, width):
         if j0:
@@ -350,12 +370,14 @@ def _baby_steps(curve: _Curve, Q, s: int, width: int):
     return 0, baby, pts
 
 
-def _giant_start(curve: _Curve, P, m0: int, mod: int, pts, G):
-    """(m0 + mod*s)*P for pts[j] = jQ, j = 0..s, Q = mod*P and G = (2s + 1)*Q.
+def _giant_start(curve: _Curve, chain_p, m0: int, mod: int, pts, chain_g):
+    """(m0 + mod*s)*P for pts[j] = jQ, j = 0..s, Q = mod*P, G = (2s + 1)*Q and
+    the doubling chains chain_p = [P, 2P, ...] and chain_g = [G, 2G, ...].
 
     It is (m0 % mod)*P + a*G + b*Q with (a, b) = divmod(m0 // mod + s, 2s + 1),
     b folded into [-s, s] so that b*Q is +-pts[|b|]: the one long scalar
-    multiplication, a*G, is log2(mod*(2s + 1)) bits shorter.
+    multiplication, a*G, is log2(mod*(2s + 1)) bits shorter, and it leaves
+    chain_g grown to a's top bit, where the giant walk reads its steps.
     """
     s = len(pts) - 1
     a, b = divmod(m0 // mod + s, 2 * s + 1)
@@ -364,7 +386,7 @@ def _giant_start(curve: _Curve, P, m0: int, mod: int, pts, G):
     R = pts[abs(b)]
     if b < 0:
         R = (R[0], curve.F.neg(R[1]))
-    return curve.add(curve.add(curve.mul(m0 % mod, P), curve.mul(a, G)), R)
+    return curve.add(curve.add(curve.mul(m0 % mod, chain_p), curve.mul(a, chain_g)), R)
 
 
 def _two_smallest(cls, lo: int, hi: int):
@@ -396,7 +418,8 @@ def _multiples_in_interval(curve: _Curve, P, lo: int, hi: int, res: int = 0, mod
     if m0 is None:
         return None, None
     K = (hi - m0) // mod
-    Q = curve.mul(mod, P) if mod > 1 else P
+    chain_p = [P]  # one doubling chain for every multiple of P below
+    Q = curve.mul(mod, chain_p) if mod > 1 else P
     s = math.isqrt((K + 1) // 2)
     if Q is None:
         order = 1
@@ -405,17 +428,17 @@ def _multiples_in_interval(curve: _Curve, P, lo: int, hi: int, res: int = 0, mod
     if order:
         # ord(P) = ord(Q) * gcd(ord(P), mod): the least d | mod that kills P
         d = next(d for d in range(1, mod + 1) if mod % d == 0
-                 and (d == mod or curve.mul(order * d, P) is None))
+                 and (d == mod or curve.mul(order * d, chain_p) is None))
         return _two_smallest(_crt((0, order * d), (res, mod)), lo, hi)
     # giant centres c = s + i*(2s + 1): each window [c - s, c + s] holds at
     # most one solution k (they are ord(Q) > 2s apart), and the windows run
     # upwards from k = 0
     stride = 2 * s + 1
     windows = K // stride + 1
-    G = curve.add(curve.add(pts[s], pts[s]), Q)
+    chain_g = [curve.add(curve.add(pts[s], pts[s]), Q)]
     width = _width(windows)
-    lanes, step = curve.progression(_giant_start(curve, P, m0, mod, pts, G), G, width,
-                                    windows > width)
+    start = _giant_start(curve, chain_p, m0, mod, pts, chain_g)
+    lanes, step = curve.progression(start, chain_g, width, windows > width)
     found = []
     for i0 in range(0, windows, width):
         if i0:

@@ -16,7 +16,8 @@ square roots.  The one square root is sqrt_mod_p, Tonelli-Shanks on plain
 ints, whose nonsquare witness find_nonsquare draws: type 2a's two centres
 need it, and nothing else in the package does.
 Each field's raw-int chord_round (one point added to many for one
-inversion), ec_add and xq_mod (x^q mod a quartic) serve the genus 1 BSGS.
+inversion), ec_add and xq_mod (x^q mod a depressed monic cubic or quartic)
+serve the genus 1 BSGS.
 """
 
 import operator
@@ -224,10 +225,24 @@ class Fp:
         return x3, (lam * (x1 - x3) - y1) % p
 
     def xq_mod(self, m):
-        """x^q mod x^4 + a*x^2 + b*x + c for m = (c, b, a), as four
-        coefficients, constant first, on raw ints: square, then multiply by
-        x, once per bit of q below the leading one."""
-        p, (c, b, a), h = self.p, m, (0, 1, 0, 0)
+        """x^q mod x^3 + a*x + b for m = (b, a), as three coefficients, or
+        mod x^4 + a*x^2 + b*x + c for m = (c, b, a), as four, constant
+        first, on raw ints: square, then multiply by x, once per bit of q
+        below the leading one."""
+        p = self.p
+        if len(m) == 2:
+            (b, a), (h0, h1, h2) = m, (0, 1, 0)
+            for bit in bin(p)[3:]:
+                # the square's x^3 and x^4 terms, reduced by x^3 = -(a x + b)
+                s3, s4 = 2 * h1 * h2, h2 * h2
+                s0, s1, s2 = (h0 * h0 - b * s3, 2 * h0 * h1 - a * s3 - b * s4,
+                              h1 * h1 + 2 * h0 * h2 - a * s4)
+                if bit == "1":  # times x: x^3 once more
+                    t = s2 % p
+                    s0, s1, s2 = -b * t, s0 - a * t, s1
+                h0, h1, h2 = s0 % p, s1 % p, s2 % p
+            return h0, h1, h2
+        (c, b, a), h = m, (0, 1, 0, 0)
         for bit in bin(p)[3:]:
             s0, s1, s2, s3, s4, s5, s6 = _square4(*h)
             # x^4 = -(a x^2 + b x + c), applied to x^6, x^5, then x^4
@@ -389,15 +404,39 @@ class Fp2:
         return (x0, x1), ((l0 * w0 - u0 * t - b0) % p, (l0 * w1 + l1 * w0 - u1 * t - b1) % p)
 
     def xq_mod(self, m):
-        """Fp.xq_mod over F_{p^2}, m = (c, b, a) pairs: x^q = (x^p)^p is
-        sum frob(h_i) h^i for h = x^p, h^3 from the squares h^2, h^4 and
+        """Fp.xq_mod over F_{p^2}, m = (b, a) or (c, b, a) pairs: x^q = (x^p)^p
+        is sum frob(h_i) h^i for h = x^p, by squarings mod m.  The cubic needs
+        h^2 only; the quartic's h^3 comes from the squares h^2, h^4 and
         (h + h^2)^2 = h^2 + 2h^3 + h^4.  (X + zY)^2 comes from the F_p squares
         X^2, Y^2, (X + Y)^2, and a pair t reduces as t0*m_j + t1*z*m_j."""
         p, u0, u1 = self.p, self.u0, self.u1
+        cubic, n = len(m) == 2, len(m) + 1
         (c0, c1, cz0, cz1), (b0, b1, bz0, bz1), (a0, a1, az0, az1) = [
-            (m0, m1, -u0 * m1, m0 - u1 * m1) for m0, m1 in m]
+            (m0, m1, -u0 * m1, m0 - u1 * m1) for m0, m1 in ((0, 0), *m)[not cubic:]]
 
-        def square(x, y, shift=False):
+        def square3(x, y, shift=False):
+            (x0, x1, x2), (y0, y1, y2) = x, y
+            w0, w1, w2 = x0 + y0, x1 + y1, x2 + y2
+            X0, X1, X2, X3, X4 = x0 * x0, 2 * x0 * x1, x1 * x1 + 2 * x0 * x2, 2 * x1 * x2, x2 * x2
+            Y0, Y1, Y2, Y3, Y4 = y0 * y0, 2 * y0 * y1, y1 * y1 + 2 * y0 * y2, 2 * y1 * y2, y2 * y2
+            r0, r1, r2, r3, r4 = (X0 - u0 * Y0, X1 - u0 * Y1, X2 - u0 * Y2, X3 - u0 * Y3,
+                                  X4 - u0 * Y4)
+            v = 1 + u1  # (X + Y)^2 - X^2 - (1 + u1) Y^2
+            i0, i1, i2, i3, i4 = (w0 * w0 - X0 - v * Y0, 2 * w0 * w1 - X1 - v * Y1,
+                                  w1 * w1 + 2 * w0 * w2 - X2 - v * Y2, 2 * w1 * w2 - X3 - v * Y3,
+                                  w2 * w2 - X4 - v * Y4)
+            # x^3 = -(a x + b), applied to x^3 and x^4
+            r0, r1, r2 = (r0 - r3 * b0 - i3 * bz0, r1 - r3 * a0 - i3 * az0 - r4 * b0 - i4 * bz0,
+                          r2 - r4 * a0 - i4 * az0)
+            i0, i1, i2 = (i0 - r3 * b1 - i3 * bz1, i1 - r3 * a1 - i3 * az1 - r4 * b1 - i4 * bz1,
+                          i2 - r4 * a1 - i4 * az1)
+            if shift:  # times x: x^3 once more
+                t0, t1 = r2 % p, i2 % p
+                r0, r1, r2 = -t0 * b0 - t1 * bz0, r0 - t0 * a0 - t1 * az0, r1
+                i0, i1, i2 = -t0 * b1 - t1 * bz1, i0 - t0 * a1 - t1 * az1, i1
+            return (r0 % p, r1 % p, r2 % p), (i0 % p, i1 % p, i2 % p)
+
+        def square4(x, y, shift=False):
             X, Y = _square4(*x), _square4(*y)
             r0, r1, r2, r3, r4, r5, r6 = [s - u0 * t for s, t in zip(X, Y)]
             i0, i1, i2, i3, i4, i5, i6 = [s - r - (1 + u1) * t for s, r, t in zip(
@@ -421,17 +460,22 @@ class Fp2:
                                   i1 - t0 * a1 - t1 * az1, i2)
             return (r0 % p, r1 % p, r2 % p, r3 % p), (i0 % p, i1 % p, i2 % p, i3 % p)
 
-        h = (0, 1, 0, 0), (0, 0, 0, 0)
+        square = square3 if cubic else square4
+        zero = (0,) * n
+        h = (0, 1, *zero[2:]), zero
         for bit in bin(p)[3:]:
             h = square(*h, bit == "1")
         h2 = square(*h)
-        h4 = square(*h2)
-        s = square(*([a + b for a, b in zip(u, v)] for u, v in zip(h, h2)))
-        h3 = [[(a - b - c) * (p + 1) // 2 % p for a, b, c in zip(*w)] for w in zip(s, h2, h4)]
-        re, im = [0] * 4, [0] * 4
-        for (f0, f1), (P, Q) in zip(zip(*h), (((1, 0, 0, 0), (0,) * 4), h, h2, h3)):
+        powers = [((1, *zero[1:]), zero), h, h2]
+        if not cubic:
+            h4 = square(*h2)
+            s = square(*([a + b for a, b in zip(u, v)] for u, v in zip(h, h2)))
+            powers.append([[(a - b - c) * (p + 1) // 2 % p for a, b, c in zip(*w)]
+                           for w in zip(s, h2, h4)])
+        re, im = [0] * n, [0] * n
+        for (f0, f1), (P, Q) in zip(zip(*h), powers):
             f0, f1 = f0 - u1 * f1, -f1  # frob(f0 + f1 z) = (f0 - u1 f1) - f1 z
-            for k in range(4):
+            for k in range(n):
                 t = f1 * Q[k]
                 re[k] += f0 * P[k] - u0 * t
                 im[k] += f0 * Q[k] + f1 * P[k] - u1 * t

@@ -8,6 +8,7 @@ with the package's counting kernels.
 import math
 from itertools import product
 
+from g2lpoly.modarith import Fp2
 from g2lpoly.polyring import (
     deg,
     fp_derivative,
@@ -42,6 +43,16 @@ def brute_count_fp(g, p):
 def mul_fp2(a, b, p, u0, u1):
     t = a[1] * b[1]
     return ((a[0] * b[0] - u0 * t) % p, (a[0] * b[1] + a[1] * b[0] - u1 * t) % p)
+
+
+def fp2_with_u1(p, rng):
+    """F_p[z]/(z^2 + u1 z + u0) with u1 != 0, drawn until irreducible: the
+    u1 terms of the raw-int F_{p^2} code are dead at u1 = 0."""
+    while True:
+        try:
+            return Fp2(p, rng.randrange(p), rng.randrange(1, p))
+        except ValueError:  # z^2 + u1 z + u0 reducible mod p
+            continue
 
 
 def fp2_elements(p):

@@ -32,7 +32,7 @@ from g2lpoly.genus1 import (
 from g2lpoly.modarith import Fp, Fp2, find_nonsquare, is_prime
 
 import _util
-from _util import brute_count_fp, brute_count_fp2, random_point
+from _util import brute_count_fp, brute_count_fp2, fp2_with_u1, random_point
 
 F5 = Fp(5)
 F9 = Fp2(3, 1, 0)
@@ -623,21 +623,26 @@ def test_lane_advance_matches_plain_addition(monkeypatch):
         assert curve.advance(lanes, None) == lanes
         # widths 3 and 17 cut the last doubling round short; the step doubles
         # only for a round that follows, so a second round of the walk (more)
-        # steps by width*step, and at width 1 by step itself
+        # steps by width*step, and at width 1 by step itself.  A chain that
+        # already holds the doublings (as a*G leaves it) is read, not redone
+        grown = [curve.mul(1 << i, [step]) for i in range(6)]
         for start, width in ((None, LANES), (lanes[0], LANES), (lanes[0], 4), (None, 1),
                              (lanes[0], 1), (lanes[0], 3), (None, 17)):
-            want = [curve.add(start, curve.mul(k, step)) for k in range(width)]
+            want = [curve.add(start, curve.mul(k, [step])) for k in range(width)]
             for more in (False, True):
                 if more and width & (width - 1):
                     continue  # more needs a power of two width
-                doublings = []
-                monkeypatch.setattr(_Curve, "add", lambda self, P, Q: doublings.append(P == Q)
-                                    or add(self, P, Q))
-                got, final = curve.progression(start, step, width, more)
-                monkeypatch.undo()
-                assert got == want
-                assert final == (curve.mul(width, step) if more else None)
-                assert sum(doublings) == (width - 1).bit_length() - (not more and width > 1)
+                fresh = (width - 1).bit_length() - (not more and width > 1)
+                for chain, count in (([step], fresh), (grown[:], 0)):
+                    doublings = []
+                    monkeypatch.setattr(_Curve, "add", lambda self, P, Q: doublings.append(P == Q)
+                                        or add(self, P, Q))
+                    got, final = curve.progression(start, chain, width, more)
+                    monkeypatch.undo()
+                    assert got == want
+                    assert final == (curve.mul(width, [step]) if more else None)
+                    assert chain == grown[:len(chain)]  # grown by doubling, and kept
+                    assert sum(doublings) == count
 
 
 def _prime_below(n):
@@ -675,12 +680,20 @@ def _fp_primes(lo, hi):
     return [p for p in range(lo, hi) if is_prime(p)]
 
 
+def _shape(F):
+    """The field's shape as the class-read tests cover it."""
+    return "fp" if F.q == F.p else "u1 != 0" if F.u1 else "z^2 - n"
+
+
 def test_order_class_matches_exhaustive_counts():
     # #E mod 2 or 4 from the roots of x^3 + Ax + B, against brute-force
-    # counts: no root, one root e with g'(e) a square or not, three roots
+    # counts: no root, one root e with g'(e) a square or not, three roots.
+    # F_{p^2} as z^2 - n and as z^2 + u1 z + u0 with u1 != 0, each reaching
+    # every branch
     rng = random.Random(52)
     fields = [Fp(p) for p in _fp_primes(5, 300)]
     fields += [Fp2(p, -find_nonsquare(p, rng) % p, 0) for p in _fp_primes(5, 30)]
+    fields += [fp2_with_u1(p, rng) for p in _fp_primes(5, 30)]
     seen = set()
     for F in fields:
         for _ in range(12 if F.q == F.p else 5):
@@ -698,11 +711,13 @@ def test_order_class_matches_exhaustive_counts():
             assert n % mod == res, (F, A, B)
             if len(roots) == 1:
                 slope = F.add(F.smul(3, F.mul(roots[0], roots[0])), A)
-                seen.add("one, square" if F.is_square(slope) else "one, nonsquare")
+                branch = "one, square" if F.is_square(slope) else "one, nonsquare"
             else:
-                seen.add(f"{len(roots)} roots")
+                branch = f"{len(roots)} roots"
+            seen.add((_shape(F), branch))
             assert mod == (2 if not roots else 4)
-    assert seen == {"0 roots", "one, square", "one, nonsquare", "3 roots"}
+    assert seen == {(shape, branch) for shape in ("fp", "z^2 - n", "u1 != 0")
+                    for branch in ("0 roots", "one, square", "one, nonsquare", "3 roots")}
 
 
 def test_class_interval_multiples_match_brute_force_orders():
@@ -800,6 +815,7 @@ def test_three_class_matches_exhaustive_counts():
     rng = random.Random(57)
     fields = [Fp(p) for p in _fp_primes(5, 200)]
     fields += [Fp2(p, -find_nonsquare(p, rng) % p, 0) for p in _fp_primes(5, 30)]
+    fields += [fp2_with_u1(p, rng) for p in _fp_primes(5, 30)]
     seen = set()
     for F in fields:
         for _ in range(12 if F.q == F.p else 6):
@@ -812,13 +828,15 @@ def test_three_class_matches_exhaustive_counts():
             if branch == (1, 1):
                 rhs = F.add(F.mul(roots[0], F.add(F.mul(roots[0], roots[0]), A)), B)
                 branch += ("curve" if F.is_square(rhs) else "twist",)
-            seen.add(branch)
+            seen.add((_shape(F), *branch))
             cls = _three_class(F, A, B)
             if branch in ((2, 0), (1, 4)):
                 assert cls is None, (F, A, B)
             else:
                 assert cls == (n % 3, 3), (F, A, B, n)
-    assert seen == {(2, 0), (2, 2), (1, 0), (1, 1, "curve"), (1, 1, "twist"), (1, 4)}
+    fp2 = {(1, 0), (1, 1, "curve"), (1, 1, "twist"), (1, 4)}  # q = p^2 = 1 (mod 3)
+    assert seen == ({("fp", *b) for b in fp2 | {(2, 0), (2, 2)}}
+                    | {(shape, *b) for shape in ("z^2 - n", "u1 != 0") for b in fp2})
 
 
 def test_bsgs_class_mod_12_on_both_sides(monkeypatch):
@@ -882,7 +900,7 @@ def test_twist_points_lie_on_their_twists():
                 side, twist, (x, y) = genus1._twist_point(F, curve.A, curve.B, rng)
                 seen.add(side)
                 assert F.mul(y, y) == F.add(F.mul(x, F.add(F.mul(x, x), twist.A)), twist.B)
-                assert twist.mul(2 * F.q + 2 - n if side else n, (x, y)) is None
+                assert twist.mul(2 * F.q + 2 - n if side else n, [(x, y)]) is None
     assert seen == {0, 1}
 
 
@@ -890,8 +908,9 @@ def test_bsgs_set_up_matches_naive_above_the_mestre_bound(monkeypatch):
     # Just above MESTRE_BOUND every walk is one round with one lane per
     # point, mostly not a power of two; near q = 2^18 and 2^20 (F_{p^2} at
     # p = 521, F_p at 2^20 + 7) baby and giant walks pass LANES points.  The
-    # points come from both sides of chi(w).
-    widths = []
+    # points come from both sides of chi(w).  A lane round with no chord
+    # (the first baby round, from the identity) makes no chord_round call
+    widths, batches = [], []
     real = genus1._baby_steps
 
     def spy(curve, Q, s, width):
@@ -899,6 +918,9 @@ def test_bsgs_set_up_matches_naive_above_the_mestre_bound(monkeypatch):
         return real(curve, Q, s, width)
 
     monkeypatch.setattr(genus1, "_baby_steps", spy)
+    for cls in (Fp, Fp2):
+        monkeypatch.setattr(cls, "chord_round", lambda self, pts, xs, ys, real=cls.chord_round:
+                            batches.append(len(pts)) or real(self, pts, xs, ys))
     sides = _spy_sides(monkeypatch)
     rng = random.Random(61)
     fields = [(Fp(p), 8) for p in (233, 239, 241, 8209)]
@@ -911,6 +933,7 @@ def test_bsgs_set_up_matches_naive_above_the_mestre_bound(monkeypatch):
     assert {0, 1} <= set(sides)
     assert any(terms == width and width & (width - 1) for terms, width in widths)
     assert any(terms > LANES for terms, _ in widths)
+    assert batches and 0 not in batches
 
 
 def test_nonsquare_discriminant_means_even_count():
@@ -935,7 +958,8 @@ def test_nonsquare_discriminant_means_even_count():
 
 def test_giant_start_reads_the_baby_table():
     # (m0 % mod)*P + a*G + (+-pts[|b|]) = (m0 + mod*s)*P, for b below, at and
-    # above s before the fold
+    # above s before the fold; a*G leaves G's doubling chain up to a's top
+    # bit, where the giant walk reads its steps
     rng = random.Random(63)
     folds = set()
     for F in (Fp(1009), Fp2(43, 1, 0)):
@@ -943,17 +967,20 @@ def test_giant_start_reads_the_baby_table():
             for _ in range(8):
                 curve = _random_curve(F, rng)
                 P = random_point(curve, rng)
-                Q = curve.mul(mod, P)
+                Q = curve.mul(mod, [P])
                 s = rng.randrange(1, 9)
                 if Q is None or _order(curve, Q) <= 2 * s:
                     continue
-                pts = [curve.mul(j, Q) for j in range(s + 1)]
-                G = curve.mul(2 * s + 1, Q)
+                pts = [curve.mul(j, [Q]) for j in range(s + 1)]
+                G = curve.mul(2 * s + 1, [Q])
                 for m0 in rng.sample(range(4 * F.q), 6):
-                    b = (m0 // mod + s) % (2 * s + 1)
+                    a, b = divmod(m0 // mod + s, 2 * s + 1)
                     folds.add((b > s) - (b < s))
-                    got = genus1._giant_start(curve, P, m0, mod, pts, G)
-                    assert got == curve.mul(m0 + mod * s, P), (F, mod, s, m0)
+                    chain = [G]
+                    got = genus1._giant_start(curve, [P], m0, mod, pts, chain)
+                    assert got == curve.mul(m0 + mod * s, [P]), (F, mod, s, m0)
+                    assert len(chain) == max(1, (a + (b > s)).bit_length())
+                    assert chain == [curve.mul(1 << i, [G]) for i in range(len(chain))]
     assert folds == {-1, 0, 1}
 
 
@@ -968,6 +995,6 @@ def test_scalar_multiplication_kills_points():
             n = _brute_count(F, (curve.B, curve.A, F.zero, F.one))
             for _ in range(4):
                 P = random_point(curve, rng)
-                assert curve.mul(n, P) is None, (F, curve.A, curve.B, P)
-                assert curve.mul(n + 1, P) == P
+                assert curve.mul(n, [P]) is None, (F, curve.A, curve.B, P)
+                assert curve.mul(n + 1, [P]) == P
                 assert curve.add(P, (P[0], F.neg(P[1]))) is None

@@ -15,7 +15,7 @@ from g2lpoly.modarith import (
     sqrt_mod_p,
 )
 
-from _util import SMALL_PRIMES, fp2_elements, random_point, sqrt_field
+from _util import SMALL_PRIMES, fp2_elements, fp2_with_u1, random_point, sqrt_field
 
 
 def test_legendre_examples():
@@ -307,25 +307,28 @@ def test_fp_inverse_matches_fermat():
 
 
 def _xq_reference(F, m):
-    """x^q mod x^4 + a x^2 + b x + c, m = (c, b, a), by q - 1 products by x
-    through the field's methods."""
-    c, b, a = m
-    h = [F.zero, F.one, F.zero, F.zero]
+    """x^q mod x^3 + a x + b for m = (b, a), or mod x^4 + a x^2 + b x + c
+    for m = (c, b, a), by q - 1 products by x through the field's methods."""
+    low = (*m, F.zero)  # the modulus below its leading x^n
+    h = [F.zero, F.one] + [F.zero] * (len(low) - 2)
     for _ in range(F.q - 1):
-        t = h[3]
-        h = [F.neg(F.mul(t, c)), F.sub(h[0], F.mul(t, b)), F.sub(h[1], F.mul(t, a)), h[2]]
+        t = h[-1]
+        h = [F.sub(c, F.mul(t, d)) for c, d in zip([F.zero, *h[:-1]], low)]
     return tuple(h)
 
 
 def test_xq_mod_matches_repeated_products():
     # q - 1 products by x against the raw-int square-and-multiply over F_p
     # and the Frobenius route x^q = sum frob(h_i) h^i over F_{p^2}, for
-    # random quartics x^4 + a x^2 + b x + c, c = 0 (x times a cubic) included
+    # random cubics x^3 + a x + b and quartics x^4 + a x^2 + b x + c, with
+    # b = 0 and c = 0 (x times a cubic) included; z^2 + u1 z + u0 with
+    # u1 != 0 reaches the u1 terms
     rng = random.Random(60)
-    fields = [Fp(p) for p in (5, 7, 101, 1009, 7919)]
+    fields = [Fp(p) for p in (3, 5, 7, 101, 1009, 7919)]
     fields += [Fp2(p, -find_nonsquare(p, rng) % p, 0) for p in (3, 7, 23, 61)]
-    fields.append(Fp2(31, 2, 1))  # z^2 + z + 2: u1 != 0
+    fields += [Fp2(31, 2, 1)] + [fp2_with_u1(p, rng) for p in (3, 5, 23, 61)]
     for F in fields:
-        for c_zero in (False, True):
-            m = (F.zero if c_zero else F.random(rng), F.random(rng), F.random(rng))
-            assert F.xq_mod(m) == _xq_reference(F, m), (F, m)
+        for low_zero in (False, True):
+            low = F.zero if low_zero else F.random(rng)
+            for m in ((low, F.random(rng)), (low, F.random(rng), F.random(rng))):
+                assert F.xq_mod(m) == _xq_reference(F, m), (F, m)
