@@ -54,9 +54,9 @@ MESTRE_BOUND = 229
 # Baby and giant steps advance in up to LANES independent lanes.  A round of
 # lane additions is one F.chord_round on raw ints with one inversion (over
 # F_{p^2}, of the F_p norms); more lanes spread it thinner.  A power of two,
-# because the lanes are built by doubling (_Curve.progression) and a walk of
-# several rounds steps by the doubled last step; a walk of fewer points takes
-# one lane per point (_width), and a walk's last round stops at its last point.
+# because _Curve.walk builds its first round by doubling and then steps by
+# the doubled last step; a walk of fewer points takes one lane per point,
+# and a walk's last round stops at its last point.
 LANES = 32
 # Random points group_order_bsgs tries, each on the curve or its twist as
 # chance falls (_twist_point), before it gives up with AmbiguousOrder.
@@ -183,6 +183,8 @@ class _Curve:
         self.B = B
 
     def add(self, P, Q):
+        if P is None or Q is None:
+            return Q if P is None else P
         return self.F.ec_add(P, Q, self.A)
 
     def doubled(self, chain, i):
@@ -214,17 +216,21 @@ class _Curve:
                       if any(plain) else ())
         return [next(chords) if ok else self.add(Q, step) for Q, ok in zip(lanes, plain)]
 
-    def progression(self, start, chain, width, more=False):
-        """([start + k*step for k < width], next) for chain = [step, 2step,
-        ...] by doubling the lanes: one batched round per doubling, the last
-        cut to the lanes still needed, the round from 2^i lanes stepping by
-        doubled(chain, i).  next is width*step (the step of the walk's later
-        rounds) when more, for a power of two width, and None otherwise."""
+    def walk(self, start, chain, n):
+        """The rounds (k0, lanes), lanes[k] = start + (k0 + k)*step for k0 + k
+        < n, chain = [step, 2step, ...], each computed when it is asked for.
+        The first, of min(n, LANES) lanes, takes one batched round per
+        doubling, the one from 2^i lanes stepping by doubled(chain, i); each
+        later round steps every lane by LANES*step, the last one cut short."""
+        width = min(n, LANES)
         lanes = [start]
         while len(lanes) < width:
             step = self.doubled(chain, len(lanes).bit_length() - 1)
             lanes += self.advance(lanes[:width - len(lanes)], step)
-        return lanes, self.doubled(chain, width.bit_length() - 1) if more else None
+        yield 0, lanes
+        for k0 in range(LANES, n, LANES):
+            lanes = self.advance(lanes[:n - k0], self.doubled(chain, LANES.bit_length() - 1))
+            yield k0, lanes
 
 
 def _to_short_weierstrass(model: Genus1Model):
@@ -330,33 +336,26 @@ def _crt(a, b):
     return (r1 + m1 * k) % m, m
 
 
-def _width(terms):
-    """Lanes for a walk of terms points: one per point, up to LANES."""
-    return min(LANES, terms)
-
-
 def _baby_rounds(n):
     """Rounds of LANES baby steps that a walk over n consecutive multiples
     needs to reach isqrt(n/2), and so at most about sqrt(n/2) giant windows."""
     return math.isqrt(n // 2) // LANES + 1
 
 
-def _baby_steps(curve: _Curve, Q, s: int, width: int):
-    """(n, baby, pts) from the walk jQ, j = 0..s, in rounds of width.
+def _baby_steps(curve: _Curve, Q, s: int):
+    """(n, baby, pts) from the walk jQ, j = 0..s (_Curve.walk from the
+    identity), with n = 1 for Q the identity.
 
-    Lane k of the round from j0 holds (j0 + k)*Q, so the first round starts
-    at the identity, and the last one stops at s.  Scanning j upwards, the
-    first j with y(jQ) = 0 or with x(jQ) already in the table is j = ceil(n/2)
-    for n = ord(Q), and it reveals n: 2jQ = O, or jQ = -iQ with i + j = n.
-    No event up to s means n > 2s, and then n is 0, baby maps x(jQ) to j and
-    pts[j] is jQ (pts[0] the identity None).
+    Scanning j upwards, the first j with y(jQ) = 0 or with x(jQ) already in
+    the table is j = ceil(n/2) for n = ord(Q), and it reveals n: 2jQ = O, or
+    jQ = -iQ with i + j = n.  No event up to s means n > 2s, and then n is 0,
+    baby maps x(jQ) to j and pts[j] is jQ (pts[0] the identity None).
     """
+    if Q is None:
+        return 1, None, None
     zero = curve.F.zero
-    lanes, step = curve.progression(None, [Q], width, s + 1 > width)
     baby, pts = {}, [None]
-    for j0 in range(0, s + 1, width):
-        if j0:
-            lanes = curve.advance(lanes[:s + 1 - j0], step)
+    for j0, lanes in curve.walk(None, [Q], s + 1):
         for j, R in enumerate(lanes, j0):
             if j == 0:
                 continue
@@ -410,9 +409,9 @@ def _multiples_in_interval(curve: _Curve, P, lo: int, hi: int, res: int = 0, mod
     (m0 + mod*k)*P = O for k in [0, K], stepping Q = mod*P.  The baby table
     maps x(jQ) to j for j = 1..s; since x(jQ) = x(-jQ), one lookup tests
     both c - j and c + j for a giant centre c, and a y comparison picks the
-    one that solves.  Baby and giant steps each run in _width lanes, one
-    batched inversion per round (_Curve.advance), the last round cut short.
-    The giant walk starts from _giant_start, off the baby table.
+    one that solves.  Baby and giant steps each run through _Curve.walk, one
+    batched inversion per round of up to LANES points.  The giant walk starts
+    from _giant_start, off the baby table, and steps by its chain.
     """
     m0 = _two_smallest((res, mod), lo, hi)[0]
     if m0 is None:
@@ -421,10 +420,7 @@ def _multiples_in_interval(curve: _Curve, P, lo: int, hi: int, res: int = 0, mod
     chain_p = [P]  # one doubling chain for every multiple of P below
     Q = curve.mul(mod, chain_p) if mod > 1 else P
     s = math.isqrt((K + 1) // 2)
-    if Q is None:
-        order = 1
-    else:
-        order, baby, pts = _baby_steps(curve, Q, s, _width(s + 1))
+    order, baby, pts = _baby_steps(curve, Q, s)
     if order:
         # ord(P) = ord(Q) * gcd(ord(P), mod): the least d | mod that kills P
         d = next(d for d in range(1, mod + 1) if mod % d == 0
@@ -436,13 +432,9 @@ def _multiples_in_interval(curve: _Curve, P, lo: int, hi: int, res: int = 0, mod
     stride = 2 * s + 1
     windows = K // stride + 1
     chain_g = [curve.add(curve.add(pts[s], pts[s]), Q)]
-    width = _width(windows)
     start = _giant_start(curve, chain_p, m0, mod, pts, chain_g)
-    lanes, step = curve.progression(start, chain_g, width, windows > width)
     found = []
-    for i0 in range(0, windows, width):
-        if i0:
-            lanes = curve.advance(lanes[:windows - i0], step)
+    for i0, lanes in curve.walk(start, chain_g, windows):
         # the last window may reach past K
         for i, R in enumerate(lanes, i0):
             c = s + i * stride

@@ -209,10 +209,8 @@ class Fp:
         return out
 
     def ec_add(self, P, Q, A):
-        """P + Q on any curve y^2 = x^3 + Ax + B, on raw ints: the chord,
-        or the tangent when P = Q; None is the identity."""
-        if P is None or Q is None:
-            return Q if P is None else P
+        """P + Q for affine P, Q on any curve y^2 = x^3 + Ax + B, on raw ints:
+        the chord, or the tangent when P = Q; None (the identity) for Q = -P."""
         p = self.p
         (x1, y1), (x2, y2) = P, Q
         if x1 != x2:
@@ -378,9 +376,7 @@ class Fp2:
         return out
 
     def ec_add(self, P, Q, A):
-        """Fp.ec_add over F_{p^2}: slope n/d, 1/d = frob(d)/N(d) as in chord_round."""
-        if P is None or Q is None:
-            return Q if P is None else P
+        """Fp.ec_add over F_{p^2}, affine P, Q: slope n/d, 1/d = frob(d)/N(d) as in chord_round."""
         p, u0, u1 = self.p, self.u0, self.u1
         ((a0, a1), (b0, b1)), ((c0, c1), (e0, e1)) = P, Q
         if a0 != c0 or a1 != c1:

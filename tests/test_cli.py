@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -138,9 +139,68 @@ def test_error_vocabulary(monkeypatch):
 
         monkeypatch.setattr(cli, "euler_factor", fail)
         assert process_line(_worked_example_line()) == f"ERR:{cls.token}"
+    assert sorted(_readme_tokens()) == sorted(tokens + ["not-prime", "error"])
+
+
+def _readme_tokens():
+    """The tokens of README's ERR:<token> table."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    table = re.findall(r"^\| `([a-z-]+)` \|", readme, re.M)
-    assert sorted(table) == sorted(tokens + ["not-prime", "error"])
+    return re.findall(r"^\| `([a-z-]+)` \|", readme, re.M)
+
+
+_FUZZ_PRIMES = (3, 5, 7, 11, 13, 31, 97, 251, 1021, 4093, 8191, 16381, 65521, 65537)
+
+
+def _clustered_roots(rng, p, k, cuts=None):
+    """k integer roots in nested p-adic clusters: the k split at cuts (random
+    when None) into parts, each part c + p^e * (its own clustered roots)."""
+    if k == 1:
+        return [rng.randrange(p)]
+    cuts = cuts or sorted(rng.sample(range(1, k), rng.randrange(1, k)))
+    roots = []
+    for a, b in zip([0, *cuts], [*cuts, k]):
+        c, e = rng.randrange(p), rng.randrange(1, 4)
+        roots += [c + p ** e * r for r in _clustered_roots(rng, p, b - a)]
+    return roots
+
+
+def _fuzz_line(rng):
+    """A sextic whose roots cluster p-adically, half of them as two clusters
+    of three roots, and one line in three turned into junk: random grammar
+    characters or the sextic's line with one character changed."""
+    p = rng.choice(_FUZZ_PRIMES)
+    f = (rng.randrange(1, p) * p ** rng.randrange(2),)
+    for r in _clustered_roots(rng, p, 6, rng.choice(([3], None))):
+        f = poly_mul(f, (-r, 1))
+    line = f"{p}:[{','.join(map(str, f))}]"
+    if rng.randrange(3):
+        return line
+    if rng.randrange(2):
+        return "".join(rng.choice("0123456789-:[], _x\t٥") for _ in range(rng.randrange(30)))
+    i = rng.randrange(len(line))
+    return line[:i] + rng.choice(("", rng.choice("0123456789-:[],"), line[i] * 2)) + line[i + 1:]
+
+
+def test_fuzzed_lines_print_a_result_or_a_documented_token():
+    # every line answers within a second: p:[1,a1,a2,p*a1,p^2], a token of
+    # README's table other than error, or nothing for a blank line
+    tokens = {f"ERR:{t}" for t in _readme_tokens()} - {"ERR:error"}
+    rng = random.Random(83)
+    seen = set()
+    for _ in range(2000):
+        line = _fuzz_line(rng)
+        start = time.perf_counter()
+        out = process_line(line)
+        assert time.perf_counter() - start < 1.0, line
+        m = re.fullmatch(r"(\d+):\[1,(-?\d+),(-?\d+),(-?\d+),(\d+)\]", out or "")
+        if m:
+            p, a1, _, a3, a4 = map(int, m.groups())
+            assert (a3, a4) == (p * a1, p * p), line
+            seen.add("result")
+        else:
+            assert out in tokens or (out is None and not line.strip()), (line, out)
+            seen.add(out)
+    assert {"result", "ERR:parse", "ERR:not-almost-good", "ERR:good-reduction"} <= seen
 
 
 def test_trailing_zero_omission():

@@ -169,13 +169,25 @@ def test_non_squarefree_rejected():
         euler_factor(EulerInput(f, 7), random.Random(0))
 
 
-def test_determinism_and_las_vegas_agreement():
+def test_determinism_and_las_vegas_agreement(monkeypatch):
     rng = random.Random(57)
     inst = gen_type2a(29, 2, 4, rng, compute_expected=False)
     a = euler_factor(EulerInput(inst.f, 29), random.Random(1))
     # p = 29 = 1 mod 4: every stream draws its own nonsquare for the centres
     for seed in range(2, 12):
         assert euler_factor(EulerInput(inst.f, 29), random.Random(seed)) == a
+    # type 2b counts over F_{p^2} by BSGS, whose random points differ from
+    # stream to stream: walks of one round at p = 97, of several at 4093
+    walks = []
+    walk = genus1._Curve.walk
+    monkeypatch.setattr(genus1._Curve, "walk", lambda self, start, chain, n:
+                        walks.append(n) or walk(self, start, chain, n))
+    for p in (97, 1021, 4093):
+        inst = gen_type2b(p, rng.randrange(1, 5), rng, compute_expected=False)
+        a = euler_factor(EulerInput(inst.f, p), random.Random(1))
+        for seed in range(2, 7):
+            assert euler_factor(EulerInput(inst.f, p), random.Random(seed)) == a, (p, seed)
+    assert min(walks) <= genus1.LANES < max(walks)
 
 
 def test_output_invariances():

@@ -608,11 +608,10 @@ def test_interval_multiples_two_torsion():
             assert _multiples_in_interval(curve, P, lo, F.q + 1 + t0) == (first, first + 2)
 
 
-def test_lane_advance_matches_plain_addition(monkeypatch):
+def test_lane_advance_matches_plain_addition():
     # a lane that is the identity or +-step has no chord: it goes through
     # add while the other lanes share one inversion
     rng = random.Random(50)
-    add = _Curve.add
     for F in (Fp(1009), Fp2(43, 1, 0)):
         curve = _random_curve(F, rng)
         step = random_point(curve, rng)
@@ -621,28 +620,25 @@ def test_lane_advance_matches_plain_addition(monkeypatch):
         rng.shuffle(lanes)
         assert curve.advance(lanes, step) == [curve.add(Q, step) for Q in lanes]
         assert curve.advance(lanes, None) == lanes
-        # widths 3 and 17 cut the last doubling round short; the step doubles
-        # only for a round that follows, so a second round of the walk (more)
-        # steps by width*step, and at width 1 by step itself.  A chain that
-        # already holds the doublings (as a*G leaves it) is read, not redone
+        # walks of 3 and 17 points cut their doubling round short, and those
+        # past LANES step by LANES*step from offset LANES on.  A fresh chain
+        # gains the doublings that the rounds read, as they are read: a first
+        # round alone doubles to 16*step at most.  A chain that already holds
+        # them (as a*G leaves it) is read, not redone
         grown = [curve.mul(1 << i, [step]) for i in range(6)]
-        for start, width in ((None, LANES), (lanes[0], LANES), (lanes[0], 4), (None, 1),
-                             (lanes[0], 1), (lanes[0], 3), (None, 17)):
-            want = [curve.add(start, curve.mul(k, [step])) for k in range(width)]
-            for more in (False, True):
-                if more and width & (width - 1):
-                    continue  # more needs a power of two width
-                fresh = (width - 1).bit_length() - (not more and width > 1)
-                for chain, count in (([step], fresh), (grown[:], 0)):
-                    doublings = []
-                    monkeypatch.setattr(_Curve, "add", lambda self, P, Q: doublings.append(P == Q)
-                                        or add(self, P, Q))
-                    got, final = curve.progression(start, chain, width, more)
-                    monkeypatch.undo()
-                    assert got == want
-                    assert final == (curve.mul(width, [step]) if more else None)
+        for n, fresh in ((1, 0), (3, 1), (17, 4), (32, 4), (33, 5), (65, 5)):
+            for start in (None, lanes[0]):
+                want = [curve.add(start, curve.mul(k, [step])) for k in range(n)]
+                for chain in ([step], grown[:]):
+                    held = len(chain) - 1  # the doublings the chain holds
+                    rounds = curve.walk(start, chain, n)
+                    assert next(rounds) == (0, want[:LANES])
+                    assert len(chain) - 1 == max(held, min(fresh, 4))
+                    later = list(rounds)
+                    assert [k0 for k0, _ in later] == list(range(LANES, n, LANES))
+                    assert [R for _, rnd in later for R in rnd] == want[LANES:]
                     assert chain == grown[:len(chain)]  # grown by doubling, and kept
-                    assert sum(doublings) == count
+                    assert len(chain) - 1 == max(held, fresh)
 
 
 def _prime_below(n):
@@ -756,6 +752,17 @@ def _prime_near(n, mod, res=1):
     while not is_prime(p):
         p += mod
     return p
+
+
+def test_bsgs_order_is_the_same_under_every_seed():
+    # the random points differ from seed to seed, the order they pin does not
+    rng = random.Random(64)
+    for bits in (14, 20, 30):
+        F = Fp(_prime_near(1 << bits, 2))
+        for _ in range(3):
+            m = _random_nonsingular(rng, F, (None, None, None, 1))
+            orders = {group_order_bsgs(m, random.Random(seed)) for seed in range(6)}
+            assert len(orders) == 1, (F.p, m.g, orders)
 
 
 @pytest.mark.parametrize("bits", (30, 40, 61))
@@ -913,9 +920,9 @@ def test_bsgs_set_up_matches_naive_above_the_mestre_bound(monkeypatch):
     widths, batches = [], []
     real = genus1._baby_steps
 
-    def spy(curve, Q, s, width):
-        widths.append((s + 1, width))
-        return real(curve, Q, s, width)
+    def spy(curve, Q, s):
+        widths.append((s + 1, min(s + 1, LANES)))
+        return real(curve, Q, s)
 
     monkeypatch.setattr(genus1, "_baby_steps", spy)
     for cls in (Fp, Fp2):
