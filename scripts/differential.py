@@ -31,11 +31,14 @@ the exception class.  The kernel section runs count_points_naive on 3 random
 cubics and 3 random quartics per field: over F_p for every odd p <= 61 (the
 plain loop), with p drawn from each [2^(b-1), 2^b) for b = 7 ... 13 and p =
 65521, and over F_{p^2} for every odd p <= 61 and p = 257 (258 counts),
-compared count by count.  The polynomial section runs fp_gcd_k (k = 3 and
-5, the pair (deg gcd(f, f'), kernel), asked for with repeated=True from a
-checkout whose fp_gcd_k still has that switch), fp_gcd(f, f') and
-power_root(f, 6) on 90 seeded sextics per prime, p = 3, 5, 7, 11 and 8191:
-ten each of lc (x - a)^3 u, (x - a)^5 (x - b), lc (x - a)^6, lc g^3 with g
+compared count by count.  It then puts Genus1Model's separability gate to
+two each of planted singular models, lc (x - a)^2 (x - b), lc (x - a)^2 h
+and lc q^2 with h and q random monic quadratics, and of unscreened random
+cubics and quartics, per field (430 models), compared by the degree of the
+model accepted or the exception class.  The polynomial section runs
+fp_gcd_k (k = 3 and 5, the pair (deg gcd(f, f'), kernel)), fp_gcd(f, f')
+and power_root(f, 6) on 90 seeded sextics per prime, p = 3, 5, 7, 11 and
+8191: ten each of lc (x - a)^3 u, (x - a)^5 (x - b), lc (x - a)^6, lc g^3 with g
 a monic quadratic, g^2 h with g and h monic quadratics, lc x (x - a) g^2,
 lc c^2 with c a monic cubic, random sextics redrawn until they have no root
 in F_p, and random sextics; it also runs classify(p_normalize()) on a lift
@@ -54,9 +57,8 @@ moduli -3, 0, 1, 2, 4 and 9 (1,244 outputs), compared by the root or the
 exception class.  The class-read section runs, on 24 seeded random curves
 y^2 = x^3 + Ax + B per field size, the two reads that fix N mod 4 and mod 3
 before a BSGS walk: _order_class(F, A, B), _three_class(F, A, B), and the
-xq_mod values they start from, x^q mod the cubic x^3 + Ax + B (from a
-checkout whose xq_mod takes only the quartic shape, x^q mod x(x^3 + Ax + B)
-reduced mod the cubic) and mod psi_3/3 = x^4 + 2Ax^2 + 4Bx - A^2/3.  It
+xq_mod values they start from, x^q mod the cubic x^3 + Ax + B and mod
+psi_3/3 = x^4 + 2Ax^2 + 4Bx - A^2/3.  It
 covers F_p with p of about 14, 20, 30 and 40 bits, half of them with p = 1
 and half with p = 2 mod 3, and F_{p^2} = F_p[z]/(z^2 + u1 z + u0) with
 u1 != 0 and p from 97 to 127 and of about 10, 13 and 16 bits (768
@@ -69,7 +71,6 @@ models with compute_expected=False and oracle.perturb of each at 256 bits
 """
 
 import argparse
-import inspect
 import json
 import os
 import random
@@ -93,6 +94,7 @@ SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
 KERNEL_FP_BITS = range(7, 14)
 KERNEL_PRIMES = ([("fp", 65521)] + [("fp2", p) for p in SMALL_PRIMES + (257,)])
 KERNEL_MODELS = 3  # cubics, and as many quartics, per field
+GATE_MODELS = 2  # per field and shape put to Genus1Model's separability gate
 POLY_PRIMES = (3, 5, 7, 11, 8191)
 POLY_SEXTICS = 10  # per pattern and prime
 POWERS = 10  # planted lc (x - r)^k per k and field
@@ -312,7 +314,8 @@ def bsgs_outcomes():
 
 
 def kernel_outcomes():
-    """(model, outcome) for count_points_naive on the seeded random models."""
+    """(model, outcome) for count_points_naive on the seeded random models,
+    then for Genus1Model on planted singular and unscreened random ones."""
     from g2lpoly.errors import DegreeError, NotSquarefree
     from g2lpoly.genus1 import Genus1Model, count_points_naive
     from g2lpoly.modarith import is_prime
@@ -340,6 +343,28 @@ def kernel_outcomes():
             except Exception as exc:  # the exception class is part of the outcome
                 got = {"exc": type(exc).__name__}
             out.append(({"field": repr(F), "g": g}, got))
+    gate = random.Random(2032)  # its own draws, so that the counts above keep theirs
+    for kind, p in drawn + KERNEL_PRIMES:
+        F = _random_field(kind, p, gate)
+
+        def monic(d):
+            return tuple(F.random(gate) for _ in range(d)) + (F.one,)
+
+        for _ in range(GATE_MODELS):
+            lc = (F.random(gate),)
+            while F.is_zero(lc[0]):
+                lc = (F.random(gate),)
+            a, q = monic(1), monic(2)
+            square = _times(lc, _times(a, a, F), F)
+            for g in (_times(square, monic(1), F), _times(square, monic(2), F),
+                      _times(lc, _times(q, q, F), F),
+                      tuple(F.random(gate) for _ in range(4)),
+                      tuple(F.random(gate) for _ in range(5))):
+                try:
+                    got = {"gate": Genus1Model(F, g).degree}
+                except Exception as exc:  # the exception class is part of the outcome
+                    got = {"exc": type(exc).__name__}
+                out.append(({"op": "gate", "field": repr(F), "g": g}, got))
     return out
 
 
@@ -400,13 +425,6 @@ def poly_outcomes():
     from g2lpoly.modarith import Fp
     from g2lpoly.polyring import fp_derivative, fp_gcd, fp_gcd_k, power_root
 
-    # (deg gcd(f, f'), kernel) from either tree: a checkout whose fp_gcd_k
-    # still has the repeated switch returns that pair only with it set
-    repeated = {"repeated": True} if "repeated" in inspect.signature(fp_gcd_k).parameters else {}
-
-    def gcd_k(f, k, p):
-        return fp_gcd_k(f, k, p, **repeated)
-
     def run(fn, *args):
         try:
             return {"out": fn(*args)}
@@ -428,8 +446,8 @@ def poly_outcomes():
                         "cubic_square", "rootless", "random"):
             for _ in range(POLY_SEXTICS):
                 f = _planted_sextic(pattern, F, rng)
-                for name, fn, args in (("gcd_k3", gcd_k, (f, 3, p)),
-                                       ("gcd_k5", gcd_k, (f, 5, p)),
+                for name, fn, args in (("gcd_k3", fp_gcd_k, (f, 3, p)),
+                                       ("gcd_k5", fp_gcd_k, (f, 5, p)),
                                        ("gcd_df", fp_gcd, (f, fp_derivative(f, p), p)),
                                        ("root6", power_root, (f, 6, F))):
                     out.append(({"op": name, "p": p, "f": f}, run(fn, *args)))
@@ -501,15 +519,6 @@ def class_outcomes():
     from g2lpoly.genus1 import _order_class, _three_class
     from g2lpoly.modarith import Fp, Fp2, is_prime
 
-    def xq_cubic(F, A, B):
-        # x^q mod x^3 + Ax + B from either tree: a checkout whose xq_mod
-        # takes only the quartic shape gives x^q mod x(x^3 + Ax + B)
-        try:
-            return F.xq_mod((B, A))
-        except ValueError:
-            h0, h1, h2, h3 = F.xq_mod((F.zero, B, A))
-            return F.sub(h0, F.mul(h3, B)), F.sub(h1, F.mul(h3, A)), h2
-
     rng = random.Random(2031)
     out = []
     for kind, lo, hi in CLASS_FIELDS:
@@ -529,7 +538,7 @@ def class_outcomes():
             psi = (F.neg(F.mul(F.mul(A, A), F.inv(F.from_int(3)))), F.smul(4, B), F.smul(2, A))
             out.append(({"op": "class", "field": repr(F), "A": A, "B": B},
                         {"mod4": _order_class(F, A, B), "mod3": _three_class(F, A, B),
-                         "xq_cubic": xq_cubic(F, A, B), "xq_psi3": F.xq_mod(psi)}))
+                         "xq_cubic": F.xq_mod((B, A)), "xq_psi3": F.xq_mod(psi)}))
     return out
 
 

@@ -75,11 +75,8 @@ def p_normalize(f, p: int) -> PNormalized:
         raise DegreeError(f"need a quintic or sextic, got degree {deg(f)}")
     check_odd_prime_modulus(p)
     if deg(f) == 5:
-        for a in range(7):
-            if poly_eval(f, a) != 0:
-                break
-        else:
-            raise NotSquarefree("quintic vanishes at seven points")
+        # a nonzero quintic has at most five roots
+        a = next(a for a in range(6) if poly_eval(f, a))
         if a:
             f = taylor_shift(f, a)
         f = reverse6(f)

@@ -7,16 +7,16 @@ its quadratic twist everywhere else.  lpoly1 takes cubic models only;
 quartic_to_cubic and quartic_jacobian turn a quartic into one.
 The F_q-roots of the cubic fix #E mod 2, and in most cases mod 4; those of
 the 3-division polynomial fix #E mod 3 in most cases, each read off x^q
-modulo that polynomial and one gcd, on raw ints.  BSGS searches only that
-class of the Hasse interval, mod up to 12, wherever the interval is wide
-enough for reading it to pay; in narrower ones a nonsquare discriminant
-still makes #E even.  Its random points take no square root: each lies on
-the twist of E by a random w, which is E or its quadratic twist as w is a
-square or not.  Multiples of a point share its doubling chain, so the giant
-walk steps by the doublings that its start a*G made.  Genus1Model and
-LPoly1 are immutable named tuples whose constructors check the model and
-the Hasse bound; Genus1Model's is the one separability check of a genus 1
-curve, which eulercore relies on for every curve its descents find.
+modulo that polynomial and one field_gcd.  BSGS searches only that class of
+the Hasse interval, mod up to 12, wherever the interval is wide enough for
+reading it to pay; in narrower ones a nonsquare discriminant still makes #E
+even.  Its random points take no square root: each lies on the twist of E
+by a random w, which is E or its quadratic twist as w is a square or not.
+Multiples of a point share its doubling chain, so the giant walk steps by
+the doublings that its start a*G made.  Genus1Model and LPoly1 are
+immutable named tuples whose constructors check the model and the Hasse
+bound; Genus1Model's is the one separability check of a genus 1 curve,
+which eulercore relies on for every curve its descents find.
 """
 
 import math
@@ -33,7 +33,7 @@ from .errors import (
     Unsupported,
 )
 from .modarith import Fp2
-from .polyring import field_disc, fp2_trim, fp_gcd, reduce_mod
+from .polyring import field_disc, field_gcd, fp2_trim, reduce_mod
 
 DEFAULT_NAIVE_LIMIT = 1 << 16
 # Counting is exhaustive below q = EXHAUSTIVE_BELOW, over F_p and F_{p^2}
@@ -77,7 +77,8 @@ THREE_FROM_ROUNDS = 8
 
 class Genus1Model(namedtuple("Genus1Model", "field g")):
     """A squarefree cubic or quartic y^2 = g(x) over F_p or F_{p^2} (field
-    an Fp or Fp2); g is kept reduced and trimmed."""
+    an Fp or Fp2); g is kept reduced and trimmed.  A cubic is tested by its
+    closed-form discriminant, a quartic by gcd(g, g'), exact at odd p."""
 
     __slots__ = ()
 
@@ -86,7 +87,12 @@ class Genus1Model(namedtuple("Genus1Model", "field g")):
         d = len(g) - 1
         if d not in (3, 4):
             raise DegreeError(f"genus 1 model needs degree 3 or 4, got {d}")
-        if field.is_zero(field_disc(g, field)):
+        if d == 3:
+            singular = field.is_zero(field_disc(g, field))
+        else:  # g' keeps degree 3, as 4 lc != 0 at odd p
+            dg = [field.smul(i, c) for i, c in enumerate(g)][1:]
+            singular = len(field_gcd(g, dg, field)) > 1
+        if singular:
             raise NotSquarefree("singular genus 1 model")
         return super().__new__(cls, field, g)
 
@@ -253,32 +259,8 @@ def _to_short_weierstrass(model: Genus1Model):
 
 def _frobenius_roots(F, m, h):
     """gcd(m, x^q - x) for a monic m given by its lower coefficients and
-    h = x^q mod m: the product of x - r over the F_q-roots r of m.  On raw
-    ints: fp_gcd over F_p, and over F_{p^2} its remainder loop on pairs,
-    each divisor made monic (1/c = frob(c)/N(c)), so the gcd comes out monic."""
-    a, b = [*m, F.one], [h[0], F.sub(h[1], F.one), *h[2:]]
-    if F.q == F.p:
-        return fp_gcd(a, b, F.p)
-    p, u0, u1 = F.p, F.u0, F.u1
-    while b and b[-1] == (0, 0):
-        b.pop()
-    while b:
-        c0, c1 = b[-1]
-        ninv = pow((c0 * c0 - u1 * c0 * c1 + u0 * c1 * c1) % p, -1, p)
-        v0, v1 = (c0 - u1 * c1) * ninv % p, -c1 * ninv % p
-        b = [((e0 * v0 - u0 * e1 * v1) % p, (e0 * v1 + e1 * v0 - u1 * e1 * v1) % p)
-             for e0, e1 in b]
-        n = len(b) - 1
-        for k in range(len(a) - 1 - n, -1, -1):
-            c0, c1 = a.pop()  # a -= c x^k b
-            for i, (e0, e1) in enumerate(b[:n], k):
-                t = c1 * e1
-                a[i] = ((a[i][0] - c0 * e0 + u0 * t) % p,
-                        (a[i][1] - c0 * e1 - c1 * e0 + u1 * t) % p)
-        while a and a[-1] == (0, 0):
-            a.pop()
-        a, b = b, a
-    return a
+    h = x^q mod m: the product of x - r over the F_q-roots r of m."""
+    return field_gcd([*m, F.one], [h[0], F.sub(h[1], F.one), *h[2:]], F)
 
 
 def _order_class(F, A, B):

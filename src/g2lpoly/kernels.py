@@ -1,15 +1,16 @@
 """Exhaustive point counting: a plain loop below p = 2^6, numpy above.
 
-Both kernels count affine points of y^2 = g(x), i.e. sum over x of
-1 + chi(g(x)) with chi the quadratic character (chi(0) = 0); points at
-infinity are the caller's job.
+Both kernels count affine points of y^2 = g(x), g a Genus1Model's cubic or
+quartic, i.e. sum over x of 1 + chi(g(x)) with chi the quadratic character
+(chi(0) = 0); points at infinity are the caller's job.
 
 Over F_p with p < _LOOP_BELOW = 2^6 the count is a plain-Python Horner loop
-that reads 1 + chi(v) from a cached per-p tuple, unrolled for cubics and
-quartics.  There numpy's fixed cost of 12-28 us per call (with the character
-table warm or cold) is more than the whole loop: about 2 us at p = 3 and
-12-15 us at p = 61.  The two are even near p = 97, and numpy wins from 127.
-F_{p^2} stays on numpy: a plain loop wins there only at p = 3 and 5.
+that reads 1 + chi(v) from a cached per-p tuple, unrolled for cubics, the
+degree the pipeline counts.  There numpy's fixed cost of 12-28 us per call
+(with the character table warm or cold) is more than the whole loop: about
+2 us at p = 3 and 12-15 us at p = 61.  The two are even near p = 97, and
+numpy wins from 127.  F_{p^2} stays on numpy: a plain loop wins there only
+at p = 3 and 5.
 
 In the numpy kernels Horner runs in place on int64 and reduces mod p only
 where it must.  All operands are kept non-negative (a subtraction becomes
@@ -66,9 +67,6 @@ def _count_loop(cs, p):
     if len(cs) == 4:
         c0, c1, c2, c3 = cs
         return sum([t[(((c3 * x + c2) * x + c1) * x + c0) % p] for x in range(p)])
-    if len(cs) == 5:
-        c0, c1, c2, c3, c4 = cs
-        return sum([t[((((c4 * x + c3) * x + c2) * x + c1) * x + c0) % p] for x in range(p)])
     rev = cs[::-1]
     n = 0
     for x in range(p):
@@ -120,7 +118,6 @@ def count_affine_fp(coeffs, p: int) -> int:
 
     m = p - 1
     cs = [int(c) % p for c in reversed(coeffs)]
-    cs = [0] * (2 - len(cs)) + cs  # at least l x + c
     chi = _chi_table(p)
     x = np.arange(p, dtype=np.int64)
     acc, tmp = np.empty((2, p), dtype=np.int64)
@@ -158,7 +155,6 @@ def count_affine_fp2(coeffs, u0: int, u1: int, p: int) -> int:
     u0 %= p
     n0, n1 = -u0 % p, -u1 % p
     cs = [(int(c[0]) % p, int(c[1]) % p) for c in reversed(coeffs)]
-    cs = [(0, 0)] * (2 - len(cs)) + cs  # at least l x + c
     chi = _chi_table(p)
     rows = min(p, max(1, _FP2_BLOCK // p))
     # a, b and four accumulators, rows * p each, in one allocation

@@ -8,14 +8,15 @@ One shift f(x + r), taylor_shift over Z or a residue ring R from modarith
 (Integers(p) for Z, a QuadOrder for the unramified quadratic order), serves
 the descent step f(p x + r) / p^k (shift_scale), the type 1 and type 4 cut
 and the oracle's plants; reduce_poly is the one reduction R[x] -> kappa[x].
-Over F_p, fp_gcd_k reads repeated factors off gcds of derivatives alone,
-once each root in F_p is stripped by synthetic division at p <= deg f.
+Over F_p, fp_gcd_k reads repeated factors off gcds of derivatives alone
+(fp_gcd, on raw ints), once each root in F_p is stripped by synthetic
+division at p <= deg f; every other gcd is field_gcd, over Fp or Fp2.
 """
 
 from math import comb
 
 from .errors import DegreeError
-from .modarith import Fp2, Integers, QuadOrder
+from .modarith import Integers, QuadOrder
 
 # ---------------------------------------------------------------------------
 # integer polynomials
@@ -184,7 +185,7 @@ def disc(f):
     (-1)^(d(d-1)/2) Res(f, f')/lc(f), with the resultant from the
     subresultant PRS of f and f', whose exact divisions keep the
     coefficients near the size of Res(f, f').  The closed forms for degrees
-    2-4 live in field_disc.
+    2 and 3 live in field_disc.
     """
     d = deg(f)
     if d not in (2, 3, 4, 5, 6):
@@ -306,60 +307,52 @@ def fp_gcd_k(f, k: int, p: int):
 # ---------------------------------------------------------------------------
 
 
-def fp2_trim(f, F: Fp2):
+def fp2_trim(f, F):
     f = list(f)
     while f and F.is_zero(f[-1]):
         f.pop()
     return tuple(f)
 
 
-def fp2_scale(f, c, F: Fp2):
+def fp2_scale(f, c, F):
     if F.is_zero(c):
         return ()
     return tuple(F.mul(a, c) for a in f)
 
 
 def field_disc(g, F):
-    """Discriminant of a trimmed g over F, degrees 2-4 (all the pipeline needs)."""
+    """Discriminant of a trimmed g over F, degrees 2 and 3 (all the pipeline needs)."""
     d = len(g) - 1
-    if d not in (2, 3, 4):
-        raise DegreeError(f"field discriminant supports degree 2..4, got {d}")
+    if d not in (2, 3):
+        raise DegreeError(f"field discriminant supports degree 2 or 3, got {d}")
     mul, sub, smul = F.mul, F.sub, F.smul
     if d == 2:
         c, b, a = g
         return sub(mul(b, b), smul(4, mul(a, c)))
-    if d == 3:
-        d0, c, b, a = g
-        t1 = smul(18, mul(mul(a, b), mul(c, d0)))
-        t2 = smul(4, mul(mul(b, b), mul(b, d0)))
-        t3 = mul(mul(b, b), mul(c, c))
-        t4 = smul(4, mul(a, mul(c, mul(c, c))))
-        t5 = smul(27, mul(mul(a, a), mul(d0, d0)))
-        return sub(sub(F.add(sub(t1, t2), t3), t4), t5)
-    e, d0, c, b, a = g
-    a2, b2, c2, d2, e2 = mul(a, a), mul(b, b), mul(c, c), mul(d0, d0), mul(e, e)
-    terms = [
-        smul(256, mul(mul(a2, a), mul(e2, e))),
-        smul(-192, mul(mul(a2, b), mul(d0, e2))),
-        smul(-128, mul(mul(a2, c2), e2)),
-        smul(144, mul(mul(a2, c), mul(d2, e))),
-        smul(-27, mul(a2, mul(d2, d2))),
-        smul(144, mul(mul(a, b2), mul(c, e2))),
-        smul(-6, mul(mul(a, b2), mul(d2, e))),
-        smul(-80, mul(mul(a, b), mul(mul(c2, d0), e))),
-        smul(18, mul(mul(a, b), mul(c, mul(d0, d2)))),
-        smul(16, mul(a, mul(mul(c2, c2), e))),
-        smul(-4, mul(a, mul(mul(c2, c), d2))),
-        smul(-27, mul(mul(b2, b2), e2)),
-        smul(18, mul(mul(b2, b), mul(c, mul(d0, e)))),
-        smul(-4, mul(mul(b2, b), mul(d0, d2))),
-        smul(-4, mul(b2, mul(mul(c2, c), e))),
-        mul(b2, mul(c2, d2)),
-    ]
-    acc = F.zero
-    for t in terms:
-        acc = F.add(acc, t)
-    return acc
+    d0, c, b, a = g
+    t1 = smul(18, mul(mul(a, b), mul(c, d0)))
+    t2 = smul(4, mul(mul(b, b), mul(b, d0)))
+    t3 = mul(mul(b, b), mul(c, c))
+    t4 = smul(4, mul(a, mul(c, mul(c, c))))
+    t5 = smul(27, mul(mul(a, a), mul(d0, d0)))
+    return sub(sub(F.add(sub(t1, t2), t3), t4), t5)
+
+
+def field_gcd(a, b, F):
+    """Monic gcd over F, Fp or Fp2: fp_gcd's remainder loop through F's methods."""
+    a, b = list(fp2_trim(a, F)), list(fp2_trim(b, F))
+    while b:
+        n = len(b) - 1
+        inv = F.inv(b[-1])
+        for k in range(len(a) - 1 - n, -1, -1):
+            c = F.mul(a.pop(), inv)
+            if not F.is_zero(c):
+                for i in range(n):
+                    a[k + i] = F.sub(a[k + i], F.mul(c, b[i]))
+        while a and F.is_zero(a[-1]):
+            a.pop()
+        a, b = b, a
+    return fp2_scale(a, F.inv(a[-1]), F) if a else ()
 
 
 def power_root(g, k: int, F):

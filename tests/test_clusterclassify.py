@@ -70,6 +70,22 @@ def test_normalize_quintic_reversal():
     assert nf.v == 0
 
 
+def test_normalize_quintic_with_five_roots(monkeypatch):
+    # a nonzero quintic has at most five roots, so x (x - 1) ... (x - 4) is
+    # shifted by 5, the last candidate, and then reversed
+    shifts = []
+
+    def spy(f, r, R=None):
+        shifts.append(r)
+        return taylor_shift(f, r, R)
+
+    monkeypatch.setattr(clusterclassify, "taylor_shift", spy)
+    f = _product([(-i, 1) for i in range(5)])
+    nf = p_normalize(f, 7)
+    assert shifts == [5]
+    assert nf.f == reverse6(taylor_shift(f, 5)) and nf.v == 0
+
+
 def test_normalize_fixed_point():
     p = 5
     f = _product([(0, 1), (-1, 1), (-2, 1), (-3, 1), (-4, 1), (-6, 1)])

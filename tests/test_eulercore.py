@@ -437,10 +437,10 @@ def test_singular_second_curve_is_found_before_counting(monkeypatch):
 
 @pytest.mark.parametrize("p", [13, 127, 1021])
 def test_one_separability_check_per_curve(monkeypatch, p):
-    # field_disc runs once per Genus1Model, plus classify's quadratic kernel
-    # (types 2a and 2b) and type 2a's centres; classify reads type 1's loose
-    # cubic off deg gcd(fbar, fbar'), so the F_p gcds of a type 1 factor are
-    # the two of fp_gcd_k (p > 6)
+    # field_disc runs once per Genus1Model, each a cubic, plus classify's
+    # quadratic kernel (types 2a and 2b) and type 2a's centres; classify reads
+    # type 1's loose cubic off deg gcd(fbar, fbar'), so the F_p gcds of a
+    # type 1 factor are the two of fp_gcd_k (p > 6)
     calls = {"field_disc": 0, "fp_gcd": 0}
 
     def counting(name, fn):

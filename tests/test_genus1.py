@@ -146,7 +146,7 @@ def _affine_brute_fp(g, p):
 
 
 def test_count_loop_against_bruteforce_below_the_bound():
-    # every odd prime below 2^6, at the unrolled degrees and the generic
+    # every odd prime below 2^6, at the unrolled cubic and the generic
     # Horner, with unreduced and negative coefficients
     rng = random.Random(36)
     primes = [p for p in range(3, kernels._LOOP_BELOW, 2) if is_prime(p)]

@@ -5,12 +5,15 @@ import pytest
 
 from g2lpoly.clusterclassify import p_normalize
 from g2lpoly.errors import DegreeError, InexactDivision, NotSquarefree
+from g2lpoly.genus1 import Genus1Model
 from g2lpoly.modarith import Fp, Fp2, Integers, QuadOrder
 from g2lpoly.polyring import (
     complete_square,
     deg,
     disc,
     field_disc,
+    field_gcd,
+    fp2_scale,
     fp_disc,
     fp_gcd,
     fp_gcd_k,
@@ -32,6 +35,7 @@ from g2lpoly.polyring import (
 from _util import (
     SMALL_PRIMES,
     fp2_elements,
+    fp2_with_u1,
     fp_gcd_k_by_trial_division,
     fp_long_division,
     fp_monic_irreducibles,
@@ -328,8 +332,9 @@ def test_disc_shift_invariance():
 
 
 def test_disc_closed_forms_match_resultant():
-    # degrees 2-4: the PRS in disc over Z and the closed forms in field_disc
-    # over F_p, both against the Sylvester determinant
+    # degrees 2-4: the PRS in disc over Z, the closed forms in field_disc
+    # over F_p (degrees 2 and 3) and Genus1Model's gcd gate on quartics, all
+    # against the Sylvester determinant
     rng = random.Random(15)
     sign = {2: -1, 3: -1, 4: 1}
     for _ in range(60):
@@ -338,8 +343,15 @@ def test_disc_closed_forms_match_resultant():
         res = sylvester_resultant(f, poly_derivative(f))
         assert disc(f) * f[-1] == sign[d] * res
         p = rng.choice(SMALL_PRIMES)
-        if f[-1] % p:
+        if f[-1] % p == 0:
+            continue
+        if d < 4:
             assert field_disc(reduce_mod(f, p), Fp(p)) * f[-1] % p == sign[d] * res % p
+        elif res % p == 0:
+            with pytest.raises(NotSquarefree):
+                Genus1Model(Fp(p), f)
+        else:
+            Genus1Model(Fp(p), f)
 
 
 def _disc_reference(f):
@@ -415,12 +427,123 @@ def test_fp2_disc_cubic_matches_lifted_integer_formula():
 
 
 def test_field_disc_over_fp_matches_integer_formula():
+    # degrees 2 and 3 on field_disc; a quartic, random or lc (x - a)^2 h,
+    # is refused by Genus1Model exactly when its discriminant vanishes mod p
     rng = random.Random(19)
+    singular = 0
     for _ in range(200):
         p = rng.choice(SMALL_PRIMES)
         d = rng.randrange(2, 5)
         g = tuple(rng.randrange(p) for _ in range(d)) + (rng.randrange(1, p),)
-        assert field_disc(g, Fp(p)) == fp_disc(g, p)
+        if d == 4 and rng.random() < 0.5:
+            a = rng.randrange(p)
+            g = fp_mul(fp_mul((-a % p, 1), (-a % p, 1), p), g[2:], p)
+        if d < 4:
+            assert field_disc(g, Fp(p)) == fp_disc(g, p)
+        elif fp_disc(g, p) == 0:
+            singular += 1
+            with pytest.raises(NotSquarefree):
+                Genus1Model(Fp(p), g)
+        else:
+            assert Genus1Model(Fp(p), g).g == g
+    assert singular >= 20
+
+
+def test_fp2_quartic_gate_on_planted_quartics():
+    # over F_{p^2}, u1 != 0: lc (x - a)^2 h and lc q^2 with q irreducible
+    # are refused; lc (x - a)(x - b) q, lc q r and lc (x - a) c with q != r
+    # irreducible quadratics and c an irreducible cubic are accepted; and a
+    # quartic with F_p coefficients is refused exactly when fp_disc is 0
+    rng = random.Random(21)
+    for p in (3, 5, 7):
+        F = fp2_with_u1(p, rng)
+        elements = _elements(F)
+
+        def monic(d, rootless=False):
+            while True:
+                g = tuple(rng.choice(elements) for _ in range(d)) + (F.one,)
+                if not rootless or all(not F.is_zero(_eval(g, x, F)) for x in elements):
+                    return g
+
+        for _ in range(10):
+            a, b = rng.sample(elements, 2)
+            q, r = monic(2, True), monic(2, True)
+            lc = (rng.choice(elements[1:]),)
+            for g in (_times(_power(a, 2, F, lc[0]), monic(2), F),
+                      _times(_times(lc, q, F), q, F)):
+                with pytest.raises(NotSquarefree):
+                    Genus1Model(F, g)
+            squarefree = [_times(_times_linear(_times_linear(lc, a, F), b, F), q, F),
+                          _times(_times_linear(lc, a, F), monic(3, True), F)]
+            if q != r:
+                squarefree.append(_times(_times(lc, q, F), r, F))
+            for g in squarefree:
+                assert Genus1Model(F, g).degree == 4
+            g = tuple(rng.randrange(p) for _ in range(4)) + (rng.randrange(1, p),)
+            embedded = tuple((c, 0) for c in g)
+            if fp_disc(g, p) == 0:
+                with pytest.raises(NotSquarefree):
+                    Genus1Model(F, embedded)
+            else:
+                Genus1Model(F, embedded)
+
+
+def _sparse_poly(rng, F, d):
+    """A polynomial of degree d over F, () for d < 0, whose lower
+    coefficients are 0 a third of the time, so that remainder steps meet
+    zero leading coefficients."""
+    if d < 0:
+        return ()
+    lc = F.random(rng)
+    while F.is_zero(lc):
+        lc = F.random(rng)
+    return tuple(F.zero if rng.random() < 1 / 3 else F.random(rng) for _ in range(d)) + (lc,)
+
+
+def _times(f, g, F):
+    """f g over F, schoolbook."""
+    if not f or not g:
+        return ()
+    out = [F.zero] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = F.add(out[i + j], F.mul(a, b))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 8191, 2**31 - 1))
+def test_field_gcd_over_fp_matches_fp_gcd(p):
+    rng = random.Random(p)
+    F = Fp(p)
+    for _ in range(150):
+        a = _sparse_poly(rng, F, rng.randrange(-1, 9))
+        b = _sparse_poly(rng, F, rng.randrange(-1, 7))
+        assert field_gcd(a, b, F) == fp_gcd(a, b, p), (a, b)
+        c = _sparse_poly(rng, F, rng.randrange(0, 4))
+        ac, bc = _times(a, c, F), _times(b, c, F)
+        assert field_gcd(ac, bc, F) == fp_gcd(ac, bc, p)
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 8191))
+def test_field_gcd_over_fp2(p):
+    # gcd(a c, b c) = monic(c) gcd(a, b) with u1 != 0, and on polynomials
+    # with F_p coefficients the gcd is fp_gcd's, as a field extension
+    # leaves gcds unchanged
+    rng = random.Random(p)
+    F = fp2_with_u1(p, rng)
+    for _ in range(100):
+        a = _sparse_poly(rng, F, rng.randrange(-1, 7))
+        b = _sparse_poly(rng, F, rng.randrange(-1, 6))
+        c = _sparse_poly(rng, F, rng.randrange(0, 4))
+        g = field_gcd(a, b, F)
+        assert not g or g[-1] == F.one
+        monic_c = fp2_scale(c, F.inv(c[-1]), F)
+        assert field_gcd(_times(a, c, F), _times(b, c, F), F) == _times(monic_c, g, F)
+        ra = tuple(rng.randrange(p) for _ in range(rng.randrange(0, 7)))
+        rb = tuple(rng.randrange(p) for _ in range(rng.randrange(0, 6)))
+        want = fp_gcd(ra, rb, p)
+        assert field_gcd([(x, 0) for x in ra], [(x, 0) for x in rb], F) == tuple(
+            (x, 0) for x in want)
 
 
 # ---------------------------------------------------------------- shift_scale
