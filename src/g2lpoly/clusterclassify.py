@@ -18,11 +18,10 @@ from .errors import (
     NotAlmostGood,
     NotSquarefree,
 )
-from .modarith import Fp, Integers, check_odd_prime_modulus, legendre
+from .modarith import Integers, check_odd_prime_modulus, legendre
 from .polyring import (
     deg,
     disc,
-    field_disc,
     fp_gcd_k,
     min_vp,
     poly_eval,
@@ -178,8 +177,8 @@ def classify(nf: PNormalized) -> Classification:
             raise NotAlmostGood("type 1 curve 1 is singular: the cofactor of the triple root")
         typ = ClusterType.T1
     elif d == 2:
-        # a squarefree quadratic kernel is the cube root of fbar / lc
-        ls = legendre(field_disc(g, Fp(p)), p)
+        # a squarefree quadratic kernel is the cube root of fbar / lc; g is monic
+        ls = legendre(g[1] * g[1] - 4 * g[0], p)
         if ls == 0:
             raise NotAlmostGood("degenerate quadratic factor")
         typ = ClusterType.T2A if ls == 1 else ClusterType.T2B

@@ -25,7 +25,6 @@ from .polyring import disc, shift_scale  # noqa: F401  only hook targets for per
 from .polyring import (
     complete_square,
     deg,
-    field_disc,
     fp_gcd_k,
     power_root,
     reduce_mod,
@@ -104,15 +103,14 @@ def euler_type2a(c: Classification, rng, max_iters: int):
     """Type 2a: two rational triple clusters, centers from the quadratic
     formula."""
     p, Z = c.nf.p, Integers(c.nf.p)
-    F = Z.kappa
     u = c.kernel  # monic, split over F_p
-    root = sqrt_mod_p(field_disc(u, F), p, find_nonsquare(p, rng) if p % 4 == 1 else None)
+    root = sqrt_mod_p(u[1] * u[1] - 4 * u[0], p, find_nonsquare(p, rng) if p % 4 == 1 else None)
     inv2 = (p + 1) // 2
     # smaller center first; the product is symmetric
     r1, r2 = sorted(((-u[1] + root) * inv2 % p, (-u[1] - root) * inv2 % p))
     _, g1bar, it1 = recentre(c.nf.ftilde, r1, 3, Z, max_iters)
     _, g2bar, it2 = recentre(c.nf.ftilde, r2, 3, Z, max_iters)
-    return F, (g1bar, g2bar), (it1, it2)
+    return Z.kappa, (g1bar, g2bar), (it1, it2)
 
 
 def euler_type2b(c: Classification, rng, max_iters: int):

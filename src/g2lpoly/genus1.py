@@ -83,7 +83,10 @@ class Genus1Model(namedtuple("Genus1Model", "field g")):
     __slots__ = ()
 
     def __new__(cls, field, g):
-        g = fp2_trim(g, field) if isinstance(field, Fp2) else reduce_mod(g, field.p)
+        if isinstance(field, Fp2):
+            g = fp2_trim([(c0 % field.p, c1 % field.p) for c0, c1 in g], field)
+        else:
+            g = reduce_mod(g, field.p)
         d = len(g) - 1
         if d not in (3, 4):
             raise DegreeError(f"genus 1 model needs degree 3 or 4, got {d}")

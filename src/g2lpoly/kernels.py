@@ -1,16 +1,16 @@
-"""Exhaustive point counting: a plain loop below p = 2^6, numpy above.
+"""Exhaustive point counting: plain-loop cubics below p = 2^6, numpy otherwise.
 
 Both kernels count affine points of y^2 = g(x), g a Genus1Model's cubic or
 quartic, i.e. sum over x of 1 + chi(g(x)) with chi the quadratic character
 (chi(0) = 0); points at infinity are the caller's job.
 
-Over F_p with p < _LOOP_BELOW = 2^6 the count is a plain-Python Horner loop
-that reads 1 + chi(v) from a cached per-p tuple, unrolled for cubics, the
-degree the pipeline counts.  There numpy's fixed cost of 12-28 us per call
-(with the character table warm or cold) is more than the whole loop: about
-2 us at p = 3 and 12-15 us at p = 61.  The two are even near p = 97, and
-numpy wins from 127.  F_{p^2} stays on numpy: a plain loop wins there only
-at p = 3 and 5.
+Over F_p with p < _LOOP_BELOW = 2^6 a cubic, the degree the pipeline counts,
+goes through an unrolled plain-Python Horner loop that reads 1 + chi(v) from
+a cached per-p tuple.  There numpy's fixed cost of 12-28 us per call (with
+the character table warm or cold) is more than the whole loop: about 2 us at
+p = 3 and 12-15 us at p = 61.  The two are even near p = 97, and numpy wins
+from 127.  Other degrees (the oracle's, the tests') take numpy at every p,
+and so does F_{p^2}: a plain loop wins there only at p = 3 and 5.
 
 In the numpy kernels Horner runs in place on int64 and reduces mod p only
 where it must.  All operands are kept non-negative (a subtraction becomes
@@ -27,15 +27,15 @@ step from reduced values stays below the bound: (m + 1) m, m^3 + 2 m^2 + m
 and the norm's m^2 (2 m + 1) are all below 2^61 (m = p - 1).
 
 numpy is imported by the first count that needs it, not by `import g2lpoly`,
-so a run whose counts all lie over F_p below 2^6 or above the exhaustive
-bands never loads it.
+so a run whose counts are all cubics over F_p below 2^6 or lie above the
+exhaustive bands never loads it.
 """
 
 import functools
 
 _P_LIMIT = 1 << 30
 _FP2_P_LIMIT = 1 << 20
-# count_affine_fp loops in plain Python below this p and runs numpy from 67 up
+# count_affine_fp loops over cubics in plain Python below this p
 _LOOP_BELOW = 1 << 6
 _BOUND = 1 << 62
 # count_affine_fp2 evaluates about this many points per numpy pass (whole
@@ -47,7 +47,7 @@ _FP2_BLOCK = 1 << 14
 
 def kernel_mode() -> str:
     """Which implementations back the counting entry points."""
-    return f"python (F_p, p < {_LOOP_BELOW}) + numpy"
+    return f"python (F_p cubics, p < {_LOOP_BELOW}) + numpy"
 
 
 @functools.lru_cache(maxsize=None)  # one per odd prime below _LOOP_BELOW
@@ -61,20 +61,11 @@ def _chi_plus_one(p):
 
 
 def _count_loop(cs, p):
-    """Affine count over F_p by a plain Horner loop, cs reduced mod p and
-    constant term first."""
+    """Affine count over F_p of a cubic by a plain unrolled Horner loop, cs
+    reduced mod p and constant term first."""
     t = _chi_plus_one(p)
-    if len(cs) == 4:
-        c0, c1, c2, c3 = cs
-        return sum([t[(((c3 * x + c2) * x + c1) * x + c0) % p] for x in range(p)])
-    rev = cs[::-1]
-    n = 0
-    for x in range(p):
-        v = 0
-        for c in rev:
-            v = v * x + c
-        n += t[v % p]
-    return n
+    c0, c1, c2, c3 = cs
+    return sum([t[(((c3 * x + c2) * x + c1) * x + c0) % p] for x in range(p)])
 
 
 # A batch cycles through its primes: at 4 entries oracle_mixed rebuilt a
@@ -109,10 +100,10 @@ def _reduce(v, p, tmp):
 
 def count_affine_fp(coeffs, p: int) -> int:
     """Affine count over F_p, Horner over all of [0, p) in one pass: a plain
-    loop below _LOOP_BELOW, numpy from there."""
+    loop for a cubic below _LOOP_BELOW, numpy for the rest."""
     if p >= _P_LIMIT:
         raise ValueError(f"kernel requires p < 2^30, got {p}")
-    if p < _LOOP_BELOW:
+    if p < _LOOP_BELOW and len(coeffs) == 4:
         return _count_loop([int(c) % p for c in coeffs], p)
     import numpy as np
 

@@ -184,8 +184,8 @@ def disc(f):
 
     (-1)^(d(d-1)/2) Res(f, f')/lc(f), with the resultant from the
     subresultant PRS of f and f', whose exact divisions keep the
-    coefficients near the size of Res(f, f').  The closed forms for degrees
-    2 and 3 live in field_disc.
+    coefficients near the size of Res(f, f').  The closed form for a cubic
+    over a field lives in field_disc.
     """
     d = deg(f)
     if d not in (2, 3, 4, 5, 6):
@@ -321,14 +321,10 @@ def fp2_scale(f, c, F):
 
 
 def field_disc(g, F):
-    """Discriminant of a trimmed g over F, degrees 2 and 3 (all the pipeline needs)."""
-    d = len(g) - 1
-    if d not in (2, 3):
-        raise DegreeError(f"field discriminant supports degree 2 or 3, got {d}")
+    """Discriminant of a trimmed cubic g over F (the genus 1 models' gate)."""
+    if len(g) != 4:
+        raise DegreeError(f"field discriminant needs a cubic, got degree {len(g) - 1}")
     mul, sub, smul = F.mul, F.sub, F.smul
-    if d == 2:
-        c, b, a = g
-        return sub(mul(b, b), smul(4, mul(a, c)))
     d0, c, b, a = g
     t1 = smul(18, mul(mul(a, b), mul(c, d0)))
     t2 = smul(4, mul(mul(b, b), mul(b, d0)))

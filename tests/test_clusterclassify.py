@@ -6,7 +6,7 @@ from g2lpoly import clusterclassify, eulercore
 from g2lpoly.clusterclassify import ClusterType, classify, p_normalize, recentre, which_type
 from g2lpoly.errors import GoodReduction, NotAlmostGood, NotSquarefree
 from g2lpoly.eulercore import EulerInput, euler_factor_with_stats
-from g2lpoly.modarith import Integers, QuadOrder
+from g2lpoly.modarith import Integers, QuadOrder, legendre
 from g2lpoly.oracle import gen_type1, gen_type2a, gen_type2b, gen_type4, perturb, random_instance
 from g2lpoly.polyring import (
     deg,
@@ -266,6 +266,29 @@ def test_classify_record_matches_which_type_and_its_parts():
                 assert c.type is which_type(nf) is inst.type
                 assert c.fbar == reduce_mod(nf.ftilde, p)
                 assert c.kernel == fp_gcd_k(c.fbar, 3, p)[1]
+
+
+def test_classify_reads_2a_or_2b_off_the_integer_discriminant():
+    # f = u^3 + p h with u a lifted monic quadratic, planted split as
+    # (x - a)(x - b) or drawn irreducible: classify's kernel is u mod p, and
+    # its type is 2a or 2b exactly as legendre(u1^2 - 4 u0, p) says
+    rng = random.Random(29)
+    for p in (3, 5, 13, 8191, 2**31 - 19, 2**61 - 1):
+        for split in (True, False) * 4:
+            if split:
+                a, b = rng.sample(range(p), 2)
+                u0, u1 = a * b % p, -(a + b) % p
+            else:
+                u0 = u1 = 0
+                while legendre(u1 * u1 - 4 * u0, p) != -1:
+                    u0, u1 = rng.randrange(p), rng.randrange(p)
+            u = (u0 + p * rng.randrange(-9, 10), u1 + p * rng.randrange(-9, 10), 1)
+            h = [rng.randrange(-p, p) for _ in range(6)] + [0]
+            f = tuple(c + p * e for c, e in zip(_product([u, u, u]), h))
+            c = classify(p_normalize(f, p))
+            assert c.kernel == (u0, u1, 1)
+            assert legendre(u1 * u1 - 4 * u0, p) == (1 if split else -1)
+            assert c.type is (ClusterType.T2A if split else ClusterType.T2B)
 
 
 def test_one_gcd_k_pass_per_factor(monkeypatch):

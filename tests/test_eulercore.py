@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from g2lpoly import clusterclassify, eulercore, genus1, polyring
+from g2lpoly import eulercore, genus1, polyring
 from g2lpoly.cli import process_line
 from g2lpoly.clusterclassify import ClusterType
 from g2lpoly.errors import GoodReduction, NotAlmostGood, NotSquarefree
@@ -437,10 +437,10 @@ def test_singular_second_curve_is_found_before_counting(monkeypatch):
 
 @pytest.mark.parametrize("p", [13, 127, 1021])
 def test_one_separability_check_per_curve(monkeypatch, p):
-    # field_disc runs once per Genus1Model, each a cubic, plus classify's
-    # quadratic kernel (types 2a and 2b) and type 2a's centres; classify reads
-    # type 1's loose cubic off deg gcd(fbar, fbar'), so the F_p gcds of a
-    # type 1 factor are the two of fp_gcd_k (p > 6)
+    # field_disc runs once per Genus1Model, each a cubic, and nowhere else:
+    # classify and type 2a's centres read the quadratic kernel's discriminant
+    # on ints; classify reads type 1's loose cubic off deg gcd(fbar, fbar'),
+    # so the F_p gcds of a type 1 factor are the two of fp_gcd_k (p > 6)
     calls = {"field_disc": 0, "fp_gcd": 0}
 
     def counting(name, fn):
@@ -449,11 +449,10 @@ def test_one_separability_check_per_curve(monkeypatch, p):
             return fn(*args)
         return wrapped
 
-    for mod in (clusterclassify, eulercore, genus1):
-        monkeypatch.setattr(mod, "field_disc", counting("field_disc", mod.field_disc))
+    monkeypatch.setattr(genus1, "field_disc", counting("field_disc", genus1.field_disc))
     monkeypatch.setattr(polyring, "fp_gcd", counting("fp_gcd", polyring.fp_gcd))
     rng = random.Random(p)
-    for typ, want in ((ClusterType.T1, 2), (ClusterType.T2A, 4), (ClusterType.T2B, 2),
+    for typ, want in ((ClusterType.T1, 2), (ClusterType.T2A, 2), (ClusterType.T2B, 1),
                       (ClusterType.T4, 2)):
         inst = random_instance(p, typ, rng, max_depth=4, compute_expected=p < 1000)
         calls.update(field_disc=0, fp_gcd=0)

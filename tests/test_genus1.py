@@ -57,6 +57,19 @@ def test_count_quartic_over_f5():
     assert count_points_naive(Genus1Model(F5, g)) == 4
 
 
+def test_model_reduces_fp2_coefficients():
+    # over F_9 a quartic whose top pair is (3, 0) is the cubic below it, and
+    # over F_49 unreduced pairs give the model of their reduction
+    m = Genus1Model(F9, ((1, 0), (1, 0), (0, 0), (1, 0), (3, 0)))
+    assert m.g == ((1, 0), (1, 0), (0, 0), (1, 0))
+    assert count_points_naive(m) == brute_count_fp2(m.g, 3, 1, 0) == 16
+    assert lpoly1(m) == LPoly1(9 + 1 - 16, 9)
+    F49 = Fp2(7, 1, 0)
+    m = Genus1Model(F49, ((8, 7), (2, -7), (0, 14), (1, 0)))
+    assert m == Genus1Model(F49, ((1, 0), (2, 0), (0, 0), (1, 0)))
+    assert count_points_naive(m) == 55
+
+
 def test_count_x3_minus_x_over_f9():
     g = _fp2_poly((0, -1, 0, 1))
     assert brute_count_fp2(g, 3, 1, 0) == 16
@@ -146,8 +159,8 @@ def _affine_brute_fp(g, p):
 
 
 def test_count_loop_against_bruteforce_below_the_bound():
-    # every odd prime below 2^6, at the unrolled cubic and the generic
-    # Horner, with unreduced and negative coefficients
+    # every odd prime below 2^6, at the plain loop's cubic and numpy's
+    # quartics and sextics, with unreduced and negative coefficients
     rng = random.Random(36)
     primes = [p for p in range(3, kernels._LOOP_BELOW, 2) if is_prime(p)]
     assert len(primes) == 17
@@ -159,16 +172,21 @@ def test_count_loop_against_bruteforce_below_the_bound():
 
 
 def test_count_loop_stops_below_67():
-    # p = 61 is counted by the plain loop, which never reaches numpy's
-    # character table; p = 67 is counted by numpy
-    g = (1, 2, 0, 1)
-    lookups = kernels._chi_table.cache_info()
+    # a cubic at p = 61 is counted by the plain loop, which never reaches
+    # numpy's character table; a quartic there, and a cubic at p = 67, are
+    # counted by numpy
+    def lookups():
+        info = kernels._chi_table.cache_info()
+        return info.hits + info.misses
+
+    g, quartic = (1, 2, 0, 1), (1, 2, 0, 0, 3)
+    before = lookups()
     kernels.count_affine_fp(g, 61)
-    after = kernels._chi_table.cache_info()
-    assert after.hits + after.misses == lookups.hits + lookups.misses
+    assert lookups() == before
+    assert kernels.count_affine_fp(quartic, 61) == _affine_brute_fp(quartic, 61)
+    assert lookups() == before + 1
     kernels.count_affine_fp(g, 67)
-    final = kernels._chi_table.cache_info()
-    assert final.hits + final.misses == after.hits + after.misses + 1
+    assert lookups() == before + 2
 
 
 @pytest.mark.parametrize("p", (8191, 65521))
@@ -239,11 +257,13 @@ p = 1048583  # type 1: both genus 1 counts over F_p go through BSGS
 f = poly_mul((1, 1, 0, 1), (3 * p**6, 2 * p**4, p**2, 1))
 g2lpoly.euler_factor(g2lpoly.EulerInput(f, p), random.Random(1))
 assert "numpy" not in sys.modules, "a BSGS-only factor loaded numpy"
-inst = gen_type1(3, 4, random.Random(5))  # both counts over F_3, by the plain loop
-assert g2lpoly.euler_factor(g2lpoly.EulerInput(inst.f, 3), random.Random(1)) == inst.expected
+inst = gen_type1(3, 4, random.Random(5), compute_expected=False)
+lp = g2lpoly.euler_factor(g2lpoly.EulerInput(inst.f, 3), random.Random(1))
 assert "numpy" not in sys.modules, "a type 1 factor at p = 3 loaded numpy"
 g2lpoly.count_points_naive(g2lpoly.Genus1Model(g2lpoly.Fp(67), (1, 1, 0, 1)))
 assert "numpy" in sys.modules, "an exhaustive count at p = 67 ran without numpy"
+# both cubics over F_3 took the plain loop; the oracle counts a quartic by numpy
+assert lp == gen_type1(3, 4, random.Random(5)).expected
 """
 
 

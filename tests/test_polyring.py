@@ -332,9 +332,10 @@ def test_disc_shift_invariance():
 
 
 def test_disc_closed_forms_match_resultant():
-    # degrees 2-4: the PRS in disc over Z, the closed forms in field_disc
-    # over F_p (degrees 2 and 3) and Genus1Model's gcd gate on quartics, all
-    # against the Sylvester determinant
+    # degrees 2-4: the PRS in disc over Z, b^2 - 4ac on quadratics over Z
+    # (the integer form classify and type 2a read), the closed form in
+    # field_disc over F_p on cubics and Genus1Model's gcd gate on quartics,
+    # all against the Sylvester determinant
     rng = random.Random(15)
     sign = {2: -1, 3: -1, 4: 1}
     for _ in range(60):
@@ -343,9 +344,11 @@ def test_disc_closed_forms_match_resultant():
         res = sylvester_resultant(f, poly_derivative(f))
         assert disc(f) * f[-1] == sign[d] * res
         p = rng.choice(SMALL_PRIMES)
-        if f[-1] % p == 0:
+        if d == 2:
+            assert f[1] * f[1] - 4 * f[0] * f[2] == disc(f)
+        elif f[-1] % p == 0:
             continue
-        if d < 4:
+        elif d == 3:
             assert field_disc(reduce_mod(f, p), Fp(p)) * f[-1] % p == sign[d] * res % p
         elif res % p == 0:
             with pytest.raises(NotSquarefree):
@@ -427,8 +430,9 @@ def test_fp2_disc_cubic_matches_lifted_integer_formula():
 
 
 def test_field_disc_over_fp_matches_integer_formula():
-    # degrees 2 and 3 on field_disc; a quartic, random or lc (x - a)^2 h,
-    # is refused by Genus1Model exactly when its discriminant vanishes mod p
+    # cubics on field_disc, which refuses every other degree; a quartic,
+    # random or lc (x - a)^2 h, is refused by Genus1Model exactly when its
+    # discriminant vanishes mod p
     rng = random.Random(19)
     singular = 0
     for _ in range(200):
@@ -438,7 +442,10 @@ def test_field_disc_over_fp_matches_integer_formula():
         if d == 4 and rng.random() < 0.5:
             a = rng.randrange(p)
             g = fp_mul(fp_mul((-a % p, 1), (-a % p, 1), p), g[2:], p)
-        if d < 4:
+        if d == 2:
+            with pytest.raises(DegreeError):
+                field_disc(g, Fp(p))
+        elif d == 3:
             assert field_disc(g, Fp(p)) == fp_disc(g, p)
         elif fp_disc(g, p) == 0:
             singular += 1
@@ -447,6 +454,8 @@ def test_field_disc_over_fp_matches_integer_formula():
         else:
             assert Genus1Model(Fp(p), g).g == g
     assert singular >= 20
+    with pytest.raises(DegreeError):
+        field_disc((1, 0, 0, 0, 1), Fp(5))
 
 
 def test_fp2_quartic_gate_on_planted_quartics():
