@@ -15,9 +15,9 @@ the traced large_p BSGS ladder (median ms per call by field and log2 q), the
 src/g2lpoly line count, the commit and the machine.  `pairs` holds every
 metric's median, quartiles and values over the untraced runs, with their
 attempted and failed totals.  `paired`, the same in both files, holds per
-end-to-end metric of BENCHMARK.json and workload the median of the per-pair
-ratios change/parent and the number of pairs the change won, by the metric's
-`better` direction; ties count for neither side.
+end-to-end metric of BENCHMARK.json and workload the median and quartiles of
+the per-pair ratios change/parent and the number of pairs the change won, by
+the metric's `better` direction; ties count for neither side.
 
 A run that exits nonzero aborts with the tail of its stderr.  The script
 exits 1, after writing both files, if any run counted a failed operation.
@@ -71,20 +71,28 @@ def ladder(metrics):
             if k.startswith(prefix) and metrics[k.replace("call_ms", "calls")]["value"]}
 
 
+def quartiles(values):
+    """(q1, median, q3) of values, inclusive: one value is all three, and
+    no value gives None for each."""
+    if len(values) < 2:
+        return (values[0] if values else None,) * 3
+    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
+
+
 def spread(runs):
     """Median, quartiles and values of every metric over runs, with totals."""
     metrics = {}
     for key in runs[0]["metrics"]:
         values = [r["metrics"][key]["value"] for r in runs]
-        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+        q1, median, q3 = quartiles(values)
         metrics[key] = {"median": median, "q1": q1, "q3": q3, "values": values}
     return {"attempted": sum(r["attempted"] for r in runs),
             "failed": sum(r["failed"] for r in runs), "metrics": metrics}
 
 
 def paired(parent, change):
-    """Per end-to-end metric and workload: the median change/parent ratio
-    over the pairs and the pairs the change won."""
+    """Per end-to-end metric and workload: the median and quartiles of the
+    change/parent ratios over the pairs, and the pairs the change won."""
     out = {}
     for key in parent[0]["metrics"]:
         better = BETTER.get(key.split("/", 1)[1])
@@ -93,8 +101,8 @@ def paired(parent, change):
         pairs = [(p["metrics"][key]["value"], c["metrics"][key]["value"])
                  for p, c in zip(parent, change)]
         sign = 1 if better == "higher" else -1
-        ratios = [c / p for p, c in pairs if p]
-        out[key] = {"ratio_median": statistics.median(ratios) if ratios else None,
+        q1, median, q3 = quartiles([c / p for p, c in pairs if p])
+        out[key] = {"ratio_median": median, "ratio_q1": q1, "ratio_q3": q3,
                     "change_wins": sum(sign * (c - p) > 0 for p, c in pairs),
                     "pairs": len(pairs)}
     return out

@@ -2,72 +2,26 @@
 
     python3 scripts/differential.py --checkout ../parent-clone
 
-Draws tests/test_golden.golden_inputs(seed, 600) for seeds 1-6 (3,600
-inputs) and runs euler_factor_with_stats on each, in both trees: each tree
-runs in its own interpreter with its own src/ and tests/ on the path.  Per
-input it compares the input itself, then the coefficients, cluster type,
-loop_iters and normalize_v, or the class of the exception raised.
+Each tree runs SECTIONS in its own interpreter, with its own src/ and tests/
+on the path.  A section draws its inputs from its own seeded rng and yields
+(input, outcome) pairs; an outcome is what the call returned, or the class
+of the exception it raised.  The sections, in order:
 
-Those inputs have p <= 61 and small coefficients, so five seeded sections
-follow.  The singular-curve section checks where the separability gate sits,
-which the golden inputs seldom reach: per golden prime (3, 5, 7, 13, 31, 61)
-and type it plants two models at each depth 1-4 whose genus 1 curve has a
-double root mod p, for each curve the descents find the bottom cubic of its
-cluster, and the loose cubic of type 1 and type 4 (singular_plant, 336
-runs), compared as above.  The height section runs euler_factor_with_stats,
-compared as above, on oracle.perturb models at 256 and 1024 bits, two per
-type and golden prime, each also scaled as ELL^6 f(x / ELL), the same curve
-with ELL^30 | disc for the word prime ELL = 2^31 - 1 of p_normalize's
-squarefree check.  Per prime and height it adds two squarefree sextics with
-roots a and a + ELL (ELL^2 | disc), one with ELL | lc and one g^2 h, and it
-runs every model with max_iters None, 1 and 2 (720 runs).  The BSGS section
-runs group_order_bsgs on 336 random cubics, 24 per field size, over F_p with
-p of about 14, 20, 30, 34, 40, 48 and 61 bits (half of them with p = 1 and
-half with p = 2 mod 3, the two branches of the class mod 3) and over F_{p^2}
-with p of about 7, 10, 13 and 16 bits, then over F_{p^2} with p from 97 to
-131 and over F_p with p from 2^14 to 2^16, where a walk is one round of a
-lane count that is mostly not a power of two; compared by the order found or
-the exception class.  The kernel section runs count_points_naive on 3 random
-cubics and 3 random quartics per field: over F_p for every odd p <= 61 (the
-plain loop), with p drawn from each [2^(b-1), 2^b) for b = 7 ... 13 and p =
-65521, and over F_{p^2} for every odd p <= 61 and p = 257 (258 counts),
-compared count by count.  It then puts Genus1Model's separability gate to
-two each of planted singular models, lc (x - a)^2 (x - b), lc (x - a)^2 h
-and lc q^2 with h and q random monic quadratics, and of unscreened random
-cubics and quartics, per field (430 models), compared by the degree of the
-model accepted or the exception class.  The polynomial section runs
-fp_gcd_k (k = 3 and 5, the pair (deg gcd(f, f'), kernel)), fp_gcd(f, f')
-and power_root(f, 6) on 90 seeded sextics per prime, p = 3, 5, 7, 11 and
-8191: ten each of lc (x - a)^3 u, (x - a)^5 (x - b), lc (x - a)^6, lc g^3 with g
-a monic quadratic, g^2 h with g and h monic quadratics, lc x (x - a) g^2,
-lc c^2 with c a monic cubic, random sextics redrawn until they have no root
-in F_p, and random sextics; it also runs classify(p_normalize()) on a lift
-of each to Z, f plus p times a random sextic, recording the type and kernel
-or the exception's class and message; then power_root(g, k) for k = 3, 5
-and 6 on 10 planted lc (x - r)^k per k, half of them with one coefficient
-changed, over each of those fields and over F_{5^2} and F_{3^2}, where
-k = 3 and 6 take the Frobenius route (2,460 outputs in all), compared
-output by output.  The square-root section runs find_nonsquare and
-sqrt_mod_p at one prime of each 2-adic depth 1-16 (p = 2^e m + 1, m odd)
-and at three primes near 2^30 and three near 2^61, 2^61 - 1 among them: per
-prime a nonsquare from each of four seeds with the rng's next draw after it,
-and sqrt_mod_p of 0, of 8 squares and of 4 nonsquares, each with that
-witness, with none, with the square 4 and with p, then of 0 and 1 at the
-moduli -3, 0, 1, 2, 4 and 9 (1,244 outputs), compared by the root or the
-exception class.  The class-read section runs, on 24 seeded random curves
-y^2 = x^3 + Ax + B per field size, the two reads that fix N mod 4 and mod 3
-before a BSGS walk: _order_class(F, A, B), _three_class(F, A, B), and the
-xq_mod values they start from, x^q mod the cubic x^3 + Ax + B and mod
-psi_3/3 = x^4 + 2Ax^2 + 4Bx - A^2/3.  It
-covers F_p with p of about 14, 20, 30 and 40 bits, half of them with p = 1
-and half with p = 2 mod 3, and F_{p^2} = F_p[z]/(z^2 + u1 z + u0) with
-u1 != 0 and p from 97 to 127 and of about 10, 13 and 16 bits (768
-outputs), compared output by output.  The oracle section checks the
-generators that perfbench builds its inputs from: per type and each of
-oracle_mixed's 13 primes (3 ... 8191) it draws four oracle.random_instance
-models with compute_expected=False and oracle.perturb of each at 256 bits
-(416 instances), compared by f, type and depths.  Prints the first mismatch and the number of mismatches; exits
-1 if there are any.
+- golden: euler_factor_with_stats on tests/test_golden's inputs, seeds 1-6
+- singular: euler_factor_with_stats on models with a singular genus 1 curve
+- height: euler_factor_with_stats on tall models and on sextics that the
+  word prime ELL divides badly, at max_iters None, 1 and 2
+- bsgs: group_order_bsgs on random cubics over F_p and F_{p^2}
+- kernel: count_points_naive on random cubics and quartics, and
+  Genus1Model's separability gate on planted singular and random models
+- poly: fp_gcd_k, fp_gcd, power_root and classify(p_normalize()) on planted
+  sextics, and power_root on planted k-th powers
+- sqrt: find_nonsquare and sqrt_mod_p, with witness misuse and bad moduli
+- class: the reads of #E mod 4 and mod 3 before a BSGS walk
+- oracle: oracle.random_instance and oracle.perturb, perfbench's generators
+
+Compares the two trees pair by pair, prints the first mismatch and the
+number of mismatches, and exits 1 if there are any.
 """
 
 import argparse
@@ -76,6 +30,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -96,6 +51,8 @@ KERNEL_PRIMES = ([("fp", 65521)] + [("fp2", p) for p in SMALL_PRIMES + (257,)])
 KERNEL_MODELS = 3  # cubics, and as many quartics, per field
 GATE_MODELS = 2  # per field and shape put to Genus1Model's separability gate
 POLY_PRIMES = (3, 5, 7, 11, 8191)
+PATTERNS = ("cube", "fifth", "sixth", "quad_cube", "squares", "roots_square",
+            "cubic_square", "rootless", "random")  # of _planted_sextic
 POLY_SEXTICS = 10  # per pattern and prime
 POWERS = 10  # planted lc (x - r)^k per k and field
 SQRT_DEPTHS = range(1, 17)  # one prime p = 2^e m + 1, m odd, per depth e
@@ -115,32 +72,99 @@ ORACLE_PRIMES = (3, 5, 7, 13, 31, 61, 127, 251, 509, 1021, 2039, 4093, 8191)  # 
 ORACLE_MODELS = 4  # per type and prime
 
 
-def factor_outcome(case, i):
-    """euler_factor_with_stats on one {f, p, h, max_iters} case with Random(i)."""
+def attempt(key, fn, *args, msg=False):
+    """{key: fn(*args)}, or {"exc": the class name of what it raised}, with
+    the exception's message under "msg" if msg."""
+    try:
+        return {key: fn(*args)}
+    except Exception as exc:  # the exception class is part of the outcome
+        got = {"exc": type(exc).__name__}
+        if msg:
+            got["msg"] = str(exc)
+        return got
+
+
+def _prime(n, ok=lambda p: True, step=2):
+    """The first prime p with ok(p) in n | 1, n | 1 + step, ..."""
+    from g2lpoly.modarith import is_prime
+
+    p = n | 1
+    while not (is_prime(p) and ok(p)):
+        p += step
+    return p
+
+
+def _field(kind, p, rng, u1_from=0):
+    """F_p ("fp"), or F_p[z]/(z^2 + u1 z + u0) ("fp2") with u0 and u1 >= u1_from
+    drawn until it is a field."""
+    from g2lpoly.modarith import Fp, Fp2
+
+    while kind == "fp2":
+        try:
+            return Fp2(p, rng.randrange(p), rng.randrange(u1_from, p))
+        except ValueError:  # z^2 + u1 z + u0 reducible mod p
+            pass
+    return Fp(p)
+
+
+def _model(F, draw):
+    """(g, Genus1Model(F, g)) for the first g = draw() that the model accepts."""
+    from g2lpoly.errors import DegreeError, NotSquarefree
+    from g2lpoly.genus1 import Genus1Model
+
+    while True:
+        g = draw()
+        try:
+            return g, Genus1Model(F, g)
+        except (DegreeError, NotSquarefree):
+            pass
+
+
+def _monic(F, d, rng):
+    """A random monic polynomial of degree d over F."""
+    return tuple(F.random(rng) for _ in range(d)) + (F.one,)
+
+
+def _nonzero(F, rng):
+    """A random nonzero element of F."""
+    x = F.random(rng)
+    while F.is_zero(x):
+        x = F.random(rng)
+    return x
+
+
+def _times(f, g, F):
+    """f g over the field F, schoolbook, coefficients as F keeps them."""
+    out = [F.zero] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = F.add(out[i + j], F.mul(a, b))
+    return tuple(out)
+
+
+def _factors(cases):
+    """(case, outcome) of euler_factor_with_stats on each {f, p, h, max_iters}
+    case, the i-th with Random(i)."""
     from g2lpoly.eulercore import EulerInput, euler_factor_with_stats
 
-    inp = EulerInput(tuple(case["f"]), case["p"],
-                     h=None if case["h"] is None else tuple(case["h"]),
-                     max_iters=case["max_iters"])
-    try:
-        lp, stats = euler_factor_with_stats(inp, random.Random(i))
-    except Exception as exc:  # the exception class is part of the outcome
-        return {"exc": type(exc).__name__}
-    return {"lp": list(lp.coefficients()), "type": stats.cluster_type.value,
-            "loop_iters": list(stats.loop_iters), "normalize_v": stats.normalize_v}
+    for i, case in enumerate(cases):
+        inp = EulerInput(tuple(case["f"]), case["p"],
+                         h=None if case["h"] is None else tuple(case["h"]),
+                         max_iters=case["max_iters"])
+        got = attempt("lp", euler_factor_with_stats, inp, random.Random(i))
+        if "lp" in got:
+            lp, stats = got["lp"]
+            got = {"lp": list(lp.coefficients()), "type": stats.cluster_type.value,
+                   "loop_iters": list(stats.loop_iters), "normalize_v": stats.normalize_v}
+        yield case, got
 
 
-def outcomes():
-    """(input, outcome) for every input, from the g2lpoly on sys.path."""
+def golden_outcomes():
+    """tests/test_golden.golden_inputs(seed, COUNT) for each seed."""
     from test_golden import golden_inputs
 
-    out = []
     for seed in SEEDS:
-        for i, case in enumerate(golden_inputs(seed, COUNT)):
-            out.append((dict(case, seed=seed), factor_outcome(case, i)))
-    return (out + singular_outcomes() + height_outcomes() + bsgs_outcomes()
-            + kernel_outcomes() + poly_outcomes() + sqrt_outcomes() + class_outcomes()
-            + oracle_outcomes())
+        yield from _factors(dict(case, seed=seed) for case in golden_inputs(seed, COUNT))
 
 
 def _double_root_cubic(p, rng, avoid=()):
@@ -212,38 +236,30 @@ def singular_plant(typ, curve, p, depth, rng):
 
 
 def singular_outcomes():
-    """(input, outcome) for euler_factor_with_stats on models with a singular
-    genus 1 curve, every (type, curve) at every golden prime and depth."""
+    """singular_plant models, SINGULAR_MODELS per golden prime, type, curve
+    (type 2b has one) and depth."""
     from g2lpoly.clusterclassify import ClusterType
     from test_golden import PRIMES
 
-    rng = random.Random(2028)
-    out = []
-    for p in PRIMES:
-        for typ in ClusterType:
+    def cases(rng):
+        for p, typ in product(PRIMES, ClusterType):
             for curve in (1,) if typ is ClusterType.T2B else (1, 2):
-                for depth in SINGULAR_DEPTHS:
-                    for _ in range(SINGULAR_MODELS):
-                        case = {"kind": "singular", "type": typ.value, "curve": curve,
-                                "f": list(singular_plant(typ, curve, p, depth, rng)), "p": p,
-                                "h": None, "max_iters": None}
-                        out.append((case, factor_outcome(case, len(out))))
-    return out
+                for depth, _ in product(SINGULAR_DEPTHS, range(SINGULAR_MODELS)):
+                    f = singular_plant(typ, curve, p, depth, rng)
+                    yield {"kind": "singular", "type": typ.value, "curve": curve,
+                           "f": list(f), "p": p, "h": None, "max_iters": None}
+
+    yield from _factors(cases(random.Random(2028)))
 
 
 def height_outcomes():
-    """(input, outcome) for euler_factor_with_stats on tall models and on
-    sextics whose discriminant or leading coefficient ELL divides."""
+    """Per golden prime and height: oracle.perturb models, HEIGHT_MODELS per
+    type, each also as ELL^6 f(x / ELL) (ELL^30 | disc); two sextics with
+    roots a and a + ELL (ELL^2 | disc), one with ELL | lc and one g^2 h."""
     from g2lpoly.clusterclassify import ClusterType
     from g2lpoly.oracle import perturb, random_instance
     from g2lpoly.polyring import poly_mul
     from test_golden import PRIMES
-
-    def product(roots, lc):
-        f = (lc,)
-        for r in roots:
-            f = poly_mul(f, (-r, 1))
-        return f
 
     rng = random.Random(2027)
     models = []
@@ -258,123 +274,63 @@ def height_outcomes():
             for _ in range(2):
                 a = rng.randrange(-size, size)
                 roots = [a, a + ELL] + [rng.randrange(-size, size) for _ in range(4)]
-                models.append((product(roots, rng.randrange(1, size)), p))
+                f = (rng.randrange(1, size),)
+                for r in roots:
+                    f = poly_mul(f, (-r, 1))
+                models.append((f, p))
             f = tuple(rng.getrandbits(bits) - (1 << (bits - 1)) for _ in range(6))
             models.append((f + (ELL * rng.randrange(1, 100),), p))
             g = tuple(rng.getrandbits(bits // 6) for _ in range(3))
             models.append((poly_mul(poly_mul(g, g), f[:3]), p))
-    out = []
-    for f, p in models:
-        for max_iters in (None, 1, 2):
-            case = {"kind": "height", "f": list(f), "p": p, "h": None, "max_iters": max_iters}
-            out.append((case, factor_outcome(case, len(out))))
-    return out
-
-
-def _random_field(kind, p, rng):
-    from g2lpoly.modarith import Fp, Fp2
-
-    if kind == "fp":
-        return Fp(p)
-    while True:
-        try:
-            return Fp2(p, rng.randrange(p), rng.randrange(p))
-        except ValueError:  # z^2 + u1 z + u0 reducible mod p
-            pass
+    yield from _factors({"kind": "height", "f": list(f), "p": p, "h": None, "max_iters": m}
+                        for f, p in models for m in (None, 1, 2))
 
 
 def bsgs_outcomes():
-    """(cubic, outcome) for group_order_bsgs on the seeded random cubics."""
-    from g2lpoly.errors import NotSquarefree
-    from g2lpoly.genus1 import Genus1Model, group_order_bsgs
-    from g2lpoly.modarith import is_prime
+    """BSGS_CUBICS monic cubics per BSGS_FIELDS entry, redrawn until
+    squarefree; over F_p, cubic i takes p = 1 + i % 2 (mod 3)."""
+    from g2lpoly.genus1 import group_order_bsgs
 
     rng = random.Random(2024)
-    out = []
     for kind, lo, hi in BSGS_FIELDS:
         for i in range(BSGS_CUBICS):
-            p = rng.randrange(lo, hi) | 1
-            # over F_p, cubic i takes p = 1 + i % 2 (mod 3)
-            while not is_prime(p) or kind == "fp" and p % 3 != 1 + i % 2:
-                p += 2
-            F = _random_field(kind, p, rng)
-            while True:
-                g = (F.random(rng), F.random(rng), F.random(rng), F.one)
-                try:
-                    model = Genus1Model(F, g)
-                    break
-                except NotSquarefree:
-                    continue
-            try:
-                got = {"order": group_order_bsgs(model, random.Random(i))}
-            except Exception as exc:  # the exception class is part of the outcome
-                got = {"exc": type(exc).__name__}
-            out.append(({"field": repr(F), "g": g}, got))
-    return out
+            p = _prime(rng.randrange(lo, hi), lambda p: kind == "fp2" or p % 3 == 1 + i % 2)
+            F = _field(kind, p, rng)
+            g, model = _model(F, lambda: _monic(F, 3, rng))
+            got = attempt("order", group_order_bsgs, model, random.Random(i))
+            yield {"field": repr(F), "g": g}, got
 
 
 def kernel_outcomes():
-    """(model, outcome) for count_points_naive on the seeded random models,
-    then for Genus1Model on planted singular and unscreened random ones."""
-    from g2lpoly.errors import DegreeError, NotSquarefree
+    """KERNEL_MODELS cubics and as many quartics per field, redrawn until
+    Genus1Model accepts them; then, from their own rng, GATE_MODELS each of
+    lc (x - a)^2 (x - b), lc (x - a)^2 h, lc q^2 and unscreened random
+    cubics and quartics per field, h and q monic quadratics."""
     from g2lpoly.genus1 import Genus1Model, count_points_naive
-    from g2lpoly.modarith import is_prime
 
     rng = random.Random(2025)
-    out = []
-    drawn = [("fp", p) for p in SMALL_PRIMES]
-    for bits in KERNEL_FP_BITS:
-        p = rng.randrange(1 << (bits - 1), 1 << bits) | 1
-        while not is_prime(p):
-            p += 2
-        drawn.append(("fp", p))
-    for kind, p in drawn + KERNEL_PRIMES:
-        F = _random_field(kind, p, rng)
+    fields = [("fp", p) for p in SMALL_PRIMES]
+    fields += [("fp", _prime(rng.randrange(1 << (b - 1), 1 << b))) for b in KERNEL_FP_BITS]
+    fields += KERNEL_PRIMES
+    for kind, p in fields:
+        F = _field(kind, p, rng)
         for degree in [3] * KERNEL_MODELS + [4] * KERNEL_MODELS:
-            while True:
-                g = tuple(F.random(rng) for _ in range(degree + 1))
-                try:
-                    model = Genus1Model(F, g)
-                    break
-                except (DegreeError, NotSquarefree):
-                    continue
-            try:
-                got = {"count": count_points_naive(model, limit=1 << 17)}
-            except Exception as exc:  # the exception class is part of the outcome
-                got = {"exc": type(exc).__name__}
-            out.append(({"field": repr(F), "g": g}, got))
+            g, model = _model(F, lambda: tuple(F.random(rng) for _ in range(degree + 1)))
+            yield {"field": repr(F), "g": g}, attempt("count", count_points_naive, model, 1 << 17)
     gate = random.Random(2032)  # its own draws, so that the counts above keep theirs
-    for kind, p in drawn + KERNEL_PRIMES:
-        F = _random_field(kind, p, gate)
-
-        def monic(d):
-            return tuple(F.random(gate) for _ in range(d)) + (F.one,)
-
+    for kind, p in fields:
+        F = _field(kind, p, gate)
         for _ in range(GATE_MODELS):
-            lc = (F.random(gate),)
-            while F.is_zero(lc[0]):
-                lc = (F.random(gate),)
-            a, q = monic(1), monic(2)
+            lc = (_nonzero(F, gate),)
+            a, q = _monic(F, 1, gate), _monic(F, 2, gate)
             square = _times(lc, _times(a, a, F), F)
-            for g in (_times(square, monic(1), F), _times(square, monic(2), F),
+            for g in (_times(square, _monic(F, 1, gate), F),
+                      _times(square, _monic(F, 2, gate), F),
                       _times(lc, _times(q, q, F), F),
                       tuple(F.random(gate) for _ in range(4)),
                       tuple(F.random(gate) for _ in range(5))):
-                try:
-                    got = {"gate": Genus1Model(F, g).degree}
-                except Exception as exc:  # the exception class is part of the outcome
-                    got = {"exc": type(exc).__name__}
-                out.append(({"op": "gate", "field": repr(F), "g": g}, got))
-    return out
-
-
-def _times(f, g, F):
-    """f g over the field F, schoolbook, coefficients as F keeps them."""
-    out = [F.zero] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            out[i + j] = F.add(out[i + j], F.mul(a, b))
-    return tuple(out)
+                got = attempt("gate", lambda: Genus1Model(F, g).degree)
+                yield {"op": "gate", "field": repr(F), "g": g}, got
 
 
 def _planted_sextic(pattern, F, rng):
@@ -384,29 +340,22 @@ def _planted_sextic(pattern, F, rng):
     def lin():
         return (F.neg(F.random(rng)), F.one)
 
-    def monic(d):
-        return tuple(F.random(rng) for _ in range(d)) + (F.one,)
-
     lc = (F.random(rng) % (F.p - 1) + 1,)
     if pattern == "cube":  # lc (x - a)^3 u
-        a = lin()
-        factors = [lc, a, a, a, monic(3)]
+        factors = [lc] + [lin()] * 3 + [_monic(F, 3, rng)]
     elif pattern == "fifth":  # (x - a)^5 (x - b)
-        a = lin()
-        factors = [a] * 5 + [lin()]
+        factors = [lin()] * 5 + [lin()]
     elif pattern == "sixth":
         factors = [lc] + [lin()] * 6
     elif pattern == "quad_cube":  # lc g^3, g irreducible or split
-        factors = [lc] + [monic(2)] * 3
+        factors = [lc] + [_monic(F, 2, rng)] * 3
     elif pattern == "squares":  # g^2 h
-        g = monic(2)
-        factors = [g, g, monic(2)]
+        factors = [_monic(F, 2, rng)] * 2 + [_monic(F, 2, rng)]
     elif pattern == "roots_square":  # x (x - a) g^2: g^2 beside two roots
-        g = monic(2)
+        g = _monic(F, 2, rng)
         factors = [lc, (F.zero, F.one), lin(), g, g]
     elif pattern == "cubic_square":  # lc c^2
-        c = monic(3)
-        factors = [lc, c, c]
+        factors = [lc] + [_monic(F, 3, rng)] * 2
     else:
         while True:  # "random", and "rootless": redrawn until no a in F_p is a root
             f = tuple(F.random(rng) for _ in range(6)) + lc
@@ -419,132 +368,98 @@ def _planted_sextic(pattern, F, rng):
 
 
 def poly_outcomes():
-    """(input, outcome) for the F_p polynomial layer on seeded sextics and
-    planted k-th powers."""
+    """POLY_SEXTICS sextics per PATTERNS entry and POLY_PRIMES prime, each
+    also lifted to Z as f plus p times a random sextic for classify; then
+    POWERS planted lc (x - r)^k per k = 3, 5, 6 over those fields and over
+    F_{5^2} and F_{3^2}, every other one with a coefficient changed."""
     from g2lpoly.clusterclassify import classify, p_normalize
     from g2lpoly.modarith import Fp
     from g2lpoly.polyring import fp_derivative, fp_gcd, fp_gcd_k, power_root
 
-    def run(fn, *args):
-        try:
-            return {"out": fn(*args)}
-        except Exception as exc:  # the exception class is part of the outcome
-            return {"exc": type(exc).__name__}
-
-    def classified(f, p):
-        try:
-            c = classify(p_normalize(f, p))
-        except Exception as exc:  # so are the class and message of a rejection
-            return {"exc": type(exc).__name__, "msg": str(exc)}
-        return {"type": c.type.value, "kernel": list(c.kernel)}
-
     rng = random.Random(2026)
-    out = []
     for p in POLY_PRIMES:
         F = Fp(p)
-        for pattern in ("cube", "fifth", "sixth", "quad_cube", "squares", "roots_square",
-                        "cubic_square", "rootless", "random"):
+        for pattern in PATTERNS:
             for _ in range(POLY_SEXTICS):
                 f = _planted_sextic(pattern, F, rng)
                 for name, fn, args in (("gcd_k3", fp_gcd_k, (f, 3, p)),
                                        ("gcd_k5", fp_gcd_k, (f, 5, p)),
                                        ("gcd_df", fp_gcd, (f, fp_derivative(f, p), p)),
                                        ("root6", power_root, (f, 6, F))):
-                    out.append(({"op": name, "p": p, "f": f}, run(fn, *args)))
+                    yield {"op": name, "p": p, "f": f}, attempt("out", fn, *args)
                 # a lift to Z with the same reduction, so that p_normalize accepts it
                 lift = [c + p * rng.randrange(p) for c in f]
-                out.append(({"op": "classify", "p": p, "f": lift}, classified(lift, p)))
-    for F in [Fp(p) for p in POLY_PRIMES] + [_random_field("fp2", q, rng) for q in (5, 3)]:
+                # a rejection's message is part of the outcome too
+                got = attempt("c", lambda: classify(p_normalize(lift, p)), msg=True)
+                if "c" in got:
+                    got = {"type": got["c"].type.value, "kernel": list(got["c"].kernel)}
+                yield {"op": "classify", "p": p, "f": lift}, got
+    for F in [Fp(p) for p in POLY_PRIMES] + [_field("fp2", q, rng) for q in (5, 3)]:
         for k in (3, 5, 6):
             for i in range(POWERS):
-                g = (F.random(rng),)
-                while F.is_zero(g[0]):
-                    g = (F.random(rng),)
+                g = (_nonzero(F, rng),)
                 r = F.random(rng)
                 for _ in range(k):
                     g = _times(g, (F.neg(r), F.one), F)
                 if i % 2:
                     j = rng.randrange(k)
                     g = g[:j] + (F.add(g[j], F.one),) + g[j + 1:]
-                out.append(({"op": f"root{k}", "field": repr(F), "g": g},
-                            run(power_root, g, k, F)))
-    return out
+                got = attempt("out", power_root, g, k, F)
+                yield {"op": f"root{k}", "field": repr(F), "g": g}, got
 
 
 def sqrt_outcomes():
-    """(input, outcome) for find_nonsquare and sqrt_mod_p at primes of each
-    2-adic depth and near 2^30 and 2^61, witness misuse and bad moduli."""
-    from g2lpoly.modarith import find_nonsquare, is_prime, sqrt_mod_p
-
-    def root(a, p, s):
-        try:
-            return {"root": sqrt_mod_p(a, p, s)}
-        except Exception as exc:  # the exception class is part of the outcome
-            return {"exc": type(exc).__name__}
+    """One prime p = 2^e m + 1 (m odd) per SQRT_DEPTHS entry, and per
+    SQRT_BITS entry 2^bits - 1 and two draws above 2^bits, each moved to the
+    first prime; per prime SQRT_SEEDS nonsquares with the rng's next draw
+    after each, and sqrt_mod_p of 0, of squares and of nonsquares with four
+    witnesses; then 0 and 1 at bad moduli."""
+    from g2lpoly.modarith import find_nonsquare, sqrt_mod_p
 
     rng = random.Random(2030)
     primes = []
-    for e in SQRT_DEPTHS:
+    for e in SQRT_DEPTHS:  # m steps by 2, p by 2^(e + 1)
         m = rng.randrange(1 << 10) | 1
-        while not is_prime((m << e) + 1):
-            m += 2
-        primes.append((m << e) + 1)
-    for bits in SQRT_BITS:  # the first primes from 2^bits - 1 and from two draws above it
-        for lo in [(1 << bits) - 1] + [rng.randrange(1 << bits, (1 << bits) + (1 << 20)) | 1
-                                       for _ in range(2)]:
-            while not is_prime(lo):
-                lo += 2
-            primes.append(lo)
-    out = []
+        primes.append(_prime((m << e) + 1, step=2 << e))
+    for bits in SQRT_BITS:
+        primes.append(_prime((1 << bits) - 1))
+        primes += [_prime(rng.randrange(1 << bits, (1 << bits) + (1 << 20))) for _ in range(2)]
     for p in primes:
         for seed in range(SQRT_SEEDS):
             draws = random.Random(seed)
             s = find_nonsquare(p, draws)
-            out.append(({"op": "nonsquare", "p": p, "seed": seed},
-                        {"s": s, "next": draws.randrange(p)}))
+            yield {"op": "nonsquare", "p": p, "seed": seed}, {"s": s, "next": draws.randrange(p)}
         xs = [rng.randrange(p) for _ in range(2 * SQRT_VALUES)]
         values = [0] + [x * x % p for x in xs] + [s * x * x % p for x in xs[:SQRT_VALUES]]
         for a in values:
             for witness in (s, None, 4, p):
-                out.append(({"op": "sqrt", "a": a, "p": p, "s": witness}, root(a, p, witness)))
-    for p in (-3, 0, 1, 2, 4, 9):
-        for a in (0, 1):
-            out.append(({"op": "sqrt", "a": a, "p": p, "s": None}, root(a, p, None)))
-    return out
+                got = attempt("root", sqrt_mod_p, a, p, witness)
+                yield {"op": "sqrt", "a": a, "p": p, "s": witness}, got
+    for p, a in product((-3, 0, 1, 2, 4, 9), (0, 1)):
+        yield {"op": "sqrt", "a": a, "p": p, "s": None}, attempt("root", sqrt_mod_p, a, p, None)
 
 
 def class_outcomes():
-    """(curve, outcome) for the class reads before a BSGS walk and the
-    x^q mod the cubic and mod psi_3/3 that they read."""
+    """CLASS_CURVES curves y^2 = x^3 + Ax + B per CLASS_FIELDS entry, p drawn
+    as for bsgs_outcomes: _order_class, _three_class, and x^q mod the cubic
+    and mod psi_3/3 = x^4 + 2Ax^2 + 4Bx - A^2/3, which they start from."""
     from g2lpoly.genus1 import _order_class, _three_class
-    from g2lpoly.modarith import Fp, Fp2, is_prime
 
     rng = random.Random(2031)
-    out = []
     for kind, lo, hi in CLASS_FIELDS:
         for i in range(CLASS_CURVES):
-            p = rng.randrange(lo, hi) | 1
-            # over F_p, curve i takes p = 1 + i % 2 (mod 3)
-            while not is_prime(p) or kind == "fp" and p % 3 != 1 + i % 2:
-                p += 2
-            F = Fp(p)
-            while kind == "fp2":
-                try:
-                    F = Fp2(p, rng.randrange(p), rng.randrange(1, p))
-                    break
-                except ValueError:  # z^2 + u1 z + u0 reducible mod p
-                    pass
+            p = _prime(rng.randrange(lo, hi), lambda p: kind == "fp2" or p % 3 == 1 + i % 2)
+            F = _field(kind, p, rng, u1_from=1)
             A, B = F.random(rng), F.random(rng)
             psi = (F.neg(F.mul(F.mul(A, A), F.inv(F.from_int(3)))), F.smul(4, B), F.smul(2, A))
-            out.append(({"op": "class", "field": repr(F), "A": A, "B": B},
-                        {"mod4": _order_class(F, A, B), "mod3": _three_class(F, A, B),
-                         "xq_cubic": F.xq_mod((B, A)), "xq_psi3": F.xq_mod(psi)}))
-    return out
+            yield ({"op": "class", "field": repr(F), "A": A, "B": B},
+                   {"mod4": _order_class(F, A, B), "mod3": _three_class(F, A, B),
+                    "xq_cubic": F.xq_mod((B, A)), "xq_psi3": F.xq_mod(psi)})
 
 
 def oracle_outcomes():
-    """(draw, instance) for oracle.random_instance at every oracle_mixed
-    prime and type, and for oracle.perturb of each at 256 bits."""
+    """ORACLE_MODELS oracle.random_instance models per type and ORACLE_PRIMES
+    prime, and oracle.perturb of each at 256 bits."""
     from g2lpoly.clusterclassify import ClusterType
     from g2lpoly.oracle import perturb, random_instance
 
@@ -553,15 +468,17 @@ def oracle_outcomes():
         return {"f": list(inst.f), "type": inst.type.value, "depths": list(inst.depths)}
 
     rng = random.Random(2029)
-    out = []
     for p in ORACLE_PRIMES:
         for typ in ClusterType:
             for i in range(ORACLE_MODELS):
                 inst = random_instance(p, typ, rng, compute_expected=False)
-                out.append(({"op": "oracle", "p": p, "type": typ.value, "i": i}, planted(inst)))
-                out.append(({"op": "perturb", "p": p, "type": typ.value, "i": i},
-                            planted(perturb(inst, rng, 256))))
-    return out
+                yield {"op": "oracle", "p": p, "type": typ.value, "i": i}, planted(inst)
+                yield ({"op": "perturb", "p": p, "type": typ.value, "i": i},
+                       planted(perturb(inst, rng, 256)))
+
+
+SECTIONS = (golden_outcomes, singular_outcomes, height_outcomes, bsgs_outcomes, kernel_outcomes,
+            poly_outcomes, sqrt_outcomes, class_outcomes, oracle_outcomes)
 
 
 def run_tree(tree: Path):
@@ -584,7 +501,7 @@ def main(argv=None):
 
         if Path(g2lpoly.__file__).resolve().parent != args.child.resolve() / "src" / "g2lpoly":
             sys.exit(f"differential: imported g2lpoly from {g2lpoly.__file__}")
-        json.dump(outcomes(), sys.stdout)
+        json.dump([pair for section in SECTIONS for pair in section()], sys.stdout)
         return 0
     if args.checkout is None:
         ap.error("--checkout is required")

@@ -93,9 +93,13 @@ def test_pairs_and_paired_statistics(stubbed):
     paired = parent["paired"]
     assert set(paired) == {"w/factors_per_s", "w/latency_p50_ms"}
     assert paired["w/factors_per_s"]["ratio_median"] == pytest.approx(1.1)
+    assert set(paired["w/factors_per_s"]) == {"ratio_median", "ratio_q1", "ratio_q3",
+                                              "change_wins", "pairs"}
     assert paired["w/factors_per_s"]["change_wins"] == 8
     # lower is better: four wins, a tie and five losses; ratios 0.5 x4, 1, 1.5 x5
     assert paired["w/latency_p50_ms"]["ratio_median"] == pytest.approx(1.25)
+    assert (paired["w/latency_p50_ms"]["ratio_q1"],
+            paired["w/latency_p50_ms"]["ratio_q3"]) == pytest.approx((0.5, 1.5))
     assert paired["w/latency_p50_ms"]["change_wins"] == 4
     assert paired["w/latency_p50_ms"]["pairs"] == 10
 
@@ -142,3 +146,27 @@ def test_only_label_and_checkout_are_options(bench_file, monkeypatch):
     monkeypatch.setattr(bench_file, "run", lambda cmd, cwd: pytest.fail(f"ran {cmd}"))
     with pytest.raises(SystemExit):
         bench_file.main(["--label", "t", "--checkout", ".", "--pairs", "3"])
+
+
+def test_paired_quartiles_are_those_of_the_per_pair_ratios(bench_file):
+    # the parent spreads over 100-190 from pair to pair while the per-pair
+    # ratios run 1.01 ... 1.10: the ratio quartiles read the latter alone
+    values = {"w/factors_per_s": [(100.0 + 10 * s, (100.0 + 10 * s) * (1 + s / 100))
+                                  for s in range(1, 11)],
+              # a parent of 0 gives no ratio: one ratio is all three, none is None
+              "w/latency_p50_ms": [(0.0, 1.0)] * 9 + [(2.0, 3.0)],
+              "w/setup_s": [(0.0, 1.0)] * 10}
+
+    def runs(side):
+        return [{"metrics": {k: {"value": v[i][side]} for k, v in values.items()}}
+                for i in range(10)]
+
+    paired = bench_file.paired(runs(0), runs(1))
+    fps = paired["w/factors_per_s"]
+    assert (fps["ratio_q1"], fps["ratio_median"], fps["ratio_q3"]) == pytest.approx(
+        (1.0325, 1.055, 1.0775))
+    assert fps["change_wins"] == 10
+    p50 = paired["w/latency_p50_ms"]
+    assert (p50["ratio_q1"], p50["ratio_median"], p50["ratio_q3"]) == (1.5, 1.5, 1.5)
+    setup = paired["w/setup_s"]
+    assert (setup["ratio_q1"], setup["ratio_median"], setup["ratio_q3"]) == (None, None, None)
