@@ -16,14 +16,17 @@ exact sign convention (systems differ; this one expands the polynomial as
 written).  Failed lines print ERR:<token> and processing continues.
 Blank lines are skipped.  Output keeps input order at any --jobs, each
 line written and flushed once it and every line before it are done; one job
-reads stdin a line at a time, more jobs read all of it first.  The process
-pool is imported only for --jobs above 1, and traceback only for an
-unexpected exception, so a one-job run starts without multiprocessing.
+reads stdin a line at a time, more jobs read all of it first.  Above one
+job this process forks --jobs - 1 workers (POSIX only; elsewhere one job
+runs) and answers lines beside them.  multiprocessing is imported only for
+--jobs above 1, and traceback only for an unexpected exception, so a
+one-job run starts without either.
 """
 
 import argparse
 import contextlib
 import itertools
+import os
 import random
 import sys
 
@@ -35,6 +38,10 @@ from .modarith import is_prime
 class ParseError(G2Error):
     """The line does not follow the grammar."""
     token = "parse"
+
+
+class WorkerDied(RuntimeError):
+    """A --jobs worker exited before answering every line that it claimed."""
 
 
 def _parse_bracket_list(text):
@@ -103,11 +110,95 @@ def process_line(line, seed=None):
     return f"{p}:[{c[0]},{c[1]},{c[2]},{c[3]},{c[4]}]"
 
 
+def _forked(lines, jobs, seed):
+    """Yield process_line of each line in order, computed by this process and
+    min(jobs, len(lines)) - 1 forked children.  Each process claims the next
+    line from one shared counter; a child sends "<index> <result>" lines down
+    its own pipe, which this process reads after each of its own lines."""
+    import multiprocessing
+    import select
+    import signal
+
+    # loaded once here, forked workers share numpy instead of each
+    # importing it for its first exhaustive count
+    import numpy  # noqa: F401
+
+    n = len(lines)
+    counter = multiprocessing.Value("q", 0)
+
+    def claim():
+        with counter.get_lock():
+            counter.value += 1
+            return counter.value - 1
+
+    kids, bufs, done = {}, {}, {}  # read fd -> pid, read fd -> partial record, index -> result
+
+    def drain(timeout):
+        for fd in select.select(list(kids), [], [], timeout)[0]:
+            chunk = os.read(fd, 1 << 16)
+            if chunk:
+                *records, bufs[fd] = (bufs[fd] + chunk).split(b"\n")
+                for rec in records:
+                    i, res = rec.split(b" ", 1)
+                    done[int(i)] = res.decode()
+                continue
+            pid = kids.pop(fd)
+            os.close(fd)
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if code:
+                raise WorkerDied(f"worker {pid} exited with status {code}")
+
+    sys.stderr.flush()  # else a child's flush would write the pending bytes again
+    try:
+        for _ in range(min(jobs, n) - 1):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    while (i := claim()) < n:
+                        data = b"%d %s\n" % (i, process_line(lines[i], seed).encode())
+                        while data:
+                            data = data[os.write(w, data):]
+                    status = 0
+                finally:
+                    with contextlib.suppress(Exception):
+                        sys.stderr.flush()
+                    os._exit(status)
+            os.close(w)
+            kids[r], bufs[r] = pid, b""
+        i, nxt = claim(), 0
+        while nxt < n:
+            if i < n:
+                done[i] = process_line(lines[i], seed)
+                i = claim()
+                drain(0)
+            elif kids:
+                drain(None)
+            else:
+                raise WorkerDied(f"no worker answered line {nxt + 1}")
+            while nxt in done:
+                yield done.pop(nxt)
+                nxt += 1
+    except BaseException:
+        for pid in kids.values():
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for fd, pid in kids.items():
+            os.close(fd)
+            os.waitpid(pid, 0)
+
+
 def run_batch(lines, out, jobs=1, stable=True, seed=None):
     """Process a job stream, writing and flushing each result in input order
     as soon as it is done; returns the exit code (0 unless lines came and none
-    parsed).  One job reads the lines as it needs them; Executor.map submits
-    them all first.  stable selects nothing; perfbench/run.py passes it."""
+    parsed).  One job reads the lines as it needs them.  More jobs take them
+    all first and, where os.fork exists, fork jobs - 1 workers; this process
+    answers lines too and writes the workers' results once it has finished
+    its current line.  A worker that dies raises WorkerDied, and no worker
+    outlives the call.  stable still selects nothing; perfbench/run.py passes
+    it."""
     lines = (ln for ln in lines if ln.strip())
     first = next(lines, None)
     if first is None:
@@ -115,15 +206,8 @@ def run_batch(lines, out, jobs=1, stable=True, seed=None):
     lines = itertools.chain((first,), lines)
     parsed = 0
     with contextlib.ExitStack() as stack:
-        if jobs > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            # loaded once here, forked workers share numpy instead of each
-            # importing it for its first exhaustive count
-            import numpy  # noqa: F401
-
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
-            results = pool.map(process_line, lines, itertools.repeat(seed), chunksize=16)
+        if jobs > 1 and hasattr(os, "fork"):
+            results = stack.enter_context(contextlib.closing(_forked(list(lines), jobs, seed)))
         else:
             results = map(process_line, lines, itertools.repeat(seed))
         for res in results:
@@ -139,7 +223,7 @@ def main(argv=None):
         "good reduction; reads p:[f0,...,f6](:[h0,...,h3]) lines from stdin.",
     )
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes for line-level parallelism")
+                        help="processes answering lines, this one included")
     parser.add_argument("--seed", type=int, default=None,
                         help="seed for the Las Vegas draws")
     args = parser.parse_args(argv)

@@ -1,6 +1,8 @@
 import io
+import os
 import random
 import re
+import signal
 import subprocess
 import sys
 import threading
@@ -21,6 +23,7 @@ from g2lpoly.errors import (
     NonResidue,
     Unsupported,
 )
+from g2lpoly.eulercore import euler_factor
 from g2lpoly.oracle import job_line, random_instance
 from g2lpoly.clusterclassify import ClusterType
 from g2lpoly.polyring import poly_mul
@@ -295,8 +298,8 @@ def test_empty_and_blank_streams_exit_0():
 
 
 def test_jobs_2_prints_what_jobs_1_prints(monkeypatch, capsys):
-    # 48 lines of all four types go to two workers in chunks of 16; every
-    # line must come back, in input order
+    # 48 lines of all four types, claimed one at a time by this process and
+    # one forked worker; every line must come back, in input order
     rng = random.Random(82)
     lines = [
         job_line(random_instance(rng.choice((3, 5, 7, 11, 13)), typ, rng, compute_expected=False))
@@ -325,3 +328,154 @@ def test_each_result_is_written_when_its_line_is_done(monkeypatch):
     assert run_batch(lines, out) == 0
     assert written == [0, 1, 2]
     assert len(out.getvalue().splitlines()) == 3
+
+
+def _forks(monkeypatch):
+    """Record the pid of every child that run_batch forks."""
+    pids = []
+    fork = os.fork
+
+    def recording():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording)
+    return pids
+
+
+def _reaped(pid):
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pid, os.WNOHANG)
+    return True
+
+
+@pytest.mark.parametrize("jobs", [3, 4])
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_more_jobs_than_lines_print_what_one_job_prints(jobs, count):
+    lines = [_worked_example_line(), "garbage", "11:[0,-1,0,0,0,0,1]"][:count]
+    seq, par = io.StringIO(), io.StringIO()
+    assert run_batch(lines, seq, jobs=1) == run_batch(lines, par, jobs=jobs)
+    assert par.getvalue() == seq.getvalue()
+    assert len(seq.getvalue().splitlines()) == count
+
+
+def test_one_line_forks_nothing(monkeypatch):
+    pids = _forks(monkeypatch)
+    out = io.StringIO()
+    assert run_batch([_worked_example_line()], out, jobs=4) == 0
+    assert out.getvalue() == "5:[1,0,6,0,25]\n"
+    assert pids == []
+
+
+def test_lines_are_shared_between_processes(monkeypatch):
+    def whose(line, seed=None):
+        time.sleep(0.002)
+        return str(os.getpid())
+
+    monkeypatch.setattr(cli, "process_line", whose)
+    out = io.StringIO()
+    run_batch([str(k) for k in range(20)], out, jobs=2)
+    pids = out.getvalue().splitlines()
+    assert len(pids) == 20
+    assert str(os.getpid()) in pids
+    assert len(set(pids)) >= 2
+
+
+def test_each_line_is_claimed_once_by_more_workers_than_cores(monkeypatch, tmp_path):
+    # a lost update of the shared counter would answer some line twice
+    claims = tmp_path / "claims"
+
+    def logged(line, seed=None):
+        fd = os.open(claims, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        os.write(fd, f"{line}\n".encode())
+        os.close(fd)
+        return line
+
+    monkeypatch.setattr(cli, "process_line", logged)
+    lines = [str(k) for k in range(2000)]
+    out = io.StringIO()
+    t0 = time.perf_counter()
+    assert run_batch(lines, out, jobs=(os.cpu_count() or 1) + 2) == 0
+    assert time.perf_counter() - t0 < 30
+    assert out.getvalue().splitlines() == lines
+    assert sorted(claims.read_text().splitlines(), key=int) == lines
+
+
+def test_early_worker_death_raises_and_reaps(monkeypatch):
+    # the worker dies on its first line, which it claims while this
+    # process is busy with one of its own
+    parent = os.getpid()
+
+    def dying(line, seed=None):
+        if os.getpid() != parent:
+            os._exit(3)
+        time.sleep(0.05)
+        return line
+
+    monkeypatch.setattr(cli, "process_line", dying)
+    pids = _forks(monkeypatch)
+    t0 = time.perf_counter()
+    with pytest.raises(cli.WorkerDied):
+        run_batch([str(k) for k in range(10)], io.StringIO(), jobs=2)
+    assert time.perf_counter() - t0 < 5
+    assert len(pids) == 1 and all(_reaped(pid) for pid in pids)
+
+
+def test_unexpected_exception_in_a_worker_prints_its_token(monkeypatch, capfd):
+    # only the worker fails, and this process is slow, so the worker
+    # answers some of the lines; each failure is written in its place and
+    # its traceback reaches stderr once
+    parent = os.getpid()
+
+    def failing(inp, rng):
+        if os.getpid() != parent:
+            raise KeyError("worker")
+        time.sleep(0.05)
+        return euler_factor(inp, rng)
+
+    monkeypatch.setattr(cli, "euler_factor", failing)
+    lines = [job_line(random_instance(p, ClusterType.T1, random.Random(p), compute_expected=False))
+             for p in (3, 5, 7, 11, 13, 17)]
+    out = io.StringIO()
+    assert run_batch(lines, out, jobs=2) == 0
+    got = out.getvalue().splitlines()
+    err = capfd.readouterr().err
+    assert len(got) == len(lines)
+    assert "ERR:error" in got
+    for line, res in zip(lines, got):
+        assert err.count(f"g2lpoly: {line}\n") == (res == "ERR:error")
+        assert res == "ERR:error" or res == process_line(line)
+    assert err.count("KeyError: 'worker'") == got.count("ERR:error")
+
+
+def test_failed_write_leaves_no_worker_running(monkeypatch):
+    # the write fails after three results, long before the workers run out
+    # of lines, so each is killed and then reaped
+    class Breaking(io.StringIO):
+        def write(self, text):
+            if self.tell() > 20:
+                raise BrokenPipeError
+            return super().write(text)
+
+    def slow(line, seed=None):
+        time.sleep(0.002)
+        return line
+
+    statuses = {}
+    waitpid = os.waitpid
+
+    def recording(pid, options):
+        statuses[pid] = waitpid(pid, options)[1]
+        return pid, statuses[pid]
+
+    monkeypatch.setattr(cli, "process_line", slow)
+    pids = _forks(monkeypatch)
+    monkeypatch.setattr(os, "waitpid", recording)
+    with pytest.raises(BrokenPipeError):
+        run_batch([f"line {k}" for k in range(1000)], Breaking(), jobs=3)
+    monkeypatch.setattr(os, "waitpid", waitpid)
+    assert len(pids) == 2 and all(_reaped(pid) for pid in pids)
+    assert all(os.WIFSIGNALED(statuses[pid]) and os.WTERMSIG(statuses[pid]) == signal.SIGKILL
+               for pid in pids)
