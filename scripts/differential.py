@@ -19,6 +19,8 @@ of the exception it raised.  The sections, in order:
 - sqrt: find_nonsquare and sqrt_mod_p, with witness misuse and bad moduli
 - class: the reads of #E mod 4 and mod 3 before a BSGS walk
 - oracle: oracle.random_instance and oracle.perturb, perfbench's generators
+- cli: cli.process_line on the golden inputs written as job lines, and on
+  one line per reject token
 
 Compares the two trees pair by pair, prints the first mismatch and the
 number of mismatches, and exits 1 if there are any.
@@ -70,6 +72,10 @@ HEIGHT_MODELS = 2  # perturbed oracle models per type, golden prime and height
 ELL = 2**31 - 1  # the word prime of p_normalize's squarefree check
 ORACLE_PRIMES = (3, 5, 7, 13, 31, 61, 127, 251, 509, 1021, 2039, 4093, 8191)  # oracle_mixed's
 ORACLE_MODELS = 4  # per type and prime
+# one line per token that names a rejected line: parse, not-prime,
+# not-odd-prime, degree and good-reduction
+REJECT_LINES = ("5:[1,2", "9:[1,0,0,0,0,0,1]", "2:[1,0,0,0,0,0,1]", "5:[1,2,3]",
+                "11:[0,-1,0,0,0,0,1]")
 
 
 def attempt(key, fn, *args, msg=False):
@@ -477,8 +483,23 @@ def oracle_outcomes():
                        planted(perturb(inst, rng, 256)))
 
 
+def cli_outcomes():
+    """process_line on tests/test_golden.golden_inputs(seed, COUNT) for each
+    seed, as p:[f] or p:[f]:[h] job lines, and on REJECT_LINES."""
+    from g2lpoly.cli import process_line
+    from test_golden import golden_inputs
+
+    def job(case):
+        lists = [case["f"]] + ([] if case["h"] is None else [case["h"]])
+        return ":".join([str(case["p"])] + [f"[{','.join(map(str, c))}]" for c in lists])
+
+    lines = [job(case) for seed in SEEDS for case in golden_inputs(seed, COUNT)]
+    for line in lines + list(REJECT_LINES):
+        yield {"op": "cli", "line": line}, {"out": process_line(line)}
+
+
 SECTIONS = (golden_outcomes, singular_outcomes, height_outcomes, bsgs_outcomes, kernel_outcomes,
-            poly_outcomes, sqrt_outcomes, class_outcomes, oracle_outcomes)
+            poly_outcomes, sqrt_outcomes, class_outcomes, oracle_outcomes, cli_outcomes)
 
 
 def run_tree(tree: Path):

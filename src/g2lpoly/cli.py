@@ -18,16 +18,17 @@ Blank lines are skipped.  Output keeps input order at any --jobs, each
 line written and flushed once it and every line before it are done; one job
 reads stdin a line at a time, more jobs read all of it first.  Above one
 job this process forks --jobs - 1 workers (POSIX only; elsewhere one job
-runs) and answers lines beside them.  multiprocessing is imported only for
---jobs above 1, and traceback only for an unexpected exception, so a
-one-job run starts without either.
+runs) and answers lines beside them.  The Las Vegas draws of the genus 1
+counts come from the random module's stream, which CPython reseeds in each
+forked worker; they change how long a line takes, never what it prints.
+multiprocessing is imported only for --jobs above 1, and traceback only
+for an unexpected exception, so a one-job run starts without either.
 """
 
 import argparse
 import contextlib
 import itertools
 import os
-import random
 import sys
 
 from .errors import G2Error
@@ -79,25 +80,21 @@ def parse_job_line(line):
     return p, f, h
 
 
-def process_line(line, seed=None):
+def process_line(line):
     """One job line -> one output line; never raises.
 
     Every odd p >= 3 is checked for primality first; even p and p < 3 are
-    left to euler_factor, which names them not-odd-prime.  A G2Error prints
-    ERR:<its token>; any other exception prints ERR:error and writes its
-    traceback to stderr.
+    left to euler_factor, which names them not-odd-prime.  A G2Error, the
+    ParseError of a malformed line included, prints ERR:<its token>; any
+    other exception prints ERR:error and writes its traceback to stderr.
     """
     if not line.strip():
         return None
     try:
         p, f, h = parse_job_line(line)
-    except ParseError as exc:
-        return f"ERR:{exc.token}"
-    if p >= 3 and p % 2 and not is_prime(p):
-        return "ERR:not-prime"
-    rng = random.Random(f"{seed}|{line.strip()}")
-    try:
-        lp = euler_factor(EulerInput(f, p, h), rng)
+        if p >= 3 and p % 2 and not is_prime(p):
+            return "ERR:not-prime"
+        lp = euler_factor(EulerInput(f, p, h))
     except G2Error as exc:
         return f"ERR:{exc.token}"
     except Exception:
@@ -110,7 +107,7 @@ def process_line(line, seed=None):
     return f"{p}:[{c[0]},{c[1]},{c[2]},{c[3]},{c[4]}]"
 
 
-def _forked(lines, jobs, seed):
+def _forked(lines, jobs):
     """Yield process_line of each line in order, computed by this process and
     min(jobs, len(lines)) - 1 forked children.  Each process claims the next
     line from one shared counter; a child sends "<index> <result>" lines down
@@ -157,7 +154,7 @@ def _forked(lines, jobs, seed):
                 status = 1
                 try:
                     while (i := claim()) < n:
-                        data = b"%d %s\n" % (i, process_line(lines[i], seed).encode())
+                        data = b"%d %s\n" % (i, process_line(lines[i]).encode())
                         while data:
                             data = data[os.write(w, data):]
                     status = 0
@@ -170,7 +167,7 @@ def _forked(lines, jobs, seed):
         i, nxt = claim(), 0
         while nxt < n:
             if i < n:
-                done[i] = process_line(lines[i], seed)
+                done[i] = process_line(lines[i])
                 i = claim()
                 drain(0)
             elif kids:
@@ -190,7 +187,7 @@ def _forked(lines, jobs, seed):
             os.waitpid(pid, 0)
 
 
-def run_batch(lines, out, jobs=1, stable=True, seed=None):
+def run_batch(lines, out, jobs=1, stable=True):
     """Process a job stream, writing and flushing each result in input order
     as soon as it is done; returns the exit code (0 unless lines came and none
     parsed).  One job reads the lines as it needs them.  More jobs take them
@@ -207,9 +204,9 @@ def run_batch(lines, out, jobs=1, stable=True, seed=None):
     parsed = 0
     with contextlib.ExitStack() as stack:
         if jobs > 1 and hasattr(os, "fork"):
-            results = stack.enter_context(contextlib.closing(_forked(list(lines), jobs, seed)))
+            results = stack.enter_context(contextlib.closing(_forked(list(lines), jobs)))
         else:
-            results = map(process_line, lines, itertools.repeat(seed))
+            results = map(process_line, lines)
         for res in results:
             print(res, file=out, flush=True)
             parsed += res != "ERR:parse"
@@ -224,11 +221,9 @@ def main(argv=None):
     )
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="processes answering lines, this one included")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for the Las Vegas draws")
     args = parser.parse_args(argv)
     try:
-        return run_batch(sys.stdin, sys.stdout, jobs=max(args.jobs, 1), seed=args.seed)
+        return run_batch(sys.stdin, sys.stdout, jobs=max(args.jobs, 1))
     except OSError:  # stdin or stdout failed
         return 2
 

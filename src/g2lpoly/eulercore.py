@@ -145,10 +145,8 @@ def euler_type4(c: Classification, rng, max_iters: int):
     return Z.kappa, cubics, (outer, inner)
 
 
-def euler_factor_with_stats(inp: EulerInput, rng=None):
+def euler_factor_with_stats(inp: EulerInput, rng=random):
     """euler_factor plus loop-iteration diagnostics."""
-    if rng is None:
-        rng = random.Random()
     f = trim(inp.f)
     h = trim(inp.h or ())
     nf = p_normalize(complete_square(f, h) if h else f, inp.p)
@@ -179,11 +177,12 @@ def euler_factor_with_stats(inp: EulerInput, rng=None):
     return lp, RunStats(c.type, iters, nf.v)
 
 
-def euler_factor(inp: EulerInput, rng=None) -> LPoly2:
+def euler_factor(inp: EulerInput, rng=random) -> LPoly2:
     """The main entry point: normalize, classify, and dispatch.
 
     rng feeds the Las Vegas draws (type 2a's nonsquare and random points); they
-    change how long a call takes, never its answer.
+    change how long a call takes, never its answer.  Without one they come
+    from the random module's stream, so random.seed(n) repeats a run's work.
     GoodReduction propagates so batch callers can reroute those primes.
     """
     return euler_factor_with_stats(inp, rng)[0]

@@ -454,7 +454,7 @@ def _twist_point(F, A, B, rng):
     return (0 if F.is_square(w) else 1), curve, (F.mul(x, w), w2)
 
 
-def group_order_bsgs(model: Genus1Model, rng=None) -> int:
+def group_order_bsgs(model: Genus1Model, rng=random) -> int:
     """#E(F_q) by interleaved order-finding on the curve and its twist.
 
     N = #E(F_q) mod 2, and in most cases mod 4, is read off the roots of the
@@ -470,8 +470,6 @@ def group_order_bsgs(model: Genus1Model, rng=None) -> int:
     class, merged into what is known of N by the CRT, until one candidate N
     remains.  It is unique for q > MESTRE_BOUND, the fields lpoly1 sends here.
     """
-    if rng is None:
-        rng = random.Random()
     F = model.field
     q = F.q
     if model.degree != 3:
@@ -505,7 +503,7 @@ def group_order_bsgs(model: Genus1Model, rng=None) -> int:
     raise AmbiguousOrder(f"order not pinned after {MAX_POINTS} points")
 
 
-def lpoly1(model: Genus1Model, rng=None) -> LPoly1:
+def lpoly1(model: Genus1Model, rng=random) -> LPoly1:
     """Trace of Frobenius for a cubic model, counting by the method its
     field size calls for.
 

@@ -23,7 +23,7 @@ from g2lpoly.errors import (
     NonResidue,
     Unsupported,
 )
-from g2lpoly.eulercore import euler_factor
+from g2lpoly.eulercore import EulerInput, euler_factor
 from g2lpoly.oracle import job_line, random_instance
 from g2lpoly.clusterclassify import ClusterType
 from g2lpoly.polyring import poly_mul
@@ -243,15 +243,29 @@ def test_parallel_matches_sequential():
     assert seq.getvalue() == par.getvalue()
 
 
-def test_seed_does_not_change_output(monkeypatch, capsys):
-    # the worked example is type 2a at p = 5 = 1 mod 4, so the square root
-    # that finds its two centres draws a nonsquare from the seeded stream
-    printed = []
-    for seed in ("1", "2"):
-        monkeypatch.setattr(sys, "stdin", io.StringIO(_worked_example_line() + "\n"))
-        assert cli.main(["--seed", seed]) == 0
-        printed.append(capsys.readouterr().out)
-    assert printed == ["5:[1,0,6,0,25]\n"] * 2
+def test_unseeded_draws_build_no_generator(monkeypatch):
+    # type 2a at p = 5 and 13 draws a nonsquare and type 2b at p = 127
+    # counts by BSGS over F_{p^2}; types 1 and 4 at p = 7 draw nothing.
+    # Every draw comes from the random module's stream.
+    rng = random.Random(84)
+    insts = [random_instance(p, typ, rng)
+             for p, typ in ((5, ClusterType.T2A), (13, ClusterType.T2A), (127, ClusterType.T2B),
+                            (7, ClusterType.T1), (7, ClusterType.T4))]
+    built = []
+
+    class Counting(random.Random):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(random, "Random", Counting)
+    out = io.StringIO()
+    assert run_batch([job_line(inst) for inst in insts] + ["garbage"], out, jobs=1) == 0
+    want = [f"{inst.p}:[{','.join(map(str, inst.expected.coefficients()))}]" for inst in insts]
+    assert out.getvalue().splitlines() == want + ["ERR:parse"]
+    assert [euler_factor(EulerInput(inst.f, inst.p)) for inst in insts] == [
+        inst.expected for inst in insts]
+    assert built == []
 
 
 def test_console_entry_point():
@@ -299,13 +313,17 @@ def test_empty_and_blank_streams_exit_0():
 
 def test_jobs_2_prints_what_jobs_1_prints(monkeypatch, capsys):
     # 48 lines of all four types, claimed one at a time by this process and
-    # one forked worker; every line must come back, in input order
+    # one forked worker; every line must come back, in input order.  Then 12
+    # type 2b lines at p = 127, whose BSGS counts draw from the random
+    # module's stream, which the fork reseeds in the worker
     rng = random.Random(82)
     lines = [
         job_line(random_instance(rng.choice((3, 5, 7, 11, 13)), typ, rng, compute_expected=False))
         for _ in range(12)
         for typ in ClusterType
     ]
+    lines += [job_line(random_instance(127, ClusterType.T2B, rng, compute_expected=False))
+              for _ in range(12)]
     printed = []
     for jobs in ("1", "2"):
         monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(lines) + "\n"))
@@ -319,9 +337,9 @@ def test_each_result_is_written_when_its_line_is_done(monkeypatch):
     out = io.StringIO()
     written = []
 
-    def recording(line, seed=None):
+    def recording(line):
         written.append(len(out.getvalue().splitlines()))
-        return process_line(line, seed)
+        return process_line(line)
 
     monkeypatch.setattr(cli, "process_line", recording)
     lines = [_worked_example_line(), "garbage", "", _worked_example_line()]
@@ -370,7 +388,7 @@ def test_one_line_forks_nothing(monkeypatch):
 
 
 def test_lines_are_shared_between_processes(monkeypatch):
-    def whose(line, seed=None):
+    def whose(line):
         time.sleep(0.002)
         return str(os.getpid())
 
@@ -387,7 +405,7 @@ def test_each_line_is_claimed_once_by_more_workers_than_cores(monkeypatch, tmp_p
     # a lost update of the shared counter would answer some line twice
     claims = tmp_path / "claims"
 
-    def logged(line, seed=None):
+    def logged(line):
         fd = os.open(claims, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
         os.write(fd, f"{line}\n".encode())
         os.close(fd)
@@ -408,7 +426,7 @@ def test_early_worker_death_raises_and_reaps(monkeypatch):
     # process is busy with one of its own
     parent = os.getpid()
 
-    def dying(line, seed=None):
+    def dying(line):
         if os.getpid() != parent:
             os._exit(3)
         time.sleep(0.05)
@@ -429,11 +447,11 @@ def test_unexpected_exception_in_a_worker_prints_its_token(monkeypatch, capfd):
     # its traceback reaches stderr once
     parent = os.getpid()
 
-    def failing(inp, rng):
+    def failing(inp):
         if os.getpid() != parent:
             raise KeyError("worker")
         time.sleep(0.05)
-        return euler_factor(inp, rng)
+        return euler_factor(inp)
 
     monkeypatch.setattr(cli, "euler_factor", failing)
     lines = [job_line(random_instance(p, ClusterType.T1, random.Random(p), compute_expected=False))
@@ -459,7 +477,7 @@ def test_failed_write_leaves_no_worker_running(monkeypatch):
                 raise BrokenPipeError
             return super().write(text)
 
-    def slow(line, seed=None):
+    def slow(line):
         time.sleep(0.002)
         return line
 
