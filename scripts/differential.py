@@ -38,11 +38,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = range(1, 7)
 COUNT = 600
-# (field, lo, hi): p is the first prime from a draw in [lo, hi); the last
-# three fields take walks of one round whose lane count is not a power of two
+# (field, lo, hi): p is the first prime from a draw in [lo, hi).  Walks of
+# up to LANES + 1 points (2*LANES + 1 from a point) are one block of lanes,
+# whose length is mostly not a power of two: F_{p^2} at p = 97-131 and F_p
+# below 2^16.  F_p at 2^21-2^27 and F_{p^2} at p = 2^10-2^14 end their baby
+# walks inside the first or second block of x-pairs, and their giant walks
+# just past the lanes; from 2^30 on every walk runs many blocks
 BSGS_FIELDS = ([("fp", 1 << (b - 1), 1 << b) for b in (14, 20, 30, 34, 40, 48, 61)]
                + [("fp2", 1 << (b - 1), 1 << b) for b in (7, 10, 13, 16)]
-               + [("fp2", 97, 132), ("fp", 1 << 14, 1 << 15), ("fp", 1 << 15, 1 << 16)])
+               + [("fp2", 97, 132), ("fp", 1 << 14, 1 << 15), ("fp", 1 << 15, 1 << 16)]
+               + [("fp", 1 << (b - 1), 1 << b) for b in (22, 24, 26, 27)]
+               + [("fp2", 1 << (b - 1), 1 << b) for b in (11, 12, 14)])
 BSGS_CUBICS = 24
 # over F_p, every odd prime to 61, one prime drawn as for BSGS_FIELDS per bit
 # size above, then 65521, the largest prime below 2^16; over F_{p^2}, every

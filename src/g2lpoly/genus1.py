@@ -12,8 +12,8 @@ the Hasse interval, mod up to 12, wherever the interval is wide enough for
 reading it to pay; in narrower ones a nonsquare discriminant still makes #E
 even.  Its random points take no square root: each lies on the twist of E
 by a random w, which is E or its quadratic twist as w is a square or not.
-Multiples of a point share its doubling chain, so the giant walk steps by
-the doublings that its start a*G made.  Genus1Model and LPoly1 are
+Walks read x only, two points per shared denominator around a centre, and
+multiples of a point share its doubling chain.  Genus1Model and LPoly1 are
 immutable named tuples whose constructors check the model and the Hasse
 bound; Genus1Model's is the one separability check of a genus 1 curve,
 which eulercore relies on for every curve its descents find.
@@ -22,6 +22,7 @@ which eulercore relies on for every curve its descents find.
 import math
 import random
 from collections import namedtuple
+from functools import partial
 
 from . import kernels
 from .errors import (
@@ -51,28 +52,25 @@ EXHAUSTIVE_BELOW = 1 << 13
 # the bound, so BSGS stays exact, and characteristic 3, which BSGS cannot
 # take, is always counted exhaustively.
 MESTRE_BOUND = 229
-# Baby and giant steps advance in up to LANES independent lanes.  A round of
-# lane additions is one F.chord_round on raw ints with one inversion (over
-# F_{p^2}, of the F_p norms); more lanes spread it thinner.  A power of two,
-# because _Curve.walk builds its first round by doubling and then steps by
-# the doubled last step; a walk of fewer points takes one lane per point,
-# and a walk's last round stops at its last point.
+# The table of a walk block (_Curve.walk): x(C +- i*step) for i = 1..LANES
+# share one inversion (over F_{p^2}, of the F_p norms), and the first
+# LANES + 1 points, built by doubling, are the table itself.
 LANES = 32
 # Random points group_order_bsgs tries, each on the curve or its twist as
 # chance falls (_twist_point), before it gives up with AmbiguousOrder.
 MAX_POINTS = 48
 # Reading #E mod 2 or 4 (_order_class) costs a power x^q mod the cubic,
 # about log2(p) squarings, and a gcd; mod 3 (_three_class), the same mod a
-# quartic.  Per-call medians of group_order_bsgs with each read on against
-# off, 16 random cubics per log2 q (2^20 to 2^25 for mod 4, 2^26 to 2^32
-# for mod 3), F_p and F_{p^2} alike, grouped by the baby rounds of the walk over the whole interval:
-# the class mod 4, against the parity that the discriminant gives, lost
-# 2-4% at two rounds and paid 2-4% at three and 6% at four.  The class mod
-# 3 lost 3-4% over F_p and 8-13% over F_{p^2} at four and five rounds,
-# broke even at six over F_p and at seven and eight over F_{p^2}, and paid
-# 5-8% from seven rounds over F_p and 2-13% from nine over F_{p^2}.
-CLASS_FROM_ROUNDS = 3
-THREE_FROM_ROUNDS = 8
+# quartic.  Per-call medians of group_order_bsgs, each read on against off,
+# 32 random cubics per size, by the blocks (_baby_blocks) of the walk over
+# the whole interval: the class mod 4, against the discriminant's parity,
+# lost 4-12% over F_{p^2} at two blocks (F_p: -2% to +7%), broke even at
+# three (0.97-1.03) and paid 3-5% from four.  The class mod 3 lost 4-21% at
+# three to five blocks, broke even at five and six over F_p and at seven and
+# eight over F_{p^2}, and paid 4-9% over F_p from seven and 1-4% over
+# F_{p^2} at eight and nine, 7-9% from ten.
+CLASS_FROM_BLOCKS = 3
+THREE_FROM_BLOCKS = 8
 
 
 class Genus1Model(namedtuple("Genus1Model", "field g")):
@@ -211,35 +209,70 @@ class _Curve:
                 R = self.add(R, self.doubled(chain, i))
         return R
 
-    def advance(self, lanes, step):
-        """[Q + step for Q in lanes] for one field inversion: the chord lanes
-        go through one F.chord_round.  Lanes with no chord (Q = +-step, or Q
-        the identity) go through add instead."""
-        if step is None:
-            return list(lanes)
-        xs, ys = step
-        plain = [Q is not None and Q[0] != xs for Q in lanes]
-        if all(plain):
-            return self.F.chord_round(lanes, xs, ys)
-        chords = iter(self.F.chord_round([Q for Q, ok in zip(lanes, plain) if ok], xs, ys)
-                      if any(plain) else ())
-        return [next(chords) if ok else self.add(Q, step) for Q, ok in zip(lanes, plain)]
+    def neg(self, P):
+        return P and (P[0], self.F.neg(P[1]))
+
+    def at(self, C, table, c, k):
+        """C + (k - c)*step for table = [step, 2step, ...], |k - c| <= len(table)."""
+        T = table[abs(k - c) - 1] if k != c else None
+        return self.add(C, T if k >= c else self.neg(T))
+
+    def lanes(self, start, chain, n):
+        """[start + k*step for k < n], chain = [step, 2step, ...]: 2^i*step
+        plus the points before it, one F.pm_round per doubling, or add where
+        a sum has no chord (the identity, or P = +-2^i*step)."""
+        pts, i, plain = [start], 0, False
+        while len(pts) < n:
+            S = self.doubled(chain, i)
+            new = [S] if start is None else []
+            head = pts[len(new):n - len(pts)]
+            got = not plain and S and head and self.F.pm_round(None, (), head, S)
+            plain = plain or head and not got  # after that, points may be the identity
+            pts += new + (got[2] if got else [self.add(P, S) for P in head])
+            i += 1
+        return pts
 
     def walk(self, start, chain, n):
-        """The rounds (k0, lanes), lanes[k] = start + (k0 + k)*step for k0 + k
-        < n, chain = [step, 2step, ...], each computed when it is asked for.
-        The first, of min(n, LANES) lanes, takes one batched round per
-        doubling, the one from 2^i lanes stepping by doubled(chain, i); each
-        later round steps every lane by LANES*step, the last one cut short."""
-        width = min(n, LANES)
-        lanes = [start]
-        while len(lanes) < width:
-            step = self.doubled(chain, len(lanes).bit_length() - 1)
-            lanes += self.advance(lanes[:width - len(lanes)], step)
-        yield 0, lanes
-        for k0 in range(LANES, n, LANES):
-            lanes = self.advance(lanes[:n - k0], self.doubled(chain, LANES.bit_length() - 1))
-            yield k0, lanes
+        """start + k*step for k < n, chain = [step, 2step, ...], in blocks
+        made as they are asked for: yields (k0, xs, point), xs the x of the
+        points from k0 on (None for the identity), point(k) the point at k.
+        The first block is lanes: LANES + 1 from the identity, or all of a
+        walk of up to 2*LANES + 1 from a point.  The others are x(C +- T)
+        around centres C for the table T = step..h*step (the lanes from the
+        identity; from a point, the first C is start + h*step), one
+        F.pm_round that also steps to the next centre; the last is centred
+        on what is left.  Any pair or step with no chord (the identity, or
+        C = +-T, the identity at c -+ l) sends its block through add."""
+        if start is None or n <= 2 * LANES + 1:
+            pts = self.lanes(start, chain, min(n, LANES + 1) if start is None else n)
+            yield 0, [R and R[0] for R in pts], pts.__getitem__
+            if len(pts) == n:
+                return
+            table, C, c = pts[1:], None, 0
+        else:
+            table = self.lanes(None, chain, LANES + 1)[1:]
+            C, c = self.add(start, table[-1]), LANES
+        h, x, D, moved = len(table), lambda R: R and R[0], None, []
+        seen, w = set(map(x, table)), h
+        while True:
+            k1, S = min(n, c + w + 1), None
+            if k1 < n:  # the next block's half width u, and the step to its centre
+                u = min(h, (n - k1) // 2)
+                D = D or u == h and self.add(table[-1], self.add(table[-1], table[0]))
+                S = D if u == h else self.add(table[-1], table[u])
+            if c or start:  # from the identity, block 0 is the lanes
+                if not w or C is None or None in seen or C[0] in seen:
+                    plus = [x(self.add(C, T)) for T in table[:w]]
+                    minus, moved = [x(self.add(C, self.neg(T))) for T in table[:w]], []
+                else:
+                    plus, minus, moved = self.F.pm_round(
+                        C, table[:w], [C] if S and C[0] != S[0] else [], S)
+                xs = minus[::-1] + [x(C)] + plus
+                yield c - w, xs[:k1 - c + w], partial(self.at, C, table, c)
+            if k1 == n:
+                return
+            C = moved[0] if moved else self.add(C, S)
+            c, w = c + w + 1 + u, u
 
 
 def _to_short_weierstrass(model: Genus1Model):
@@ -321,56 +354,40 @@ def _crt(a, b):
     return (r1 + m1 * k) % m, m
 
 
-def _baby_rounds(n):
-    """Rounds of LANES baby steps that a walk over n consecutive multiples
-    needs to reach isqrt(n/2), and so at most about sqrt(n/2) giant windows."""
-    return math.isqrt(n // 2) // LANES + 1
+def _baby_blocks(n):
+    """Blocks (_Curve.walk) of a walk from the identity to isqrt(n/2)."""
+    return (math.isqrt(n // 2) + LANES) // (2 * LANES + 1) + 1
 
 
 def _baby_steps(curve: _Curve, Q, s: int):
-    """(n, baby, pts) from the walk jQ, j = 0..s (_Curve.walk from the
-    identity), with n = 1 for Q the identity.
+    """(n, baby, point) from the walk jQ, j = 0..s + 1, n = 1 for Q = O.
 
-    Scanning j upwards, the first j with y(jQ) = 0 or with x(jQ) already in
-    the table is j = ceil(n/2) for n = ord(Q), and it reveals n: 2jQ = O, or
-    jQ = -iQ with i + j = n.  No event up to s means n > 2s, and then n is 0,
-    baby maps x(jQ) to j and pts[j] is jQ (pts[0] the identity None).
+    Scanning j upwards, the first j with x(jQ) already in the table (the
+    identity's None at j = 0 included) meets jQ = -iQ and reveals ord(Q) =
+    i + j: at j = (n + 1)/2 for odd n, n/2 + 1 for even n, one past the
+    2-torsion point.  No event means n > 2s + 1, and then n is 0, baby maps
+    x(jQ) to j for j <= s, and point(j) = jQ for |j| <= s + 1.
     """
     if Q is None:
         return 1, None, None
-    zero = curve.F.zero
-    baby, pts = {}, [None]
-    for j0, lanes in curve.walk(None, [Q], s + 1):
-        for j, R in enumerate(lanes, j0):
-            if j == 0:
-                continue
-            x, y = R
-            if y == zero:
-                return 2 * j, None, None
+    baby, blocks = {}, []
+    for k0, xs, at in curve.walk(None, [Q], s + 2):
+        blocks.append(at)
+        if baby.keys().isdisjoint(xs) and len(set(xs)) == len(xs):
+            baby.update(zip(xs, range(k0, k0 + len(xs))))
+            continue
+        for j, x in enumerate(xs, k0):
             if x in baby:
                 return baby[x] + j, None, None
             baby[x] = j
-            pts.append(R)
-    return 0, baby, pts
+    del baby[xs[-1]]  # j = s + 1
+    h = min(s + 1, LANES)
 
+    def point(j):
+        R = blocks[min((abs(j) + h) // (2 * h + 1), len(blocks) - 1)](abs(j))
+        return R if j >= 0 else curve.neg(R)
 
-def _giant_start(curve: _Curve, chain_p, m0: int, mod: int, pts, chain_g):
-    """(m0 + mod*s)*P for pts[j] = jQ, j = 0..s, Q = mod*P, G = (2s + 1)*Q and
-    the doubling chains chain_p = [P, 2P, ...] and chain_g = [G, 2G, ...].
-
-    It is (m0 % mod)*P + a*G + b*Q with (a, b) = divmod(m0 // mod + s, 2s + 1),
-    b folded into [-s, s] so that b*Q is +-pts[|b|]: the one long scalar
-    multiplication, a*G, is log2(mod*(2s + 1)) bits shorter, and it leaves
-    chain_g grown to a's top bit, where the giant walk reads its steps.
-    """
-    s = len(pts) - 1
-    a, b = divmod(m0 // mod + s, 2 * s + 1)
-    if b > s:
-        a, b = a + 1, b - 2 * s - 1
-    R = pts[abs(b)]
-    if b < 0:
-        R = (R[0], curve.F.neg(R[1]))
-    return curve.add(curve.add(curve.mul(m0 % mod, chain_p), curve.mul(a, chain_g)), R)
+    return 0, baby, point
 
 
 def _two_smallest(cls, lo: int, hi: int):
@@ -392,11 +409,10 @@ def _multiples_in_interval(curve: _Curve, P, lo: int, hi: int, res: int = 0, mod
     Those m form one class modulo lcm(ord(P), mod), so the smallest two are
     that far apart.  With m0 the least class member >= lo, the walk solves
     (m0 + mod*k)*P = O for k in [0, K], stepping Q = mod*P.  The baby table
-    maps x(jQ) to j for j = 1..s; since x(jQ) = x(-jQ), one lookup tests
-    both c - j and c + j for a giant centre c, and a y comparison picks the
-    one that solves.  Baby and giant steps each run through _Curve.walk, one
-    batched inversion per round of up to LANES points.  The giant walk starts
-    from _giant_start, off the baby table, and steps by its chain.
+    maps x(jQ) to j for j = 0..s, the identity's None to 0; since x(jQ) =
+    x(-jQ), one lookup tests both c - j and c + j for a giant centre c, and
+    the y of the giant point and of jQ, each from its walk block, picks
+    the one that solves.  Baby and giant steps run through _Curve.walk.
     """
     m0 = _two_smallest((res, mod), lo, hi)[0]
     if m0 is None:
@@ -405,30 +421,36 @@ def _multiples_in_interval(curve: _Curve, P, lo: int, hi: int, res: int = 0, mod
     chain_p = [P]  # one doubling chain for every multiple of P below
     Q = curve.mul(mod, chain_p) if mod > 1 else P
     s = math.isqrt((K + 1) // 2)
-    order, baby, pts = _baby_steps(curve, Q, s)
+    order, baby, point = _baby_steps(curve, Q, s)
     if order:
         # ord(P) = ord(Q) * gcd(ord(P), mod): the least d | mod that kills P
         d = next(d for d in range(1, mod + 1) if mod % d == 0
                  and (d == mod or curve.mul(order * d, chain_p) is None))
         return _two_smallest(_crt((0, order * d), (res, mod)), lo, hi)
-    # giant centres c = s + i*(2s + 1): each window [c - s, c + s] holds at
-    # most one solution k (they are ord(Q) > 2s apart), and the windows run
-    # upwards from k = 0
+    # giant points (m0 + mod*c)*P centre windows [c - s, c + s], c = s +
+    # i*(2s + 1), of one solution k at most (they are ord(Q) > 2s + 1 apart),
+    # from k = 0 up.  The first is (m0 % mod)*P + a*G + b*Q, G = (2s + 1)*Q and
+    # |b| <= s: a is log2(mod*(2s + 1)) bits shorter than m0, and a*G leaves
+    # G's doubling chain grown, where the walk reads its steps
     stride = 2 * s + 1
-    windows = K // stride + 1
-    chain_g = [curve.add(curve.add(pts[s], pts[s]), Q)]
-    start = _giant_start(curve, chain_p, m0, mod, pts, chain_g)
+    a, b = divmod(m0 // mod + s, stride)
+    if b > s:
+        a, b = a + 1, b - stride
+    chain_g = [curve.add(point(s), point(s + 1))]
+    start = curve.add(curve.add(curve.mul(m0 % mod, chain_p), curve.mul(a, chain_g)), point(b))
     found = []
-    for i0, lanes in curve.walk(start, chain_g, windows):
-        # the last window may reach past K
-        for i, R in enumerate(lanes, i0):
-            c = s + i * stride
-            if R is None:
-                k = c
-            else:
-                j = baby.get(R[0])
-                k = None if j is None else c - j if R[1] == pts[j][1] else c + j
-            if k is not None and k <= K:
+    for i0, xs, at in curve.walk(start, chain_g, K // stride + 1):
+        if baby.keys().isdisjoint(xs):
+            continue
+        for i, x in enumerate(xs, i0):
+            j = baby.get(x)
+            if j is None:
+                continue
+            k = s + i * stride
+            if j:  # the identity (j = 0) is k itself
+                k += -j if at(i)[1] == point(j)[1] else j
+            # the last window may reach past K
+            if k <= K:
                 found.append(m0 + mod * k)
                 if len(found) == 2:
                     return found[0], found[1]
@@ -458,10 +480,10 @@ def group_order_bsgs(model: Genus1Model, rng=random) -> int:
     """#E(F_q) by interleaved order-finding on the curve and its twist.
 
     N = #E(F_q) mod 2, and in most cases mod 4, is read off the roots of the
-    cubic (_order_class) from CLASS_FROM_ROUNDS baby rounds of the walk over
+    cubic (_order_class) from CLASS_FROM_BLOCKS baby blocks of the walk over
     the whole Hasse interval, and N mod 3, in most cases, off those of psi_3
-    (_three_class) from THREE_FROM_ROUNDS, over F_p and F_{p^2} alike.
-    Below CLASS_FROM_ROUNDS a nonsquare discriminant -4A^3 - 27B^2 still
+    (_three_class) from THREE_FROM_BLOCKS, over F_p and F_{p^2} alike.
+    Below CLASS_FROM_BLOCKS a nonsquare discriminant -4A^3 - 27B^2 still
     makes N even: the cubic then has exactly one root in F_q (Stickelberger).
     The twist's count 2q + 2 - N has the class 2q + 2 - res: N's class mod
     4, but not mod 3.  Each random point (_twist_point) lies on E or on its
@@ -478,13 +500,13 @@ def group_order_bsgs(model: Genus1Model, rng=random) -> int:
     t0 = math.isqrt(4 * q)
     lo, hi = q + 1 - t0, q + 1 + t0
     target = 2 * q + 2
-    rounds = _baby_rounds(hi - lo + 1)
-    if rounds >= CLASS_FROM_ROUNDS:
+    blocks = _baby_blocks(hi - lo + 1)
+    if blocks >= CLASS_FROM_BLOCKS:
         known = _order_class(F, A, B)
     else:
         disc = F.neg(F.add(F.smul(4, F.mul(A, F.mul(A, A))), F.smul(27, F.mul(B, B))))
         known = (0, 1) if F.is_square(disc) else (0, 2)
-    if rounds >= THREE_FROM_ROUNDS:
+    if blocks >= THREE_FROM_BLOCKS:
         known = _crt(known, _three_class(F, A, B) or (0, 1))
     classes = (known, ((target - known[0]) % known[1], known[1]))
     for _ in range(MAX_POINTS):

@@ -15,9 +15,9 @@ Fp and Fp2 test squares by chi_p (of the norm, over F_{p^2}) and take no
 square roots.  The one square root is sqrt_mod_p, Tonelli-Shanks on plain
 ints, whose nonsquare witness find_nonsquare draws: type 2a's two centres
 need it, and nothing else in the package does.
-Each field's raw-int chord_round (one point added to many for one
-inversion), ec_add and xq_mod (x^q mod a depressed monic cubic or quartic)
-serve the genus 1 BSGS.
+Each field's raw-int pm_round (x(C +- T) over a table, two per shared
+denominator, and P + S, all for one inversion), ec_add and xq_mod (x^q mod
+a depressed monic cubic or quartic) serve the genus 1 BSGS.
 """
 
 import operator
@@ -190,23 +190,36 @@ class Fp:
     def random(self, rng):
         return rng.randrange(self.p)
 
-    def chord_round(self, pts, xs, ys):
-        """[P + (xs, ys) for P in pts] on any curve y^2 = x^3 + Ax + B, for
-        points P with x(P) != xs: the chord denominators share one inversion
-        through Montgomery's prefix products."""
-        p = self.p
-        prefix = [1]
+    def pm_round(self, C, table, pts, S):
+        """([x(C + T)], [x(C - T)] for T in table, [P + S for P in pts]) on
+        any curve y^2 = x^3 + Ax + B, on raw ints.  C + T and C - T share the
+        denominator x(T) - x(C) and only their x is computed; all the
+        denominators share one inversion through Montgomery's prefix
+        products.  None if one vanishes: some pair has no chord."""
+        p, t, prefix = self.p, len(table), [1]
+        (xc, yc), (xs, ys) = C or (0, 0), S or (0, 0)
+        for x, _ in table:
+            prefix.append(prefix[-1] * (x - xc) % p)
         for x, _ in pts:
             prefix.append(prefix[-1] * (x - xs) % p)
+        if not prefix[-1]:
+            return None
         inv = pow(prefix[-1], -1, p)
-        out = [None] * len(pts)
+        sums = [None] * len(pts)
         for i in range(len(pts) - 1, -1, -1):
             x1, y1 = pts[i]
-            lam = (y1 - ys) * inv * prefix[i] % p
+            lam = (y1 - ys) * inv * prefix[t + i] % p
             inv = inv * (x1 - xs) % p
             x3 = (lam * lam - x1 - xs) % p
-            out[i] = (x3, (lam * (x1 - x3) - y1) % p)
-        return out
+            sums[i] = x3, (lam * (x1 - x3) - y1) % p
+        plus, minus = [None] * t, [None] * t
+        for i in range(t - 1, -1, -1):
+            x, y = table[i]
+            w = inv * prefix[i] % p
+            inv = inv * (x - xc) % p
+            lp, lm, s = (y - yc) * w % p, (y + yc) * w % p, x + xc
+            plus[i], minus[i] = (lp * lp - s) % p, (lm * lm - s) % p
+        return plus, minus, sums
 
     def ec_add(self, P, Q, A):
         """P + Q for affine P, Q on any curve y^2 = x^3 + Ax + B, on raw ints:
@@ -342,41 +355,57 @@ class Fp2:
     def random(self, rng):
         return (rng.randrange(self.p), rng.randrange(self.p))
 
-    def chord_round(self, pts, xs, ys):
-        """Fp.chord_round over F_{p^2} on coordinate ints: the F_p norms of
-        the denominators d share one inversion, and 1/d = frob(d)/N(d)."""
-        p, u0, u1 = self.p, self.u0, self.u1
-        s0, s1 = xs
-        t0, t1 = ys
+    def pm_round(self, C, table, pts, S):
+        """Fp.pm_round over F_{p^2} on coordinate ints: the F_p norms of the
+        denominators d share one inversion, and 1/d = frob(d)/N(d)."""
+        p, u0, u1, t = self.p, self.u0, self.u1, len(table)
         norms, prefix = [], [1]
-        for (a0, a1), _ in pts:
-            d0, d1 = a0 - s0, a1 - s1
-            n = (d0 * d0 - u1 * d0 * d1 + u0 * d1 * d1) % p
-            norms.append(n)
-            prefix.append(prefix[-1] * n % p)
-        inv = pow(prefix[-1], -1, p)
-        out = [None] * len(pts)
+        (s0, s1), (t0, t1) = S or ((0, 0), (0, 0))
+        (q0, q1), (v0, v1) = C or ((0, 0), (0, 0))
+        for rows, c0, c1 in ((pts, s0, s1), (table, q0, q1)):
+            for (a0, a1), _ in rows:
+                d0, d1 = a0 - c0, a1 - c1
+                n = (d0 * d0 - u1 * d0 * d1 + u0 * d1 * d1) % p
+                norms.append(n)
+                prefix.append(prefix[-1] * n % p)
+        if not prefix[-1]:
+            return None
+        inv, m, sums = pow(prefix[-1], -1, p), len(pts), [None] * len(pts)
+        plus, minus = [None] * t, [None] * t
+        for i in range(t - 1, -1, -1):
+            (a0, a1), (b0, b1) = table[i]
+            ninv = inv * prefix[m + i] % p
+            inv = inv * norms[m + i] % p
+            # g = 1/d; x(C +- T) = lam^2 - x(T) - x(C) for lam = (y(T) -+ y(C)) g
+            d1, e0, e1, n0, n1 = a1 - q1, a0 + q0, a1 + q1, b0 - v0, b1 - v1
+            g0, g1 = (a0 - q0 - u1 * d1) * ninv % p, -d1 * ninv % p
+            r = n1 * g1
+            l0, l1 = (n0 * g0 - u0 * r) % p, (n0 * g1 + n1 * g0 - u1 * r) % p
+            r, n0, n1 = l1 * l1, b0 + v0, b1 + v1
+            plus[i] = (l0 * l0 - u0 * r - e0) % p, (2 * l0 * l1 - u1 * r - e1) % p
+            r = n1 * g1
+            l0, l1 = (n0 * g0 - u0 * r) % p, (n0 * g1 + n1 * g0 - u1 * r) % p
+            r = l1 * l1
+            minus[i] = (l0 * l0 - u0 * r - e0) % p, (2 * l0 * l1 - u1 * r - e1) % p
         for i in range(len(pts) - 1, -1, -1):
             (a0, a1), (b0, b1) = pts[i]
             ninv = inv * prefix[i] % p
             inv = inv * norms[i] % p
             # lam = (y - ys) * frob(d) / N(d), with frob(d) = (c0, -d1)
             d1, e0, e1 = a1 - s1, b0 - t0, b1 - t1
-            c0 = a0 - s0 - u1 * d1
-            t = -e1 * d1
-            l0 = (e0 * c0 - u0 * t) * ninv % p
-            l1 = (e1 * c0 - e0 * d1 - u1 * t) * ninv % p
-            t = l1 * l1
-            x0 = (l0 * l0 - u0 * t - a0 - s0) % p
-            x1 = (2 * l0 * l1 - u1 * t - a1 - s1) % p
+            c0, r = a0 - s0 - u1 * d1, -e1 * d1
+            l0 = (e0 * c0 - u0 * r) * ninv % p
+            l1 = (e1 * c0 - e0 * d1 - u1 * r) * ninv % p
+            r = l1 * l1
+            x0, x1 = (l0 * l0 - u0 * r - a0 - s0) % p, (2 * l0 * l1 - u1 * r - a1 - s1) % p
             w0, w1 = a0 - x0, a1 - x1
-            t = l1 * w1
-            out[i] = ((x0, x1), ((l0 * w0 - u0 * t - b0) % p,
-                                 (l0 * w1 + l1 * w0 - u1 * t - b1) % p))
-        return out
+            r = l1 * w1
+            sums[i] = ((x0, x1), ((l0 * w0 - u0 * r - b0) % p,
+                                  (l0 * w1 + l1 * w0 - u1 * r - b1) % p))
+        return plus, minus, sums
 
     def ec_add(self, P, Q, A):
-        """Fp.ec_add over F_{p^2}, affine P, Q: slope n/d, 1/d = frob(d)/N(d) as in chord_round."""
+        """Fp.ec_add over F_{p^2}, affine P, Q: slope n/d, 1/d = frob(d)/N(d) as in pm_round."""
         p, u0, u1 = self.p, self.u0, self.u1
         ((a0, a1), (b0, b1)), ((c0, c1), (e0, e1)) = P, Q
         if a0 != c0 or a1 != c1:

@@ -11,11 +11,22 @@ must be used by its own module: read as a name or listed in __all__, unless
 its line says "# noqa: F401" (the names kept only for the benchmark's
 tracing hooks).  And no module reads the environment, so that behaviour is
 set by arguments alone.
+
+A name shared by two classes passes the ast check if either uses it, so
+test_field_and_curve_members_are_called counts the calls to each public
+method of Fp, Fp2 and _Curve at run time, over factors and counts that
+reach every counting path over both fields.
 """
 
 import ast
+import random
 from collections import Counter
 from pathlib import Path
+
+from g2lpoly import genus1, oracle
+from g2lpoly.clusterclassify import ClusterType
+from g2lpoly.eulercore import EulerInput, euler_factor
+from g2lpoly.modarith import Fp, Fp2
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "g2lpoly"
@@ -111,3 +122,36 @@ def test_no_environment_reads():
             elif isinstance(node, ast.alias) and node.name in ("environ", "getenv"):
                 reads.append(f"{path.name}:{node.lineno} import {node.name}")
     assert not reads, "environment reads: " + ", ".join(reads)
+
+
+# public members that euler_factor and lpoly1 never call, which only the
+# oracle or the tests use: none at present
+CALLED_ELSEWHERE = frozenset()
+
+
+def test_field_and_curve_members_are_called(monkeypatch):
+    # every cluster type at small primes (exhaustive counts over F_p and
+    # F_{p^2}), type 2b at p = 131, past the exhaustive band of F_{p^2},
+    # and BSGS with both class reads over F_p near 2^30 and F_{p^2} near 2^32
+    rng = random.Random(5)
+    factors = [(oracle.random_instance(p, typ, rng, max_depth=3, compute_expected=False).f, p)
+               for p in (5, 13, 61) for typ in ClusterType]
+    factors.append((oracle.gen_type2b(131, 2, rng, compute_expected=False).f, 131))
+    cubics = [genus1.Genus1Model(F, (F.random(rng), F.random(rng), F.random(rng), F.one))
+              for F in (Fp(1073741827), Fp2(65537, 65534, 0)) for _ in range(2)]
+    members = [(f"{cls.__name__}.{name}", cls, name, member)
+               for cls in (Fp, Fp2, genus1._Curve) for name, member in vars(cls).items()
+               if callable(member) and not name.startswith("_")]
+    calls = Counter()
+    for key, cls, name, member in members:
+        def wrapper(*args, _real=member, _key=key, **kwargs):
+            calls[_key] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, wrapper)
+    for f, p in factors:
+        euler_factor(EulerInput(f, p), rng)
+    for model in cubics:
+        genus1.lpoly1(model, rng)
+    never = [key for key, *_ in members if not calls[key] and key not in CALLED_ELSEWHERE]
+    assert never == [], "members never called: " + ", ".join(never)

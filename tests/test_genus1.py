@@ -628,37 +628,145 @@ def test_interval_multiples_two_torsion():
             assert _multiples_in_interval(curve, P, lo, F.q + 1 + t0) == (first, first + 2)
 
 
-def test_lane_advance_matches_plain_addition():
-    # a lane that is the identity or +-step has no chord: it goes through
-    # add while the other lanes share one inversion
+def _spy_rounds(monkeypatch):
+    """(len(table), len(pts)) of every F.pm_round call, each checked to have
+    a chord for every pair: no centre shares its x with a table entry."""
+    rounds = []
+    for cls in (Fp, Fp2):
+        def spy(self, C, table, pts, S, real=cls.pm_round):
+            assert not table or C[0] not in {T[0] for T in table}
+            rounds.append((len(table), len(pts)))
+            return real(self, C, table, pts, S)
+
+        monkeypatch.setattr(cls, "pm_round", spy)
+    return rounds
+
+
+def _walk_blocks(curve, start, step, n):
+    """The blocks of curve.walk, checked against adding step point by point:
+    every x in order, blocks that meet end to end, and point(k) the point
+    at k.  The block lengths."""
+    want = [start]
+    while len(want) < n:
+        want.append(curve.add(want[-1], step))
+    blocks = list(curve.walk(start, [step], n))
+    assert [k0 for k0, _, _ in blocks] == [sum(len(xs) for _, xs, _ in blocks[:i])
+                                           for i in range(len(blocks))]
+    assert [x for _, xs, _ in blocks for x in xs] == [R and R[0] for R in want]
+    for k0, xs, point in blocks:
+        assert [point(k) for k in range(k0, k0 + len(xs))] == want[k0:k0 + len(xs)]
+    return [len(xs) for _, xs, _ in blocks]
+
+
+def test_walk_gives_every_x_in_order(monkeypatch):
+    # From the identity the lanes hold LANES + 1 points and the blocks past
+    # them 2*LANES + 1, the last centred on what is left; from a point, a
+    # walk of up to 2*LANES + 1 is one block of lanes, and a longer one
+    # blocks from the centre start + LANES*step, the last one cut short
+    rounds = _spy_rounds(monkeypatch)
     rng = random.Random(50)
-    for F in (Fp(1009), Fp2(43, 1, 0)):
+    L = LANES
+    lengths = {None: {L: [L], L + 1: [L + 1], 2 * L + 1: [L + 1, L], 2 * L + 2: [L + 1, L + 1],
+                      3 * L + 3: [L + 1, 2 * L + 1, 1]},
+               "point": {L: [L], L + 1: [L + 1], 2 * L + 1: [2 * L + 1],
+                         2 * L + 2: [2 * L + 1, 1], 3 * L + 3: [2 * L + 1, L + 2]}}
+    for F in (Fp(2**61 - 1), Fp2(1009, 11, 1)):
         curve = _random_curve(F, rng)
         step = random_point(curve, rng)
-        lanes = [random_point(curve, rng) for _ in range(5)]
-        lanes += [None, step, (step[0], F.neg(step[1]))]
-        rng.shuffle(lanes)
-        assert curve.advance(lanes, step) == [curve.add(Q, step) for Q in lanes]
-        assert curve.advance(lanes, None) == lanes
-        # walks of 3 and 17 points cut their doubling round short, and those
-        # past LANES step by LANES*step from offset LANES on.  A fresh chain
-        # gains the doublings that the rounds read, as they are read: a first
-        # round alone doubles to 16*step at most.  A chain that already holds
-        # them (as a*G leaves it) is read, not redone
-        grown = [curve.mul(1 << i, [step]) for i in range(6)]
-        for n, fresh in ((1, 0), (3, 1), (17, 4), (32, 4), (33, 5), (65, 5)):
-            for start in (None, lanes[0]):
-                want = [curve.add(start, curve.mul(k, [step])) for k in range(n)]
-                for chain in ([step], grown[:]):
-                    held = len(chain) - 1  # the doublings the chain holds
-                    rounds = curve.walk(start, chain, n)
-                    assert next(rounds) == (0, want[:LANES])
-                    assert len(chain) - 1 == max(held, min(fresh, 4))
-                    later = list(rounds)
-                    assert [k0 for k0, _ in later] == list(range(LANES, n, LANES))
-                    assert [R for _, rnd in later for R in rnd] == want[LANES:]
-                    assert chain == grown[:len(chain)]  # grown by doubling, and kept
-                    assert len(chain) - 1 == max(held, fresh)
+        for n in lengths[None]:
+            for start in (None, random_point(curve, rng)):
+                rounds.clear()
+                got = _walk_blocks(curve, start, step, n)
+                assert got == lengths[start and "point"][n], (F, start, n)
+                # past the lanes, x(C +- T) for the table's entries
+                assert any(t for t, _ in rounds) == (len(got) > 1)
+
+
+def test_walk_meets_the_identity(monkeypatch):
+    # start = -k*step puts the identity at k: on a centre (the identity is
+    # the centre), beside one (C = +-T), in the lanes and in the last block;
+    # such a block goes through add, the others through the round
+    rounds = _spy_rounds(monkeypatch)
+    rng = random.Random(65)
+    L = LANES
+    for F in (Fp(2**61 - 1), Fp2(1009, 11, 1)):
+        curve = _random_curve(F, rng)
+        step = random_point(curve, rng)
+        for n, k in ((2 * L, 7), (3 * L + 3, L), (3 * L + 3, L + 9), (3 * L + 3, 3 * L + 2),
+                     (5 * L + 5, 3 * L + 3), (5 * L + 5, 3 * L + 1)):
+            rounds.clear()
+            start = curve.neg(curve.mul(k, [step]))
+            blocks = list(curve.walk(start, [step], n))
+            xs = [x for _, b, _ in blocks for x in b]
+            assert xs.index(None) == k and xs.count(None) == 1, (F, n, k)
+            _walk_blocks(curve, start, step, n)
+            assert len(rounds) >= 1
+
+
+def _point_of_order(n, fields, rng):
+    """(curve, Q) with Q of order n, on a random curve over one of fields."""
+    while True:
+        F = rng.choice(fields)
+        curve = _random_curve(F, rng)
+        N = brute_count_fp((curve.B, curve.A, 0, 1), F.p)
+        if N % n:
+            continue
+        for _ in range(8):
+            P = random_point(curve, rng)
+            m = _order(curve, P)
+            if m % n == 0:
+                return curve, curve.mul(m // n, [P])
+
+
+def test_baby_steps_read_two_torsion_at_block_edges():
+    # ord(Q) = 2h: hQ has y = 0, and the event is the x collision one step
+    # past it, (h + 1)Q = -(h - 1)Q.  h = LANES is the lanes' last point and
+    # h = 3*LANES + 1 the last of the first block past them, so the event
+    # falls in the next block; h = s is read only because the walk reads
+    # s + 1.  Odd orders meet at (n + 1)/2, and 2s + 1 at s + 1
+    rng = random.Random(66)
+    L = LANES
+    for h in (L, L + 1, 3 * L + 1):
+        curve, Q = _point_of_order(2 * h, [Fp(p) for p in _fp_primes(2 * h - 40, 2 * h + 40)],
+                                   rng)
+        for s in (h, h + 1, 2 * h):
+            assert genus1._baby_steps(curve, Q, s)[0] == 2 * h, (h, s)
+        assert genus1._baby_steps(curve, Q, h - 1)[0] == 0
+    curve, Q = _point_of_order(2 * L + 1, [Fp(p) for p in _fp_primes(40, 100)], rng)
+    assert genus1._baby_steps(curve, Q, L)[0] == 2 * L + 1
+    assert genus1._baby_steps(curve, Q, L - 1)[0] == 0
+
+
+def test_baby_steps_recover_their_points():
+    # no event up to s + 1: baby maps x(jQ) to j for j = 0..s (the identity's
+    # None to 0), and point(j) = jQ for |j| <= s + 1, off its block
+    rng = random.Random(67)
+    for F in (Fp(2**61 - 1), Fp2(1009, 11, 1)):
+        curve = _random_curve(F, rng)
+        Q = random_point(curve, rng)
+        want = [None]
+        while len(want) < 4 * LANES:
+            want.append(curve.add(want[-1], Q))
+        for s in (1, 5, LANES - 1, LANES, LANES + 1, 2 * LANES, 3 * LANES + 2):
+            order, baby, point = genus1._baby_steps(curve, Q, s)
+            assert order == 0
+            assert baby == {R and R[0]: j for j, R in enumerate(want[:s + 1])}
+            for j in range(-s - 1, s + 2):
+                assert point(j) == (want[j] if j >= 0 else curve.neg(want[-j])), (F, s, j)
+
+
+@pytest.mark.parametrize("lanes", (2, 4))
+def test_bsgs_exact_with_narrow_blocks(monkeypatch, lanes):
+    # LANES = 2 or 4: fields below 2^16 run many blocks, baby and giant, and
+    # most hits fall in blocks, where y comes off the block's centre
+    monkeypatch.setattr(genus1, "LANES", lanes)
+    rng = random.Random(68 + lanes)
+    fields = [Fp(p) for p in (233, 1009, 8209, 65521)]
+    fields += [Fp2(p, -find_nonsquare(p, rng) % p, 0) for p in (17, 61, 251)]
+    for F in fields:
+        for _ in range(4):
+            m = _random_nonsingular(rng, F, (None, None, None, 1))
+            assert group_order_bsgs(m, rng) == count_points_naive(m), (F, m.g)
 
 
 def _prime_below(n):
@@ -871,8 +979,8 @@ def test_bsgs_class_mod_12_on_both_sides(monkeypatch):
     # leave many points whose order has several multiples in the interval,
     # so the twist side runs too: each side must search its own class,
     # 2q + 2 - res for the twist, which differs from N's mod 3
-    monkeypatch.setattr(genus1, "CLASS_FROM_ROUNDS", 0)
-    monkeypatch.setattr(genus1, "THREE_FROM_ROUNDS", 0)
+    monkeypatch.setattr(genus1, "CLASS_FROM_BLOCKS", 0)
+    monkeypatch.setattr(genus1, "THREE_FROM_BLOCKS", 0)
     searched = []
     real = genus1._multiples_in_interval
 
@@ -932,22 +1040,16 @@ def test_twist_points_lie_on_their_twists():
 
 
 def test_bsgs_set_up_matches_naive_above_the_mestre_bound(monkeypatch):
-    # Just above MESTRE_BOUND every walk is one round with one lane per
-    # point, mostly not a power of two; near q = 2^18 and 2^20 (F_{p^2} at
-    # p = 521, F_p at 2^20 + 7) baby and giant walks pass LANES points.  The
-    # points come from both sides of chi(w).  A lane round with no chord
-    # (the first baby round, from the identity) makes no chord_round call
-    widths, batches = [], []
-    real = genus1._baby_steps
-
-    def spy(curve, Q, s):
-        widths.append((s + 1, min(s + 1, LANES)))
-        return real(curve, Q, s)
-
-    monkeypatch.setattr(genus1, "_baby_steps", spy)
-    for cls in (Fp, Fp2):
-        monkeypatch.setattr(cls, "chord_round", lambda self, pts, xs, ys, real=cls.chord_round:
-                            batches.append(len(pts)) or real(self, pts, xs, ys))
+    # Just above MESTRE_BOUND every walk is one block of lanes, mostly not a
+    # power of two long; near q = 2^18 and 2^20 (F_{p^2} at p = 521, F_p at
+    # 2^20 + 7) baby walks pass LANES + 1 points.  The points come from both
+    # sides of chi(w).  No round is handed an empty batch: the identity's
+    # lanes and a last block of one point add nothing to one
+    walks = []
+    real = _Curve.walk
+    monkeypatch.setattr(_Curve, "walk", lambda self, start, chain, n:
+                        walks.append((start is None, n)) or real(self, start, chain, n))
+    rounds = _spy_rounds(monkeypatch)
     sides = _spy_sides(monkeypatch)
     rng = random.Random(61)
     fields = [(Fp(p), 8) for p in (233, 239, 241, 8209)]
@@ -958,9 +1060,9 @@ def test_bsgs_set_up_matches_naive_above_the_mestre_bound(monkeypatch):
             m = _random_nonsingular(rng, F, (None, None, None, rng.randrange(1, F.p)))
             assert group_order_bsgs(m, rng) == count_points_naive(m, 1 << 21), (F, m.g)
     assert {0, 1} <= set(sides)
-    assert any(terms == width and width & (width - 1) for terms, width in widths)
-    assert any(terms > LANES for terms, _ in widths)
-    assert batches and 0 not in batches
+    assert any(baby and n <= LANES + 1 and (n - 1) & (n - 2) for baby, n in walks)
+    assert any(baby and n > LANES + 1 for baby, n in walks)
+    assert rounds and (0, 0) not in rounds
 
 
 def test_nonsquare_discriminant_means_even_count():
@@ -983,31 +1085,42 @@ def test_nonsquare_discriminant_means_even_count():
     assert nonsquare >= 50 and odd >= 50
 
 
-def test_giant_start_reads_the_baby_table():
-    # (m0 % mod)*P + a*G + (+-pts[|b|]) = (m0 + mod*s)*P, for b below, at and
-    # above s before the fold; a*G leaves G's doubling chain up to a's top
-    # bit, where the giant walk reads its steps
+def test_giant_walk_starts_in_its_first_window(monkeypatch):
+    # The giant walk starts at (m0 + mod*s)*P, built as (m0 % mod)*P + a*G +
+    # b*Q, G = (2s + 1)*Q, with b folded into [-s, s] (below, at and above s
+    # before the fold) and b*Q read off the baby walk; a*G leaves G's
+    # doubling chain grown to a's top bit, where the walk reads its steps
+    walks = []
+    real = _Curve.walk
+    monkeypatch.setattr(_Curve, "walk", lambda self, start, chain, n: walks.append(
+        (start, chain, n)) or real(self, start, chain, n))
     rng = random.Random(63)
     folds = set()
     for F in (Fp(1009), Fp2(43, 1, 0)):
+        t0 = math.isqrt(4 * F.q)
         for mod in (1, 2, 3, 4, 6, 12):
             for _ in range(8):
                 curve = _random_curve(F, rng)
                 P = random_point(curve, rng)
                 Q = curve.mul(mod, [P])
-                s = rng.randrange(1, 9)
-                if Q is None or _order(curve, Q) <= 2 * s:
+                lo = rng.randrange(1, 2 * F.q)
+                hi = lo + rng.choice((2 * t0, rng.randrange(4 * F.q)))
+                res = rng.randrange(mod)
+                walks.clear()
+                _multiples_in_interval(curve, P, lo, hi, res, mod)
+                m0 = lo + (res - lo) % mod
+                K = (hi - m0) // mod
+                s = math.isqrt((K + 1) // 2)
+                if Q is None or _order(curve, Q) <= 2 * s + 1 or m0 > hi:
                     continue
-                pts = [curve.mul(j, [Q]) for j in range(s + 1)]
+                start, chain, n = next(w for w in walks if w[0] is not None)
+                assert start == curve.mul(m0 + mod * s, [P]), (F, mod, lo, hi)
+                assert n == K // (2 * s + 1) + 1
+                a, b = divmod(m0 // mod + s, 2 * s + 1)
+                folds.add((b > s) - (b < s))
                 G = curve.mul(2 * s + 1, [Q])
-                for m0 in rng.sample(range(4 * F.q), 6):
-                    a, b = divmod(m0 // mod + s, 2 * s + 1)
-                    folds.add((b > s) - (b < s))
-                    chain = [G]
-                    got = genus1._giant_start(curve, [P], m0, mod, pts, chain)
-                    assert got == curve.mul(m0 + mod * s, [P]), (F, mod, s, m0)
-                    assert len(chain) == max(1, (a + (b > s)).bit_length())
-                    assert chain == [curve.mul(1 << i, [G]) for i in range(len(chain))]
+                assert len(chain) >= (a + (b > s)).bit_length()
+                assert chain == [curve.mul(1 << i, [G]) for i in range(len(chain))]
     assert folds == {-1, 0, 1}
 
 

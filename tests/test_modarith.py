@@ -281,21 +281,46 @@ def test_is_prime_strong_pseudoprimes_and_large_primes():
         assert is_prime(n), n
 
 
-def test_chord_round_matches_curve_addition():
-    # one round of 0, 1, 7 and 32 lanes against adding the step lane by lane;
-    # z^2 + z + 11 exercises the u1 terms that z^2 + 11 leaves out
+def test_pm_round_matches_curve_addition():
+    # x(C + T) and x(C - T) for tables of 0, 1, 7 and 32 entries, two of them
+    # of order 2 where the table is long enough, and P + S for 0, 1 and 5
+    # points, in one round, against adding point by point; z^2 + z + 11
+    # exercises the u1 terms that z^2 + 11 leaves out
     rng = random.Random(9)
     for F in (Fp(13), Fp(2**61 - 1), Fp2(1009, 11, 0), Fp2(1009, 11, 1)):
-        curve = _Curve(F, F.random(rng), F.random(rng))
-        for n in (0, 1, 7, 32):
-            xs, ys = step = random_point(curve, rng)
-            pts = [random_point(curve, rng) for _ in range(3 * n)]
+        # distinct roots x0, x1 and -x0 - x1 of x^3 + Ax + B give the points
+        # of order 2
+        x0 = x1 = F.zero
+        while len({x0, x1, F.neg(F.add(x0, x1))}) < 3:
+            x0, x1 = F.random(rng), F.random(rng)
+        A = F.neg(F.add(F.add(F.mul(x0, x0), F.mul(x0, x1)), F.mul(x1, x1)))
+        curve = _Curve(F, A, F.neg(F.mul(x0, F.add(F.mul(x0, x0), A))))
+        two = [(x0, F.zero), (x1, F.zero)]
+        assert all(curve.add(T, T) is None for T in two)
+        neg = lambda P: (P[0], F.neg(P[1]))
+        for n, m in ((0, 1), (1, 0), (7, 5), (32, 1)):
+            C, S = two[0], random_point(curve, rng)
+            while C[0] in (x0, x1):
+                C = random_point(curve, rng)
             # random_point's roots put its points on the curve
-            for x, y in pts + [step]:
+            for x, y in [C, S]:
                 assert F.mul(y, y) == F.add(F.mul(x, F.add(F.mul(x, x), curve.A)), curve.B)
-            pts = [P for P in pts if P[0] != xs][:n]
-            assert len(pts) == n
-            assert F.chord_round(pts, xs, ys) == [curve.add(P, step) for P in pts]
+            draws = [random_point(curve, rng) for _ in range(3 * n + 3 * m + 6)]
+            table = [T for T in two * (n >= 7) + draws if T[0] != C[0]][:n]
+            pts = [P for P in draws if P[0] != S[0]][:m]
+            assert len(table) == n and len(pts) == m
+            assert n < 7 or set(two) <= set(table)
+            plus, minus, sums = F.pm_round(C, table, pts, S)
+            assert plus == [curve.add(C, T)[0] for T in table]
+            assert minus == [curve.add(C, neg(T))[0] for T in table]
+            assert sums == [curve.add(P, S) for P in pts]
+        # a centre with the x of a table entry has no chord, and a walk must
+        # never hand it to the round: the batched inversion would fail, and
+        # the round gives None, as for a point sharing x with S
+        T = random_point(curve, rng)
+        for C in (T, neg(T)):
+            assert F.pm_round(C, [random_point(curve, rng), T], [], None) is None
+            assert F.pm_round(None, (), [random_point(curve, rng), C], T) is None
 
 
 def test_fp_inverse_matches_fermat():
