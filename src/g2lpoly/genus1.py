@@ -62,13 +62,13 @@ MAX_POINTS = 48
 # Reading #E mod 2 or 4 (_order_class) costs a power x^q mod the cubic,
 # about log2(p) squarings, and a gcd; mod 3 (_three_class), the same mod a
 # quartic.  Per-call medians of group_order_bsgs, each read on against off,
-# 32 random cubics per size, by the blocks (_baby_blocks) of the walk over
+# 32 random cubics per size, by the blocks of a baby walk (_Curve.walk) over
 # the whole interval: the class mod 4, against the discriminant's parity,
-# lost 4-12% over F_{p^2} at two blocks (F_p: -2% to +7%), broke even at
-# three (0.97-1.03) and paid 3-5% from four.  The class mod 3 lost 4-21% at
-# three to five blocks, broke even at five and six over F_p and at seven and
-# eight over F_{p^2}, and paid 4-9% over F_p from seven and 1-4% over
-# F_{p^2} at eight and nine, 7-9% from ten.
+# lost 1-8% over F_{p^2} at two blocks (F_p: -5% to +6%), broke even over
+# F_{p^2} at three (F_p paid 2-3%) and paid 2-4% from four.  The class mod
+# 3 lost up to 6% over F_p and 14% over F_{p^2} at four to six blocks,
+# broke even at six and seven over F_p and at seven and eight over
+# F_{p^2}, and paid 5-8% over F_p from eight and 4-7% over F_{p^2} from nine.
 CLASS_FROM_BLOCKS = 3
 THREE_FROM_BLOCKS = 8
 
@@ -219,32 +219,30 @@ class _Curve:
 
     def lanes(self, start, chain, n):
         """[start + k*step for k < n], chain = [step, 2step, ...]: 2^i*step
-        plus the points before it, one F.pm_round per doubling, or add where
-        a sum has no chord (the identity, or P = +-2^i*step)."""
-        pts, i, plain = [start], 0, False
+        plus the points before it, one F.pm_round per doubling; add takes a
+        lone point, and sums with no chord (the identity, or P = +-2^i*step)."""
+        pts = [start]
         while len(pts) < n:
-            S = self.doubled(chain, i)
+            S = self.doubled(chain, len(pts).bit_length() - 1)
             new = [S] if start is None else []
             head = pts[len(new):n - len(pts)]
-            got = not plain and S and head and self.F.pm_round(None, (), head, S)
-            plain = plain or head and not got  # after that, points may be the identity
+            got = S and len(head) > 1 and None not in head and self.F.pm_round(None, (), head, S)
             pts += new + (got[2] if got else [self.add(P, S) for P in head])
-            i += 1
         return pts
 
     def walk(self, start, chain, n):
         """start + k*step for k < n, chain = [step, 2step, ...], in blocks
         made as they are asked for: yields (k0, xs, point), xs the x of the
         points from k0 on (None for the identity), point(k) the point at k.
-        The first block is lanes: LANES + 1 from the identity, or all of a
-        walk of up to 2*LANES + 1 from a point.  The others are x(C +- T)
-        around centres C for the table T = step..h*step (the lanes from the
-        identity; from a point, the first C is start + h*step), one
+        The first block is lanes: all of a walk of up to 2*LANES + 1, or
+        else LANES + 1 from the identity.  The others are x(C +- T)
+        around centres C for the table T = step..LANES*step (the lanes from
+        the identity; from a point, the first C is start + LANES*step), one
         F.pm_round that also steps to the next centre; the last is centred
-        on what is left.  Any pair or step with no chord (the identity, or
-        C = +-T, the identity at c -+ l) sends its block through add."""
+        on what is left.  A block with no chord for a pair or for the step
+        (the identity, or C = +-T) goes through add."""
         if start is None or n <= 2 * LANES + 1:
-            pts = self.lanes(start, chain, min(n, LANES + 1) if start is None else n)
+            pts = self.lanes(start, chain, n if n <= 2 * LANES + 1 else LANES + 1)
             yield 0, [R and R[0] for R in pts], pts.__getitem__
             if len(pts) == n:
                 return
@@ -260,7 +258,7 @@ class _Curve:
                 u = min(h, (n - k1) // 2)
                 D = D or u == h and self.add(table[-1], self.add(table[-1], table[0]))
                 S = D if u == h else self.add(table[-1], table[u])
-            if c or start:  # from the identity, block 0 is the lanes
+            if c:  # from the identity, block 0 is the lanes
                 if not w or C is None or None in seen or C[0] in seen:
                     plus = [x(self.add(C, T)) for T in table[:w]]
                     minus, moved = [x(self.add(C, self.neg(T))) for T in table[:w]], []
@@ -354,11 +352,6 @@ def _crt(a, b):
     return (r1 + m1 * k) % m, m
 
 
-def _baby_blocks(n):
-    """Blocks (_Curve.walk) of a walk from the identity to isqrt(n/2)."""
-    return (math.isqrt(n // 2) + LANES) // (2 * LANES + 1) + 1
-
-
 def _baby_steps(curve: _Curve, Q, s: int):
     """(n, baby, point) from the walk jQ, j = 0..s + 1, n = 1 for Q = O.
 
@@ -381,10 +374,9 @@ def _baby_steps(curve: _Curve, Q, s: int):
                 return baby[x] + j, None, None
             baby[x] = j
     del baby[xs[-1]]  # j = s + 1
-    h = min(s + 1, LANES)
 
     def point(j):
-        R = blocks[min((abs(j) + h) // (2 * h + 1), len(blocks) - 1)](abs(j))
+        R = blocks[min((abs(j) + LANES) // (2 * LANES + 1), len(blocks) - 1)](abs(j))
         return R if j >= 0 else curve.neg(R)
 
     return 0, baby, point
@@ -500,7 +492,7 @@ def group_order_bsgs(model: Genus1Model, rng=random) -> int:
     t0 = math.isqrt(4 * q)
     lo, hi = q + 1 - t0, q + 1 + t0
     target = 2 * q + 2
-    blocks = _baby_blocks(hi - lo + 1)
+    blocks = (math.isqrt((hi - lo + 1) // 2) + LANES) // (2 * LANES + 1) + 1
     if blocks >= CLASS_FROM_BLOCKS:
         known = _order_class(F, A, B)
     else:

@@ -193,32 +193,29 @@ class Fp:
     def pm_round(self, C, table, pts, S):
         """([x(C + T)], [x(C - T)] for T in table, [P + S for P in pts]) on
         any curve y^2 = x^3 + Ax + B, on raw ints.  C + T and C - T share the
-        denominator x(T) - x(C) and only their x is computed; all the
-        denominators share one inversion through Montgomery's prefix
-        products.  None if one vanishes: some pair has no chord."""
-        p, t, prefix = self.p, len(table), [1]
+        denominator x(T) - x(C); all the denominators share one inversion
+        through Montgomery's prefix products.  None if one of them is 0."""
+        p, t, m, prefix = self.p, len(table), len(pts), [1]
         (xc, yc), (xs, ys) = C or (0, 0), S or (0, 0)
-        for x, _ in table:
-            prefix.append(prefix[-1] * (x - xc) % p)
         for x, _ in pts:
             prefix.append(prefix[-1] * (x - xs) % p)
+        for x, _ in table:
+            prefix.append(prefix[-1] * (x - xc) % p)
         if not prefix[-1]:
             return None
-        inv = pow(prefix[-1], -1, p)
-        sums = [None] * len(pts)
-        for i in range(len(pts) - 1, -1, -1):
-            x1, y1 = pts[i]
-            lam = (y1 - ys) * inv * prefix[t + i] % p
-            inv = inv * (x1 - xs) % p
-            x3 = (lam * lam - x1 - xs) % p
-            sums[i] = x3, (lam * (x1 - x3) - y1) % p
-        plus, minus = [None] * t, [None] * t
+        inv, sums, plus, minus = pow(prefix[-1], -1, p), [None] * m, [None] * t, [None] * t
         for i in range(t - 1, -1, -1):
             x, y = table[i]
-            w = inv * prefix[i] % p
+            w = inv * prefix[m + i] % p
             inv = inv * (x - xc) % p
             lp, lm, s = (y - yc) * w % p, (y + yc) * w % p, x + xc
             plus[i], minus[i] = (lp * lp - s) % p, (lm * lm - s) % p
+        for i in range(m - 1, -1, -1):
+            x1, y1 = pts[i]
+            lam = (y1 - ys) * inv * prefix[i] % p
+            inv = inv * (x1 - xs) % p
+            x3 = (lam * lam - x1 - xs) % p
+            sums[i] = x3, (lam * (x1 - x3) - y1) % p
         return plus, minus, sums
 
     def ec_add(self, P, Q, A):
@@ -358,7 +355,7 @@ class Fp2:
     def pm_round(self, C, table, pts, S):
         """Fp.pm_round over F_{p^2} on coordinate ints: the F_p norms of the
         denominators d share one inversion, and 1/d = frob(d)/N(d)."""
-        p, u0, u1, t = self.p, self.u0, self.u1, len(table)
+        p, u0, u1, t, m = self.p, self.u0, self.u1, len(table), len(pts)
         norms, prefix = [], [1]
         (s0, s1), (t0, t1) = S or ((0, 0), (0, 0))
         (q0, q1), (v0, v1) = C or ((0, 0), (0, 0))
@@ -370,8 +367,7 @@ class Fp2:
                 prefix.append(prefix[-1] * n % p)
         if not prefix[-1]:
             return None
-        inv, m, sums = pow(prefix[-1], -1, p), len(pts), [None] * len(pts)
-        plus, minus = [None] * t, [None] * t
+        inv, sums, plus, minus = pow(prefix[-1], -1, p), [None] * m, [None] * t, [None] * t
         for i in range(t - 1, -1, -1):
             (a0, a1), (b0, b1) = table[i]
             ninv = inv * prefix[m + i] % p
@@ -387,7 +383,7 @@ class Fp2:
             l0, l1 = (n0 * g0 - u0 * r) % p, (n0 * g1 + n1 * g0 - u1 * r) % p
             r = l1 * l1
             minus[i] = (l0 * l0 - u0 * r - e0) % p, (2 * l0 * l1 - u1 * r - e1) % p
-        for i in range(len(pts) - 1, -1, -1):
+        for i in range(m - 1, -1, -1):
             (a0, a1), (b0, b1) = pts[i]
             ninv = inv * prefix[i] % p
             inv = inv * norms[i] % p

@@ -659,14 +659,14 @@ def _walk_blocks(curve, start, step, n):
 
 
 def test_walk_gives_every_x_in_order(monkeypatch):
-    # From the identity the lanes hold LANES + 1 points and the blocks past
-    # them 2*LANES + 1, the last centred on what is left; from a point, a
-    # walk of up to 2*LANES + 1 is one block of lanes, and a longer one
+    # A walk of up to 2*LANES + 1 points is one block of lanes.  A longer
+    # one from the identity has LANES + 1 lanes and then blocks of
+    # 2*LANES + 1, the last centred on what is left; from a point, it has
     # blocks from the centre start + LANES*step, the last one cut short
     rounds = _spy_rounds(monkeypatch)
     rng = random.Random(50)
     L = LANES
-    lengths = {None: {L: [L], L + 1: [L + 1], 2 * L + 1: [L + 1, L], 2 * L + 2: [L + 1, L + 1],
+    lengths = {None: {L: [L], L + 1: [L + 1], 2 * L + 1: [2 * L + 1], 2 * L + 2: [L + 1, L + 1],
                       3 * L + 3: [L + 1, 2 * L + 1, 1]},
                "point": {L: [L], L + 1: [L + 1], 2 * L + 1: [2 * L + 1],
                          2 * L + 2: [2 * L + 1, 1], 3 * L + 3: [2 * L + 1, L + 2]}}
