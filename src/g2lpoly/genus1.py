@@ -7,11 +7,13 @@ its quadratic twist everywhere else.  lpoly1 takes cubic models only;
 quartic_to_cubic and quartic_jacobian turn a quartic into one.
 The F_q-roots of the cubic fix #E mod 2, and in most cases mod 4; those of
 the 3-division polynomial fix #E mod 3 in most cases, each read off x^q
-modulo that polynomial and one field_gcd.  BSGS searches only that class of
+modulo that polynomial and one field_gcd.  BSGS starts from that class of
 the Hasse interval, mod up to 12, wherever the interval is wide enough for
 reading it to pay; in narrower ones a nonsquare discriminant still makes #E
-even.  Its random points take no square root: each lies on the twist of E
-by a random w, which is E or its quadratic twist as w is a square or not.
+even.  A random point whose order leaves two or more members of the class
+narrows it to those, and the next point searches the narrower class, until
+one member is left.  The points take no square root: each lies on the twist
+of E by a random w, which is E or its quadratic twist as w is a square or not.
 Walks read x only, two points per shared denominator around a centre, and
 multiples of a point share its doubling chain.  Genus1Model and LPoly1 are
 immutable named tuples whose constructors check the model and the Hasse
@@ -342,14 +344,9 @@ def _three_class(F, A, B):
 
 def _crt(a, b):
     """The pair (r, m) with x = r (mod m) exactly when x = a[0] (mod a[1])
-    and x = b[0] (mod b[1]); None when the two classes are disjoint."""
+    and x = b[0] (mod b[1]), for coprime a[1] and b[1]."""
     (r1, m1), (r2, m2) = a, b
-    g = math.gcd(m1, m2)
-    if (r2 - r1) % g:
-        return None
-    m = m1 // g * m2
-    k = (r2 - r1) // g * pow(m1 // g, -1, m2 // g) % (m2 // g)
-    return (r1 + m1 * k) % m, m
+    return (r1 + m1 * ((r2 - r1) * pow(m1, -1, m2) % m2)) % (m1 * m2), m1 * m2
 
 
 def _baby_steps(curve: _Curve, Q, s: int):
@@ -384,9 +381,7 @@ def _baby_steps(curve: _Curve, Q, s: int):
 
 def _two_smallest(cls, lo: int, hi: int):
     """The two smallest members of the class cls = (r, m) in [lo, hi], None
-    in place of missing ones (both None when cls is None)."""
-    if cls is None:
-        return None, None
+    in place of missing ones."""
     r, m = cls
     first = lo + (r - lo) % m
     if first > hi:
@@ -415,10 +410,14 @@ def _multiples_in_interval(curve: _Curve, P, lo: int, hi: int, res: int = 0, mod
     s = math.isqrt((K + 1) // 2)
     order, baby, point = _baby_steps(curve, Q, s)
     if order:
-        # ord(P) = ord(Q) * gcd(ord(P), mod): the least d | mod that kills P
-        d = next(d for d in range(1, mod + 1) if mod % d == 0
-                 and (d == mod or curve.mul(order * d, chain_p) is None))
-        return _two_smallest(_crt((0, order * d), (res, mod)), lo, hi)
+        # lcm(ord(P), mod) = order*mod: the class holds m0 + mod*k for the
+        # k < order with m0*P + k*Q = O, if there is one
+        R = curve.mul(m0, chain_p)
+        for k in range(order):
+            if R is None:
+                return _two_smallest((m0 + mod * k, order * mod), lo, hi)
+            R = curve.add(R, Q)
+        return None, None
     # giant points (m0 + mod*c)*P centre windows [c - s, c + s], c = s +
     # i*(2s + 1), of one solution k at most (they are ord(Q) > 2s + 1 apart),
     # from k = 0 up.  The first is (m0 % mod)*P + a*G + b*Q, G = (2s + 1)*Q and
@@ -477,12 +476,15 @@ def group_order_bsgs(model: Genus1Model, rng=random) -> int:
     (_three_class) from THREE_FROM_BLOCKS, over F_p and F_{p^2} alike.
     Below CLASS_FROM_BLOCKS a nonsquare discriminant -4A^3 - 27B^2 still
     makes N even: the cubic then has exactly one root in F_q (Stickelberger).
-    The twist's count 2q + 2 - N has the class 2q + 2 - res: N's class mod
-    4, but not mod 3.  Each random point (_twist_point) lies on E or on its
-    twist, as the character of its w says, and is searched over that side's
-    class: the members in the interval that kill the point form one residue
-    class, merged into what is known of N by the CRT, until one candidate N
-    remains.  It is unique for q > MESTRE_BOUND, the fields lpoly1 sends here.
+    One class (res, mod) of N is kept.  Each random point (_twist_point)
+    lies on E or on its twist, as the character of its w says, and searches
+    that side's class: (res, mod) for E, (2q + 2 - res, mod) for the twist,
+    whose count is 2q + 2 - N.  The members in the interval that kill the
+    point form one class modulo lcm(ord(P), mod), the distance between its
+    two smallest: a single member is that side's count, and two or more
+    leave N the narrower class that the next point searches.  Some point's
+    order has a single multiple for q > MESTRE_BOUND, the fields lpoly1
+    sends here.
     """
     F = model.field
     q = F.q
@@ -494,26 +496,22 @@ def group_order_bsgs(model: Genus1Model, rng=random) -> int:
     target = 2 * q + 2
     blocks = (math.isqrt((hi - lo + 1) // 2) + LANES) // (2 * LANES + 1) + 1
     if blocks >= CLASS_FROM_BLOCKS:
-        known = _order_class(F, A, B)
+        res, mod = _order_class(F, A, B)
     else:
         disc = F.neg(F.add(F.smul(4, F.mul(A, F.mul(A, A))), F.smul(27, F.mul(B, B))))
-        known = (0, 1) if F.is_square(disc) else (0, 2)
+        res, mod = (0, 1) if F.is_square(disc) else (0, 2)
     if blocks >= THREE_FROM_BLOCKS:
-        known = _crt(known, _three_class(F, A, B) or (0, 1))
-    classes = (known, ((target - known[0]) % known[1], known[1]))
+        res, mod = _crt((res, mod), _three_class(F, A, B) or (0, 1))
     for _ in range(MAX_POINTS):
         side, curve, P = _twist_point(F, A, B, rng)
-        first, second = _multiples_in_interval(curve, P, lo, hi, *classes[side])
+        first, second = _multiples_in_interval(
+            curve, P, lo, hi, (target - res) % mod if side else res, mod)
         if first is None:
             raise AmbiguousOrder("point order has no multiple in the interval")
         if second is None:
             return target - first if side else first
-        known = _crt(known, (target - first if side else first, second - first))
-        first, second = _two_smallest(known, lo, hi)
-        if first is None:
-            raise AmbiguousOrder("inconsistent order residues")
-        if second is None:
-            return first
+        # second - first = lcm(ord(P), mod), and first lies in the searched class
+        res, mod = (target - first if side else first), second - first
     raise AmbiguousOrder(f"order not pinned after {MAX_POINTS} points")
 
 

@@ -120,8 +120,7 @@ def count_affine_fp(coeffs, p: int) -> int:
             _reduce(acc, p, tmp)
             bound = m
         acc *= x
-        if c:
-            acc += c
+        acc += c
         bound = (bound + 1) * m
     _reduce(acc, p, tmp)
     return int(p + chi.take(acc).sum())
@@ -184,27 +183,21 @@ def count_affine_fp2(coeffs, u0: int, u1: int, p: int) -> int:
             g0 *= a
             g1 *= a
             g1 += s
-            if n1:
-                np.multiply(t, n1, out=s)
-                g1 += s
+            np.multiply(t, n1, out=s)
+            g1 += s
             t *= n0
             g0 += t
-            if c0:
-                g0 += c0
-            if c1:
-                g1 += c1
+            g0 += c0
+            g1 += c1
             bound = (bound * m + 2 * bound) * m + m
         # the norm g0 (g0 + n1 g1) + u0 g1^2 <= bound^2 (2m + 1)
         if bound * bound * (2 * m + 1) >= _BOUND:
             _reduce(g0, p, t)
             _reduce(g1, p, t)
             bound = m
-        if n1:
-            np.multiply(g1, n1, out=t)
-            t += g0
-            t *= g0
-        else:
-            np.multiply(g0, g0, out=t)
+        np.multiply(g1, n1, out=t)
+        t += g0
+        t *= g0
         np.multiply(g1, u0, out=s)
         s *= g1
         t += s

@@ -132,13 +132,21 @@ CALLED_ELSEWHERE = frozenset()
 def test_field_and_curve_members_are_called(monkeypatch):
     # every cluster type at small primes (exhaustive counts over F_p and
     # F_{p^2}), type 2b at p = 131, past the exhaustive band of F_{p^2},
-    # and BSGS with both class reads over F_p near 2^30 and F_{p^2} near 2^32
+    # and BSGS with both class reads over F_p near 2^34 and F_{p^2} near
+    # 2^34: a baby walk of 512 points, past THREE_FROM_BLOCKS' 423
     rng = random.Random(5)
     factors = [(oracle.random_instance(p, typ, rng, max_depth=3, compute_expected=False).f, p)
                for p in (5, 13, 61) for typ in ClusterType]
     factors.append((oracle.gen_type2b(131, 2, rng, compute_expected=False).f, 131))
     cubics = [genus1.Genus1Model(F, (F.random(rng), F.random(rng), F.random(rng), F.one))
-              for F in (Fp(1073741827), Fp2(65537, 65534, 0)) for _ in range(2)]
+              for F in (Fp(17179869209), Fp2(131071, 1, 0)) for _ in range(2)]
+    reads = set()
+    for read in ("_order_class", "_three_class"):
+        def spy(F, A, B, _real=getattr(genus1, read), _read=read):
+            reads.add((_read, type(F)))
+            return _real(F, A, B)
+
+        monkeypatch.setattr(genus1, read, spy)
     members = [(f"{cls.__name__}.{name}", cls, name, member)
                for cls in (Fp, Fp2, genus1._Curve) for name, member in vars(cls).items()
                if callable(member) and not name.startswith("_")]
@@ -155,3 +163,4 @@ def test_field_and_curve_members_are_called(monkeypatch):
         genus1.lpoly1(model, rng)
     never = [key for key, *_ in members if not calls[key] and key not in CALLED_ELSEWHERE]
     assert never == [], "members never called: " + ", ".join(never)
+    assert reads == {(read, cls) for read in ("_order_class", "_three_class") for cls in (Fp, Fp2)}

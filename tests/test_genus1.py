@@ -193,10 +193,11 @@ def test_count_loop_stops_below_67():
 def test_count_fp_at_the_kernel_reduction_edges(p):
     # below 2^13 a cubic is reduced once, at the end, and a quartic also
     # before its last Horner step; near 2^16 both are reduced before the
-    # third step and at the end
+    # third step and at the end.  A zero coefficient is added like any other
     rng = random.Random(p)
     F = Fp(p)
-    for coeffs in ((None, None, None, None), (None, None, None, None, None)):
+    for coeffs in ((None, None, None, None), (None, None, None, None, None),
+                   (None, 0, None, 1), (0, None, None, 0, None)):
         m = _random_nonsingular(rng, F, coeffs)
         assert count_points_naive(m, limit=1 << 16) == brute_count_fp(m.g, p)
 
@@ -1003,6 +1004,48 @@ def test_bsgs_class_mod_12_on_both_sides(monkeypatch):
             assert group_order_bsgs(model, rng) == count_points_naive(model), (F, model.g)
             twist_mod_3 += any(side and mod % 3 == 0 for side, mod in zip(sides, searched))
     assert twist_mod_3 >= 10
+
+
+def test_bsgs_points_narrow_one_class(monkeypatch):
+    # Just above MESTRE_BOUND many counts draw two or more points.  A point
+    # whose order leaves two members of the searched class narrows N's
+    # class to one mod their distance, lcm(ord(P), mod), and the next point
+    # searches that: a proper multiple of the last modulus unless ord(P)
+    # divides it.  Every searched class holds its side's count, N on E and
+    # 2q + 2 - N on the twist
+    calls = []
+    real = genus1._multiples_in_interval
+
+    def spy(curve, P, lo, hi, res=0, mod=1):
+        got = real(curve, P, lo, hi, res, mod)
+        calls.append((curve, P, res, mod, got))
+        return got
+
+    monkeypatch.setattr(genus1, "_multiples_in_interval", spy)
+    sides = _spy_sides(monkeypatch)
+    rng = random.Random(65)
+    fields = [Fp(p) for p in (233, 239, 241, 251, 257)]
+    fields += [Fp2(p, -find_nonsquare(p, rng) % p, 0) for p in (17, 19, 23)]
+    fields += [fp2_with_u1(p, rng) for p in (17, 19, 23)]
+    multi, narrowed = set(), 0
+    for F in fields:
+        for _ in range(40):
+            m = _random_nonsingular(rng, F, (None, None, None, 1))
+            calls.clear()
+            sides.clear()
+            n = count_points_naive(m)
+            assert group_order_bsgs(m, rng) == n, (F, m.g)
+            for side, (_, _, res, mod, _) in zip(sides, calls):
+                assert ((2 * F.q + 2 - n if side else n) - res) % mod == 0, (F, m.g)
+            for (curve, P, _, mod, (first, second)), later in zip(calls, calls[1:]):
+                assert later[3] == second - first and later[3] % mod == 0, (F, m.g)
+                if curve.mul(mod, [P]) is not None:
+                    assert later[3] > mod, (F, m.g)
+                    narrowed += 1
+            if len(calls) > 1:
+                multi.add(_shape(F))
+    assert multi == {"fp", "z^2 - n", "u1 != 0"}
+    assert narrowed >= 30
 
 
 # ------------------------------------------------------------ BSGS set-up
