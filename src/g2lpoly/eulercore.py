@@ -20,7 +20,7 @@ from .clusterclassify import Classification, ClusterType, classify, p_normalize,
 from .clusterclassify import which_type  # noqa: F401  only a hook target for perfbench/tracing.py
 from .errors import HasseViolation, NotAlmostGood, NotSquarefree
 from .genus1 import Genus1Model, lpoly1
-from .modarith import Integers, QuadOrder, find_nonsquare, sqrt_mod_p
+from .modarith import Integers, QuadOrder, legendre, sqrt_mod_p
 from .polyring import disc, shift_scale  # noqa: F401  only hook targets for perfbench/tracing.py
 from .polyring import (
     complete_square,
@@ -88,7 +88,7 @@ def _cut(f, fbar, g, Z, max_iters):
     return (xw if len(xw) == 4 else xw[:0:-1], g2bar), iters
 
 
-def euler_type1(c: Classification, rng, max_iters: int):
+def euler_type1(c: Classification, max_iters: int):
     """Type 1: one loose triple cluster.
 
     With f mod p = (x - r)^3 u(x), the first curve is y^2 = (x - r) u(x);
@@ -99,12 +99,13 @@ def euler_type1(c: Classification, rng, max_iters: int):
     return Z.kappa, cubics, (iters,)
 
 
-def euler_type2a(c: Classification, rng, max_iters: int):
+def euler_type2a(c: Classification, max_iters: int):
     """Type 2a: two rational triple clusters, centers from the quadratic
-    formula."""
+    formula (at p = 1 mod 4, the least nonsquare is the root's witness)."""
     p, Z = c.nf.p, Integers(c.nf.p)
     u = c.kernel  # monic, split over F_p
-    root = sqrt_mod_p(u[1] * u[1] - 4 * u[0], p, find_nonsquare(p, rng) if p % 4 == 1 else None)
+    s = next(s for s in range(2, p) if legendre(s, p) < 0) if p % 4 == 1 else None
+    root = sqrt_mod_p(u[1] * u[1] - 4 * u[0], p, s)
     inv2 = (p + 1) // 2
     # smaller center first; the product is symmetric
     r1, r2 = sorted(((-u[1] + root) * inv2 % p, (-u[1] - root) * inv2 % p))
@@ -113,7 +114,7 @@ def euler_type2a(c: Classification, rng, max_iters: int):
     return Z.kappa, (g1bar, g2bar), (it1, it2)
 
 
-def euler_type2b(c: Classification, rng, max_iters: int):
+def euler_type2b(c: Classification, max_iters: int):
     """Type 2b: Frobenius-conjugate triple clusters.
 
     The descent runs over the order Z[z]/(u) with u the canonical lift of the
@@ -127,7 +128,7 @@ def euler_type2b(c: Classification, rng, max_iters: int):
     return order.kappa, (gbar,), (iters,)
 
 
-def euler_type4(c: Classification, rng, max_iters: int):
+def euler_type4(c: Classification, max_iters: int):
     """Type 4: nested clusters under a quintuple root.
 
     The outer recentring divides by p^5 while the reduction keeps the five
@@ -159,7 +160,7 @@ def euler_factor_with_stats(inp: EulerInput, rng=random):
         ClusterType.T2B: euler_type2b,
         ClusterType.T4: euler_type4,
     }[c.type]
-    field, cubics, iters = handler(c, rng, max_iters)
+    field, cubics, iters = handler(c, max_iters)
     models = []
     for i, g in enumerate(cubics, 1):
         try:
@@ -180,9 +181,9 @@ def euler_factor_with_stats(inp: EulerInput, rng=random):
 def euler_factor(inp: EulerInput, rng=random) -> LPoly2:
     """The main entry point: normalize, classify, and dispatch.
 
-    rng feeds the Las Vegas draws (type 2a's nonsquare and random points); they
-    change how long a call takes, never its answer.  Without one they come
-    from the random module's stream, so random.seed(n) repeats a run's work.
+    rng feeds only the group-order search (no genus 1 field below 2^13 draws),
+    whose points change how long a call takes, never its answer.  Without one
+    they come from the random module's stream, so random.seed(n) repeats a run.
     GoodReduction propagates so batch callers can reroute those primes.
     """
     return euler_factor_with_stats(inp, rng)[0]

@@ -36,7 +36,7 @@ from .errors import (
     Unsupported,
 )
 from .modarith import Fp2
-from .polyring import field_disc, field_gcd, fp2_trim, reduce_mod
+from .polyring import field_disc, field_gcd, reduce_mod, trim
 
 DEFAULT_NAIVE_LIMIT = 1 << 16
 # Counting is exhaustive below q = EXHAUSTIVE_BELOW, over F_p and F_{p^2}
@@ -84,7 +84,7 @@ class Genus1Model(namedtuple("Genus1Model", "field g")):
 
     def __new__(cls, field, g):
         if isinstance(field, Fp2):
-            g = fp2_trim([(c0 % field.p, c1 % field.p) for c0, c1 in g], field)
+            g = trim([(c0 % field.p, c1 % field.p) for c0, c1 in g], field.zero)
         else:
             g = reduce_mod(g, field.p)
         d = len(g) - 1
@@ -120,6 +120,7 @@ def count_points_naive(model: Genus1Model, limit: int = DEFAULT_NAIVE_LIMIT) -> 
 
     Counts sum_x (1 + chi(g(x))) plus the points at infinity: one for a
     cubic; for a quartic, two if lc(g) is a square and none otherwise.
+    euler_factor cannot reach FieldTooLarge: lpoly1 calls this below 2^13.
     """
     F = model.field
     if F.q > limit:
@@ -153,7 +154,8 @@ def quartic_jacobian(model: Genus1Model) -> Genus1Model:
     """Cubic model Y^2 = X^3 - 27I X - 27J from the classical quartic
     invariants I, J; the trace is preserved.
 
-    Unsupported in characteristic 3, where the -27 coefficients collapse.
+    Unsupported in characteristic 3, where the -27 coefficients collapse;
+    euler_factor never calls it.
     """
     F = model.field
     if model.degree != 4:
@@ -276,7 +278,8 @@ class _Curve:
 
 
 def _to_short_weierstrass(model: Genus1Model):
-    """Point-count-preserving change of a cubic model to y^2 = x^3 + Ax + B."""
+    """Point-count-preserving change of a cubic model to y^2 = x^3 + Ax + B;
+    euler_factor never meets its Unsupported: lpoly1 counts q = 3, 9 exhaustively."""
     F = model.field
     if F.p == 3:
         raise Unsupported("short Weierstrass form needs characteristic > 3")

@@ -13,8 +13,8 @@ that has them.
 
 Fp and Fp2 test squares by chi_p (of the norm, over F_{p^2}) and take no
 square roots.  The one square root is sqrt_mod_p, Tonelli-Shanks on plain
-ints, whose nonsquare witness find_nonsquare draws: type 2a's two centres
-need it, and nothing else in the package does.
+ints with a nonsquare witness: type 2a's two centres need it, with the
+least nonsquare, and nothing else in the package does.
 Each field's raw-int pm_round (x(C +- T) over a table, two per shared
 denominator, and P + S, all for one inversion), ec_add and xq_mod (x^q mod
 a depressed monic cubic or quartic) serve the genus 1 BSGS.
@@ -92,7 +92,8 @@ def sqrt_mod_p(a: int, p: int, s: int | None = None) -> int:
     consumed when p = 1 mod 4 but is validated whenever supplied.  Raises
     NotOddPrime before anything else, then BadWitness for a witness that is
     not a nonsquare, NonResidue for a nonsquare a, and BadWitness for a
-    nonzero a at p = 1 mod 4 with no witness.
+    nonzero a at p = 1 mod 4 with no witness.  euler_factor reaches none of
+    them: type 2a passes a square and the least nonsquare.
     """
     check_odd_prime_modulus(p)
     m, e = p - 1, 0
@@ -523,7 +524,7 @@ class Integers:
         self.reduce = p.__rmod__
 
     def exact_div_pk(self, a, k: int):
-        """Divide by p^k, insisting the division is exact."""
+        """Divide by p^k exactly; no InexactDivision leaves euler_factor (recentre converts it)."""
         q, r = divmod(a, self.p**k)
         if r:
             raise InexactDivision(f"{a} is not divisible by {self.p}^{k}")
@@ -571,7 +572,7 @@ class QuadOrder:
         return (a[0] - self.u1 * a[1], -a[1])
 
     def exact_div_pk(self, a, k: int):
-        """Divide both coordinates by p^k, insisting the division is exact."""
+        """Integers.exact_div_pk on both coordinates; euler_factor never lets its error out."""
         d = self.p**k
         q0, r0 = divmod(a[0], d)
         q1, r1 = divmod(a[1], d)

@@ -22,7 +22,6 @@ from .polyring import (
     fp_mul,
     fp_scale,
     fp2_scale,
-    fp2_trim,
     order_poly_conj,
     order_poly_mul,
     poly_mul,
@@ -117,15 +116,11 @@ def build_type2a(p, n, m, s1, s2, h1, h2, v=0, compute_expected=True):
     return OracleInstance(f, p, expected, ClusterType.T2A, (n, m))
 
 
-def gen_type2a(p, n, m, rng, v=None, compute_expected=True):
+def gen_type2a(p, n, m, rng, compute_expected=True):
     """Type 2a instance: rational clusters of depths n, m at distinct centers."""
     _check_prime(p)
     if n % 2 != m % 2 or n < 1 or m < 1:
         raise ValueError("type 2a depths must match in parity and be >= 1")
-    if v is None:
-        v = n % 2
-    if v != n % 2:
-        raise ValueError("leading valuation must match the depth parity")
     for _ in range(_MAX_RETRIES):
         s1 = rng.randrange(p)
         s2 = rng.randrange(p)
@@ -133,7 +128,7 @@ def gen_type2a(p, n, m, rng, v=None, compute_expected=True):
             continue
         h1 = _random_sqfree_cubic(p, rng)
         h2 = _random_sqfree_cubic(p, rng)
-        inst = build_type2a(p, n, m, s1, s2, h1, h2, v, compute_expected)
+        inst = build_type2a(p, n, m, s1, s2, h1, h2, n % 2, compute_expected)
         if disc(inst.f) != 0:
             return inst
     raise OracleError("type 2a generation failed")
@@ -156,7 +151,6 @@ def gen_type2b(p, n, rng, compute_expected=True):
     _check_prime(p)
     if n < 1:
         raise ValueError("depth must be >= 1")
-    v = n % 2
     for _ in range(_MAX_RETRIES):
         u0, u1 = rng.randrange(p), rng.randrange(p)
         if legendre(u1 * u1 - 4 * u0, p) != -1:
@@ -167,7 +161,7 @@ def gen_type2b(p, n, rng, compute_expected=True):
         if kappa.is_zero(field_disc(hh, kappa)):  # hh not squarefree
             continue
         f = _planted_conjugate_pair(hh, n, order)
-        if v:
+        if n % 2:
             f = poly_scale(f, p)
         if disc(f) == 0:
             continue
@@ -176,7 +170,7 @@ def gen_type2b(p, n, rng, compute_expected=True):
             zbar = kappa.gen
             dz = kappa.sub(zbar, kappa.frobenius(zbar))
             c = kappa.mul(dz, kappa.mul(dz, dz))
-            t = _trace(fp2_scale(fp2_trim(hh, kappa), c, kappa), kappa)
+            t = _trace(fp2_scale(trim(hh, kappa.zero), c, kappa), kappa)
             expected = LPoly2(0, -t, p)
         return OracleInstance(f, p, expected, ClusterType.T2B, (n,))
     raise OracleError("type 2b generation failed")
@@ -188,7 +182,6 @@ def gen_type4(p, n, m, rng, compute_expected=True):
     _check_prime(p)
     if m <= n or n < 1 or (m - n) % 2:
         raise ValueError("type 4 needs m > n with m = n mod 2")
-    v = n % 2
     for _ in range(_MAX_RETRIES):
         s0 = rng.randrange(p)
         s1 = rng.randrange(p)
@@ -203,7 +196,7 @@ def gen_type4(p, n, m, rng, compute_expected=True):
             poly_mul((-s0, 1), (-(s1 + p**n * a1), 1)),
             poly_mul((-(s1 + p**n * a2), 1), _planted_cubic(h2, s1, m, p)),
         )
-        if v:
+        if n % 2:
             f = poly_scale(f, p)
         if disc(f) == 0:
             continue
@@ -258,7 +251,7 @@ def random_instance(p, typ: ClusterType, rng, max_depth=8, compute_expected=True
     if typ is ClusterType.T2A:
         n = rng.randrange(1, max_depth + 1)
         m = rng.choice(range(2 - n % 2, max_depth + 1, 2))
-        return gen_type2a(p, n, m, rng, None, compute_expected)
+        return gen_type2a(p, n, m, rng, compute_expected)
     if typ is ClusterType.T2B:
         return gen_type2b(p, rng.randrange(1, max_depth + 1), rng, compute_expected)
     n = rng.randrange(1, max(max_depth - 1, 2))

@@ -23,9 +23,9 @@ from .modarith import Integers, QuadOrder
 # ---------------------------------------------------------------------------
 
 
-def trim(f):
+def trim(f, zero=0):
     f = list(f)
-    while f and f[-1] == 0:
+    while f and f[-1] == zero:
         f.pop()
     return tuple(f)
 
@@ -115,10 +115,7 @@ def min_vp(f, p: int) -> int:
 
 def reduce_mod(f, p: int):
     """Reduction Z[x] -> F_p[x]; the degree may drop."""
-    f = [c % p for c in f]
-    while f and f[-1] == 0:
-        f.pop()
-    return tuple(f)
+    return trim([c % p for c in f])
 
 
 def reverse6(f):
@@ -307,13 +304,6 @@ def fp_gcd_k(f, k: int, p: int):
 # ---------------------------------------------------------------------------
 
 
-def fp2_trim(f, F):
-    f = list(f)
-    while f and F.is_zero(f[-1]):
-        f.pop()
-    return tuple(f)
-
-
 def fp2_scale(f, c, F):
     if F.is_zero(c):
         return ()
@@ -336,7 +326,7 @@ def field_disc(g, F):
 
 def field_gcd(a, b, F):
     """Monic gcd over F, Fp or Fp2: fp_gcd's remainder loop through F's methods."""
-    a, b = list(fp2_trim(a, F)), list(fp2_trim(b, F))
+    a, b = list(trim(a, F.zero)), list(trim(b, F.zero))
     while b:
         n = len(b) - 1
         inv = F.inv(b[-1])
@@ -399,7 +389,7 @@ def shift_scale(f, r, k: int, R):
 
 def reduce_poly(f, R):
     """Reduce R[x] -> kappa[x]; the degree may drop."""
-    return fp2_trim(map(R.reduce, f), R.kappa)
+    return trim(map(R.reduce, f), R.kappa.zero)
 
 
 def order_poly_mul(f, g, order: QuadOrder):

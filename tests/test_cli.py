@@ -1,3 +1,4 @@
+import inspect
 import io
 import os
 import random
@@ -95,6 +96,12 @@ def test_check_prime_flag():
     assert process_line("9:[1,0,0,0,0,0,1]") == "ERR:not-prime"
 
 
+def test_degree_token():
+    # a cubic, and a model whose 4f + h^2 cancels down to a constant
+    for line in ("5:[1,0,0,1]", "7:[1,0,0,0,0,0,-1]:[0,0,0,2]"):
+        assert process_line(line) == "ERR:degree"
+
+
 def test_composite_modulus_is_named_not_run():
     # a composite p used to spin forever in the F_p remainder loop
     assert process_line("25:[-6875,-468750,11875,-8750,-225,234375,500]") == "ERR:not-prime"
@@ -142,13 +149,32 @@ def test_error_vocabulary(monkeypatch):
 
         monkeypatch.setattr(cli, "euler_factor", fail)
         assert process_line(_worked_example_line()) == f"ERR:{cls.token}"
-    assert sorted(_readme_tokens()) == sorted(tokens + ["not-prime", "error"])
+    readme = _readme_tokens(CLI_TABLE) + _readme_tokens(LIBRARY_TABLE)
+    assert sorted(readme) == sorted(tokens + ["not-prime", "error"])
 
 
-def _readme_tokens():
-    """The tokens of README's ERR:<token> table."""
+# header rows of README's two token tables: what process_line prints, and
+# what only the library raises
+CLI_TABLE = "| token | cause |"
+LIBRARY_TABLE = "| token | raised by |"
+
+
+def _readme_tokens(header):
+    """The tokens of the README table whose header row starts with header."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    return re.findall(r"^\| `([a-z-]+)` \|", readme, re.M)
+    table = re.search(rf"^{re.escape(header)}.*\n(?:\|.*\n)+", readme, re.M).group(0)
+    return re.findall(r"^\| `([a-z-]+)` \|", table, re.M)
+
+
+# the CLI table's tokens that the fuzz corpus need not print, and the test
+# that prints each
+TOKEN_TESTS = {
+    "ERR:not-odd-prime": "test_even_modulus_token",
+    "ERR:not-prime": "test_check_prime_flag",
+    "ERR:degree": "test_degree_token",
+    "ERR:hasse-violation": "test_every_exception_ends_in_a_token",
+    "ERR:ambiguous-order": "test_every_exception_ends_in_a_token",
+}
 
 
 _FUZZ_PRIMES = (3, 5, 7, 11, 13, 31, 97, 251, 1021, 4093, 8191, 16381, 65521, 65537)
@@ -186,8 +212,8 @@ def _fuzz_line(rng):
 
 def test_fuzzed_lines_print_a_result_or_a_documented_token():
     # every line answers within a second: p:[1,a1,a2,p*a1,p^2], a token of
-    # README's table other than error, or nothing for a blank line
-    tokens = {f"ERR:{t}" for t in _readme_tokens()} - {"ERR:error"}
+    # README's CLI table other than error, or nothing for a blank line
+    tokens = {f"ERR:{t}" for t in _readme_tokens(CLI_TABLE)} - {"ERR:error"}
     rng = random.Random(83)
     seen = set()
     for _ in range(2000):
@@ -204,6 +230,10 @@ def test_fuzzed_lines_print_a_result_or_a_documented_token():
             assert out in tokens or (out is None and not line.strip()), (line, out)
             seen.add(out)
     assert {"result", "ERR:parse", "ERR:not-almost-good", "ERR:good-reduction"} <= seen
+    # and every such token is printed here or by the test TOKEN_TESTS names
+    for token in sorted(tokens - seen):
+        test = globals().get(TOKEN_TESTS.get(token, ""))
+        assert test and f'"{token}"' in inspect.getsource(test), f"{token} is never printed"
 
 
 def test_trailing_zero_omission():

@@ -385,7 +385,7 @@ def test_normalize_bounds_vdisc_of_ftilde():
                                compute_expected=False)
         models.append((p, inst))
     # depth-8 clusters at p = 3, where v_p(disc) is largest against the height
-    for inst in (gen_type1(3, 8, rng, False), gen_type2a(3, 8, 8, rng, None, False),
+    for inst in (gen_type1(3, 8, rng, False), gen_type2a(3, 8, 8, rng, False),
                  gen_type2b(3, 8, rng, False), gen_type4(3, 6, 8, rng, False)):
         models.append((3, inst))
     for p, inst in models:

@@ -9,8 +9,9 @@ attribute, an imported name, or a string constant equal to the name (the
 __all__ entries and the benchmark's tracing hooks).  Every import in src/
 must be used by its own module: read as a name or listed in __all__, unless
 its line says "# noqa: F401" (the names kept only for the benchmark's
-tracing hooks).  And no module reads the environment, so that behaviour is
-set by arguments alone.
+tracing hooks).  Every parameter of a def or lambda in src/ must be read by
+its body.  And no module reads the environment, so that behaviour is set by
+arguments alone.
 
 A name shared by two classes passes the ast check if either uses it, so
 test_field_and_curve_members_are_called counts the calls to each public
@@ -111,6 +112,30 @@ def test_no_unused_imports():
                 if bound not in used and not waived:
                     unused.append(f"{path.name}:{alias.lineno} {bound}")
     assert not unused, "unused imports: " + ", ".join(unused)
+
+
+# cli.run_batch's stable has selected nothing since the pool went, but
+# perfbench/run.py passes it; it goes with ROADMAP item 4's benchmark change
+UNREAD_ALLOWED = {("cli.py", "run_batch", "stable")}
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs]
+            params += [a for a in (args.vararg, args.kwarg) if a]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            loaded = {n.id for part in body for n in ast.walk(part)
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            name = getattr(node, "name", "<lambda>")
+            unread += [f"{path.name}:{node.lineno} {name}({a.arg})" for a in params
+                       if a.arg not in ("self", "cls") and a.arg not in loaded
+                       and (path.name, name, a.arg) not in UNREAD_ALLOWED]
+    assert not unread, "parameters never read: " + ", ".join(unread)
 
 
 def test_no_environment_reads():

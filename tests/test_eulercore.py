@@ -169,13 +169,33 @@ def test_non_squarefree_rejected():
         euler_factor(EulerInput(f, 7), random.Random(0))
 
 
+class _CountingRandom(random.Random):
+    """A stream that counts its draws (randrange and choice go through
+    getrandbits once both methods are overridden)."""
+
+    draws = 0
+
+    def random(self):
+        self.draws += 1
+        return super().random()
+
+    def getrandbits(self, k):
+        self.draws += 1
+        return super().getrandbits(k)
+
+
 def test_determinism_and_las_vegas_agreement(monkeypatch):
+    # only the group-order search draws, and every genus 1 field here is
+    # below 2^13 (p^2 <= 89^2 for type 2b), so no call reads its rng; type 2a
+    # at p = 1 mod 4 takes the least nonsquare, 2 at p = 5 and 3 at p = 17
+    # and 41, where 2 is a square
     rng = random.Random(57)
-    inst = gen_type2a(29, 2, 4, rng, compute_expected=False)
-    a = euler_factor(EulerInput(inst.f, 29), random.Random(1))
-    # p = 29 = 1 mod 4: every stream draws its own nonsquare for the centres
-    for seed in range(2, 12):
-        assert euler_factor(EulerInput(inst.f, 29), random.Random(seed)) == a
+    for p in (5, 7, 17, 41, 89):
+        for typ in ClusterType:
+            inst = random_instance(p, typ, rng, max_depth=4)
+            stream = _CountingRandom(1)
+            assert euler_factor(EulerInput(inst.f, p), stream) == inst.expected, (p, typ)
+            assert stream.draws == 0, (p, typ)
     # type 2b counts over F_{p^2} by BSGS, whose random points differ from
     # stream to stream: walks of one round at p = 97, of several at 4093
     walks = []
