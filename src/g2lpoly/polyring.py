@@ -24,10 +24,11 @@ from .modarith import Integers, QuadOrder
 
 
 def trim(f, zero=0):
-    f = list(f)
-    while f and f[-1] == zero:
-        f.pop()
-    return tuple(f)
+    f = tuple(f)
+    n = len(f)
+    while n and f[n - 1] == zero:
+        n -= 1
+    return f[:n]
 
 
 def deg(f) -> int:
